@@ -165,24 +165,32 @@ def gridnav_cell_of(features: np.ndarray) -> int:
 
 
 _OPTIMAL_ACTION_CACHE: dict[float, np.ndarray] = {}
+_OPTIMAL_ACTION_MAX_ITERS = 1_000_000
 
 
 def gridnav_optimal_actions(discount: float) -> np.ndarray:
     """Greedy action table from value iteration on the true reward.
 
     Ties break toward the lowest action index.  Cached per discount.
+    Raises ConfigError when the values have not converged to a sup-norm
+    change below 1e-13 within _OPTIMAL_ACTION_MAX_ITERS sweeps.
     """
     table = _OPTIMAL_ACTION_CACHE.get(discount)
     if table is None:
         nxt = gridnav_transitions()
         rew = gridnav_reward_field()
         values = np.zeros(GRID_N_STATES)
-        for _ in range(1_000_000):
+        for _ in range(_OPTIMAL_ACTION_MAX_ITERS):
             new = rew + discount * values[nxt].max(axis=1)
             if np.max(np.abs(new - values)) < 1e-13:
                 values = new
                 break
             values = new
+        else:
+            raise ConfigError(
+                f"optimal-action value iteration at discount {discount} did not "
+                f"converge within {_OPTIMAL_ACTION_MAX_ITERS} iterations"
+            )
         table = np.argmax(values[nxt], axis=1).astype(np.int64)
         _OPTIMAL_ACTION_CACHE[discount] = table
     return table

@@ -7,10 +7,14 @@ evaluated in log-sum-exp form so extreme margins neither overflow nor
 produce NaN.  Gradients are analytic: dL/dS_hi = -sigmoid(S_lo - S_hi),
 dL/dS_lo = +sigmoid(S_lo - S_hi), back-propagated through the state sums.
 
-Training deduplicates states across the whole pair set once, then each
-minibatch forwards only the unique states its snippets touch.  On the grid
-environment this collapses thousands of snippet states to at most 64 rows
-per step.
+Training compiles the pair set once, without Python loops over snippets
+or states, into a unique-state table (byte-deduplicated, then sorted by
+value) and one CSR row of state multiplicities per snippet.  Each minibatch
+gathers its snippets' rows with one repeat-and-offset index, marks the
+table rows they touch, and forwards only those.  On the grid environment
+this collapses thousands of snippet states to at most 64 rows per step.
+The forwarded rows, their order and the order of every sum are those of a
+per-snippet np.unique build, so training is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -176,9 +180,16 @@ class TrainResult:
 class _CompiledPairs:
     """Pair set re-indexed over globally unique states.
 
-    Snippets are deduplicated by (parent_id, start, length); their states
-    are deduplicated bit-exactly across the whole set.  Each snippet is a
-    sparse row of multiplicities over the unique-state table.
+    Snippets are deduplicated by (parent_id, start, length).  Their states
+    are deduplicated in two passes: a 1-d sort of the rows viewed as raw
+    bytes collapses exact copies, and only the distinct rows left (no more
+    than the demos hold, because the GA copies states rather than creating
+    them) are sorted by value with ``np.unique(axis=0)``.  Composing the
+    two inverses gives what one ``np.unique(axis=0)`` over every state
+    gives: the same table in the same order, rows that differ only in the
+    sign of a zero merged.  Each snippet is a CSR row (``indptr``,
+    ``indices`` ascending, ``counts``) of multiplicities over the table,
+    decoded from one ``np.unique`` over (snippet, state) keys.
     """
 
     def __init__(self, pairs: Sequence[SnippetPair]):
@@ -201,43 +212,41 @@ class _CompiledPairs:
         self.lo_idx = np.asarray(lo_idx)
         self.hi_idx = np.asarray(hi_idx)
         stacked = np.concatenate([s.states for s in snippets], axis=0)
-        self.unique_states, inverse = np.unique(stacked, axis=0, return_inverse=True)
-        bounds = np.cumsum([0] + [s.length for s in snippets])
-        indptr = [0]
-        indices: list[np.ndarray] = []
-        counts: list[np.ndarray] = []
-        for k in range(len(snippets)):
-            seg = inverse[bounds[k] : bounds[k + 1]]
-            uniq, cnt = np.unique(seg, return_counts=True)
-            indices.append(uniq)
-            counts.append(cnt.astype(np.float64))
-            indptr.append(indptr[-1] + len(uniq))
-        self.indptr = np.asarray(indptr)
-        self.indices = np.concatenate(indices)
-        self.counts = np.concatenate(counts)
+        row_bytes = stacked.view(np.dtype((np.void, stacked.itemsize * stacked.shape[1])))
+        _, first, byte_inverse = np.unique(
+            row_bytes.ravel(), return_index=True, return_inverse=True
+        )
+        self.unique_states, value_inverse = np.unique(
+            stacked[first], axis=0, return_inverse=True
+        )
+        inverse = value_inverse.ravel()[byte_inverse]
+        n_unique = len(self.unique_states)
+        lengths = [s.length for s in snippets]
+        owner = np.repeat(np.arange(len(snippets)), lengths)
+        keys, counts = np.unique(owner * n_unique + inverse, return_counts=True)
+        self.indices = keys % n_unique
+        self.counts = counts.astype(np.float64)
+        per_snippet = np.bincount(keys // n_unique, minlength=len(snippets))
+        self.indptr = np.concatenate([[0], np.cumsum(per_snippet)])
 
     def __len__(self) -> int:
         return len(self.lo_idx)
 
-    def _snippet_slices(self, snippet_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        parts_i, parts_c = [], []
-        for sid in snippet_ids:
-            lo, hi = self.indptr[sid], self.indptr[sid + 1]
-            parts_i.append(self.indices[lo:hi])
-            parts_c.append(self.counts[lo:hi])
-        return parts_i, parts_c
-
     def batch_arrays(self, batch: np.ndarray):
         """For a batch of pair indices: local unique-state rows, and per-side
-        (row positions, multiplicities, segment ids)."""
+        (row positions, multiplicities, segment ids), lo sides first."""
         sids = np.concatenate([self.lo_idx[batch], self.hi_idx[batch]])
-        parts_i, parts_c = self._snippet_slices(sids)
-        seg_ids = np.concatenate(
-            [np.full(len(p), k) for k, p in enumerate(parts_i)]
-        )
-        all_idx = np.concatenate(parts_i)
-        all_cnt = np.concatenate(parts_c)
-        local_rows, local_pos = np.unique(all_idx, return_inverse=True)
+        starts = self.indptr[sids]
+        sizes = self.indptr[sids + 1] - starts
+        seg_ids = np.repeat(np.arange(len(sids)), sizes)
+        ends = np.cumsum(sizes)
+        gather = np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
+        all_idx = self.indices[gather]
+        all_cnt = self.counts[gather]
+        touched = np.zeros(len(self.unique_states), dtype=bool)
+        touched[all_idx] = True
+        local_rows = np.flatnonzero(touched)
+        local_pos = (np.cumsum(touched) - 1)[all_idx]
         return local_rows, local_pos, all_cnt, seg_ids, len(sids)
 
 

@@ -79,6 +79,8 @@ class Trajectory:
             raise InvalidTrajectoryError(f"trajectory {self.id!r}: non-finite state entry")
         if not np.all(np.isfinite(self.gt_step_rewards)):
             raise InvalidTrajectoryError(f"trajectory {self.id!r}: non-finite step reward")
+        if self.step_ranks is not None and not np.all(np.isfinite(self.step_ranks)):
+            raise InvalidTrajectoryError(f"trajectory {self.id!r}: non-finite step rank")
 
 
 def gt_return(traj: Trajectory, discount: float) -> float:

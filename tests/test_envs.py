@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from genil import envs
 from genil.envs import (
     ENV_GRIDNAV,
     ENV_POINTCHASE,
@@ -174,6 +175,15 @@ def test_optimal_actions_tie_break_lowest():
     assert np.all((table >= 0) & (table < GRID_N_ACTIONS))
     # the optimal route from the start heads right or down, never up/left
     assert table[_cell(*GRID_START)] in (1, 2)
+
+
+def test_optimal_actions_raise_when_unconverged(monkeypatch):
+    monkeypatch.setattr(envs, "_OPTIMAL_ACTION_CACHE", {})
+    monkeypatch.setattr(envs, "_OPTIMAL_ACTION_MAX_ITERS", 5)
+    with pytest.raises(ConfigError, match="did not converge"):
+        gridnav_optimal_actions(0.95)
+    # nothing unconverged was cached
+    assert envs._OPTIMAL_ACTION_CACHE == {}
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from genil.baselines import build_trex2_dataset
 from genil.envs import make_demo_pair, make_spec
@@ -22,6 +23,7 @@ from genil.reward_net import (
     predict_return,
     predict_state,
     predict_states,
+    _CompiledPairs,
     save_model,
     train,
 )
@@ -279,6 +281,161 @@ def test_desk_config_reaches_ordering_and_loss_targets():
     )
     assert ordering_fraction(result.model, pairs) >= 0.95
     assert result.losses[-1000:].mean() < 0.1
+
+
+# ---------------------------------------------------------------------------
+# Pair compilation: the vectorised build against the per-snippet reference
+
+
+class ReferenceCompiledPairs:
+    """The pair compilation as first written, kept as the spec: one
+    np.unique(axis=0) over every snippet state, a per-snippet np.unique
+    for the CSR rows, and a per-segment slice loop in batch_arrays."""
+
+    def __init__(self, pairs):
+        snippet_index, snippets, lo_idx, hi_idx = {}, [], [], []
+        for pair in pairs:
+            for s, acc in ((pair.lo, lo_idx), (pair.hi, hi_idx)):
+                pos = snippet_index.setdefault(s.key, len(snippets))
+                if pos == len(snippets):
+                    snippets.append(s)
+                acc.append(pos)
+        self.lo_idx = np.asarray(lo_idx)
+        self.hi_idx = np.asarray(hi_idx)
+        stacked = np.concatenate([s.states for s in snippets], axis=0)
+        self.unique_states, inverse = np.unique(stacked, axis=0, return_inverse=True)
+        bounds = np.cumsum([0] + [s.length for s in snippets])
+        indptr, indices, counts = [0], [], []
+        for k in range(len(snippets)):
+            uniq, cnt = np.unique(inverse[bounds[k] : bounds[k + 1]], return_counts=True)
+            indices.append(uniq)
+            counts.append(cnt.astype(np.float64))
+            indptr.append(indptr[-1] + len(uniq))
+        self.indptr = np.asarray(indptr)
+        self.indices = np.concatenate(indices)
+        self.counts = np.concatenate(counts)
+
+    def batch_arrays(self, batch):
+        sids = np.concatenate([self.lo_idx[batch], self.hi_idx[batch]])
+        parts_i, parts_c = [], []
+        for sid in sids:
+            lo, hi = self.indptr[sid], self.indptr[sid + 1]
+            parts_i.append(self.indices[lo:hi])
+            parts_c.append(self.counts[lo:hi])
+        seg_ids = np.concatenate([np.full(len(p), k) for k, p in enumerate(parts_i)])
+        local_rows, local_pos = np.unique(np.concatenate(parts_i), return_inverse=True)
+        return local_rows, local_pos, np.concatenate(parts_c), seg_ids, len(sids)
+
+
+def reference_train(model, pairs, cfg):
+    """train() with the reference bookkeeping, step for step."""
+    trained = model.copy()
+    compiled = ReferenceCompiledPairs(pairs)
+    rng = np.random.default_rng(derive_seed(cfg.seed, "train-batches"))
+    losses = np.empty(cfg.steps)
+    for step in range(cfg.steps):
+        batch = rng.integers(len(compiled.lo_idx), size=cfg.batch_size)
+        local_rows, local_pos, cnt, seg_ids, n_segs = compiled.batch_arrays(batch)
+        out, cache = trained.net.forward(compiled.unique_states[local_rows])
+        sums = np.bincount(seg_ids, weights=cnt * out[local_pos, 0], minlength=n_segs)
+        z = sums[: cfg.batch_size] - sums[cfg.batch_size :]
+        losses[step] = float(np.logaddexp(0.0, z).mean())
+        g = expit(z) / cfg.batch_size
+        seg_grad = np.concatenate([g, -g])
+        d_rewards = np.bincount(
+            local_pos, weights=cnt * seg_grad[seg_ids], minlength=len(local_rows)
+        )
+        grads = trained.net.backward(cache, d_rewards[:, None])
+        trained.net.apply_grads(grads, cfg.learning_rate, cfg.l2)
+    return trained, losses
+
+
+def assert_same_arrays(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def assert_compiles_like_reference(pairs, n_batches=50, seed=0):
+    ref = ReferenceCompiledPairs(pairs)
+    new = _CompiledPairs(pairs)
+    for name in ("unique_states", "indptr", "indices", "counts", "lo_idx", "hi_idx"):
+        assert_same_arrays(getattr(new, name), getattr(ref, name))
+    rng = np.random.default_rng(seed)
+    batches = [rng.integers(len(pairs), size=size) for size in (1, 2, 16, 33)]
+    batches += [np.zeros(8, dtype=np.int64), np.full(5, len(pairs) - 1)]
+    batches += [rng.integers(len(pairs), size=16) for _ in range(n_batches)]
+    for batch in batches:
+        got, want = new.batch_arrays(batch), ref.batch_arrays(batch)
+        assert got[4] == want[4]
+        for g, w in zip(got[:4], want[:4]):
+            assert_same_arrays(g, w)
+    return new
+
+
+def overlapping_pairs(rng, n_pairs=30, d=3, pool=6):
+    """Snippets drawn from a small pool of states, so states repeat within
+    a snippet and are shared across snippets; some snippets recur in
+    several pairs, once as the same object and once as an equal copy."""
+    states = rng.normal(size=(pool, d))
+    snippets = [snip(states[rng.integers(pool, size=rng.integers(1, 9))], k % 4)
+                for k in range(12)]
+    pairs = []
+    for _ in range(n_pairs):
+        i, j = rng.choice(len(snippets), size=2, replace=False)
+        lo, hi = sorted((snippets[i], snippets[j]), key=lambda s: s.rank_label)
+        if lo.rank_label == hi.rank_label:
+            continue
+        pairs.append(SnippetPair(lo=lo, hi=hi))
+    twin = Snippet(
+        parent_id=pairs[0].hi.parent_id,
+        start=pairs[0].hi.start,
+        length=pairs[0].hi.length,
+        states=pairs[0].hi.states.copy(),
+        rank_label=pairs[0].hi.rank_label,
+    )
+    pairs.append(SnippetPair(lo=pairs[0].lo, hi=twin))
+    return pairs
+
+
+def test_compiled_pairs_repeated_and_shared_states(rng):
+    pairs = overlapping_pairs(rng)
+    compiled = assert_compiles_like_reference(pairs)
+    assert len(compiled.unique_states) <= 6
+    # repeated states within a snippet fold into counts above one
+    assert compiled.counts.max() > 1
+    # the duplicated keys collapsed onto one snippet each
+    assert compiled.hi_idx[-1] == compiled.hi_idx[0]
+    assert len(compiled.indptr) - 1 < 2 * len(pairs)
+
+
+def test_compiled_pairs_merge_signed_zeros():
+    zero_rows = [[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]
+    lo = snip(zero_rows + [[2.0, 3.0]], 0.0)
+    hi = snip([[-0.0, 1.0], [2.0, 3.0], [0.0, 0.0], [-1.0, -0.0]], 1.0)
+    compiled = assert_compiles_like_reference([SnippetPair(lo=lo, hi=hi)])
+    # rows equal up to the sign of a zero are one table entry
+    assert len(compiled.unique_states) == 4
+
+
+def test_compiled_pairs_gridnav_sized(grid_dataset):
+    snips = subsample(grid_dataset, 2000, 15, 30, seed=3)
+    pairs = make_pairs(snips, 4000, 0.5, seed=3)
+    assert_compiles_like_reference(pairs, n_batches=300, seed=3)
+
+
+@pytest.mark.parametrize("source", ["overlapping", "gridnav"])
+def test_train_matches_reference_bookkeeping(source, grid_spec, grid_dataset):
+    if source == "gridnav":
+        pairs = make_pairs(subsample(grid_dataset, 2000, 15, 30, seed=4), 4000, 0.5, seed=4)
+        model = make_reward_model(grid_spec.feature_dim, seed=4)
+    else:
+        pairs = overlapping_pairs(np.random.default_rng(4))
+        model = make_reward_model(3, hidden_width=8, n_hidden=2, seed=4)
+    cfg = TrainConfig(learning_rate=3e-3, steps=300, batch_size=16, seed=4)
+    result = train(model, pairs, cfg)
+    ref_model, ref_losses = reference_train(model, pairs, cfg)
+    assert result.model.net.get_flat().tobytes() == ref_model.net.get_flat().tobytes()
+    assert result.losses.tobytes() == ref_losses.tobytes()
 
 
 # ---------------------------------------------------------------------------

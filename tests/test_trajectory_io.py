@@ -65,6 +65,11 @@ def test_validation_errors():
     bad_states[1, 1] = np.nan
     with pytest.raises(InvalidTrajectoryError):
         Trajectory("x", "GridNav", bad_states, None, good.gt_step_rewards, None, "demo")
+    for bad in (np.nan, np.inf):
+        bad_ranks = good.step_ranks.copy()
+        bad_ranks[2] = bad
+        with pytest.raises(InvalidTrajectoryError, match="step rank"):
+            Trajectory("x", "GridNav", good.states, None, good.gt_step_rewards, bad_ranks, "demo")
 
 
 def test_gt_return_hand_value():
