@@ -13,7 +13,11 @@ PointChase
     A 1-d double integrator chasing a fixed target.  Actions are clipped
     accelerations, dynamics are Euler-integrated at dt=0.1, and the reward
     is the negative distance to the target.  Features are
-    (position, velocity, target - position).
+    (position, velocity, target - position).  The dynamics are defined
+    once, by pointchase_step, which works on floats and on arrays alike:
+    PointChaseEnv.step applies it to one state, and
+    pointchase_linear_rollout applies it to a whole population of linear
+    feedback policies in lockstep.
 
 All stochasticity lives in the demonstration policies; the environments
 themselves are deterministic, so a rollout is a pure function of
@@ -234,6 +238,42 @@ class GridNavEnv:
         return gridnav_features(self._cell), float(self._reward[self._cell]), done
 
 
+def pointchase_step(pos, vel, action):
+    """One clipped Euler step of the double integrator: (pos, vel) -> (pos, vel).
+
+    Works on floats and elementwise on equal-shape arrays.
+    """
+    a = np.clip(action, -PC_ACTION_MAX, PC_ACTION_MAX)
+    vel = np.clip(vel + a * PC_DT, -PC_VEL_MAX, PC_VEL_MAX)
+    pos = np.clip(pos + vel * PC_DT, -PC_POS_MAX, PC_POS_MAX)
+    return pos, vel
+
+
+def pointchase_linear_rollout(spec: EnvSpec, gains: np.ndarray) -> np.ndarray:
+    """States of one episode per row of (P, 3) linear feedback gains, (P, horizon, 3).
+
+    All P episodes advance in lockstep through pointchase_step, which
+    clips the action as LinearPolicy.act does.  Each action is one dot
+    product per candidate (a stacked (1, 3) @ (3, 1) matmul, one BLAS
+    ddot like `gains[p] @ feats`), so row p equals the states of
+    rollout(PointChaseEnv, LinearPolicy(gains[p])) bit for bit.
+    """
+    if spec.name != ENV_POINTCHASE:
+        raise ConfigError(f"pointchase_linear_rollout requires PointChase, got {spec.name}")
+    n = len(gains)
+    states = np.empty((n, spec.horizon, PC_FEATURE_DIM))
+    pos = np.full(n, PC_START_POS)
+    vel = np.full(n, PC_START_VEL)
+    for t in range(spec.horizon):
+        feats = states[:, t]
+        feats[:, 0] = pos
+        feats[:, 1] = vel
+        feats[:, 2] = PC_TARGET - pos
+        action = np.matmul(gains[:, None, :], feats[:, :, None])[:, 0, 0]
+        pos, vel = pointchase_step(pos, vel, action)
+    return states
+
+
 class PointChaseEnv:
     """1-d chase toward a fixed target with clipped double-integrator dynamics."""
 
@@ -257,9 +297,8 @@ class PointChaseEnv:
         return -abs(self._pos - PC_TARGET)
 
     def step(self, action: float) -> tuple[np.ndarray, float, bool]:
-        a = float(np.clip(action, -PC_ACTION_MAX, PC_ACTION_MAX))
-        self._vel = float(np.clip(self._vel + a * PC_DT, -PC_VEL_MAX, PC_VEL_MAX))
-        self._pos = float(np.clip(self._pos + self._vel * PC_DT, -PC_POS_MAX, PC_POS_MAX))
+        pos, vel = pointchase_step(self._pos, self._vel, action)
+        self._pos, self._vel = float(pos), float(vel)
         self._t += 1
         done = self._t >= self.spec.horizon
         return self._features(), self.current_reward(), done

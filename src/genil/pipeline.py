@@ -34,7 +34,7 @@ from .baselines import (
     train_bc,
 )
 from .config import ExperimentConfig, config_to_dict
-from .envs import ENV_GRIDNAV, EnvSpec, make_demo_pair, make_env, make_eval_set, rollout
+from .envs import ENV_GRIDNAV, EnvSpec, make_demo_pair, make_eval_set
 from .errors import ConfigError, MissingArtifactError
 from .genetics import RankedDataset, relabel_demos, reproduce
 from .metrics import (
@@ -51,6 +51,7 @@ from .policy_opt import (
     cem_search,
     evaluate_policy,
     load_policy,
+    policy_returns,
     save_policy,
     value_iteration,
 )
@@ -62,7 +63,7 @@ from .reward_net import (
 )
 from .seeding import derive_seed
 from .snippets import make_pairs, save_pairs, subsample
-from .trajectory import gt_return, load_trajectories, save_trajectories
+from .trajectory import load_trajectories, save_trajectories
 
 MANIFEST_VERSION = 1
 
@@ -433,18 +434,6 @@ def _trex_multi_qualities(cfg: ExperimentConfig) -> list[float]:
     return [round(lo + f * (hi - lo), 10) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
 
 
-def _evaluate_raw_policy(policy, spec: EnvSpec, n_episodes: int, seed: int) -> list[float]:
-    """Ground-truth returns of fresh rollouts, seeded like evaluate_policy."""
-    env = make_env(spec, seed)
-    return [
-        gt_return(
-            rollout(env, policy, derive_seed(seed, "eval-ep", i), source="eval"),
-            spec.discount,
-        )
-        for i in range(n_episodes)
-    ]
-
-
 def _method_ranked_dataset(
     method: str, cfg: ExperimentConfig, spec: EnvSpec, trial: int, good, bad
 ) -> RankedDataset:
@@ -488,7 +477,7 @@ def _run_method_trial(method, cfg, spec, trial, good, bad, eval_set):
         for m in range(n_models):
             bc_cfg = BCConfig(seed=_model_seed(base, trial, "bc", m))
             policy = train_bc([good, bad], spec, bc_cfg)
-            episodes = _evaluate_raw_policy(
+            episodes = policy_returns(
                 policy, spec, cfg.eval.n_eval_episodes, _policy_eval_seed(base, trial, "bc", m)
             )
             returns.append(float(np.mean(episodes)))

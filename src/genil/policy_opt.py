@@ -1,10 +1,13 @@
 """Policy derivation from a reward model, plus ground-truth evaluation.
 
 GridNav admits exact value iteration over its 64 cells; PointChase uses
-the cross-entropy method over three linear feedback gains.  Both read the
-reward model only through batch state predictions, so the true reward
-never leaks into policy optimization; ground truth is consulted solely by
-evaluate_policy.
+the cross-entropy method over three linear feedback gains.  CEM rolls out
+its whole population in lockstep (envs.pointchase_linear_rollout), with
+one dot product per candidate per step so that every rollout equals the
+per-step rollout of that candidate bit for bit.  Both read the reward
+model only through batch state predictions, so the true reward never
+leaks into policy optimization; ground truth is consulted solely by
+policy_returns and evaluate_policy.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ from .envs import (
     GRID_N_STATES,
     PC_ACTION_MAX,
     EnvSpec,
-    PointChaseEnv,
     gridnav_all_features,
     gridnav_cell_of,
     gridnav_transitions,
     make_env,
+    pointchase_linear_rollout,
     rollout,
 )
 from .errors import ConfigError, DivergenceError
@@ -156,19 +159,6 @@ def value_iteration(
     )
 
 
-def _candidate_fitness(env: PointChaseEnv, gains: np.ndarray, reward) -> float:
-    """Deterministic rollout under the linear policy, scored by the reward
-    model's undiscounted sum."""
-    spec = env.spec
-    feats = env.reset()
-    states = np.empty((spec.horizon, spec.feature_dim))
-    for t in range(spec.horizon):
-        states[t] = feats
-        action = float(np.clip(gains @ feats, -PC_ACTION_MAX, PC_ACTION_MAX))
-        feats, _, _ = env.step(action)
-    return float(_reward_vector(reward, states).sum())
-
-
 def cem_search(
     spec: EnvSpec,
     reward,
@@ -179,22 +169,25 @@ def cem_search(
     """Cross-entropy method over the three feedback gains.
 
     Each iteration samples a Gaussian population around the current mean,
-    scores every candidate by the learned-reward return of its rollout,
-    and refits mean/std to the top elite fraction.  Returns the final mean.
+    rolls all candidates out in lockstep, scores each by the undiscounted
+    learned-reward sum over its own rollout (one prediction call per
+    candidate), and refits mean/std to the top elite fraction.  The
+    population rollout takes each action as a per-candidate dot product
+    (one BLAS ddot, as `gains @ feats` does), so fitness, elites and the
+    result are bit-identical to rolling each candidate out alone.
+    Returns the final mean.
     """
     if spec.name != ENV_POINTCHASE:
         raise ConfigError(f"cem_search requires PointChase, got {spec.name}")
     rng = np.random.default_rng(derive_seed(seed, "cem"))
-    env = PointChaseEnv(spec, seed=0)
     dim = spec.feature_dim
     mean = np.zeros(dim)
     std = np.full(dim, cfg.init_std)
     history = [mean.copy()]
     for iteration in range(cfg.n_iters):
         population = mean + std * rng.normal(size=(cfg.population_size, dim))
-        fitness = np.array(
-            [_candidate_fitness(env, candidate, reward) for candidate in population]
-        )
+        states = pointchase_linear_rollout(spec, population)
+        fitness = np.array([float(_reward_vector(reward, s).sum()) for s in states])
         if not np.all(np.isfinite(fitness)):
             raise DivergenceError(
                 f"non-finite candidate fitness at CEM iteration {iteration}",
@@ -230,18 +223,16 @@ class EvalStats:
         return len(self.returns)
 
 
-def evaluate_policy(
-    artifact: PolicyArtifact, spec: EnvSpec, n_episodes: int, seed: int
-) -> EvalStats:
-    """Mean and population std of discounted ground-truth return over
-    fresh seeded rollouts."""
+def policy_returns(policy, spec: EnvSpec, n_episodes: int, seed: int) -> np.ndarray:
+    """Discounted ground-truth returns of n_episodes fresh seeded rollouts.
+
+    Any policy envs.rollout accepts will do; episode i is seeded by
+    derive_seed(seed, "eval-ep", i).
+    """
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
-    if spec.name != artifact.env:
-        raise ConfigError(f"policy is for {artifact.env}, spec is {spec.name}")
-    policy = artifact.as_policy(spec)
     env = make_env(spec, seed)
-    returns = np.array(
+    return np.array(
         [
             gt_return(
                 rollout(env, policy, derive_seed(seed, "eval-ep", i), source="eval"),
@@ -250,6 +241,13 @@ def evaluate_policy(
             for i in range(n_episodes)
         ]
     )
+
+
+def evaluate_policy(
+    artifact: PolicyArtifact, spec: EnvSpec, n_episodes: int, seed: int
+) -> EvalStats:
+    """Mean and population std of policy_returns for a policy artifact."""
+    returns = policy_returns(artifact.as_policy(spec), spec, n_episodes, seed)
     return EvalStats(mean=float(returns.mean()), std=float(returns.std()), returns=returns)
 
 

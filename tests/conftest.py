@@ -2,7 +2,16 @@
 
 Everything here is deterministic; fixtures that are expensive to build are
 session-scoped and must not be mutated by tests.
+
+BLAS is held to one thread before numpy loads, as benchmarks/run.py does:
+results are identical at any thread count, and a second BLAS thread only
+slows genil's small matrices when the other core is busy.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 import pytest

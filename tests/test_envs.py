@@ -7,7 +7,7 @@ value iteration code path.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -46,10 +46,12 @@ from genil.envs import (
     make_env,
     make_eval_set,
     make_spec,
+    pointchase_linear_rollout,
     rollout,
     true_reward_fn,
 )
 from genil.errors import ConfigError
+from genil.policy_opt import LinearPolicy
 from genil.trajectory import gt_return, trajectories_equal
 
 # Discounted return of the optimal GridNav policy at the default spec
@@ -215,6 +217,11 @@ def test_pointchase_state_clipping():
     assert feats[0] <= PC_POS_MAX
 
 
+def test_pointchase_linear_rollout_requires_pointchase(grid_spec):
+    with pytest.raises(ConfigError):
+        pointchase_linear_rollout(grid_spec, np.zeros((2, 3)))
+
+
 def test_gridnav_action_validation(grid_spec):
     env = GridNavEnv(grid_spec, seed=0)
     env.reset()
@@ -365,3 +372,38 @@ def test_pointchase_respects_state_bounds(actions):
         assert abs(feats[0]) <= PC_POS_MAX
         assert abs(feats[1]) <= PC_VEL_MAX
         assert feats[2] == PC_TARGET - feats[0]
+
+
+# Gains that drive the point into each wall at full speed: the first row's
+# action is 50 * pos + 50 * (target - pos) = 50, the second's
+# -50 * (target - pos) < 0 while pos < target; both clip on every step.
+WALL_GAINS = [[50.0, 0.0, 50.0], [0.0, 0.0, -50.0]]
+
+
+def test_wall_gains_reach_both_clips(pc_spec):
+    states = pointchase_linear_rollout(pc_spec, np.array(WALL_GAINS))
+    walls = [[PC_POS_MAX, PC_VEL_MAX], [-PC_POS_MAX, -PC_VEL_MAX]]
+    assert np.array_equal(states[:, -1, :2], walls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gains=st.lists(
+        st.lists(
+            st.floats(-60, 60, allow_nan=False, allow_infinity=False), min_size=3, max_size=3
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    horizon=st.integers(2, 120),
+)
+@example(gains=WALL_GAINS, horizon=100)
+def test_population_rollout_matches_per_step_rollouts(gains, horizon):
+    spec = make_spec(ENV_POINTCHASE, horizon=horizon)
+    gains = np.array(gains)
+    population = pointchase_linear_rollout(spec, gains)
+    per_candidate = np.stack(
+        [rollout(PointChaseEnv(spec, seed=0), LinearPolicy(spec, g), seed=0).states for g in gains]
+    )
+    assert population.shape == (len(gains), horizon, PC_FEATURE_DIM)
+    assert np.array_equal(population, per_candidate)

@@ -7,6 +7,8 @@ import pytest
 from genil.envs import (
     DemoPolicy,
     GRID_N_STATES,
+    PC_ACTION_MAX,
+    PointChaseEnv,
     gridnav_all_features,
     gridnav_optimal_actions,
     gridnav_optimal_return,
@@ -15,7 +17,7 @@ from genil.envs import (
     rollout,
     true_reward_fn,
 )
-from genil.errors import ConfigError
+from genil.errors import ConfigError, DivergenceError
 from genil.mlp import MLP
 from genil.policy_opt import (
     CEMConfig,
@@ -25,10 +27,12 @@ from genil.policy_opt import (
     cem_search,
     evaluate_policy,
     load_policy,
+    policy_returns,
     save_policy,
     value_iteration,
 )
-from genil.reward_net import RewardEnsemble, RewardModel
+from genil.reward_net import RewardEnsemble, RewardModel, make_reward_model, predict_states
+from genil.seeding import derive_seed
 from genil.trajectory import gt_return
 
 
@@ -159,6 +163,107 @@ def test_cem_requires_pointchase(grid_spec):
         cem_search(grid_spec, true_reward_fn(grid_spec), CEMConfig(), seed=0)
 
 
+def test_cem_raises_on_non_finite_fitness(pc_spec):
+    def nan_once_moved(feats):
+        # NaN wherever the point has left the start position
+        return np.where(feats[:, 0] != 0.0, np.nan, -np.abs(feats[:, 2]))
+
+    with pytest.raises(DivergenceError) as info:
+        cem_search(pc_spec, nan_once_moved, CEMConfig(population_size=8, n_iters=2), seed=0)
+    assert info.value.step == 0
+
+
+# Reference: the per-candidate CEM this module ran before rolling the whole
+# population out in lockstep; one scalar env.step per candidate per step.
+def reference_fitness(env, gains, reward):
+    spec = env.spec
+    feats = env.reset()
+    states = np.empty((spec.horizon, spec.feature_dim))
+    for t in range(spec.horizon):
+        states[t] = feats
+        action = float(np.clip(gains @ feats, -PC_ACTION_MAX, PC_ACTION_MAX))
+        feats, _, _ = env.step(action)
+    if isinstance(reward, (RewardModel, RewardEnsemble)):
+        return float(predict_states(reward, states).sum())
+    return float(np.asarray(reward(states), dtype=np.float64).reshape(-1).sum())
+
+
+def reference_cem(spec, reward, cfg, seed):
+    rng = np.random.default_rng(derive_seed(seed, "cem"))
+    env = PointChaseEnv(spec, seed=0)
+    dim = spec.feature_dim
+    mean = np.zeros(dim)
+    std = np.full(dim, cfg.init_std)
+    history = [mean.copy()]
+    for _ in range(cfg.n_iters):
+        population = mean + std * rng.normal(size=(cfg.population_size, dim))
+        fitness = np.array([reference_fitness(env, c, reward) for c in population])
+        elites = population[np.argsort(-fitness, kind="stable")[: cfg.n_elites]]
+        mean = elites.mean(axis=0)
+        std = np.maximum(elites.std(axis=0), 1e-6)
+        history.append(mean.copy())
+    return mean, [[float(v) for v in m] for m in history]
+
+
+def small_reward(kind, spec):
+    if kind == "true":
+        return true_reward_fn(spec)
+    if kind == "model":
+        return make_reward_model(3, hidden_width=8, n_hidden=2, seed=11)
+    return RewardEnsemble(
+        [make_reward_model(3, hidden_width=8, n_hidden=2, seed=s) for s in (12, 13)]
+    )
+
+
+def assert_cem_matches_reference(spec, reward, cfg, seed):
+    art = cem_search(spec, reward, cfg, seed=seed)
+    mean, history = reference_cem(spec, reward, cfg, seed)
+    assert np.array_equal(art.parameters, mean)
+    assert np.array_equal(art.meta["mean_history"], history)
+
+
+def recording(reward):
+    """A callable reward that keeps every batch of states it scores."""
+    seen = []
+
+    def score(states):
+        seen.append(states.copy())
+        return reward(states)
+
+    return score, seen
+
+
+@pytest.mark.parametrize("population_size", [8, 16, 64])
+@pytest.mark.parametrize("reward_kind", ["true", "model", "ensemble"])
+def test_cem_matches_per_candidate_reference(pc_spec, reward_kind, population_size):
+    cfg = CEMConfig(population_size=population_size, n_iters=3)
+    assert_cem_matches_reference(pc_spec, small_reward(reward_kind, pc_spec), cfg, seed=5)
+
+
+@pytest.mark.parametrize("reward_kind", ["true", "model"])
+def test_cem_matches_reference_at_other_horizon(reward_kind):
+    spec = make_spec("PointChase", horizon=37)
+    cfg = CEMConfig(population_size=16, n_iters=4)
+    assert_cem_matches_reference(spec, small_reward(reward_kind, spec), cfg, seed=2)
+
+
+def test_cem_scores_the_reference_rollouts(pc_spec):
+    # elites rarely flip on last-bit differences, so compare the states
+    cfg = CEMConfig(population_size=16, n_iters=3)
+    got_fn, got = recording(true_reward_fn(pc_spec))
+    want_fn, want = recording(true_reward_fn(pc_spec))
+    cem_search(pc_spec, got_fn, cfg, seed=9)
+    reference_cem(pc_spec, want_fn, cfg, seed=9)
+    assert len(got) == len(want) == cfg.n_iters * cfg.population_size
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_cem_matches_reference_at_zero_iters(pc_spec):
+    cfg = CEMConfig(n_iters=0)
+    assert_cem_matches_reference(pc_spec, small_reward("model", pc_spec), cfg, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -171,6 +276,15 @@ def test_evaluate_policy_deterministic(grid_spec):
     assert a.n_episodes == 3
     assert a.mean == pytest.approx(float(a.returns.mean()))
     assert a.std == pytest.approx(float(a.returns.std()))
+
+
+def test_evaluate_policy_is_policy_returns_of_artifact(pc_spec):
+    art = PolicyArtifact(
+        kind=KIND_LINEAR_GAUSSIAN, env="PointChase", parameters=np.array([0.5, -0.3, 1.2])
+    )
+    stats = evaluate_policy(art, pc_spec, n_episodes=3, seed=4)
+    returns = policy_returns(art.as_policy(pc_spec), pc_spec, 3, seed=4)
+    assert np.array_equal(stats.returns, returns)
 
 
 def test_evaluate_policy_validation(grid_spec, pc_spec):

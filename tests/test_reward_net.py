@@ -9,7 +9,7 @@ from scipy.special import expit
 
 from genil.baselines import build_trex2_dataset
 from genil.envs import make_demo_pair, make_spec
-from genil.errors import ConfigError, EmptyPairError
+from genil.errors import ConfigError, DivergenceError, EmptyPairError
 from genil.mlp import MLP, flat_grads
 from genil.reward_net import (
     RewardEnsemble,
@@ -243,6 +243,14 @@ def test_train_zero_steps_returns_copy():
     assert len(result.losses) == 0
     assert np.array_equal(result.model.net.get_flat(), model.net.get_flat())
     assert result.model is not model
+
+
+def test_train_raises_on_nan_weight_at_step_zero():
+    model = make_reward_model(3, 8, 1, seed=0)
+    model.net.weights[0][0, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as info:
+        train(model, separable_pairs(), TrainConfig(steps=10, seed=0))
+    assert info.value.step == 0
 
 
 def test_train_rejects_empty_pairs():
