@@ -1,8 +1,9 @@
 """Command-line entry points for the experiment pipeline.
 
 Exit codes: 0 success, 2 configuration error, 3 stage failure,
-4 reproduction stalled.  GENIL_THREADS caps worker parallelism for the
-compare and sweep commands (default 1, which is fully deterministic).
+4 reproduction stalled.  A compare method that fails is reported on
+stderr as a warning; the command still exits 0 with that method's rows
+left empty.
 """
 
 from __future__ import annotations
@@ -13,32 +14,12 @@ import sys
 
 from .config import default_config, load_config
 from .errors import ConfigError, GenilError, ReproductionStalledError
-from .pipeline import (
-    run_all,
-    run_compare,
-    run_evaluate,
-    run_gen_demos,
-    run_reproduce,
-    run_sweep,
-    run_train_policy,
-    run_train_reward,
-)
+from .pipeline import COMMANDS, run_command
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STAGE = 3
 EXIT_STALLED = 4
-
-_COMMANDS = {
-    "gen-demos": (run_gen_demos, "generate the demo pair and the evaluation set"),
-    "reproduce": (run_reproduce, "grow the ranked dataset from the demo pair"),
-    "train-reward": (run_train_reward, "train the reward model on ranked snippets"),
-    "train-policy": (run_train_policy, "derive a policy from the reward model"),
-    "evaluate": (run_evaluate, "score the model and policy, emit csv reports"),
-    "compare": (run_compare, "run every method on shared demos and eval set"),
-    "sweep": (run_sweep, "vary the crossover step size, emit sweep.csv"),
-    "run-all": (run_all, "full pipeline: demos through evaluation"),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="DIR", help="override the output directory")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text) in COMMANDS.items():
         sub.add_parser(name, help=help_text)
     return parser
 
@@ -66,8 +47,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else default_config()
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, base_seed=args.seed)
-        runner, _ = _COMMANDS[args.command]
-        manifest = runner(cfg, out_dir=args.out)
+        manifest = run_command(args.command, cfg, out_dir=args.out)
     except ConfigError as exc:
         print(f"genil: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -83,6 +63,8 @@ def main(argv=None) -> int:
     except (GenilError, OSError) as exc:
         print(f"genil: {args.command} failed: {exc}", file=sys.stderr)
         return EXIT_STAGE
+    for method, reason in manifest.meta.get("method_errors", {}).items():
+        print(f"genil: warning: {method} failed: {reason}", file=sys.stderr)
     for warning in manifest.warnings:
         say(f"genil: warning: {warning}")
     out = args.out if args.out is not None else cfg.output_dir

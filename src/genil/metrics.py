@@ -171,24 +171,38 @@ def write_extrapolation_csv(path, report: ExtrapolationReport) -> None:
             )
 
 
-def write_summary_csv(path, entries: Sequence[tuple[str, ExtrapolationReport]]) -> None:
+def write_summary_csv(
+    path, entries: Sequence[tuple[str, ExtrapolationReport | None]]
+) -> None:
+    """entries: (method, report); a None report is a failed method's row,
+    written with empty cells so the schema never changes."""
     with open(path, "w", newline="\n") as fh:
         fh.write("method,accuracy_ratio,spearman,pearson,mean_bin_std\n")
         for method, rep in entries:
-            fh.write(
-                f"{method},{fmt9(rep.accuracy_ratio)},{fmt9(rep.spearman_rho)},"
-                f"{fmt9(rep.pearson_r)},{fmt9(rep.mean_bin_std)}\n"
-            )
+            if rep is None:
+                fh.write(f"{method},,,,\n")
+            else:
+                fh.write(
+                    f"{method},{fmt9(rep.accuracy_ratio)},{fmt9(rep.spearman_rho)},"
+                    f"{fmt9(rep.pearson_r)},{fmt9(rep.mean_bin_std)}\n"
+                )
 
 
-def write_policy_table_csv(path, rows: Sequence[PolicyTableRow]) -> None:
+def write_policy_table_csv(
+    path, entries: Sequence[tuple[str, PolicyTableRow | None]]
+) -> None:
+    """entries: (method, row); a None row is a failed method's row,
+    written with empty cells so the schema never changes."""
     with open(path, "w", newline="\n") as fh:
         fh.write("method,avg,std,n_trials,n_models,per_trial_std_mean\n")
-        for r in rows:
-            fh.write(
-                f"{r.method},{fmt9(r.avg)},{fmt9(r.std)},{r.n_trials},{r.n_models},"
-                f"{fmt9(r.per_trial_std_mean)}\n"
-            )
+        for method, r in entries:
+            if r is None:
+                fh.write(f"{method},,,,,\n")
+            else:
+                fh.write(
+                    f"{method},{fmt9(r.avg)},{fmt9(r.std)},{r.n_trials},{r.n_models},"
+                    f"{fmt9(r.per_trial_std_mean)}\n"
+                )
 
 
 def write_sweep_csv(path, records: Sequence[dict]) -> None:

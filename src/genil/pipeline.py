@@ -4,13 +4,16 @@ Every stage reads and writes files under one output directory, so any
 stage can be rerun in isolation.  A run manifest records the config
 echo, a content hash for every emitted artifact, per-stage wall-clock,
 and the derived seeds, which makes bit-level reproducibility checkable
-from the manifest alone.
+from the manifest alone.  STAGES maps each stage name to its function,
+COMMANDS maps each command to the stages it runs in order, and
+run_command runs one command under one manifest.
 
 Seed discipline: each unit of work owns a seed derived from
-(base_seed, stage labels..., trial, model), so no stage's RNG
-consumption can perturb another's stream.  The single-lineage commands
-(gen-demos through evaluate) are trial 0 of the "genil" method; compare
-and sweep span their full trial/model grids.
+(base_seed, labels..., kind[, model]), so no stage's RNG consumption can
+perturb another's stream.  The single-lineage stages (gen-demos through
+evaluate) are trial 0 of the "genil" method; compare and sweep span
+their full trial/model grids, one trial after another, and score every
+trial of a reward-learning method with the same train-and-score unit.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,14 +36,14 @@ from .baselines import (
 )
 from .config import ExperimentConfig, config_to_dict
 from .envs import ENV_GRIDNAV, EnvSpec, make_demo_pair, make_eval_set
-from .errors import ConfigError, MissingArtifactError
+from .errors import ConfigError, GenilError, MissingArtifactError
 from .genetics import RankedDataset, relabel_demos, reproduce
 from .metrics import (
     extrapolation_report,
-    fmt9,
     policy_table_row,
     write_extrapolation_csv,
     write_loss_csv,
+    write_policy_table_csv,
     write_summary_csv,
     write_sweep_csv,
 )
@@ -57,7 +58,9 @@ from .policy_opt import (
 )
 from .reward_net import (
     RewardEnsemble,
+    TrainResult,
     load_model,
+    make_reward_model,
     save_model,
     train,
 )
@@ -83,30 +86,6 @@ F_SWEEP = "sweep.csv"
 F_MANIFEST = "manifest.json"
 
 COMPARE_METHODS = ("GenIL", "T-REX-2", "T-REX-multi", "D-REX", "BC")
-
-POLICY_TABLE_HEADER = "method,avg,std,n_trials,n_models,per_trial_std_mean\n"
-SUMMARY_HEADER = "method,accuracy_ratio,spearman,pearson,mean_bin_std\n"
-
-
-def n_threads() -> int:
-    """Worker cap from GENIL_THREADS; 1 (fully serial) by default."""
-    raw = os.environ.get("GENIL_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"GENIL_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"GENIL_THREADS must be >= 1, got {value}")
-    return value
-
-
-def _map_units(fn, keys, threads: int):
-    """Run fn over keys, possibly in parallel; results in key order."""
-    if threads <= 1 or len(keys) <= 1:
-        return [fn(k) for k in keys]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, keys))
-
 
 def file_sha256(path) -> str:
     digest = hashlib.sha256()
@@ -149,16 +128,6 @@ class RunManifest:
             fh.write("\n")
 
 
-def _new_manifest(command: str, cfg: ExperimentConfig) -> RunManifest:
-    return RunManifest(command=command, config=config_to_dict(cfg), base_seed=cfg.base_seed)
-
-
-def _prepare_out(cfg: ExperimentConfig, out_dir) -> Path:
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _require(out: Path, *names: str) -> None:
     for name in names:
         if not (out / name).is_file():
@@ -182,35 +151,79 @@ class _Timed:
 
 
 # ---------------------------------------------------------------------------
-# Seed derivations
+# Shared steps.  A seed is derive_seed(base, *labels, kind[, model]): the
+# single-lineage stages use the labels _LINEAGE, compare ("trial", t,
+# method), and sweep ("sweep", step, "trial", t); demos and GA draws hang
+# off the trial's labels without the method.
+
+_LINEAGE = ("trial", 0, "genil")
 
 
-def _eval_set_seed(base: int) -> int:
-    return derive_seed(base, "eval-set")
+def _demo_pair(cfg: ExperimentConfig, spec: EnvSpec, seed: int):
+    return make_demo_pair(
+        spec, cfg.env.demo_quality_good, cfg.env.demo_quality_bad, seed=seed
+    )
 
 
-def _demo_seed(base: int, trial: int) -> int:
-    return derive_seed(base, "trial", trial, "demos")
+def _write_eval_set(cfg: ExperimentConfig, spec: EnvSpec, out: Path, manifest: RunManifest):
+    """Generate and save the evaluation set, recording its seed and hash."""
+    seed = derive_seed(cfg.base_seed, "eval-set")
+    eval_set = make_eval_set(spec, list(cfg.eval.qualities), cfg.eval.n_per_quality, seed)
+    save_trajectories(out / F_EVAL, eval_set)
+    manifest.seeds["eval_set"] = seed
+    manifest.add_artifact(out, F_EVAL)
+    return eval_set
 
 
-def _ga_seed(base: int, trial: int) -> int:
-    return derive_seed(base, "trial", trial, "ga")
+def _grow(good, bad, ga, seed: int) -> RankedDataset:
+    """GenIL's ranked dataset: relabel the demo pair, then reproduce it."""
+    return reproduce(list(relabel_demos(good, bad, ga)), ga, seed=seed)
 
 
-def _data_seed(base: int, trial: int, method: str) -> int:
-    return derive_seed(base, "trial", trial, method, "data")
+def _pairs(cfg: ExperimentConfig, dataset: RankedDataset, seed: int):
+    snips = subsample(
+        dataset, cfg.data.n_snippets, cfg.data.min_len, cfg.data.max_len, seed=seed
+    )
+    return make_pairs(snips, cfg.data.n_pairs, cfg.data.min_margin, seed=seed)
 
 
-def _model_seed(base: int, trial: int, method: str, model: int) -> int:
-    return derive_seed(base, "trial", trial, method, "model", model)
+def _train(cfg: ExperimentConfig, pairs, seed: int) -> TrainResult:
+    """One reward model; the seed drives both its initialisation and batches."""
+    train_cfg = dataclasses.replace(cfg.train, seed=seed)
+    return train(make_reward_model(cfg.spec().feature_dim, seed=seed), pairs, train_cfg)
 
 
-def _policy_seed(base: int, trial: int, method: str, model: int) -> int:
-    return derive_seed(base, "trial", trial, method, "policy", model)
+def _derive_policy(
+    cfg: ExperimentConfig, spec: EnvSpec, reward, policy_seed: int, source: str | None
+) -> PolicyArtifact:
+    if spec.name == ENV_GRIDNAV:
+        return value_iteration(
+            spec, reward, discount=cfg.policy.discount, tol=cfg.policy.tol, source_model=source
+        )
+    return cem_search(spec, reward, cfg.policy.cem(), seed=policy_seed, source_model=source)
 
 
-def _policy_eval_seed(base: int, trial: int, method: str, model: int) -> int:
-    return derive_seed(base, "trial", trial, method, "policy-eval", model)
+def _train_and_score(cfg: ExperimentConfig, spec: EnvSpec, dataset: RankedDataset, labels):
+    """Pairs from a ranked dataset, then per model: train, derive, evaluate.
+
+    The unit of work shared by compare and sweep.  Returns (per-model
+    mean ground-truth returns, reward models).
+    """
+
+    def seed(*kind) -> int:
+        return derive_seed(cfg.base_seed, *labels, *kind)
+
+    pairs = _pairs(cfg, dataset, seed("data"))
+    returns, models = [], []
+    for m in range(cfg.eval.n_models_per_trial):
+        model = _train(cfg, pairs, seed("model", m)).model
+        artifact = _derive_policy(cfg, spec, model, seed("policy", m), None)
+        stats = evaluate_policy(
+            artifact, spec, cfg.eval.n_eval_episodes, seed=seed("policy-eval", m)
+        )
+        returns.append(stats.mean)
+        models.append(model)
+    return returns, models
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +233,11 @@ def _policy_eval_seed(base: int, trial: int, method: str, model: int) -> int:
 def stage_gen_demos(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
     spec = cfg.spec()
     with _Timed(manifest, "gen-demos"):
-        demo_seed = _demo_seed(cfg.base_seed, 0)
-        good, bad = make_demo_pair(
-            spec, cfg.env.demo_quality_good, cfg.env.demo_quality_bad, seed=demo_seed
-        )
-        save_trajectories(out / F_DEMOS, [good, bad])
-        eval_seed = _eval_set_seed(cfg.base_seed)
-        eval_set = make_eval_set(spec, list(cfg.eval.qualities), cfg.eval.n_per_quality, eval_seed)
-        save_trajectories(out / F_EVAL, eval_set)
+        demo_seed = derive_seed(cfg.base_seed, "trial", 0, "demos")
+        save_trajectories(out / F_DEMOS, list(_demo_pair(cfg, spec, demo_seed)))
+        _write_eval_set(cfg, spec, out, manifest)
     manifest.seeds["trial0/demos"] = demo_seed
-    manifest.seeds["eval_set"] = eval_seed
     manifest.add_artifact(out, F_DEMOS)
-    manifest.add_artifact(out, F_EVAL)
 
 
 def stage_reproduce(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
@@ -243,9 +249,8 @@ def stage_reproduce(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> 
             raise ConfigError(f"{F_DEMOS} must hold exactly 2 trajectories, got {len(demos)}")
         if any(t.env != spec.name for t in demos):
             raise ConfigError(f"{F_DEMOS} trajectories are not from {spec.name}")
-        good, bad = relabel_demos(demos[0], demos[1], cfg.ga)
-        ga_seed = _ga_seed(cfg.base_seed, 0)
-        dataset = reproduce([good, bad], cfg.ga, seed=ga_seed)
+        ga_seed = derive_seed(cfg.base_seed, "trial", 0, "ga")
+        dataset = _grow(demos[0], demos[1], cfg.ga, ga_seed)
         dataset.save(out / F_RANKED, out / F_RANKED_MANIFEST)
     manifest.seeds["trial0/ga"] = ga_seed
     manifest.warnings.extend(dataset.warnings)
@@ -257,16 +262,12 @@ def stage_train_reward(cfg: ExperimentConfig, out: Path, manifest: RunManifest) 
     _require(out, F_RANKED, F_RANKED_MANIFEST)
     with _Timed(manifest, "train-reward"):
         dataset = RankedDataset.load(out / F_RANKED, out / F_RANKED_MANIFEST)
-        data_seed = _data_seed(cfg.base_seed, 0, "genil")
-        snips = subsample(
-            dataset, cfg.data.n_snippets, cfg.data.min_len, cfg.data.max_len, seed=data_seed
-        )
-        pairs = make_pairs(snips, cfg.data.n_pairs, cfg.data.min_margin, seed=data_seed)
+        data_seed = derive_seed(cfg.base_seed, *_LINEAGE, "data")
+        pairs = _pairs(cfg, dataset, data_seed)
         save_pairs(out / F_PAIRS, pairs)
-        model_seed = _model_seed(cfg.base_seed, 0, "genil", 0)
-        train_cfg = dataclasses.replace(cfg.train, seed=model_seed)
-        result = train(_fresh_model(cfg, model_seed), pairs, train_cfg)
-        save_model(result.model, out / F_MODEL, train_config=train_cfg)
+        model_seed = derive_seed(cfg.base_seed, *_LINEAGE, "model", 0)
+        result = _train(cfg, pairs, model_seed)
+        save_model(result.model, out / F_MODEL, train_config=result.config)
         write_loss_csv(out / F_LOSS, result.losses)
     manifest.seeds["trial0/data"] = data_seed
     manifest.seeds["trial0/model0"] = model_seed
@@ -275,28 +276,12 @@ def stage_train_reward(cfg: ExperimentConfig, out: Path, manifest: RunManifest) 
     manifest.add_artifact(out, F_LOSS)
 
 
-def _fresh_model(cfg: ExperimentConfig, seed: int):
-    from .reward_net import make_reward_model
-
-    return make_reward_model(cfg.spec().feature_dim, seed=seed)
-
-
-def _derive_policy(
-    cfg: ExperimentConfig, spec: EnvSpec, reward, policy_seed: int, source: str
-) -> PolicyArtifact:
-    if spec.name == ENV_GRIDNAV:
-        return value_iteration(
-            spec, reward, discount=cfg.policy.discount, tol=cfg.policy.tol, source_model=source
-        )
-    return cem_search(spec, reward, cfg.policy.cem(), seed=policy_seed, source_model=source)
-
-
 def stage_train_policy(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
     _require(out, F_MODEL)
     spec = cfg.spec()
     with _Timed(manifest, "train-policy"):
         model = load_model(out / F_MODEL)
-        policy_seed = _policy_seed(cfg.base_seed, 0, "genil", 0)
+        policy_seed = derive_seed(cfg.base_seed, *_LINEAGE, "policy", 0)
         artifact = _derive_policy(cfg, spec, model, policy_seed, F_MODEL)
         save_policy(artifact, out / F_POLICY)
     manifest.seeds["trial0/policy0"] = policy_seed
@@ -318,10 +303,10 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
         report = extrapolation_report(model, eval_set, spec.discount, n_bins=cfg.eval.n_bins)
         write_extrapolation_csv(out / F_EXTRAPOLATION, report)
         write_summary_csv(out / F_SUMMARY, [("GenIL", report)])
-        eval_seed = _policy_eval_seed(cfg.base_seed, 0, "genil", 0)
+        eval_seed = derive_seed(cfg.base_seed, *_LINEAGE, "policy-eval", 0)
         stats = evaluate_policy(artifact, spec, cfg.eval.n_eval_episodes, seed=eval_seed)
         row = policy_table_row("GenIL", np.asarray(stats.returns)[None, :])
-        _write_policy_table(out / F_POLICY_TABLE, [(row, None)])
+        write_policy_table_csv(out / F_POLICY_TABLE, [("GenIL", row)])
     manifest.seeds["trial0/policy_eval0"] = eval_seed
     if report.pred_degenerate:
         manifest.warnings.append("degenerate predictions: zero spread on the eval set")
@@ -331,95 +316,7 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
 
 
 # ---------------------------------------------------------------------------
-# Command wrappers: stage(s) + manifest emission
-
-
-def run_gen_demos(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
-    out = _prepare_out(cfg, out_dir)
-    manifest = _new_manifest("gen-demos", cfg)
-    stage_gen_demos(cfg, out, manifest)
-    manifest.save(out)
-    return manifest
-
-
-def run_reproduce(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
-    out = _prepare_out(cfg, out_dir)
-    manifest = _new_manifest("reproduce", cfg)
-    stage_reproduce(cfg, out, manifest)
-    manifest.save(out)
-    return manifest
-
-
-def run_train_reward(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
-    out = _prepare_out(cfg, out_dir)
-    manifest = _new_manifest("train-reward", cfg)
-    stage_train_reward(cfg, out, manifest)
-    manifest.save(out)
-    return manifest
-
-
-def run_train_policy(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
-    out = _prepare_out(cfg, out_dir)
-    manifest = _new_manifest("train-policy", cfg)
-    stage_train_policy(cfg, out, manifest)
-    manifest.save(out)
-    return manifest
-
-
-def run_evaluate(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
-    out = _prepare_out(cfg, out_dir)
-    manifest = _new_manifest("evaluate", cfg)
-    stage_evaluate(cfg, out, manifest)
-    manifest.save(out)
-    return manifest
-
-
-def run_all(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
-    out = _prepare_out(cfg, out_dir)
-    manifest = _new_manifest("run-all", cfg)
-    stage_gen_demos(cfg, out, manifest)
-    stage_reproduce(cfg, out, manifest)
-    stage_train_reward(cfg, out, manifest)
-    stage_train_policy(cfg, out, manifest)
-    stage_evaluate(cfg, out, manifest)
-    manifest.save(out)
-    return manifest
-
-
-# ---------------------------------------------------------------------------
 # Method comparison
-
-
-def _write_policy_table(path, entries) -> None:
-    """entries: (PolicyTableRow | None with method name, error | None).
-
-    A failed method keeps its row with empty numeric cells; the schema
-    (header and column count) never changes.
-    """
-    with open(path, "w", newline="\n") as fh:
-        fh.write(POLICY_TABLE_HEADER)
-        for row, error in entries:
-            if error is not None:
-                fh.write(f"{row},,,,,\n")
-            else:
-                fh.write(
-                    f"{row.method},{fmt9(row.avg)},{fmt9(row.std)},{row.n_trials},"
-                    f"{row.n_models},{fmt9(row.per_trial_std_mean)}\n"
-                )
-
-
-def _write_summary(path, entries) -> None:
-    """entries: (method, ExtrapolationReport | None)."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(SUMMARY_HEADER)
-        for method, rep in entries:
-            if rep is None:
-                fh.write(f"{method},,,,\n")
-            else:
-                fh.write(
-                    f"{method},{fmt9(rep.accuracy_ratio)},{fmt9(rep.spearman_rho)},"
-                    f"{fmt9(rep.pearson_r)},{fmt9(rep.mean_bin_std)}\n"
-                )
 
 
 def _drex_noise_levels(cfg: ExperimentConfig) -> list[float]:
@@ -439,8 +336,7 @@ def _method_ranked_dataset(
 ) -> RankedDataset:
     base = cfg.base_seed
     if method == "GenIL":
-        g, b = relabel_demos(good, bad, cfg.ga)
-        return reproduce([g, b], cfg.ga, seed=_ga_seed(base, trial))
+        return _grow(good, bad, cfg.ga, derive_seed(base, "trial", trial, "ga"))
     if method == "T-REX-2":
         return build_trex2_dataset(good, bad)
     if method == "T-REX-multi":
@@ -463,85 +359,54 @@ def _method_ranked_dataset(
     raise ConfigError(f"unknown reward method {method!r}")
 
 
-def _run_method_trial(method, cfg, spec, trial, good, bad, eval_set):
-    """One (method, trial): models, policies, ground-truth returns.
+def _run_method_trial(method, cfg, spec, trial, good, bad):
+    """One (method, trial): (per-model ground-truth returns, reward models).
 
-    Returns (per-model gt returns, reward models).  BC trains one policy
-    per model seed and learns no reward model.
+    BC learns no reward model: it clones one policy per model seed.
     """
-    base = cfg.base_seed
-    n_models = cfg.eval.n_models_per_trial
+    if method != "BC":
+        dataset = _method_ranked_dataset(method, cfg, spec, trial, good, bad)
+        return _train_and_score(cfg, spec, dataset, ("trial", trial, method))
+    labels = ("trial", trial, "bc")
     returns = []
-    models = []
-    if method == "BC":
-        for m in range(n_models):
-            bc_cfg = BCConfig(seed=_model_seed(base, trial, "bc", m))
-            policy = train_bc([good, bad], spec, bc_cfg)
-            episodes = policy_returns(
-                policy, spec, cfg.eval.n_eval_episodes, _policy_eval_seed(base, trial, "bc", m)
-            )
-            returns.append(float(np.mean(episodes)))
-        return returns, models
-
-    dataset = _method_ranked_dataset(method, cfg, spec, trial, good, bad)
-    data_seed = _data_seed(base, trial, method)
-    snips = subsample(
-        dataset, cfg.data.n_snippets, cfg.data.min_len, cfg.data.max_len, seed=data_seed
-    )
-    pairs = make_pairs(snips, cfg.data.n_pairs, cfg.data.min_margin, seed=data_seed)
-    for m in range(n_models):
-        model_seed = _model_seed(base, trial, method, m)
-        train_cfg = dataclasses.replace(cfg.train, seed=model_seed)
-        result = train(_fresh_model(cfg, model_seed), pairs, train_cfg)
-        models.append(result.model)
-        artifact = _derive_policy(
-            cfg, spec, result.model, _policy_seed(base, trial, method, m), None
+    for m in range(cfg.eval.n_models_per_trial):
+        bc_cfg = BCConfig(seed=derive_seed(cfg.base_seed, *labels, "model", m))
+        policy = train_bc([good, bad], spec, bc_cfg)
+        episodes = policy_returns(
+            policy,
+            spec,
+            cfg.eval.n_eval_episodes,
+            derive_seed(cfg.base_seed, *labels, "policy-eval", m),
         )
-        stats = evaluate_policy(
-            artifact, spec, cfg.eval.n_eval_episodes, seed=_policy_eval_seed(base, trial, method, m)
-        )
-        returns.append(stats.mean)
-    return returns, models
+        returns.append(float(np.mean(episodes)))
+    return returns, []
 
 
-def run_compare(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
+def stage_compare(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
     """All methods on shared demos and one shared eval set.
 
     Each trial draws one demo pair consumed by every pair-based method;
     every method's metrics use the identical eval set.  A method that
-    fails keeps its row with an error marker while the rest proceed.
-    BC appears in the policy table only (it learns no reward), and only
-    when the demos carry actions.
+    raises a GenilError keeps its rows, with empty cells, and its error in
+    meta.method_errors while the rest proceed.  BC appears in the policy
+    table only (it learns no reward), and only when the demos carry
+    actions.
     """
-    out = _prepare_out(cfg, out_dir)
-    manifest = _new_manifest("compare", cfg)
     spec = cfg.spec()
-    base = cfg.base_seed
-
     with _Timed(manifest, "compare/setup"):
-        eval_seed = _eval_set_seed(base)
-        eval_set = make_eval_set(spec, list(cfg.eval.qualities), cfg.eval.n_per_quality, eval_seed)
-        save_trajectories(out / F_EVAL, eval_set)
-        manifest.seeds["eval_set"] = eval_seed
-        manifest.add_artifact(out, F_EVAL)
-        eval_hash = manifest.artifacts[F_EVAL]
-
+        eval_set = _write_eval_set(cfg, spec, out, manifest)
         demo_pairs = []
         for t in range(cfg.eval.n_trials):
-            seed = _demo_seed(base, t)
+            seed = derive_seed(cfg.base_seed, "trial", t, "demos")
             manifest.seeds[f"trial{t}/demos"] = seed
-            good, bad = make_demo_pair(
-                spec, cfg.env.demo_quality_good, cfg.env.demo_quality_bad, seed=seed
-            )
+            good, bad = _demo_pair(cfg, spec, seed)
             demo_pairs.append(
                 (
                     dataclasses.replace(good, id=f"trial{t}-demo-good"),
                     dataclasses.replace(bad, id=f"trial{t}-demo-bad"),
                 )
             )
-        save_trajectories(
-            out / F_DEMOS, [traj for pair in demo_pairs for traj in pair]
-        )
+        save_trajectories(out / F_DEMOS, [traj for pair in demo_pairs for traj in pair])
         manifest.add_artifact(out, F_DEMOS)
 
     methods = list(COMPARE_METHODS)
@@ -554,39 +419,35 @@ def run_compare(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
     summary_entries = []
     method_errors: dict[str, str] = {}
     method_eval_hash: dict[str, str] = {}
-    threads = n_threads()
-
     for method in methods:
         with _Timed(manifest, f"compare/{method}"):
             try:
-                unit = lambda t: _run_method_trial(
-                    method, cfg, spec, t, demo_pairs[t][0], demo_pairs[t][1], eval_set
-                )
-                results = _map_units(unit, list(range(cfg.eval.n_trials)), threads)
-                grid = np.array([r[0] for r in results])
-                table_entries.append((policy_table_row(method, grid), None))
-                all_models = [mdl for r in results for mdl in r[1]]
-                if all_models:
-                    report = extrapolation_report(
-                        RewardEnsemble(all_models), eval_set, spec.discount, n_bins=cfg.eval.n_bins
-                    )
-                    summary_entries.append((method, report))
-                method_eval_hash[method] = eval_hash
-            except Exception as exc:  # noqa: BLE001 - per-method isolation
-                method_errors[method] = f"{type(exc).__name__}: {exc}"
-                table_entries.append((method, str(exc)))
+                results = [
+                    _run_method_trial(method, cfg, spec, t, *demo_pairs[t])
+                    for t in range(cfg.eval.n_trials)
+                ]
+                row = policy_table_row(method, np.array([r[0] for r in results]))
+                report = None
                 if method != "BC":
-                    summary_entries.append((method, None))
+                    ensemble = RewardEnsemble([mdl for r in results for mdl in r[1]])
+                    report = extrapolation_report(
+                        ensemble, eval_set, spec.discount, n_bins=cfg.eval.n_bins
+                    )
+                method_eval_hash[method] = manifest.artifacts[F_EVAL]
+            except GenilError as exc:
+                method_errors[method] = f"{type(exc).__name__}: {exc}"
+                row = report = None
+        table_entries.append((method, row))
+        if method != "BC":
+            summary_entries.append((method, report))
 
     with _Timed(manifest, "compare/emit"):
-        _write_policy_table(out / F_POLICY_TABLE, table_entries)
-        _write_summary(out / F_SUMMARY, summary_entries)
+        write_policy_table_csv(out / F_POLICY_TABLE, table_entries)
+        write_summary_csv(out / F_SUMMARY, summary_entries)
         manifest.add_artifact(out, F_POLICY_TABLE)
         manifest.add_artifact(out, F_SUMMARY)
     manifest.meta["method_errors"] = method_errors
     manifest.meta["method_eval_hash"] = method_eval_hash
-    manifest.save(out)
-    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -595,37 +456,14 @@ def run_compare(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
 
 def _sweep_trial(cfg: ExperimentConfig, spec: EnvSpec, step: int, trial: int) -> list[float]:
     """Per-model ground-truth returns for one (step size, trial)."""
-    base = cfg.base_seed
+    labels = ("sweep", step, "trial", trial)
     ga = dataclasses.replace(cfg.ga, max_crossover_step=step + 1)
-    demo_seed = derive_seed(base, "sweep", step, "trial", trial, "demos")
-    good, bad = make_demo_pair(
-        spec, cfg.env.demo_quality_good, cfg.env.demo_quality_bad, seed=demo_seed
-    )
-    g, b = relabel_demos(good, bad, ga)
-    dataset = reproduce([g, b], ga, seed=derive_seed(base, "sweep", step, "trial", trial, "ga"))
-    data_seed = derive_seed(base, "sweep", step, "trial", trial, "data")
-    snips = subsample(
-        dataset, cfg.data.n_snippets, cfg.data.min_len, cfg.data.max_len, seed=data_seed
-    )
-    pairs = make_pairs(snips, cfg.data.n_pairs, cfg.data.min_margin, seed=data_seed)
-    returns = []
-    for m in range(cfg.eval.n_models_per_trial):
-        model_seed = derive_seed(base, "sweep", step, "trial", trial, "model", m)
-        train_cfg = dataclasses.replace(cfg.train, seed=model_seed)
-        result = train(_fresh_model(cfg, model_seed), pairs, train_cfg)
-        artifact = _derive_policy(
-            cfg, spec, result.model,
-            derive_seed(base, "sweep", step, "trial", trial, "policy", m), None,
-        )
-        stats = evaluate_policy(
-            artifact, spec, cfg.eval.n_eval_episodes,
-            seed=derive_seed(base, "sweep", step, "trial", trial, "policy-eval", m),
-        )
-        returns.append(stats.mean)
-    return returns
+    good, bad = _demo_pair(cfg, spec, derive_seed(cfg.base_seed, *labels, "demos"))
+    dataset = _grow(good, bad, ga, derive_seed(cfg.base_seed, *labels, "ga"))
+    return _train_and_score(cfg, spec, dataset, labels)[0]
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
+def stage_sweep(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
     """Crossover step-size sweep: n_trials x n_models policies per size.
 
     Emits one row per (step_size, trial, model) with that trial's
@@ -640,11 +478,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
             "sweep needs n_trials >= 2 and n_models_per_trial >= 2, got "
             f"{cfg.eval.n_trials} and {cfg.eval.n_models_per_trial}"
         )
-    out = _prepare_out(cfg, out_dir)
-    manifest = _new_manifest("sweep", cfg)
     spec = cfg.spec()
-    threads = n_threads()
-
     records = []
     with _Timed(manifest, "sweep"):
         for step in cfg.sweep.step_sizes:
@@ -653,9 +487,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
                     f"step size {step} >= snippet min length {cfg.data.min_len}: "
                     "crossover segments span whole snippets"
                 )
-            unit = lambda t: _sweep_trial(cfg, spec, step, t)
-            per_trial = _map_units(unit, list(range(cfg.eval.n_trials)), threads)
-            grid = np.array(per_trial)
+            grid = np.array([_sweep_trial(cfg, spec, step, t) for t in range(cfg.eval.n_trials)])
             step_mean = float(grid.mean())
             for t in range(cfg.eval.n_trials):
                 trial_std = float(grid[t].std())
@@ -673,5 +505,46 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
         records.sort(key=lambda r: (r["step_size"], r["trial"], r["model"]))
         write_sweep_csv(out / F_SWEEP, records)
     manifest.add_artifact(out, F_SWEEP)
+
+
+# ---------------------------------------------------------------------------
+# Commands: each runs its stages in order under one manifest
+
+STAGES = {
+    "gen-demos": stage_gen_demos,
+    "reproduce": stage_reproduce,
+    "train-reward": stage_train_reward,
+    "train-policy": stage_train_policy,
+    "evaluate": stage_evaluate,
+    "compare": stage_compare,
+    "sweep": stage_sweep,
+}
+
+# command -> (the stages it runs, in order; its one-line help)
+COMMANDS = {
+    "gen-demos": (("gen-demos",), "generate the demo pair and the evaluation set"),
+    "reproduce": (("reproduce",), "grow the ranked dataset from the demo pair"),
+    "train-reward": (("train-reward",), "train the reward model on ranked snippets"),
+    "train-policy": (("train-policy",), "derive a policy from the reward model"),
+    "evaluate": (("evaluate",), "score the model and policy, emit csv reports"),
+    "compare": (("compare",), "run every method on shared demos and eval set"),
+    "sweep": (("sweep",), "vary the crossover step size, emit sweep.csv"),
+    "run-all": (
+        ("gen-demos", "reproduce", "train-reward", "train-policy", "evaluate"),
+        "full pipeline: demos through evaluation",
+    ),
+}
+
+
+def run_command(command: str, cfg: ExperimentConfig, out_dir=None) -> RunManifest:
+    """Run a command's stages in order and save the run manifest.
+
+    out_dir defaults to the config's output directory.
+    """
+    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest(command=command, config=config_to_dict(cfg), base_seed=cfg.base_seed)
+    for name in COMMANDS[command][0]:
+        STAGES[name](cfg, out, manifest)
     manifest.save(out)
     return manifest

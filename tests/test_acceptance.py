@@ -36,7 +36,7 @@ from genil.genetics import (
 )
 from genil.metrics import extrapolation_report
 from genil.mlp import MLP, flat_grads
-from genil.pipeline import run_all, run_sweep
+from genil.pipeline import run_command
 from genil.policy_opt import (
     CEMConfig,
     KIND_LINEAR_GAUSSIAN,
@@ -433,7 +433,7 @@ def test_criterion_08_step_size_sweep(capsys, tmp_path):
     for s in range(10):
         cfg = parse_config_text(SWEEP_CONFIG + f"\n[seeds]\nbase = {s}\n")
         out = tmp_path / str(s)
-        manifest = run_sweep(cfg, out)
+        manifest = run_command("sweep", cfg, out)
         warnings_ok &= any(
             "crossover segments span whole snippets" in w for w in manifest.warnings
         )
@@ -462,13 +462,12 @@ def test_criterion_08_step_size_sweep(capsys, tmp_path):
     assert ok, line
 
 
-def test_criterion_09_determinism(capsys, tmp_path, monkeypatch):
-    """Two identical single-threaded runs produce byte-identical
-    artifacts and matching manifest hashes."""
-    monkeypatch.setenv("GENIL_THREADS", "1")
+def test_criterion_09_determinism(capsys, tmp_path):
+    """Two identical runs produce byte-identical artifacts and matching
+    manifest hashes."""
     cfg = parse_config_text(SMALL_CONFIG)
-    a = run_all(cfg, tmp_path / "a")
-    b = run_all(cfg, tmp_path / "b")
+    a = run_command("run-all", cfg, tmp_path / "a")
+    b = run_command("run-all", cfg, tmp_path / "b")
     hashes_ok = a.artifacts == b.artifacts
     diverged = [
         name

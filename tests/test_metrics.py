@@ -228,15 +228,37 @@ def test_summary_csv_golden(tmp_path):
     )
 
 
+def test_summary_csv_golden_failed_row(tmp_path):
+    path = tmp_path / "s.csv"
+    write_summary_csv(path, [("GenIL", None)])
+    assert path.read_text() == (
+        "method,accuracy_ratio,spearman,pearson,mean_bin_std\n"
+        "GenIL,,,,\n"
+    )
+
+
 def test_policy_table_csv_golden(tmp_path):
     row = PolicyTableRow(
         method="genil", avg=4.0, std=2.0, n_trials=2, n_models=2, per_trial_std=[1.0, 1.0]
     )
     path = tmp_path / "p.csv"
-    write_policy_table_csv(path, [row])
+    write_policy_table_csv(path, [("genil", row)])
     assert path.read_text() == (
         "method,avg,std,n_trials,n_models,per_trial_std_mean\n"
         "genil,4,2,2,2,1\n"
+    )
+
+
+def test_policy_table_csv_golden_failed_row(tmp_path):
+    row = PolicyTableRow(
+        method="T-REX-2", avg=0.5, std=0.0, n_trials=1, n_models=1, per_trial_std=[0.0]
+    )
+    path = tmp_path / "p.csv"
+    write_policy_table_csv(path, [("GenIL", None), ("T-REX-2", row)])
+    assert path.read_text() == (
+        "method,avg,std,n_trials,n_models,per_trial_std_mean\n"
+        "GenIL,,,,,\n"
+        "T-REX-2,0.5,0,1,1,0\n"
     )
 
 
