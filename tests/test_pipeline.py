@@ -5,10 +5,15 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import genil
 from genil import pipeline
 from genil.cli import main
 from genil.config import config_to_dict, parse_config_text
@@ -274,6 +279,29 @@ def test_sweep_csv_is_internally_consistent(small_cfg, tmp_path):
             assert float(r["step_mean"]) == pytest.approx(
                 float(np.mean(values)), abs=1e-8
             )
+
+
+def test_sweep_identical_across_thread_counts(tmp_path):
+    # trials run serially, but BLAS may use several threads; the sweep must
+    # write the same bytes at any count. BLAS fixes its count when numpy
+    # loads, so each run is its own process.
+    cfg_path = write_cfg(tmp_path, SMALL)
+    src = str(Path(genil.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            PYTHONPATH=src,
+        )
+        argv = ["--config", cfg_path, "--out", str(tmp_path / threads), "--quiet", "sweep"]
+        subprocess.run(
+            [sys.executable, "-c", "from genil.cli import entry; entry()", *argv],
+            env=env,
+            check=True,
+            timeout=600,
+        )
+    assert (tmp_path / "1" / F_SWEEP).read_bytes() == (tmp_path / "2" / F_SWEEP).read_bytes()
 
 
 # ---------------------------------------------------------------------------
