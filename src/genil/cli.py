@@ -4,9 +4,19 @@ Exit codes: 0 success, 2 configuration error, 3 stage failure,
 4 reproduction stalled.  A compare method that fails is reported on
 stderr as a warning; the command still exits 0 with that method's rows
 left empty.
+
+BLAS is held to one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
+is already set: outputs are identical at any thread count, and a second
+BLAS thread only slows genil's small matrices when the other core is busy.
 """
 
 from __future__ import annotations
+
+import os
+
+# Before anything imports numpy: BLAS reads these when it loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import argparse
 import dataclasses

@@ -309,11 +309,18 @@ class RankedDataset:
     attempts_used: int | None = None
     config: dict | None = None
     warnings: list[str] = field(default_factory=list)
+    _by_id: dict[str, Trajectory] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         missing = [t.id for t in self.trajectories if t.id not in self.ranks]
         if missing:
             raise InvalidTrajectoryError(f"trajectories without a rank label: {missing}")
+        self._by_id = {}
+        for traj in self.trajectories:
+            if self._by_id.setdefault(traj.id, traj) is not traj:
+                raise InvalidTrajectoryError(
+                    f"duplicate trajectory id {traj.id!r}; rank labels are keyed by id"
+                )
 
     def by_rank(self) -> dict[int, list[str]]:
         out: dict[int, list[str]] = {}
@@ -322,10 +329,7 @@ class RankedDataset:
         return out
 
     def get(self, traj_id: str) -> Trajectory:
-        for traj in self.trajectories:
-            if traj.id == traj_id:
-                return traj
-        raise KeyError(traj_id)
+        return self._by_id[traj_id]
 
     def save(self, traj_path, manifest_path) -> None:
         save_trajectories(traj_path, self.trajectories)

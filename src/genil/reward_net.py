@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     ConfigError,
@@ -151,6 +151,21 @@ def predict_return(model, item) -> float:
     return float(predict_states(model, states).sum())
 
 
+def _logistic(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:  # C's exp returns inf here, and 1 / inf is 0.0
+        return 0.0
+
+
+def _expit(z) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-z)), bit for bit what scipy.special.expit
+    gives: both use the C library's exp, which numpy's SIMD exp does not
+    match in the last bit on every input."""
+    z = np.asarray(z, dtype=np.float64)
+    return np.array([_logistic(v) for v in z.ravel().tolist()]).reshape(z.shape)
+
+
 def pair_loss(model: RewardModel, pair: SnippetPair) -> float:
     """log(1 + exp(S_lo - S_hi)), stable for any margin."""
     z = predict_return(model, pair.lo) - predict_return(model, pair.hi)
@@ -163,7 +178,7 @@ def pair_grad(model: RewardModel, pair: SnippetPair) -> list[tuple[np.ndarray, n
     out, cache = model.net.forward(states)
     n_lo = pair.lo.states.shape[0]
     z = float(out[:n_lo, 0].sum() - out[n_lo:, 0].sum())
-    g = float(expit(z))
+    g = float(_expit(z))
     d_out = np.empty((states.shape[0], 1))
     d_out[:n_lo, 0] = g
     d_out[n_lo:, 0] = -g
@@ -281,7 +296,7 @@ def train(model: RewardModel, pairs: Sequence[SnippetPair], cfg: TrainConfig) ->
             raise DivergenceError(
                 f"non-finite training loss {losses[step]} at step {step}", step=step
             )
-        g = expit(z) / cfg.batch_size
+        g = _expit(z) / cfg.batch_size
         seg_grad = np.concatenate([g, -g])
         d_rewards = np.bincount(
             local_pos, weights=cnt * seg_grad[seg_ids], minlength=len(local_rows)

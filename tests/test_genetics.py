@@ -400,6 +400,12 @@ def test_ranked_dataset_get():
         ds.get("missing")
 
 
+def test_ranked_dataset_rejects_duplicate_ids():
+    a, b = ranked_traj("t", 5, 1.0), ranked_traj("t", 5, 2.0)
+    with pytest.raises(InvalidTrajectoryError, match="duplicate trajectory id 't'"):
+        RankedDataset(trajectories=[a, b], ranks={"t": 1}, n_ranks=5)
+
+
 def test_ranked_dataset_save_load_round_trip(grid_dataset, tmp_path):
     tp = tmp_path / "ranked.jsonl"
     mp = tmp_path / "ranked_manifest.json"

@@ -1,8 +1,10 @@
 """Extrapolation report math against hand-computed values and a
-brute-force rank-correlation oracle, plus exact CSV golden strings."""
+brute-force rank-correlation oracle, the correlations against scipy bit
+for bit, plus exact CSV golden strings."""
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from genil.errors import ConfigError, DegenerateEvalError
 from genil.metrics import (
@@ -12,7 +14,9 @@ from genil.metrics import (
     ReportRow,
     extrapolation_report,
     fmt9,
+    pearson_r,
     policy_table_row,
+    spearman,
     write_extrapolation_csv,
     write_loss_csv,
     write_policy_table_csv,
@@ -85,6 +89,62 @@ def test_spearman_matches_bruteforce_oracle():
         / (gt_arr.std() * x_arr.std())
     )
     assert rep.pearson_r == pytest.approx(pearson_oracle, abs=1e-12)
+
+
+def correlation_cases():
+    rng = np.random.default_rng(23)
+    line = np.arange(10.0)
+    cases = [
+        ([1.0, 2.0], [3.0, 5.0]),
+        ([1.0, 2.0], [5.0, 3.0]),
+        ([0.1, 0.7], [-1e-9, 3e-9]),
+        ([1.0, 1.0, 2.0, 2.0, 3.0], [5.0, 4.0, 4.0, 4.0, 1.0]),
+        ([3.0, 1.0, 3.0, 3.0, 2.0, 1.0], [0.0, 0.0, 1.0, 0.0, 1.0, 1.0]),
+        (line, 3.0 * line + 2.0),
+        (line, -0.7 * line + 1e3),
+        (1e6 + 1e-3 * rng.standard_normal(20), rng.standard_normal(20)),
+        (1e6 + 1e-3 * rng.standard_normal(20), 1e6 + 1e-3 * rng.standard_normal(20)),
+    ]
+    for n in (2, 3, 4, 7, 12, 35, 70):
+        for _ in range(40):
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            y = 0.5 * x + rng.standard_normal(n)
+            cases.append((x, y))
+            cases.append((np.round(x), np.round(2 * y) / 2))  # ties
+    return [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in cases]
+
+
+def same_float(a, b):
+    return (a == b and np.signbit(a) == np.signbit(b)) or (np.isnan(a) and np.isnan(b))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scipy's near-constant warning
+def test_correlations_match_scipy_bit_for_bit():
+    n_checked = 0
+    for x, y in correlation_cases():
+        if (x == x[0]).all() or (y == y[0]).all():
+            continue
+        ours, theirs = spearman(x, y), float(stats.spearmanr(x, y).statistic)
+        assert same_float(ours, theirs), (x, y, ours, theirs)
+        ours, theirs = pearson_r(x, y), float(stats.pearsonr(x, y).statistic)
+        assert same_float(ours, theirs), (x, y, ours, theirs)
+        n_checked += 1
+    assert n_checked > 400
+
+
+def test_pearson_exact_at_two_points():
+    # scipy rounds Pearson's r at n == 2, but not Spearman's rho (1 - 2**-53
+    # there, and on perfect lines too; those cases are compared above)
+    for x, y, r in (([1.0, 2.0], [3.0, 5.0], 1.0), ([0.1, 0.7], [5.0, -3e-9], -1.0)):
+        assert pearson_r(np.array(x), np.array(y)) == r
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scipy's constant-input warning
+def test_correlations_nan_like_scipy():
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    for y in (np.array([1.0, np.nan, 2.0, 0.5]), np.full(4, 2.0)):
+        assert np.isnan(spearman(x, y)) and np.isnan(stats.spearmanr(x, y).statistic)
+        assert np.isnan(pearson_r(x, y)) and np.isnan(stats.pearsonr(x, y).statistic)
 
 
 def test_report_invariant_under_positive_affine_rescale():

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -281,27 +282,94 @@ def test_sweep_csv_is_internally_consistent(small_cfg, tmp_path):
             )
 
 
+def run_python(code, *argv, **env_vars):
+    """Run code in a fresh interpreter with genil importable and the BLAS
+    thread variables unset apart from env_vars; return its stdout."""
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    env.update(PYTHONPATH=str(Path(genil.__file__).resolve().parents[1]), **env_vars)
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=env, check=True, capture_output=True, text=True, timeout=600,
+    ).stdout
+
+
 def test_sweep_identical_across_thread_counts(tmp_path):
     # trials run serially, but BLAS may use several threads; the sweep must
     # write the same bytes at any count. BLAS fixes its count when numpy
     # loads, so each run is its own process.
     cfg_path = write_cfg(tmp_path, SMALL)
-    src = str(Path(genil.__file__).resolve().parents[1])
     for threads in ("1", "2"):
-        env = dict(
-            os.environ,
-            OPENBLAS_NUM_THREADS=threads,
-            OMP_NUM_THREADS=threads,
-            PYTHONPATH=src,
-        )
         argv = ["--config", cfg_path, "--out", str(tmp_path / threads), "--quiet", "sweep"]
-        subprocess.run(
-            [sys.executable, "-c", "from genil.cli import entry; entry()", *argv],
-            env=env,
-            check=True,
-            timeout=600,
+        run_python(
+            "from genil.cli import entry; entry()", *argv,
+            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
         )
     assert (tmp_path / "1" / F_SWEEP).read_bytes() == (tmp_path / "2" / F_SWEEP).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The command's process: scipy never loads, and BLAS is held to one thread
+# unless the caller chose a count. Each check needs a fresh interpreter.
+
+
+SCIPY_FREE_RUN = """
+import importlib, pkgutil, sys
+import genil
+from genil.cli import main
+for module in pkgutil.iter_modules(genil.__path__):
+    importlib.import_module("genil." + module.name)
+grid_cfg, point_cfg, out = sys.argv[1:]
+runs = ((grid_cfg, "run-all"), (point_cfg, "run-all"), (grid_cfg, "compare"))
+for i, (cfg, command) in enumerate(runs):
+    assert main(["--config", cfg, "--out", f"{out}/{i}", "--quiet", command]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_never_load_scipy(tmp_path):
+    # catches a module-level and a deferred (in-function) scipy import alike
+    grid_cfg = write_cfg(tmp_path, SMALL)
+    point_cfg = write_cfg(tmp_path, SMALL + "\n[env]\nname = PointChase\n", name="point.cfg")
+    stdout = run_python(SCIPY_FREE_RUN, grid_cfg, point_cfg, str(tmp_path))
+    assert stdout.splitlines()[-1] == "[]"
+
+
+def test_no_scipy_import_in_source():
+    package = Path(genil.__file__).resolve().parent
+    scipy_import = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+    assert [p.name for p in package.rglob("*.py") if scipy_import.search(p.read_text())] == []
+
+
+# A meta-path finder that sees the environment at the moment numpy (and so
+# OpenBLAS) is first looked up, while genil.cli runs as `python -m` runs it.
+BLAS_AT_NUMPY_LOAD = """
+import os, runpy, sys
+seen = []
+class NumpyLoadSpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")])
+sys.meta_path.insert(0, NumpyLoadSpy())
+sys.argv = ["genil", "--help"]
+try:
+    runpy.run_module("genil.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(seen)
+"""
+
+
+@pytest.mark.parametrize(
+    "env_vars, expected",
+    [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}, "2")],
+    ids=["unset", "set-to-2"],
+)
+def test_cli_holds_blas_to_one_thread_unless_set(env_vars, expected):
+    stdout = run_python(BLAS_AT_NUMPY_LOAD, **env_vars)
+    assert stdout.splitlines()[-1] == str([[expected, expected]])
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from genil.reward_net import (
     predict_state,
     predict_states,
     _CompiledPairs,
+    _expit,
     save_model,
     train,
 )
@@ -161,6 +162,38 @@ def test_pair_loss_extreme_margins_stable():
     wrong = SnippetPair(lo=snip([[500.0]], 0.0), hi=snip([[0.0]], 3.0))
     assert pair_loss(model, correct) < 1e-100
     assert pair_loss(model, wrong) == pytest.approx(500.0, rel=1e-12)
+
+
+EXPIT_EDGES = [0.0, 1e-300, 709.7, 709.8, 710.0, 745.0, 746.0, np.inf]
+EXPIT_EDGES = EXPIT_EDGES + [-z for z in EXPIT_EDGES] + [np.nan]
+
+
+def same_floats(a, b):
+    """Equal with ==, NaN where the other is NaN, and the same sign bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.dtype == b.dtype == np.float64
+        and a.shape == b.shape
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
+@pytest.mark.parametrize("z", EXPIT_EDGES, ids=repr)
+def test_expit_matches_scipy_on_edge_scalars(z):
+    assert same_floats(_expit(z), expit(z))
+    assert same_floats(_expit(np.float64(z)), expit(np.float64(z)))
+
+
+def test_expit_matches_scipy_on_batches():
+    # reward training calls it on one (batch_size,) vector of margins a step
+    rng = np.random.default_rng(5)
+    edges = np.array(EXPIT_EDGES)
+    assert same_floats(_expit(edges), expit(edges))
+    for scale in (1e-8, 1e-2, 1.0, 10.0, 100.0, 700.0, 1e3):
+        for z in (rng.standard_normal((625, 16)) * scale):
+            assert same_floats(_expit(z), expit(z)), scale
+    assert same_floats(_expit(np.empty(0)), expit(np.empty(0)))
 
 
 def test_pair_grad_matches_finite_differences(rng):
