@@ -44,6 +44,11 @@ class ReproductionStalledError(GenilError):
         self.quota = quota
         self.attempts = attempts
 
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args; the message alone is
+        # not enough here, and a process pool pickles what a worker raises
+        return type(self), (self.args[0], self.bucket_fill, self.quota, self.attempts)
+
 
 class EmptyPairError(GenilError):
     """No snippet pair satisfies the margin requirement."""
@@ -55,6 +60,9 @@ class DivergenceError(GenilError):
     def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.step)
 
 
 class DegenerateEvalError(GenilError):

@@ -12,15 +12,21 @@ Seed discipline: each unit of work owns a seed derived from
 (base_seed, labels..., kind[, model]), so no stage's RNG consumption can
 perturb another's stream.  The single-lineage stages (gen-demos through
 evaluate) are trial 0 of the "genil" method; compare and sweep span
-their full trial/model grids, one trial after another, and score every
-trial of a reward-learning method with the same train-and-score unit.
+their full trial/model grids and score every trial of a reward-learning
+method with the same train-and-score unit.  Their units share nothing,
+so they run on every CPU the process may use, with identical output at
+any count.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import os
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,6 +63,7 @@ from .policy_opt import (
     value_iteration,
 )
 from .reward_net import (
+    CompiledPairs,
     RewardEnsemble,
     TrainResult,
     load_model,
@@ -136,6 +143,55 @@ def _require(out: Path, *names: str) -> None:
             )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 off Linux, where units stay in-process."""
+    if not sys.platform.startswith("linux"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool worker initializer: exit once the parent is gone.
+
+    A worker blocked on its task queue would otherwise outlive a parent
+    killed by SIGKILL, which runs no clean-up.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _map_units(fn, units: list[tuple]) -> list:
+    """[fn(*u) for u in units], spread over the usable CPUs.
+
+    Results come back in unit order, and the first unit in that order
+    that raises decides the exception.  Units must share no state, as the
+    seeds derived from their own labels make them.  Workers are forked:
+    they inherit the loaded modules, and need no __main__ guard in a
+    calling script, which spawn and forkserver do.  genil starts no thread
+    of its own before the fork.
+    """
+    n_workers = min(len(units), _usable_cpus())
+    if n_workers <= 1:
+        return [fn(*u) for u in units]
+    # imported here: they would add a tenth to every command's start-up
+    import concurrent.futures
+    import multiprocessing
+
+    with concurrent.futures.ProcessPoolExecutor(
+        n_workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(),),
+    ) as pool:
+        # a failing unit cancels those not yet started
+        return list(pool.map(fn, *zip(*units)))
+
+
 class _Timed:
     def __init__(self, manifest: RunManifest, stage: str):
         self.manifest = manifest
@@ -213,7 +269,7 @@ def _train_and_score(cfg: ExperimentConfig, spec: EnvSpec, dataset: RankedDatase
     def seed(*kind) -> int:
         return derive_seed(cfg.base_seed, *labels, *kind)
 
-    pairs = _pairs(cfg, dataset, seed("data"))
+    pairs = CompiledPairs(_pairs(cfg, dataset, seed("data")))
     returns, models = [], []
     for m in range(cfg.eval.n_models_per_trial):
         model = _train(cfg, pairs, seed("model", m)).model
@@ -382,15 +438,27 @@ def _run_method_trial(method, cfg, spec, trial, good, bad):
     return returns, []
 
 
+def _compare_trial(cfg, spec, demo_pairs, method, trial):
+    """One (method, trial) unit of compare.
+
+    A GenilError is returned rather than raised, so that it marks only
+    its method as failed.
+    """
+    try:
+        return _run_method_trial(method, cfg, spec, trial, *demo_pairs[trial])
+    except GenilError as exc:
+        return exc
+
+
 def stage_compare(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
     """All methods on shared demos and one shared eval set.
 
     Each trial draws one demo pair consumed by every pair-based method;
     every method's metrics use the identical eval set.  A method that
-    raises a GenilError keeps its rows, with empty cells, and its error in
-    meta.method_errors while the rest proceed.  BC appears in the policy
-    table only (it learns no reward), and only when the demos carry
-    actions.
+    raises a GenilError keeps its rows, with empty cells, and the error of
+    its first failing trial in meta.method_errors while the rest proceed.
+    BC appears in the policy table only (it learns no reward), and only
+    when the demos carry actions.
     """
     spec = cfg.spec()
     with _Timed(manifest, "compare/setup"):
@@ -419,13 +487,16 @@ def stage_compare(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> No
     summary_entries = []
     method_errors: dict[str, str] = {}
     method_eval_hash: dict[str, str] = {}
-    for method in methods:
-        with _Timed(manifest, f"compare/{method}"):
+    n_trials = cfg.eval.n_trials
+    with _Timed(manifest, "compare/trials"):
+        units = [(method, t) for method in methods for t in range(n_trials)]
+        outcomes = _map_units(functools.partial(_compare_trial, cfg, spec, demo_pairs), units)
+        for i, method in enumerate(methods):
+            results = outcomes[i * n_trials : (i + 1) * n_trials]
             try:
-                results = [
-                    _run_method_trial(method, cfg, spec, t, *demo_pairs[t])
-                    for t in range(cfg.eval.n_trials)
-                ]
+                for r in results:
+                    if isinstance(r, GenilError):
+                        raise r
                 row = policy_table_row(method, np.array([r[0] for r in results]))
                 report = None
                 if method != "BC":
@@ -437,9 +508,9 @@ def stage_compare(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> No
             except GenilError as exc:
                 method_errors[method] = f"{type(exc).__name__}: {exc}"
                 row = report = None
-        table_entries.append((method, row))
-        if method != "BC":
-            summary_entries.append((method, report))
+            table_entries.append((method, row))
+            if method != "BC":
+                summary_entries.append((method, report))
 
     with _Timed(manifest, "compare/emit"):
         write_policy_table_csv(out / F_POLICY_TABLE, table_entries)
@@ -479,17 +550,21 @@ def stage_sweep(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None
             f"{cfg.eval.n_trials} and {cfg.eval.n_models_per_trial}"
         )
     spec = cfg.spec()
+    steps, n_trials = cfg.sweep.step_sizes, cfg.eval.n_trials
     records = []
     with _Timed(manifest, "sweep"):
-        for step in cfg.sweep.step_sizes:
+        for step in steps:
             if step >= cfg.data.min_len:
                 manifest.warnings.append(
                     f"step size {step} >= snippet min length {cfg.data.min_len}: "
                     "crossover segments span whole snippets"
                 )
-            grid = np.array([_sweep_trial(cfg, spec, step, t) for t in range(cfg.eval.n_trials)])
+        units = [(step, t) for step in steps for t in range(n_trials)]
+        returns = _map_units(functools.partial(_sweep_trial, cfg, spec), units)
+        for i, step in enumerate(steps):
+            grid = np.array(returns[i * n_trials : (i + 1) * n_trials])
             step_mean = float(grid.mean())
-            for t in range(cfg.eval.n_trials):
+            for t in range(n_trials):
                 trial_std = float(grid[t].std())
                 for m in range(cfg.eval.n_models_per_trial):
                     records.append(

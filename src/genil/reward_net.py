@@ -22,8 +22,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .seeding import derive_seed
 from .snippets import SnippetPair
 from .trajectory import Trajectory
 
-ACTIVATION = "relu"
 CHECKPOINT_VERSION = 1
 
 
@@ -192,8 +191,12 @@ class TrainResult:
     config: TrainConfig
 
 
-class _CompiledPairs:
+class CompiledPairs(Sequence):
     """Pair set re-indexed over globally unique states.
+
+    It is still the sequence of its pairs, so every model trained on one
+    pair set can share one compilation: ``train`` accepts it in place of
+    the pairs.
 
     Snippets are deduplicated by (parent_id, start, length).  Their states
     are deduplicated in two passes: a 1-d sort of the rows viewed as raw
@@ -208,6 +211,9 @@ class _CompiledPairs:
     """
 
     def __init__(self, pairs: Sequence[SnippetPair]):
+        if len(pairs) == 0:
+            raise EmptyPairError("no training pairs given")
+        self.pairs = list(pairs)
         snippet_index: dict[tuple, int] = {}
         snippets = []
         lo_idx, hi_idx = [], []
@@ -218,7 +224,9 @@ class _CompiledPairs:
                     pos = len(snippets)
                     snippet_index[snip.key] = pos
                     snippets.append(snip)
-                elif not np.array_equal(snippets[pos].states, snip.states):
+                elif snippets[pos] is not snip and not np.array_equal(
+                    snippets[pos].states, snip.states
+                ):
                     raise InvalidTrajectoryError(
                         f"snippets sharing the key {snip.key} carry different "
                         "states; snippet keys must identify their content"
@@ -245,7 +253,10 @@ class _CompiledPairs:
         self.indptr = np.concatenate([[0], np.cumsum(per_snippet)])
 
     def __len__(self) -> int:
-        return len(self.lo_idx)
+        return len(self.pairs)
+
+    def __getitem__(self, i):
+        return self.pairs[i]
 
     def batch_arrays(self, batch: np.ndarray):
         """For a batch of pair indices: local unique-state rows, and per-side
@@ -271,14 +282,15 @@ def train(model: RewardModel, pairs: Sequence[SnippetPair], cfg: TrainConfig) ->
     The input model is left untouched; a trained copy is returned together
     with the per-step mean batch loss (data term only).  Batches are drawn
     with replacement from a generator seeded by cfg.seed, so a fixed seed
-    reproduces parameters bit-exactly.
+    reproduces parameters bit-exactly.  pairs may be a CompiledPairs, which
+    skips compiling them again.
     """
     if len(pairs) == 0:
         raise EmptyPairError("no training pairs given")
     trained = model.copy()
     if cfg.steps == 0:
         return TrainResult(model=trained, losses=np.empty(0), config=cfg)
-    compiled = _CompiledPairs(pairs)
+    compiled = pairs if isinstance(pairs, CompiledPairs) else CompiledPairs(pairs)
     rng = np.random.default_rng(derive_seed(cfg.seed, "train-batches"))
     n_pairs = len(compiled)
     half = cfg.batch_size

@@ -6,20 +6,28 @@ import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import genil
-from genil import pipeline
+from genil import pipeline, reward_net
 from genil.cli import main
 from genil.config import config_to_dict, parse_config_text
 from genil.envs import make_demo_pair, make_eval_set, make_spec
-from genil.errors import ConfigError, MissingArtifactError
+from genil.errors import (
+    ConfigError,
+    DivergenceError,
+    MissingArtifactError,
+    ReproductionStalledError,
+)
 from genil.genetics import relabel_demos, reproduce
 from genil.policy_opt import cem_search, evaluate_policy, value_iteration
 from genil.reward_net import make_reward_model, train
@@ -282,22 +290,27 @@ def test_sweep_csv_is_internally_consistent(small_cfg, tmp_path):
             )
 
 
-def run_python(code, *argv, **env_vars):
-    """Run code in a fresh interpreter with genil importable and the BLAS
-    thread variables unset apart from env_vars; return its stdout."""
+def python_env(**env_vars):
+    """The environment for a fresh interpreter with genil importable and the
+    BLAS thread variables unset apart from env_vars."""
     env = {
         k: v for k, v in os.environ.items()
         if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
     }
     env.update(PYTHONPATH=str(Path(genil.__file__).resolve().parents[1]), **env_vars)
+    return env
+
+
+def run_python(code, *argv, **env_vars):
+    """Run code in a fresh interpreter (see python_env); return its stdout."""
     return subprocess.run(
         [sys.executable, "-c", code, *argv],
-        env=env, check=True, capture_output=True, text=True, timeout=600,
+        env=python_env(**env_vars), check=True, capture_output=True, text=True, timeout=600,
     ).stdout
 
 
 def test_sweep_identical_across_thread_counts(tmp_path):
-    # trials run serially, but BLAS may use several threads; the sweep must
+    # each worker process may run BLAS on several threads; the sweep must
     # write the same bytes at any count. BLAS fixes its count when numpy
     # loads, so each run is its own process.
     cfg_path = write_cfg(tmp_path, SMALL)
@@ -308,6 +321,135 @@ def test_sweep_identical_across_thread_counts(tmp_path):
             OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
         )
     assert (tmp_path / "1" / F_SWEEP).read_bytes() == (tmp_path / "2" / F_SWEEP).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Trials on every usable CPU: the units of compare and sweep run in forked
+# workers, and the output must not depend on how many there are.
+
+STALL = "\n[ga]\nmax_attempts = 1\n"
+
+
+def output_files(out):
+    """Every file a run wrote, the manifest without its timings."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.name == F_MANIFEST:
+            manifest = json.loads(path.read_text())
+            manifest.pop("stage_seconds")
+            files[path.name] = manifest
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+@pytest.mark.parametrize(
+    "command, extra, code, err",
+    [
+        ("compare", "", 0, ""),
+        ("compare", STALL, 0, "genil: warning: GenIL failed: ReproductionStalledError: "),
+        ("sweep", "", 0, ""),
+        ("sweep", STALL, 4, "genil: reproduction stalled: "),
+    ],
+    ids=["compare", "compare-stalled", "sweep", "sweep-stalled"],
+)
+def test_same_output_at_one_and_two_workers(
+    tmp_path, monkeypatch, capsys, command, extra, code, err
+):
+    cfg_path = write_cfg(tmp_path, SMALL + extra)
+    runs = []
+    for n_cpus in (1, 2):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: n_cpus)
+        out = tmp_path / str(n_cpus)
+        assert main(["--config", cfg_path, "--out", str(out), "--quiet", command]) == code
+        runs.append((capsys.readouterr(), output_files(out)))
+    assert runs[0] == runs[1]
+    assert runs[0][0].err.startswith(err) if err else runs[0][0].err == ""
+
+
+def test_errors_with_fields_survive_pickling():
+    # a worker's exception reaches the parent through pickle
+    stalled = pickle.loads(
+        pickle.dumps(ReproductionStalledError("stalled", {1: 2, 3: 0}, quota=4, attempts=9))
+    )
+    assert type(stalled) is ReproductionStalledError and str(stalled) == "stalled"
+    assert (stalled.bucket_fill, stalled.quota, stalled.attempts) == ({1: 2, 3: 0}, 4, 9)
+    diverged = pickle.loads(pickle.dumps(DivergenceError("non-finite", step=17)))
+    assert type(diverged) is DivergenceError and str(diverged) == "non-finite"
+    assert diverged.step == 17
+
+
+def test_train_and_score_compiles_its_pairs_once(small_cfg, grid_dataset, monkeypatch):
+    built = []
+
+    class CountedPairs(pipeline.CompiledPairs):
+        def __init__(self, pairs):
+            built.append(len(pairs))
+            super().__init__(pairs)
+
+    monkeypatch.setattr(pipeline, "CompiledPairs", CountedPairs)
+    monkeypatch.setattr(reward_net, "CompiledPairs", CountedPairs)
+    returns, models = pipeline._train_and_score(
+        small_cfg, small_cfg.spec(), grid_dataset, ("trial", 0, "GenIL")
+    )
+    assert len(models) == 2 and built == [small_cfg.data.n_pairs]
+
+
+# Stands in for `python -m genil.cli`, with two workers on any machine.
+TWO_WORKER_CLI = """
+import sys
+from genil import pipeline
+from genil.cli import main
+pipeline._usable_cpus = lambda: 2
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def live_children(pid):
+    """Pids of the processes whose parent is pid, zombies left out."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the process ended while the directory was read
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+def is_live(pid):
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers run on Linux only")
+def test_workers_exit_when_the_command_is_killed(tmp_path):
+    # long enough training that the workers are busy when the kill comes
+    cfg_path = write_cfg(tmp_path, SMALL.replace("steps = 50", "steps = 50000"))
+    argv = ["--config", cfg_path, "--out", str(tmp_path / "out"), "--quiet", "compare"]
+    proc = subprocess.Popen([sys.executable, "-c", TWO_WORKER_CLI, *argv], env=python_env())
+    workers = []
+    try:
+        deadline = time.monotonic() + 120
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = live_children(proc.pid)
+        assert len(workers) == 2
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(map(is_live, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert [w for w in workers if is_live(w)] == []
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        for w in workers:
+            if is_live(w):
+                os.kill(w, signal.SIGKILL)
 
 
 # ---------------------------------------------------------------------------

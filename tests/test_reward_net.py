@@ -23,7 +23,7 @@ from genil.reward_net import (
     predict_return,
     predict_state,
     predict_states,
-    _CompiledPairs,
+    CompiledPairs,
     _expit,
     save_model,
     train,
@@ -398,7 +398,7 @@ def assert_same_arrays(got, want):
 
 def assert_compiles_like_reference(pairs, n_batches=50, seed=0):
     ref = ReferenceCompiledPairs(pairs)
-    new = _CompiledPairs(pairs)
+    new = CompiledPairs(pairs)
     for name in ("unique_states", "indptr", "indices", "counts", "lo_idx", "hi_idx"):
         assert_same_arrays(getattr(new, name), getattr(ref, name))
     rng = np.random.default_rng(seed)
