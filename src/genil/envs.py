@@ -238,14 +238,24 @@ class GridNavEnv:
         return gridnav_features(self._cell), float(self._reward[self._cell]), done
 
 
+def _clamp(x, lo, hi):
+    """np.clip(x, lo, hi) for one float without a ufunc call.  Both take the
+    max with lo, then the min with hi, and pass a NaN or a signed zero x
+    through; they part only on a tie at a zero bound, and no bound here is
+    zero."""
+    return min(max(x, lo), hi)
+
+
 def pointchase_step(pos, vel, action):
     """One clipped Euler step of the double integrator: (pos, vel) -> (pos, vel).
 
-    Works on floats and elementwise on equal-shape arrays.
+    Works on floats and elementwise on equal-shape arrays: a float pos is
+    clipped with Python's min and max, which give np.clip's bits.
     """
-    a = np.clip(action, -PC_ACTION_MAX, PC_ACTION_MAX)
-    vel = np.clip(vel + a * PC_DT, -PC_VEL_MAX, PC_VEL_MAX)
-    pos = np.clip(pos + vel * PC_DT, -PC_POS_MAX, PC_POS_MAX)
+    clip = np.clip if isinstance(pos, np.ndarray) else _clamp
+    a = clip(action, -PC_ACTION_MAX, PC_ACTION_MAX)
+    vel = clip(vel + a * PC_DT, -PC_VEL_MAX, PC_VEL_MAX)
+    pos = clip(pos + vel * PC_DT, -PC_POS_MAX, PC_POS_MAX)
     return pos, vel
 
 

@@ -1,9 +1,17 @@
 """Small dense network with rectifier hiddens and hand-written backprop.
 
 Gradients are computed analytically layer by layer so they can be checked
-against finite differences; no autodiff dependency.  Parameters flatten
-row-major per layer (W0, b0, W1, b1, ...) for checkpointing and for the
-finite-difference harness.
+against finite differences; no autodiff dependency.
+
+All parameters live in one vector, ``params``, laid out row-major per
+layer (W0, b0, W1, b1, ...); ``weights`` and ``biases`` are tuples of
+views into it, so an update to ``params`` shows through them and an
+attempt to rebind an entry fails instead of leaving it out of step.
+``backward`` writes one gradient vector in the same layout, so a
+gradient-descent step is a single vector update.  Forward and backward
+work in place where they can, with the floating-point operations, and
+their order, of the plain per-layer expressions (``h @ w + b``, a
+transposed gemm per layer): training is bit-identical to them.
 """
 
 from __future__ import annotations
@@ -28,8 +36,22 @@ class MLP:
         for i, (w, b) in enumerate(zip(weights, biases)):
             if w.shape != (self.widths[i], self.widths[i + 1]) or b.shape != (self.widths[i + 1],):
                 raise ConfigError(f"layer {i} parameter shapes do not match widths")
-        self.weights = weights
-        self.biases = biases
+        self.params = np.concatenate(
+            [np.ravel(p) for layer in zip(weights, biases) for p in layer], dtype=np.float64
+        )
+        self.weights, self.biases = self._layer_views(self.params)
+        self._grads = np.empty_like(self.params)
+        self._grad_weights, self._grad_biases = self._layer_views(self._grads)
+
+    def _layer_views(self, flat: np.ndarray) -> tuple[tuple, tuple]:
+        """Per-layer (weight, bias) views into a vector laid out like params."""
+        weights, biases, offset = [], [], 0
+        for fan_in, fan_out in zip(self.widths, self.widths[1:]):
+            end = offset + fan_in * fan_out
+            weights.append(flat[offset:end].reshape(fan_in, fan_out))
+            biases.append(flat[end : end + fan_out])
+            offset = end + fan_out
+        return tuple(weights), tuple(biases)
 
     @classmethod
     def create(cls, widths: list[int], seed: int) -> "MLP":
@@ -53,14 +75,10 @@ class MLP:
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def copy(self) -> "MLP":
-        return MLP(
-            list(self.widths),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return MLP(self.widths, self.weights, self.biases)
 
     def forward(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Returns (outputs (n, out_dim), layer input cache for backward)."""
@@ -71,61 +89,56 @@ class MLP:
         h = X
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = h @ w
+            h += b
             if i < last:
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
             activations.append(h)
         return h, activations
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.forward(X)[0]
 
-    def backward(
-        self, activations: list[np.ndarray], d_out: np.ndarray
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Parameter gradients for d(loss)/d(outputs) = d_out (n, out_dim)."""
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.weights)
+    def backward(self, activations: list[np.ndarray], d_out: np.ndarray) -> np.ndarray:
+        """Parameter gradients for d(loss)/d(outputs) = d_out (n, out_dim),
+        laid out like params.  The vector is the model's own buffer: the next
+        backward overwrites it, so copy it to keep it."""
         delta = np.asarray(d_out, dtype=np.float64)
         for i in range(len(self.weights) - 1, -1, -1):
-            grads[i] = (activations[i].T @ delta, delta.sum(axis=0))
+            np.matmul(activations[i].T, delta, out=self._grad_weights[i])
+            np.add.reduce(delta, 0, out=self._grad_biases[i])  # delta.sum(axis=0)
             if i > 0:
-                delta = delta @ self.weights[i].T
+                w = self.weights[i]
+                # one output column makes delta @ w.T an outer product, which a
+                # gemm of inner dimension 1 computes to the same bits, slowly
+                delta = delta * w[:, 0] if w.shape[1] == 1 else delta @ w.T
                 # rectifier mask: post-activation is zero exactly where it was clipped
-                delta = delta * (activations[i] > 0.0)
-        return grads
-
-    # -- flat parameter vector (row-major per layer), for FD checks and files
+                delta *= activations[i] > 0.0
+        return self._grads
 
     def get_flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        return self.params.copy()
 
     def set_flat(self, vec: np.ndarray) -> None:
         vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.n_params,):
+        if vec.shape != self.params.shape:
             raise ConfigError(f"expected {self.n_params} parameters, got {vec.shape}")
-        offset = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = vec[offset : offset + w.size].reshape(w.shape).copy()
-            offset += w.size
-            self.biases[i] = vec[offset : offset + b.size].copy()
-            offset += b.size
+        self.params[...] = vec
 
-    def apply_grads(self, grads, learning_rate: float, l2: float = 0.0) -> None:
-        """One gradient-descent step; l2 penalizes weights only."""
-        for i, (dw, db) in enumerate(grads):
-            step_w = dw if l2 == 0.0 else dw + l2 * self.weights[i]
-            self.weights[i] = self.weights[i] - learning_rate * step_w
-            self.biases[i] = self.biases[i] - learning_rate * db
+    def apply_grads(self, grads: np.ndarray, learning_rate: float, l2: float = 0.0) -> None:
+        """One gradient-descent step on a gradient vector laid out like
+        params; l2 penalizes weights only."""
+        if l2 != 0.0:
+            grads = grads.copy()
+            for dw, w in zip(self._layer_views(grads)[0], self.weights):
+                dw += l2 * w
+        self.params -= learning_rate * grads
 
     def to_dict(self) -> dict:
         return {
             "widths": list(self.widths),
             "activation": "relu",
-            "params": [float(v) for v in self.get_flat()],
+            "params": self.params.tolist(),
         }
 
     @classmethod
@@ -136,12 +149,3 @@ class MLP:
         model = cls.create(widths, seed=0)
         model.set_flat(np.asarray(data["params"], dtype=np.float64))
         return model
-
-
-def flat_grads(model: MLP, grads) -> np.ndarray:
-    """Flatten a backward() result in the same order as get_flat()."""
-    parts = []
-    for dw, db in grads:
-        parts.append(np.asarray(dw).ravel())
-        parts.append(np.asarray(db).ravel())
-    return np.concatenate(parts)

@@ -9,12 +9,15 @@ dL/dS_lo = +sigmoid(S_lo - S_hi), back-propagated through the state sums.
 
 Training compiles the pair set once, without Python loops over snippets
 or states, into a unique-state table (byte-deduplicated, then sorted by
-value) and one CSR row of state multiplicities per snippet.  Each minibatch
-gathers its snippets' rows with one repeat-and-offset index, marks the
-table rows they touch, and forwards only those.  On the grid environment
-this collapses thousands of snippet states to at most 64 rows per step.
-The forwarded rows, their order and the order of every sum are those of a
-per-snippet np.unique build, so training is bit-identical to it.
+value) and one CSR row of state multiplicities per snippet.  Batches are
+drawn and gathered BATCH_BLOCK steps at a time: one repeat-and-offset
+index collects every snippet's rows, a (steps, table rows) mask marks the
+rows each step touches, and one running count over it ranks them.  Each
+step then forwards only its own touched rows, and checks its loss, before
+the next step's parameters exist.  On the grid environment this collapses
+thousands of snippet states to at most 64 rows per step.  The draws, the
+forwarded rows, their order and the order of every sum are those of a
+per-step, per-snippet np.unique build, so training is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -171,8 +174,9 @@ def pair_loss(model: RewardModel, pair: SnippetPair) -> float:
     return float(np.logaddexp(0.0, z))
 
 
-def pair_grad(model: RewardModel, pair: SnippetPair) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Analytic parameter gradient of pair_loss, same shapes as net params."""
+def pair_grad(model: RewardModel, pair: SnippetPair) -> np.ndarray:
+    """Analytic parameter gradient of pair_loss, laid out like net.params
+    (in the net's gradient buffer, which its next backward overwrites)."""
     states = np.concatenate([pair.lo.states, pair.hi.states], axis=0)
     out, cache = model.net.forward(states)
     n_lo = pair.lo.states.shape[0]
@@ -258,22 +262,55 @@ class CompiledPairs(Sequence):
     def __getitem__(self, i):
         return self.pairs[i]
 
-    def batch_arrays(self, batch: np.ndarray):
-        """For a batch of pair indices: local unique-state rows, and per-side
-        (row positions, multiplicities, segment ids), lo sides first."""
-        sids = np.concatenate([self.lo_idx[batch], self.hi_idx[batch]])
+    def block_arrays(self, batches: np.ndarray) -> "_BatchBlock":
+        """Everything a block of training steps needs from their (k, B)
+        pair-index batches, gathered at once: per step, the table rows its
+        snippets touch (ascending) and per side of its pairs, lo sides first,
+        the positions of their states among those rows, the multiplicities
+        and segment ids.  A step's touched rows are marked in a (k, n_unique)
+        mask whose one running count ranks them within and across steps."""
+        k, size = batches.shape
+        n_segs = 2 * size
+        n_unique = len(self.unique_states)
+        sids = np.concatenate([self.lo_idx[batches], self.hi_idx[batches]], axis=1).ravel()
         starts = self.indptr[sids]
         sizes = self.indptr[sids + 1] - starts
-        seg_ids = np.repeat(np.arange(len(sids)), sizes)
         ends = np.cumsum(sizes)
         gather = np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
-        all_idx = self.indices[gather]
-        all_cnt = self.counts[gather]
-        touched = np.zeros(len(self.unique_states), dtype=bool)
-        touched[all_idx] = True
-        local_rows = np.flatnonzero(touched)
-        local_pos = (np.cumsum(touched) - 1)[all_idx]
-        return local_rows, local_pos, all_cnt, seg_ids, len(sids)
+        seg_ids = np.repeat(np.tile(np.arange(n_segs), k), sizes)
+        entry_ptr = np.concatenate([[0], ends[n_segs - 1 :: n_segs]])
+        step_of = np.repeat(np.arange(k), np.diff(entry_ptr))
+        flat_idx = step_of * n_unique + self.indices[gather]
+        touched = np.zeros(k * n_unique, dtype=bool)
+        touched[flat_idx] = True
+        rank = np.cumsum(touched)
+        row_ptr = np.concatenate([[0], rank[n_unique - 1 :: n_unique]])
+        return _BatchBlock(
+            rows=np.flatnonzero(touched) % n_unique,
+            row_ptr=row_ptr.tolist(),
+            pos=rank[flat_idx] - 1 - row_ptr[step_of],
+            counts=self.counts[gather],
+            seg_ids=seg_ids,
+            entry_ptr=entry_ptr.tolist(),
+        )
+
+
+@dataclass
+class _BatchBlock:
+    """Batch arrays of consecutive training steps, step j's entries at
+    [entry_ptr[j], entry_ptr[j + 1]) and its rows at [row_ptr[j], row_ptr[j + 1])."""
+
+    rows: np.ndarray
+    row_ptr: list[int]
+    pos: np.ndarray
+    counts: np.ndarray
+    seg_ids: np.ndarray
+    entry_ptr: list[int]
+
+
+# Training steps whose batches are drawn and gathered together; the batches
+# and every result are those of drawing and gathering them one step at a time.
+BATCH_BLOCK = 64
 
 
 def train(model: RewardModel, pairs: Sequence[SnippetPair], cfg: TrainConfig) -> TrainResult:
@@ -292,29 +329,30 @@ def train(model: RewardModel, pairs: Sequence[SnippetPair], cfg: TrainConfig) ->
         return TrainResult(model=trained, losses=np.empty(0), config=cfg)
     compiled = pairs if isinstance(pairs, CompiledPairs) else CompiledPairs(pairs)
     rng = np.random.default_rng(derive_seed(cfg.seed, "train-batches"))
-    n_pairs = len(compiled)
+    net = trained.net
     half = cfg.batch_size
+    n_segs = 2 * half
     losses = np.empty(cfg.steps)
-    for step in range(cfg.steps):
-        batch = rng.integers(n_pairs, size=cfg.batch_size)
-        local_rows, local_pos, cnt, seg_ids, n_segs = compiled.batch_arrays(batch)
-        X = compiled.unique_states[local_rows]
-        out, cache = trained.net.forward(X)
-        rewards = out[:, 0]
-        sums = np.bincount(seg_ids, weights=cnt * rewards[local_pos], minlength=n_segs)
-        z = sums[:half] - sums[half:]
-        losses[step] = float(np.logaddexp(0.0, z).mean())
-        if not np.isfinite(losses[step]):
-            raise DivergenceError(
-                f"non-finite training loss {losses[step]} at step {step}", step=step
-            )
-        g = _expit(z) / cfg.batch_size
-        seg_grad = np.concatenate([g, -g])
-        d_rewards = np.bincount(
-            local_pos, weights=cnt * seg_grad[seg_ids], minlength=len(local_rows)
-        )
-        grads = trained.net.backward(cache, d_rewards[:, None])
-        trained.net.apply_grads(grads, cfg.learning_rate, cfg.l2)
+    for first in range(0, cfg.steps, BATCH_BLOCK):
+        n_steps = min(BATCH_BLOCK, cfg.steps - first)
+        block = compiled.block_arrays(rng.integers(len(compiled), size=(n_steps, half)))
+        X_block = compiled.unique_states[block.rows]
+        for j in range(n_steps):
+            step = first + j
+            r0, r1 = block.row_ptr[j], block.row_ptr[j + 1]
+            e0, e1 = block.entry_ptr[j], block.entry_ptr[j + 1]
+            pos, cnt, seg_ids = block.pos[e0:e1], block.counts[e0:e1], block.seg_ids[e0:e1]
+            out, cache = net.forward(X_block[r0:r1])
+            sums = np.bincount(seg_ids, weights=cnt * out[:, 0][pos], minlength=n_segs)
+            z = sums[:half] - sums[half:]
+            loss = float(np.logaddexp(0.0, z).mean())
+            losses[step] = loss
+            if not math.isfinite(loss):
+                raise DivergenceError(f"non-finite training loss {loss} at step {step}", step=step)
+            g = _expit(z) / cfg.batch_size
+            seg_grad = np.concatenate([g, -g])
+            d_rewards = np.bincount(pos, weights=cnt * seg_grad[seg_ids], minlength=r1 - r0)
+            net.apply_grads(net.backward(cache, d_rewards[:, None]), cfg.learning_rate, cfg.l2)
     return TrainResult(model=trained, losses=losses, config=cfg)
 
 

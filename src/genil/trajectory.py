@@ -90,14 +90,20 @@ def gt_return(traj: Trajectory, discount: float) -> float:
     return float(weights @ traj.gt_step_rewards)
 
 
-def _fmt(x: float) -> str:
-    if not math.isfinite(x):
-        raise InvalidTrajectoryError(f"cannot serialize non-finite float {x!r}")
-    return format(float(x), ".17g")
+def _fmt_row(row: list[float]) -> str:
+    return "[" + ",".join([format(v, ".17g") for v in row]) + "]"
 
 
-def _fmt_vec(values: Iterable[float]) -> str:
-    return "[" + ",".join(_fmt(v) for v in values) + "]"
+def _fmt_vec(values: np.ndarray) -> str:
+    """A 1-d array as a JSON list, or a 2-d one as a list of row lists, at
+    17 significant digits; refuses non-finite entries."""
+    values = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise InvalidTrajectoryError(f"cannot serialize non-finite float {values[~finite][0]!r}")
+    if values.ndim == 1:
+        return _fmt_row(values.tolist())
+    return "[" + ",".join([_fmt_row(row) for row in values.tolist()]) + "]"
 
 
 def _fmt_actions(actions: np.ndarray | None) -> str:
@@ -118,7 +124,7 @@ def dumps_trajectory(traj: Trajectory) -> str:
     parts = [
         f'"id":{json.dumps(traj.id)}',
         f'"env":{json.dumps(traj.env)}',
-        '"states":[' + ",".join(_fmt_vec(row) for row in traj.states) + "]",
+        f'"states":{_fmt_vec(traj.states)}',
         f'"actions":{_fmt_actions(traj.actions)}',
         f'"gt_step_rewards":{_fmt_vec(traj.gt_step_rewards)}',
         '"step_ranks":'

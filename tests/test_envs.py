@@ -217,6 +217,23 @@ def test_pointchase_state_clipping():
     assert feats[0] <= PC_POS_MAX
 
 
+def test_pointchase_step_scalar_path_matches_array_path():
+    """PointChaseEnv.step clamps floats with min and max, the CEM population
+    with np.clip; the two give the same bits at both walls, on -0.0 and on
+    NaN."""
+    nan, inf = float("nan"), float("inf")
+    positions = [-PC_POS_MAX, -3.95, -0.0, 0.0, 3.95, PC_POS_MAX, nan]
+    velocities = [-PC_VEL_MAX, -1.98, -0.0, 0.0, 1.98, PC_VEL_MAX, nan]
+    actions = [-5.0, -PC_ACTION_MAX, -0.0, 0.0, 0.3, PC_ACTION_MAX, 5.0, nan, inf, -inf]
+    cases = [(p, v, a) for p in positions for v in velocities for a in actions]
+    want = np.stack(envs.pointchase_step(*map(np.array, zip(*cases))), axis=1)
+    got = np.array([envs.pointchase_step(p, v, a) for p, v, a in cases])
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert (got == PC_POS_MAX).any() and (got == -PC_POS_MAX).any()
+    assert np.signbit(got[(got == 0.0)]).any() and np.isnan(got).any()
+
+
 def test_pointchase_linear_rollout_requires_pointchase(grid_spec):
     with pytest.raises(ConfigError):
         pointchase_linear_rollout(grid_spec, np.zeros((2, 3)))

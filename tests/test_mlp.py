@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from genil.mlp import MLP, flat_grads
+from genil.mlp import MLP
 
 
 def test_create_shapes_and_determinism():
@@ -71,7 +71,7 @@ def test_backward_matches_finite_differences():
         return float(probe.predict(X).sum())
 
     out, cache = net.forward(X)
-    analytic = flat_grads(net, net.backward(cache, np.ones_like(out)))
+    analytic = net.backward(cache, np.ones_like(out))
     base = net.get_flat()
     eps = 1e-6
     numeric = np.empty_like(base)
@@ -98,7 +98,7 @@ def test_apply_grads_descends():
 
 def test_l2_shrinks_weights():
     net = MLP.create([2, 4, 1], seed=1)
-    zero_grads = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
+    zero_grads = np.zeros(net.n_params)
     norm_before = np.linalg.norm(net.weights[0])
     net.apply_grads(zero_grads, learning_rate=0.1, l2=0.5)
     assert np.linalg.norm(net.weights[0]) < norm_before
@@ -111,3 +111,19 @@ def test_dict_round_trip_bit_exact():
     assert np.array_equal(back.get_flat(), net.get_flat())
     X = np.random.default_rng(1).normal(size=(4, 3))
     assert np.array_equal(back.predict(X), net.predict(X))
+
+
+def test_layers_are_views_of_one_parameter_vector():
+    net = MLP.create([3, 5, 2], seed=1)
+    assert isinstance(net.weights, tuple) and isinstance(net.biases, tuple)
+    net.params[:] = np.arange(net.n_params)
+    # laid out W0 (15), b0 (5), W1 (10), b1 (2)
+    assert np.array_equal(net.weights[0], np.arange(15).reshape(3, 5))
+    assert np.array_equal(net.biases[1], [30.0, 31.0])
+    net.weights[1][:] = -1.0
+    assert np.array_equal(net.get_flat()[20:30], np.full(10, -1.0))
+    # rebinding an entry would leave it out of step with params, so it fails
+    with pytest.raises(TypeError):
+        net.weights[0] = np.zeros((3, 5))
+    with pytest.raises(TypeError):
+        net.biases[1] = np.zeros(2)

@@ -10,7 +10,7 @@ from scipy.special import expit
 from genil.baselines import build_trex2_dataset
 from genil.envs import make_demo_pair, make_spec
 from genil.errors import ConfigError, DivergenceError, EmptyPairError
-from genil.mlp import MLP, flat_grads
+from genil.mlp import MLP
 from genil.reward_net import (
     RewardEnsemble,
     RewardModel,
@@ -30,6 +30,7 @@ from genil.reward_net import (
 )
 from genil.seeding import derive_seed
 from genil.snippets import Snippet, SnippetPair, make_pairs, subsample
+from reference_training import block_step
 
 LN2 = float(np.log(2.0))
 
@@ -199,7 +200,7 @@ def test_expit_matches_scipy_on_batches():
 def test_pair_grad_matches_finite_differences(rng):
     model = make_reward_model(4, hidden_width=8, n_hidden=2, seed=11)
     pair = random_pair(rng, 4, 5, 7)
-    analytic = flat_grads(model.net, pair_grad(model, pair))
+    analytic = pair_grad(model, pair)
     base = model.net.get_flat()
     eps = 1e-6
     numeric = np.empty_like(base)
@@ -223,7 +224,7 @@ def test_loss_shift_invariant_for_equal_length_pairs(rng):
     equal = random_pair(rng, 3, 6, 6)
     unequal = random_pair(rng, 3, 4, 9)
     shifted = model.copy()
-    shifted.net.biases[-1] = shifted.net.biases[-1] + 10.0
+    shifted.net.biases[-1][:] += 10.0
     # equal lengths: the constant shift cancels in the score difference
     assert pair_loss(shifted, equal) == pytest.approx(pair_loss(model, equal), abs=1e-9)
     # unequal lengths: the shift scales with length and must not cancel
@@ -402,14 +403,15 @@ def assert_compiles_like_reference(pairs, n_batches=50, seed=0):
     for name in ("unique_states", "indptr", "indices", "counts", "lo_idx", "hi_idx"):
         assert_same_arrays(getattr(new, name), getattr(ref, name))
     rng = np.random.default_rng(seed)
-    batches = [rng.integers(len(pairs), size=size) for size in (1, 2, 16, 33)]
-    batches += [np.zeros(8, dtype=np.int64), np.full(5, len(pairs) - 1)]
-    batches += [rng.integers(len(pairs), size=16) for _ in range(n_batches)]
-    for batch in batches:
-        got, want = new.batch_arrays(batch), ref.batch_arrays(batch)
-        assert got[4] == want[4]
-        for g, w in zip(got[:4], want[:4]):
-            assert_same_arrays(g, w)
+    blocks = [rng.integers(len(pairs), size=(1, size)) for size in (1, 2, 16, 33)]
+    blocks += [np.zeros((1, 8), dtype=np.int64), np.full((1, 5), len(pairs) - 1)]
+    blocks += [np.stack([rng.integers(len(pairs), size=16) for _ in range(n_batches)])]
+    for batches in blocks:
+        block = new.block_arrays(batches)
+        for j, batch in enumerate(batches):
+            want = ref.batch_arrays(batch)
+            for g, w in zip(block_step(block, j), want[:4]):
+                assert_same_arrays(g, w)
     return new
 
 

@@ -1,5 +1,7 @@
 """Trajectory container validation and byte-stable JSON-lines round-trips."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from genil.errors import InvalidTrajectoryError
 from genil.trajectory import (
     Trajectory,
+    _fmt_vec,
     dumps_trajectory,
     gt_return,
     load_trajectories,
@@ -143,6 +146,39 @@ def test_non_finite_floats_refused():
     traj.gt_step_rewards[0] = np.inf
     with pytest.raises(InvalidTrajectoryError):
         dumps_trajectory(traj)
+
+
+def _per_float_fmt_vec(values):
+    """The float formatter as first written: one check and one format per float."""
+
+    def fmt(x):
+        if not math.isfinite(x):
+            raise InvalidTrajectoryError(f"cannot serialize non-finite float {x!r}")
+        return format(float(x), ".17g")
+
+    return "[" + ",".join(fmt(v) for v in values) + "]"
+
+
+def test_float_formatter_matches_per_float_formatter():
+    awkward = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1 / 3, 0.1, 2.0]
+    awkward += [-1e-300, 1e300, 123456.789012345, 1.7976931348623157e308, 1e16, 1e17]
+    rows = np.random.default_rng(0).normal(size=(50, 3)) * np.array([1e-3, 1.0, 1e5])
+    for values in (np.array(awkward), rows[:, 1], np.empty(0)):
+        assert _fmt_vec(values) == _per_float_fmt_vec(values)
+    for states in (np.array(awkward).reshape(-1, 2), rows, np.empty((0, 3))):
+        want = "[" + ",".join(_per_float_fmt_vec(row) for row in states) + "]"
+        assert _fmt_vec(states) == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_float_formatter_refuses_non_finite_like_per_float_formatter(bad):
+    values = np.array([[0.5, 1.0], [2.0, bad], [bad, 3.0]])
+    for arr in (values, values[1]):
+        with pytest.raises(InvalidTrajectoryError) as want:
+            _per_float_fmt_vec(arr.ravel())
+        with pytest.raises(InvalidTrajectoryError) as got:
+            _fmt_vec(arr)
+        assert str(got.value) == str(want.value)
 
 
 def test_field_order_fixed():
