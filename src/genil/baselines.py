@@ -20,6 +20,7 @@ from .envs import (
     PC_ACTION_MAX,
     DemoPolicy,
     EnvSpec,
+    _clamp,
     make_env,
     rollout,
 )
@@ -146,7 +147,7 @@ class BCPolicy:
         out = self.net.predict(features[None, :])[0]
         if self.spec.name == ENV_GRIDNAV:
             return int(np.argmax(out))
-        return float(np.clip(out[0], -PC_ACTION_MAX, PC_ACTION_MAX))
+        return float(_clamp(out[0], -PC_ACTION_MAX, PC_ACTION_MAX))
 
 
 def train_bc(demos: list[Trajectory], spec: EnvSpec, cfg: BCConfig) -> BCPolicy:

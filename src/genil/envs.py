@@ -382,7 +382,7 @@ class DemoPolicy:
             return int(self._optimal[gridnav_cell_of(features)])
         _, vel, err = features
         noise = rng.normal() * PC_NOISE_SCALE * self.quality
-        return float(np.clip(PC_KP * err - PC_KD * vel + noise, -PC_ACTION_MAX, PC_ACTION_MAX))
+        return float(_clamp(PC_KP * err - PC_KD * vel + noise, -PC_ACTION_MAX, PC_ACTION_MAX))
 
 
 def rollout(

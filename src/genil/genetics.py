@@ -30,6 +30,7 @@ from .errors import (
     MutationPoolError,
     ReproductionStalledError,
 )
+from .fileio import atomic_write
 from .seeding import derive_seed
 from .trajectory import Trajectory, load_trajectories, save_trajectories
 
@@ -341,7 +342,7 @@ class RankedDataset:
             "config": self.config,
             "warnings": self.warnings,
         }
-        with open(manifest_path, "w", newline="\n") as fh:
+        with atomic_write(manifest_path) as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
 

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateEvalError
+from .fileio import atomic_write
 from .reward_net import predict_return
 from .trajectory import Trajectory, gt_return
 
@@ -201,7 +202,7 @@ def fmt9(value) -> str:
 
 
 def write_extrapolation_csv(path, report: ExtrapolationReport) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("traj_id,quality,gt_return,pred_return,gt_norm,pred_norm,bin\n")
         for r in report.rows:
             fh.write(
@@ -215,7 +216,7 @@ def write_summary_csv(
 ) -> None:
     """entries: (method, report); a None report is a failed method's row,
     written with empty cells so the schema never changes."""
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("method,accuracy_ratio,spearman,pearson,mean_bin_std\n")
         for method, rep in entries:
             if rep is None:
@@ -232,7 +233,7 @@ def write_policy_table_csv(
 ) -> None:
     """entries: (method, row); a None row is a failed method's row,
     written with empty cells so the schema never changes."""
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("method,avg,std,n_trials,n_models,per_trial_std_mean\n")
         for method, r in entries:
             if r is None:
@@ -246,7 +247,7 @@ def write_policy_table_csv(
 
 def write_sweep_csv(path, records: Sequence[dict]) -> None:
     """records: step_size, trial, model, gt_return, trial_std, step_mean."""
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("step_size,trial,model,gt_return,trial_std,step_mean\n")
         for r in records:
             fh.write(
@@ -256,7 +257,7 @@ def write_sweep_csv(path, records: Sequence[dict]) -> None:
 
 
 def write_loss_csv(path, losses: np.ndarray) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("step,loss\n")
         for step, loss in enumerate(losses):
             fh.write(f"{step},{fmt9(loss)}\n")

@@ -43,6 +43,7 @@ from .baselines import (
 from .config import ExperimentConfig, config_to_dict
 from .envs import ENV_GRIDNAV, EnvSpec, make_demo_pair, make_eval_set
 from .errors import ConfigError, GenilError, MissingArtifactError
+from .fileio import atomic_write
 from .genetics import RankedDataset, relabel_demos, reproduce
 from .metrics import (
     extrapolation_report,
@@ -130,7 +131,7 @@ class RunManifest:
             "warnings": self.warnings,
             "meta": self.meta,
         }
-        with open(out_dir / F_MANIFEST, "w", newline="\n") as fh:
+        with atomic_write(out_dir / F_MANIFEST) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 

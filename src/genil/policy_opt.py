@@ -23,6 +23,7 @@ from .envs import (
     GRID_N_STATES,
     PC_ACTION_MAX,
     EnvSpec,
+    _clamp,
     gridnav_all_features,
     gridnav_cell_of,
     gridnav_transitions,
@@ -31,6 +32,7 @@ from .envs import (
     rollout,
 )
 from .errors import ConfigError, DivergenceError
+from .fileio import atomic_write
 from .reward_net import RewardEnsemble, RewardModel, predict_states
 from .seeding import derive_seed
 from .trajectory import gt_return
@@ -111,7 +113,7 @@ class LinearPolicy:
     kind = KIND_LINEAR_GAUSSIAN
 
     def act(self, features: np.ndarray, rng: np.random.Generator) -> float:
-        return float(np.clip(self.gains @ features, -PC_ACTION_MAX, PC_ACTION_MAX))
+        return float(_clamp(self.gains @ features, -PC_ACTION_MAX, PC_ACTION_MAX))
 
 
 def value_iteration(
@@ -263,7 +265,7 @@ def save_policy(artifact: PolicyArtifact, path) -> None:
         "source_model": artifact.source_model,
         "meta": artifact.meta,
     }
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh)
         fh.write("\n")
 

@@ -7,14 +7,15 @@ evaluated in log-sum-exp form so extreme margins neither overflow nor
 produce NaN.  Gradients are analytic: dL/dS_hi = -sigmoid(S_lo - S_hi),
 dL/dS_lo = +sigmoid(S_lo - S_hi), back-propagated through the state sums.
 
-Training compiles the pair set once, without Python loops over snippets
-or states, into a unique-state table (byte-deduplicated, then sorted by
-value) and one CSR row of state multiplicities per snippet.  Batches are
-drawn and gathered BATCH_BLOCK steps at a time: one repeat-and-offset
-index collects every snippet's rows, a (steps, table rows) mask marks the
-rows each step touches, and one running count over it ranks them.  Each
-step then forwards only its own touched rows, and checks its loss, before
-the next step's parameters exist.  On the grid environment this collapses
+Training compiles the pair set once, without Python loops over states,
+into a unique-state table (byte-deduplicated chunk by chunk, so no copy
+of every snippet row is ever held, then sorted by value) and one CSR row
+of state multiplicities per snippet.  Batches are drawn and gathered
+BATCH_BLOCK steps at a time: one repeat-and-offset index collects every
+snippet's rows, a (steps, table rows) mask marks the rows each step
+touches, and one running count over it ranks them.  Each step then
+forwards only its own touched rows, and checks its loss, before the next
+step's parameters exist.  On the grid environment this collapses
 thousands of snippet states to at most 64 rows per step.  The draws, the
 forwarded rows, their order and the order of every sum are those of a
 per-step, per-snippet np.unique build, so training is bit-identical to it.
@@ -36,6 +37,7 @@ from .errors import (
     EmptyPairError,
     InvalidTrajectoryError,
 )
+from .fileio import atomic_write
 from .mlp import MLP
 from .seeding import derive_seed
 from .snippets import SnippetPair
@@ -163,9 +165,16 @@ def _logistic(v: float) -> float:
 def _expit(z) -> np.ndarray:
     """Elementwise 1 / (1 + exp(-z)), bit for bit what scipy.special.expit
     gives: both use the C library's exp, which numpy's SIMD exp does not
-    match in the last bit on every input."""
+    match in the last bit on every input.  Only an input below about -709.78
+    overflows math.exp; a batch holding one takes the per-element path."""
     z = np.asarray(z, dtype=np.float64)
-    return np.array([_logistic(v) for v in z.ravel().tolist()]).reshape(z.shape)
+    values = z.ravel().tolist()
+    exp = math.exp
+    try:
+        out = [1.0 / (1.0 + exp(-v)) for v in values]
+    except OverflowError:
+        out = [_logistic(v) for v in values]
+    return np.array(out).reshape(z.shape)
 
 
 def pair_loss(model: RewardModel, pair: SnippetPair) -> float:
@@ -188,6 +197,32 @@ def pair_grad(model: RewardModel, pair: SnippetPair) -> np.ndarray:
     return model.net.backward(cache, d_out)
 
 
+# Most state rows CompiledPairs holds in one piece while deduplicating them.
+COMPILE_CHUNK_ROWS = 4096
+
+
+def _row_chunks(arrays: Sequence[np.ndarray], cap: int):
+    """The rows of the arrays, in order, as contiguous float64 arrays of
+    `cap` rows each (the last may be shorter); an array longer than `cap`
+    is split across chunks."""
+    pieces, n = [], 0
+    for a in arrays:
+        while len(a):
+            pieces.append(a[: cap - n])
+            n += len(pieces[-1])
+            a = a[len(pieces[-1]) :]
+            if n == cap:
+                yield np.concatenate(pieces, dtype=np.float64)
+                pieces, n = [], 0
+    if pieces:
+        yield np.concatenate(pieces, dtype=np.float64)
+
+
+def _row_bytes(rows: np.ndarray) -> np.ndarray:
+    """A contiguous 2-d array's rows as one raw-byte (void) value each."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
 @dataclass
 class TrainResult:
     model: RewardModel
@@ -203,11 +238,14 @@ class CompiledPairs(Sequence):
     the pairs.
 
     Snippets are deduplicated by (parent_id, start, length).  Their states
-    are deduplicated in two passes: a 1-d sort of the rows viewed as raw
-    bytes collapses exact copies, and only the distinct rows left (no more
+    are deduplicated without ever stacking them all: the rows are taken in
+    chunks of at most COMPILE_CHUNK_ROWS, each chunk's rows viewed as raw
+    bytes are byte-uniqued, and then the union of the chunks' distinct rows
+    is.  That union's unique is the byte-sorted set of distinct rows one
+    byte-unique over every state would give, so only those rows (no more
     than the demos hold, because the GA copies states rather than creating
     them) are sorted by value with ``np.unique(axis=0)``.  Composing the
-    two inverses gives what one ``np.unique(axis=0)`` over every state
+    three inverses gives what one ``np.unique(axis=0)`` over every state
     gives: the same table in the same order, rows that differ only in the
     sign of a zero merged.  Each snippet is a CSR row (``indptr``,
     ``indices`` ascending, ``counts``) of multiplicities over the table,
@@ -238,13 +276,18 @@ class CompiledPairs(Sequence):
                 acc.append(pos)
         self.lo_idx = np.asarray(lo_idx)
         self.hi_idx = np.asarray(hi_idx)
-        stacked = np.concatenate([s.states for s in snippets], axis=0)
-        row_bytes = stacked.view(np.dtype((np.void, stacked.itemsize * stacked.shape[1])))
-        _, first, byte_inverse = np.unique(
-            row_bytes.ravel(), return_index=True, return_inverse=True
+        chunk_rows, chunk_inverses = [], []
+        for chunk in _row_chunks([s.states for s in snippets], COMPILE_CHUNK_ROWS):
+            rows, chunk_inverse = np.unique(_row_bytes(chunk), return_inverse=True)
+            chunk_rows.append(rows)
+            chunk_inverses.append(chunk_inverse)
+        distinct, union_inverse = np.unique(np.concatenate(chunk_rows), return_inverse=True)
+        offsets = np.cumsum([0] + [len(rows) for rows in chunk_rows[:-1]])
+        byte_inverse = np.concatenate(
+            [union_inverse[off + inv] for off, inv in zip(offsets, chunk_inverses)]
         )
         self.unique_states, value_inverse = np.unique(
-            stacked[first], axis=0, return_inverse=True
+            distinct.view(np.float64).reshape(len(distinct), -1), axis=0, return_inverse=True
         )
         inverse = value_inverse.ravel()[byte_inverse]
         n_unique = len(self.unique_states)
@@ -345,7 +388,7 @@ def train(model: RewardModel, pairs: Sequence[SnippetPair], cfg: TrainConfig) ->
             out, cache = net.forward(X_block[r0:r1])
             sums = np.bincount(seg_ids, weights=cnt * out[:, 0][pos], minlength=n_segs)
             z = sums[:half] - sums[half:]
-            loss = float(np.logaddexp(0.0, z).mean())
+            loss = float(np.add.reduce(np.logaddexp(0.0, z)) / half)
             losses[step] = loss
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss {loss} at step {step}", step=step)
@@ -374,7 +417,7 @@ def save_model(model: RewardModel, path, train_config: TrainConfig | None = None
         **model.net.to_dict(),
         "train_config": None if train_config is None else dataclasses.asdict(train_config),
     }
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh)
         fh.write("\n")
 

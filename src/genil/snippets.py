@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, EmptyPairError, InvalidTrajectoryError
+from .fileio import atomic_write
 from .genetics import RankedDataset
 from .seeding import derive_seed
 
@@ -150,7 +151,7 @@ def make_pairs(
 
 def save_pairs(path, pairs: Sequence[SnippetPair]) -> None:
     """Line-delimited JSON; snippets stored by reference, not by states."""
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for pair in pairs:
             record = {
                 "lo": _snippet_ref(pair.lo),

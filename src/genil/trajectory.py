@@ -9,13 +9,13 @@ reload reproduces the in-memory doubles bit-for-bit.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import InvalidTrajectoryError
+from .fileio import atomic_write
 
 SOURCES = ("demo", "offspring", "eval")
 
@@ -112,11 +112,15 @@ def _fmt_actions(actions: np.ndarray | None) -> str:
     if np.issubdtype(actions.dtype, np.integer):
         return "[" + ",".join(str(int(a)) for a in actions) + "]"
     # floats keep a decimal marker (2.0 stays "2.0", not "2") so the
-    # loader can recover the dtype from the json token types
-    for a in actions:
-        if not math.isfinite(a):
-            raise InvalidTrajectoryError(f"cannot serialize non-finite action {a!r}")
-    return "[" + ",".join(json.dumps(float(a)) for a in actions) + "]"
+    # loader can recover the dtype from the json token types; a finite
+    # float's repr is what json.dumps writes for it
+    values = np.asarray(actions, dtype=np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise InvalidTrajectoryError(
+            f"cannot serialize non-finite action {actions[~finite][0]!r}"
+        )
+    return "[" + ",".join(map(repr, values.tolist())) + "]"
 
 
 def dumps_trajectory(traj: Trajectory) -> str:
@@ -155,7 +159,7 @@ def loads_trajectory(line: str) -> Trajectory:
 
 
 def save_trajectories(path, trajectories: Iterable[Trajectory]) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for traj in trajectories:
             fh.write(dumps_trajectory(traj))
             fh.write("\n")

@@ -50,7 +50,9 @@ from genil.envs import (
     rollout,
     true_reward_fn,
 )
+from genil.baselines import BCPolicy
 from genil.errors import ConfigError
+from genil.mlp import MLP
 from genil.policy_opt import LinearPolicy
 from genil.trajectory import gt_return, trajectories_equal
 
@@ -232,6 +234,36 @@ def test_pointchase_step_scalar_path_matches_array_path():
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert (got == PC_POS_MAX).any() and (got == -PC_POS_MAX).any()
     assert np.signbit(got[(got == 0.0)]).any() and np.isnan(got).any()
+
+
+def test_scalar_policy_clamps_match_np_clip(pc_spec):
+    """DemoPolicy, LinearPolicy and BCPolicy clamp their one float action
+    with min and max; it keeps np.clip's bits at both walls, past them, on
+    -0.0 and on NaN."""
+    nan = float("nan")
+    # pre-clamp values; the demo's is PC_KP * err - PC_KD * vel + noise with
+    # PC_KP = 4, and at quality 0 its noise is a zero with the sign of the
+    # normal draw (negative at seeds 4 and 5), so -0.0 reaches its clamp
+    values = [-5.0, -PC_ACTION_MAX, -0.0, 0.0, 0.3, PC_ACTION_MAX, 5.0, nan]
+    identity = MLP([3, 1], [np.array([[1.0], [0.0], [0.0]])], [np.array([-0.0])])
+    linear = LinearPolicy(pc_spec, np.array([1.0, 0.0, 0.0]))
+    bc = BCPolicy(pc_spec, identity)
+    demo = DemoPolicy(pc_spec, 0.0)
+    got, want = [], []
+    for v in values:
+        feats = np.array([v, -0.0, -0.0])
+        got += [linear.act(feats, None), bc.act(feats, None)]
+        want.append(float(np.clip(linear.gains @ feats, -PC_ACTION_MAX, PC_ACTION_MAX)))
+        want.append(float(np.clip(identity.predict(feats[None, :])[0][0], -1.0, 1.0)))
+        for seed in range(6):
+            got.append(demo.act(np.array([0.0, 0.0, v / 4.0]), np.random.default_rng(seed)))
+            noise = np.random.default_rng(seed).normal() * 3.0 * 0.0
+            want.append(float(np.clip(4.0 * (v / 4.0) - 2.0 * 0.0 + noise, -1.0, 1.0)))
+    assert all(type(a) is float for a in got)
+    got, want = np.array(got), np.array(want)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert (got == PC_ACTION_MAX).any() and (got == -PC_ACTION_MAX).any()
+    assert np.signbit(got[got == 0.0]).any() and np.isnan(got).any()
 
 
 def test_pointchase_linear_rollout_requires_pointchase(grid_spec):

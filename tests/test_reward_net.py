@@ -2,11 +2,13 @@
 training behavior, checkpoints, and the desk-config quality gate."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from genil import reward_net
 from genil.baselines import build_trex2_dataset
 from genil.envs import make_demo_pair, make_spec
 from genil.errors import ConfigError, DivergenceError, EmptyPairError
@@ -23,8 +25,10 @@ from genil.reward_net import (
     predict_return,
     predict_state,
     predict_states,
+    COMPILE_CHUNK_ROWS,
     CompiledPairs,
     _expit,
+    _row_chunks,
     save_model,
     train,
 )
@@ -397,11 +401,21 @@ def assert_same_arrays(got, want):
     assert np.array_equal(got, want)
 
 
+def stacked_state_table(pairs):
+    """The state table built from one stacked copy of every snippet row: a
+    byte-unique, then np.unique(axis=0) over the distinct rows.  Among rows
+    equal up to the sign of a zero it keeps the first in byte order."""
+    rows = np.concatenate([s.states for p in pairs for s in (p.lo, p.hi)])
+    distinct = np.unique(rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel())
+    return np.unique(distinct.view(np.float64).reshape(len(distinct), -1), axis=0)
+
+
 def assert_compiles_like_reference(pairs, n_batches=50, seed=0):
     ref = ReferenceCompiledPairs(pairs)
     new = CompiledPairs(pairs)
     for name in ("unique_states", "indptr", "indices", "counts", "lo_idx", "hi_idx"):
         assert_same_arrays(getattr(new, name), getattr(ref, name))
+    assert new.unique_states.tobytes() == stacked_state_table(pairs).tobytes()
     rng = np.random.default_rng(seed)
     blocks = [rng.integers(len(pairs), size=(1, size)) for size in (1, 2, 16, 33)]
     blocks += [np.zeros((1, 8), dtype=np.int64), np.full((1, 5), len(pairs) - 1)]
@@ -451,19 +465,76 @@ def test_compiled_pairs_repeated_and_shared_states(rng):
     assert len(compiled.indptr) - 1 < 2 * len(pairs)
 
 
-def test_compiled_pairs_merge_signed_zeros():
+def signed_zero_pair():
     zero_rows = [[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]
     lo = snip(zero_rows + [[2.0, 3.0]], 0.0)
     hi = snip([[-0.0, 1.0], [2.0, 3.0], [0.0, 0.0], [-1.0, -0.0]], 1.0)
-    compiled = assert_compiles_like_reference([SnippetPair(lo=lo, hi=hi)])
+    return SnippetPair(lo=lo, hi=hi)
+
+
+def test_compiled_pairs_merge_signed_zeros():
+    compiled = assert_compiles_like_reference([signed_zero_pair()])
     # rows equal up to the sign of a zero are one table entry
     assert len(compiled.unique_states) == 4
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 7])
+def test_row_chunks_cut_every_row_once_in_order(cap, rng):
+    arrays = [rng.normal(size=(n, 2)) for n in (1, 9, 2, 3, 7, 1)]
+    chunks = list(_row_chunks(arrays, cap))
+    assert [len(c) for c in chunks[:-1]] == [cap] * (len(chunks) - 1)
+    assert 1 <= len(chunks[-1]) <= cap
+    assert all(c.flags.c_contiguous and c.dtype == np.float64 for c in chunks)
+    assert np.concatenate(chunks).tobytes() == np.concatenate(arrays).tobytes()
+
+
+@pytest.mark.parametrize("cap", [COMPILE_CHUNK_ROWS, 1, 2, 3, 5])
+def test_compiled_pairs_across_chunk_boundaries(cap, rng, monkeypatch):
+    """Caps this small cut the pair sets into many chunks, so equal rows,
+    signed zeros included, fall on both sides of chunk boundaries and one
+    snippet runs longer than a chunk; the default cap holds each set in one
+    chunk.  Every cut compiles like one np.unique over every state, and
+    keeps the stacked build's bytes."""
+    monkeypatch.setattr(reward_net, "COMPILE_CHUNK_ROWS", cap)
+    rows = [[1.0, 2.0], [3.0, -0.0], [1.0, 2.0], [5.0, 0.0], [3.0, 0.0], [1.0, 2.0]]
+    long_pair = SnippetPair(
+        lo=snip(rows * 2 + [[7.0, 7.0]], 0.0), hi=snip([[5.0, -0.0], [1.0, 2.0]], 1.0)
+    )
+    # -0.0 rows in earlier chunks than their +0.0 twins, which sort first by bytes
+    negative_first = SnippetPair(
+        lo=snip([[-0.0, 1.0], [2.0, -0.0]], 0.0), hi=snip([[0.0, 1.0], [2.0, 0.0]], 1.0)
+    )
+    for pairs in (
+        overlapping_pairs(rng), [signed_zero_pair()], [negative_first], [long_pair]
+    ):
+        compiled = assert_compiles_like_reference(pairs)
+        if cap == COMPILE_CHUNK_ROWS:
+            assert compiled.counts.sum() <= cap
+    # the long snippet's 13 rows fold into four table rows
+    assert len(compiled.unique_states) == 4
+    assert compiled.counts[: compiled.indptr[1]].tolist() == [6.0, 4.0, 2.0, 1.0]
 
 
 def test_compiled_pairs_gridnav_sized(grid_dataset):
     snips = subsample(grid_dataset, 2000, 15, 30, seed=3)
     pairs = make_pairs(snips, 4000, 0.5, seed=3)
-    assert_compiles_like_reference(pairs, n_batches=300, seed=3)
+    compiled = assert_compiles_like_reference(pairs, n_batches=300, seed=3)
+    # the pair set spans many chunks
+    assert compiled.counts.sum() > 5 * COMPILE_CHUNK_ROWS
+
+
+def test_compiled_pairs_gridnav_peak_memory(grid_dataset):
+    """Compiling holds no stacked copy of every snippet row: its traced peak
+    stays below half of one such copy."""
+    pairs = make_pairs(subsample(grid_dataset, 2000, 15, 30, seed=1), 4000, 0.5, seed=1)
+    tracemalloc.start()
+    try:
+        compiled = CompiledPairs(pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stacked_bytes = compiled.counts.sum() * compiled.unique_states.shape[1] * 8
+    assert peak < stacked_bytes / 2
 
 
 @pytest.mark.parametrize("source", ["overlapping", "gridnav"])

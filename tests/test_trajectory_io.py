@@ -1,6 +1,8 @@
 """Trajectory container validation and byte-stable JSON-lines round-trips."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from genil.errors import InvalidTrajectoryError
 from genil.trajectory import (
     Trajectory,
+    _fmt_actions,
     _fmt_vec,
     dumps_trajectory,
     gt_return,
@@ -159,12 +162,22 @@ def _per_float_fmt_vec(values):
     return "[" + ",".join(fmt(v) for v in values) + "]"
 
 
+def _per_float_fmt_actions(actions):
+    """The float-action formatter as first written: one check and one
+    json.dumps per action."""
+    for a in actions:
+        if not math.isfinite(a):
+            raise InvalidTrajectoryError(f"cannot serialize non-finite action {a!r}")
+    return "[" + ",".join(json.dumps(float(a)) for a in actions) + "]"
+
+
 def test_float_formatter_matches_per_float_formatter():
     awkward = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1 / 3, 0.1, 2.0]
     awkward += [-1e-300, 1e300, 123456.789012345, 1.7976931348623157e308, 1e16, 1e17]
     rows = np.random.default_rng(0).normal(size=(50, 3)) * np.array([1e-3, 1.0, 1e5])
     for values in (np.array(awkward), rows[:, 1], np.empty(0)):
         assert _fmt_vec(values) == _per_float_fmt_vec(values)
+        assert _fmt_actions(values) == _per_float_fmt_actions(values)
     for states in (np.array(awkward).reshape(-1, 2), rows, np.empty((0, 3))):
         want = "[" + ",".join(_per_float_fmt_vec(row) for row in states) + "]"
         assert _fmt_vec(states) == want
@@ -179,6 +192,11 @@ def test_float_formatter_refuses_non_finite_like_per_float_formatter(bad):
         with pytest.raises(InvalidTrajectoryError) as got:
             _fmt_vec(arr)
         assert str(got.value) == str(want.value)
+    with pytest.raises(InvalidTrajectoryError) as want:
+        _per_float_fmt_actions(values[1])
+    with pytest.raises(InvalidTrajectoryError) as got:
+        _fmt_actions(values[1])
+    assert str(got.value) == str(want.value)
 
 
 def test_field_order_fixed():
@@ -199,6 +217,24 @@ def test_save_load_file(tmp_path):
     path2 = tmp_path / "again.jsonl"
     save_trajectories(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_failed_save_leaves_no_partial_file(tmp_path):
+    """A trajectory that fails to serialize halfway through a save leaves the
+    target absent, or as it was, and no temporary file beside it."""
+    good = [make_traj(traj_id=f"t{i}", actions="float") for i in range(3)]
+    bad = [make_traj(traj_id=f"t{i}", actions="float") for i in range(3)]
+    bad[1].states[0, 0] = np.nan  # set after construction, so only the save sees it
+    path = tmp_path / "trajs.jsonl"
+    with pytest.raises(InvalidTrajectoryError):
+        save_trajectories(path, bad)
+    assert os.listdir(tmp_path) == []
+    save_trajectories(path, good)
+    before = path.read_bytes()
+    with pytest.raises(InvalidTrajectoryError):
+        save_trajectories(path, bad)
+    assert os.listdir(tmp_path) == ["trajs.jsonl"]
+    assert path.read_bytes() == before
 
 
 def test_blank_lines_skipped(tmp_path):
