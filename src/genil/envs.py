@@ -82,7 +82,6 @@ class EnvSpec:
     horizon: int
     discount: float
     feature_dim: int
-    rng_stream: int = 0
 
     def __post_init__(self) -> None:
         if self.name not in ENV_NAMES:
@@ -102,7 +101,6 @@ def make_spec(
     name: str,
     horizon: int | None = None,
     discount: float | None = None,
-    rng_stream: int = 0,
 ) -> EnvSpec:
     """EnvSpec with per-environment defaults filled in."""
     if name not in ENV_NAMES:
@@ -112,7 +110,6 @@ def make_spec(
         horizon=_DEFAULT_HORIZON[name] if horizon is None else int(horizon),
         discount=_DEFAULT_DISCOUNT[name] if discount is None else float(discount),
         feature_dim=_FEATURE_DIM[name],
-        rng_stream=rng_stream,
     )
 
 
@@ -403,7 +400,8 @@ def rollout(
     spec = env.spec
     if policy.spec != spec:
         raise ConfigError("policy/environment spec mismatch")
-    rng = np.random.default_rng([spec.rng_stream, derive_seed(seed, "rollout")])
+    # the leading 0 keeps the stream every recorded episode was drawn from
+    rng = np.random.default_rng([0, derive_seed(seed, "rollout")])
     feats = env.reset()
     states = np.empty((spec.horizon, spec.feature_dim))
     rewards = np.empty(spec.horizon)

@@ -80,6 +80,10 @@ class MLP:
     def copy(self) -> "MLP":
         return MLP(self.widths, self.weights, self.biases)
 
+    def __reduce__(self):
+        # rebuilt through __init__, so the layers are views of params again
+        return (type(self), (self.widths, self.weights, self.biases))
+
     def forward(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Returns (outputs (n, out_dim), layer input cache for backward)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))

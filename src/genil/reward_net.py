@@ -8,9 +8,11 @@ produce NaN.  Gradients are analytic: dL/dS_hi = -sigmoid(S_lo - S_hi),
 dL/dS_lo = +sigmoid(S_lo - S_hi), back-propagated through the state sums.
 
 Training compiles the pair set once, without Python loops over states,
-into a unique-state table (byte-deduplicated chunk by chunk, so no copy
-of every snippet row is ever held, then sorted by value) and one CSR row
-of state multiplicities per snippet.  Batches are drawn and gathered
+into a unique-state table and one CSR row of state multiplicities per
+snippet.  Every snippet is a window of a parent trajectory, so the table
+comes from each parent's rows, laid out once from its snippets (which
+must agree with them) and byte-deduplicated, then sorted by value; no
+copy of every snippet row is ever held.  Batches are drawn and gathered
 BATCH_BLOCK steps at a time: one repeat-and-offset index collects every
 snippet's rows, a (steps, table rows) mask marks the rows each step
 touches, and one running count over it ranks them.  Each step then
@@ -197,27 +199,6 @@ def pair_grad(model: RewardModel, pair: SnippetPair) -> np.ndarray:
     return model.net.backward(cache, d_out)
 
 
-# Most state rows CompiledPairs holds in one piece while deduplicating them.
-COMPILE_CHUNK_ROWS = 4096
-
-
-def _row_chunks(arrays: Sequence[np.ndarray], cap: int):
-    """The rows of the arrays, in order, as contiguous float64 arrays of
-    `cap` rows each (the last may be shorter); an array longer than `cap`
-    is split across chunks."""
-    pieces, n = [], 0
-    for a in arrays:
-        while len(a):
-            pieces.append(a[: cap - n])
-            n += len(pieces[-1])
-            a = a[len(pieces[-1]) :]
-            if n == cap:
-                yield np.concatenate(pieces, dtype=np.float64)
-                pieces, n = [], 0
-    if pieces:
-        yield np.concatenate(pieces, dtype=np.float64)
-
-
 def _row_bytes(rows: np.ndarray) -> np.ndarray:
     """A contiguous 2-d array's rows as one raw-byte (void) value each."""
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
@@ -237,19 +218,22 @@ class CompiledPairs(Sequence):
     pair set can share one compilation: ``train`` accepts it in place of
     the pairs.
 
-    Snippets are deduplicated by (parent_id, start, length).  Their states
-    are deduplicated without ever stacking them all: the rows are taken in
-    chunks of at most COMPILE_CHUNK_ROWS, each chunk's rows viewed as raw
-    bytes are byte-uniqued, and then the union of the chunks' distinct rows
-    is.  That union's unique is the byte-sorted set of distinct rows one
-    byte-unique over every state would give, so only those rows (no more
-    than the demos hold, because the GA copies states rather than creating
-    them) are sorted by value with ``np.unique(axis=0)``.  Composing the
-    three inverses gives what one ``np.unique(axis=0)`` over every state
-    gives: the same table in the same order, rows that differ only in the
-    sign of a zero merged.  Each snippet is a CSR row (``indptr``,
-    ``indices`` ascending, ``counts``) of multiplicities over the table,
-    decoded from one ``np.unique`` over (snippet, state) keys.
+    Snippets are deduplicated by (parent_id, start, length).  Every snippet
+    is a window of a parent trajectory, so each parent's rows are laid out
+    once, over [0, max(start + length)), from its snippets, and a snippet
+    object whose states differ from those rows, by value, is refused: a
+    key, and an overlap of windows, stands for one content (where windows
+    differ only in the sign of a zero, the rows hold the last window's
+    bytes).  Only the covered rows are
+    deduplicated, never a stacked copy of every snippet row.  Viewed as raw
+    bytes they are byte-uniqued, and only the distinct rows (no more than
+    the demos hold, because the GA copies states rather than creating them)
+    are sorted by value with ``np.unique(axis=0)``.  That is what one
+    ``np.unique(axis=0)`` over every snippet state gives: the same table in
+    the same order, rows that differ only in the sign of a zero merged.
+    Each snippet is a CSR row (``indptr``, ``indices`` ascending,
+    ``counts``) of multiplicities over the table, decoded from one
+    ``np.unique`` over (snippet, state) keys.
     """
 
     def __init__(self, pairs: Sequence[SnippetPair]):
@@ -257,41 +241,49 @@ class CompiledPairs(Sequence):
             raise EmptyPairError("no training pairs given")
         self.pairs = list(pairs)
         snippet_index: dict[tuple, int] = {}
-        snippets = []
+        snippets, objects = [], {}
         lo_idx, hi_idx = [], []
         for pair in pairs:
             for snip, acc in ((pair.lo, lo_idx), (pair.hi, hi_idx)):
-                pos = snippet_index.get(snip.key)
-                if pos is None:
-                    pos = len(snippets)
-                    snippet_index[snip.key] = pos
+                pos = snippet_index.setdefault(snip.key, len(snippets))
+                if pos == len(snippets):
                     snippets.append(snip)
-                elif snippets[pos] is not snip and not np.array_equal(
-                    snippets[pos].states, snip.states
-                ):
-                    raise InvalidTrajectoryError(
-                        f"snippets sharing the key {snip.key} carry different "
-                        "states; snippet keys must identify their content"
-                    )
+                objects[id(snip)] = snip
                 acc.append(pos)
         self.lo_idx = np.asarray(lo_idx)
         self.hi_idx = np.asarray(hi_idx)
-        chunk_rows, chunk_inverses = [], []
-        for chunk in _row_chunks([s.states for s in snippets], COMPILE_CHUNK_ROWS):
-            rows, chunk_inverse = np.unique(_row_bytes(chunk), return_inverse=True)
-            chunk_rows.append(rows)
-            chunk_inverses.append(chunk_inverse)
-        distinct, union_inverse = np.unique(np.concatenate(chunk_rows), return_inverse=True)
-        offsets = np.cumsum([0] + [len(rows) for rows in chunk_rows[:-1]])
-        byte_inverse = np.concatenate(
-            [union_inverse[off + inv] for off, inv in zip(offsets, chunk_inverses)]
-        )
+        # every parent's rows [0, max(start + length)), one parent after another
+        offset: dict[str, int] = {}
+        for snip in snippets:
+            if snip.start < 0:
+                raise InvalidTrajectoryError(f"snippet {snip.key} starts before its parent")
+            offset[snip.parent_id] = max(offset.get(snip.parent_id, 0), snip.start + snip.length)
+        n_rows = 0
+        for parent, extent in offset.items():
+            offset[parent], n_rows = n_rows, n_rows + extent
+        rows = np.empty((n_rows, snippets[0].states.shape[1]))
+        covered = np.zeros(n_rows, dtype=bool)
+        starts = np.array([offset[s.parent_id] + s.start for s in snippets])
+        for snip, a in zip(snippets, starts.tolist()):
+            rows[a : a + snip.length] = snip.states
+            covered[a : a + snip.length] = True
+        for snip in objects.values():
+            a = offset[snip.parent_id] + snip.start
+            if not np.array_equal(rows[a : a + snip.length], snip.states):
+                raise InvalidTrajectoryError(
+                    f"snippet {snip.key} carries states that differ from its parent's rows "
+                    "(or are NaN); snippets must agree wherever their windows meet"
+                )
+        distinct, byte_inverse = np.unique(_row_bytes(rows[covered]), return_inverse=True)
         self.unique_states, value_inverse = np.unique(
             distinct.view(np.float64).reshape(len(distinct), -1), axis=0, return_inverse=True
         )
-        inverse = value_inverse.ravel()[byte_inverse]
+        table_row = np.zeros(n_rows, dtype=np.intp)
+        table_row[covered] = value_inverse.ravel()[byte_inverse]
+        lengths = np.array([s.length for s in snippets])
+        ends = np.cumsum(lengths)
+        inverse = table_row[np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)]
         n_unique = len(self.unique_states)
-        lengths = [s.length for s in snippets]
         owner = np.repeat(np.arange(len(snippets)), lengths)
         keys, counts = np.unique(owner * n_unique + inverse, return_counts=True)
         self.indices = keys % n_unique

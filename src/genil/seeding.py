@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(base: int, *parts: int | float | str) -> int:
     """Stable 63-bit seed from a base seed and a label path."""
@@ -25,7 +23,3 @@ def _canon(part: int | float | str) -> str:
     if isinstance(part, float):
         return format(part, ".17g")
     return str(part)
-
-
-def rng_from(base: int, *parts: int | float | str) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(base, *parts))

@@ -1,5 +1,7 @@
 """MLP forward/backward correctness, parameter plumbing, serialization."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,17 @@ def test_layers_are_views_of_one_parameter_vector():
         net.weights[0] = np.zeros((3, 5))
     with pytest.raises(TypeError):
         net.biases[1] = np.zeros(2)
+
+
+def test_pickle_round_trip_keeps_views_and_size():
+    net = MLP.create([66, 64, 64, 64, 1], seed=2)
+    X = np.random.default_rng(2).normal(size=(4, 66))
+    blob = pickle.dumps(net)
+    back = pickle.loads(blob)
+    assert back.params.tobytes() == net.params.tobytes()
+    assert np.array_equal(back.predict(X), net.predict(X))
+    assert all(np.shares_memory(back.params, p) for p in back.weights + back.biases)
+    # an update to params moves the unpickled model's predictions
+    back.set_flat(back.params * 0.5)
+    assert not np.array_equal(back.predict(X), net.predict(X))
+    assert len(blob) < 2 * net.params.nbytes

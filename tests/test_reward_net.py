@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from genil import reward_net
 from genil.baselines import build_trex2_dataset
 from genil.envs import make_demo_pair, make_spec
-from genil.errors import ConfigError, DivergenceError, EmptyPairError
+from genil.errors import ConfigError, DivergenceError, EmptyPairError, InvalidTrajectoryError
 from genil.mlp import MLP
 from genil.reward_net import (
     RewardEnsemble,
@@ -25,10 +24,8 @@ from genil.reward_net import (
     predict_return,
     predict_state,
     predict_states,
-    COMPILE_CHUNK_ROWS,
     CompiledPairs,
     _expit,
-    _row_chunks,
     save_model,
     train,
 )
@@ -299,8 +296,6 @@ def test_train_rejects_empty_pairs():
 
 
 def test_train_rejects_conflicting_snippet_keys(rng):
-    from genil.errors import InvalidTrajectoryError
-
     a = Snippet(parent_id="q", start=0, length=3, states=rng.normal(size=(3, 2)), rank_label=0.0)
     b = Snippet(parent_id="q", start=0, length=3, states=rng.normal(size=(3, 2)), rank_label=2.0)
     with pytest.raises(InvalidTrajectoryError):
@@ -478,49 +473,93 @@ def test_compiled_pairs_merge_signed_zeros():
     assert len(compiled.unique_states) == 4
 
 
-@pytest.mark.parametrize("cap", [1, 2, 3, 7])
-def test_row_chunks_cut_every_row_once_in_order(cap, rng):
-    arrays = [rng.normal(size=(n, 2)) for n in (1, 9, 2, 3, 7, 1)]
-    chunks = list(_row_chunks(arrays, cap))
-    assert [len(c) for c in chunks[:-1]] == [cap] * (len(chunks) - 1)
-    assert 1 <= len(chunks[-1]) <= cap
-    assert all(c.flags.c_contiguous and c.dtype == np.float64 for c in chunks)
-    assert np.concatenate(chunks).tobytes() == np.concatenate(arrays).tobytes()
+def window(parent_id, states, start, length, label):
+    return Snippet(
+        parent_id=parent_id,
+        start=start,
+        length=length,
+        states=states[start : start + length],
+        rank_label=float(label),
+    )
 
 
-@pytest.mark.parametrize("cap", [COMPILE_CHUNK_ROWS, 1, 2, 3, 5])
-def test_compiled_pairs_across_chunk_boundaries(cap, rng, monkeypatch):
-    """Caps this small cut the pair sets into many chunks, so equal rows,
-    signed zeros included, fall on both sides of chunk boundaries and one
-    snippet runs longer than a chunk; the default cap holds each set in one
-    chunk.  Every cut compiles like one np.unique over every state, and
-    keeps the stacked build's bytes."""
-    monkeypatch.setattr(reward_net, "COMPILE_CHUNK_ROWS", cap)
+@pytest.mark.parametrize("cap", [4096, 1, 2, 3, 5])
+def test_compiled_pairs_across_chunk_boundaries(cap, rng):
+    """Equal rows, signed zeros included, recur within and across snippets,
+    -0.0 rows come before their +0.0 twins, which sort first by bytes, and
+    one snippet repeats rows many times over.  Each set compiles like one
+    np.unique over every state, and keeps the stacked build's bytes; so
+    does each set's rows laid end to end as one parent trajectory and cut
+    into windows of at most ``cap`` rows, which puts equal rows on both
+    sides of window boundaries.  At 4096 one window holds every set."""
     rows = [[1.0, 2.0], [3.0, -0.0], [1.0, 2.0], [5.0, 0.0], [3.0, 0.0], [1.0, 2.0]]
     long_pair = SnippetPair(
         lo=snip(rows * 2 + [[7.0, 7.0]], 0.0), hi=snip([[5.0, -0.0], [1.0, 2.0]], 1.0)
     )
-    # -0.0 rows in earlier chunks than their +0.0 twins, which sort first by bytes
     negative_first = SnippetPair(
         lo=snip([[-0.0, 1.0], [2.0, -0.0]], 0.0), hi=snip([[0.0, 1.0], [2.0, 0.0]], 1.0)
     )
-    for pairs in (
-        overlapping_pairs(rng), [signed_zero_pair()], [negative_first], [long_pair]
+    for n, pairs in enumerate(
+        (overlapping_pairs(rng), [signed_zero_pair()], [negative_first], [long_pair])
     ):
         compiled = assert_compiles_like_reference(pairs)
-        if cap == COMPILE_CHUNK_ROWS:
-            assert compiled.counts.sum() <= cap
+        parent = np.concatenate([s.states for p in pairs for s in (p.lo, p.hi)])
+        cuts = [window(f"cut{n}", parent, a, min(cap, len(parent) - a), a)
+                for a in range(0, len(parent), cap)]
+        assert len(cuts) == -(-len(parent) // cap)
+        other = window(f"other{n}", rng.normal(size=(3, parent.shape[1])), 1, 2, -1.0)
+        cut_pairs = [SnippetPair(lo=other, hi=w) for w in cuts]
+        cut_pairs += [SnippetPair(lo=a, hi=b) for a, b in zip(cuts, cuts[1:])]
+        cut = assert_compiles_like_reference(cut_pairs)
+        # the cut parent holds the set's rows, other's two rows besides
+        assert len(cut.unique_states) == len(compiled.unique_states) + 2
     # the long snippet's 13 rows fold into four table rows
     assert len(compiled.unique_states) == 4
     assert compiled.counts[: compiled.indptr[1]].tolist() == [6.0, 4.0, 2.0, 1.0]
 
 
+def test_compiled_pairs_overlapping_windows_of_one_parent(rng):
+    """Windows of one parent that overlap, as views of its states and as
+    copies, share its rows; a parent's rows may hold signed zeros."""
+    states = rng.normal(size=(12, 3))
+    states[4, 1] = -0.0
+    states[5] = 0.0
+    other = rng.normal(size=(7, 3))
+    a, b = window("p", states, 0, 6, 0.0), window("p", states, 3, 6, 1.0)
+    c = window("p", states.copy(), 3, 9, 2.0)
+    d = window("q", other, 2, 5, 1.5)
+    pairs = [SnippetPair(lo=a, hi=b), SnippetPair(lo=b, hi=c), SnippetPair(lo=a, hi=d),
+             SnippetPair(lo=d, hi=c), SnippetPair(lo=window("p", states, 3, 6, 0.0), hi=d)]
+    compiled = assert_compiles_like_reference(pairs)
+    assert len(compiled.indptr) - 1 == 4
+    assert len(compiled.unique_states) == 12 + 5
+
+
+def test_compiled_pairs_reject_overlapping_windows_that_disagree(rng):
+    states = rng.normal(size=(9, 3))
+    moved = states.copy()
+    moved[4, 0] += 1e-12
+    a, b = window("p", states, 0, 6, 0.0), window("p", moved, 3, 6, 1.0)
+    for pairs in ([SnippetPair(lo=a, hi=b)], [SnippetPair(lo=b, hi=window("p", states, 4, 2, 2.0))]):
+        with pytest.raises(InvalidTrajectoryError):
+            CompiledPairs(pairs)
+    # windows that do not overlap never meet
+    CompiledPairs([SnippetPair(lo=a, hi=window("p", rng.normal(size=(9, 3)), 6, 3, 1.0))])
+
+
+def test_compiled_pairs_reject_nan_states_and_negative_starts():
+    lo = snip([[1.0, 2.0]], 0.0)
+    with pytest.raises(InvalidTrajectoryError):
+        CompiledPairs([SnippetPair(lo=lo, hi=snip([[np.nan, 2.0]], 1.0))])
+    early = Snippet(parent_id="p", start=-1, length=2, states=np.ones((2, 2)), rank_label=-1.0)
+    with pytest.raises(InvalidTrajectoryError):
+        CompiledPairs([SnippetPair(lo=early, hi=lo)])
+
+
 def test_compiled_pairs_gridnav_sized(grid_dataset):
     snips = subsample(grid_dataset, 2000, 15, 30, seed=3)
     pairs = make_pairs(snips, 4000, 0.5, seed=3)
-    compiled = assert_compiles_like_reference(pairs, n_batches=300, seed=3)
-    # the pair set spans many chunks
-    assert compiled.counts.sum() > 5 * COMPILE_CHUNK_ROWS
+    assert_compiles_like_reference(pairs, n_batches=300, seed=3)
 
 
 def test_compiled_pairs_gridnav_peak_memory(grid_dataset):

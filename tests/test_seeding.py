@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from genil.seeding import derive_seed, rng_from
+from genil.seeding import derive_seed
 
 
 def test_derive_seed_is_stable():
@@ -43,9 +43,3 @@ def test_float_parts_use_full_precision():
 def test_bool_parts_rejected():
     with pytest.raises(TypeError):
         derive_seed(0, True)
-
-
-def test_rng_from_reproduces_draws():
-    a = rng_from(5, "draws").normal(size=8)
-    b = rng_from(5, "draws").normal(size=8)
-    assert np.array_equal(a, b)
