@@ -71,3 +71,8 @@ class DegenerateEvalError(GenilError):
 
 class MissingArtifactError(GenilError):
     """A stage's input file does not exist; run the producing stage first."""
+
+
+class CorruptArtifactError(GenilError):
+    """An artifact file does not parse: malformed JSON, a missing field, or
+    a value of the wrong type or shape.  The message names the file."""

@@ -1,9 +1,12 @@
-"""Artifact files written whole or not at all."""
+"""Artifact files written whole or not at all, and refused by name when
+they do not parse."""
 
 from __future__ import annotations
 
 import contextlib
 import os
+
+from .errors import CorruptArtifactError
 
 
 @contextlib.contextmanager
@@ -22,3 +25,16 @@ def atomic_write(path):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def parsing(path):
+    """Turn what a malformed artifact raises while the block parses it
+    (invalid JSON, a missing field, a value of the wrong type or shape)
+    into a CorruptArtifactError that names path."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CorruptArtifactError(
+            f"malformed artifact {path}: {type(exc).__name__}: {exc}"
+        ) from exc

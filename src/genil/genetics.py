@@ -30,7 +30,7 @@ from .errors import (
     MutationPoolError,
     ReproductionStalledError,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, parsing
 from .seeding import derive_seed
 from .trajectory import Trajectory, load_trajectories, save_trajectories
 
@@ -349,22 +349,22 @@ class RankedDataset:
     @classmethod
     def load(cls, traj_path, manifest_path) -> "RankedDataset":
         trajectories = load_trajectories(traj_path)
-        with open(manifest_path) as fh:
+        with open(manifest_path) as fh, parsing(manifest_path):
             manifest = json.load(fh)
-        ranks = {
-            tid: int(rank)
-            for rank, ids in manifest["ranks"].items()
-            for tid in ids
-        }
-        return cls(
-            trajectories=trajectories,
-            ranks=ranks,
-            n_ranks=manifest["n_ranks"],
-            seed=manifest["seed"],
-            attempts_used=manifest["attempts_used"],
-            config=manifest["config"],
-            warnings=manifest.get("warnings", []),
-        )
+            ranks = {
+                tid: int(rank)
+                for rank, ids in manifest["ranks"].items()
+                for tid in ids
+            }
+            return cls(
+                trajectories=trajectories,
+                ranks=ranks,
+                n_ranks=manifest["n_ranks"],
+                seed=manifest["seed"],
+                attempts_used=manifest["attempts_used"],
+                config=manifest["config"],
+                warnings=manifest.get("warnings", []),
+            )
 
 
 def reproduce(

@@ -103,7 +103,20 @@ def extrapolation_report(
     discount: float,
     n_bins: int = DEFAULT_N_BINS,
 ) -> ExtrapolationReport:
-    """Score an evaluation set and summarize extrapolation quality.
+    """Score an evaluation set with a reward model (or ensemble) and
+    summarize extrapolation quality (see predicted_returns_report)."""
+    pred = [predict_return(model, t) for t in eval_set]
+    return predicted_returns_report(pred, eval_set, discount, n_bins=n_bins)
+
+
+def predicted_returns_report(
+    pred: Sequence[float],
+    eval_set: Sequence[Trajectory],
+    discount: float,
+    n_bins: int = DEFAULT_N_BINS,
+) -> ExtrapolationReport:
+    """Summarize extrapolation quality from each eval trajectory's
+    predicted return, in eval-set order.
 
     Degenerate predictions (zero spread) are flagged: normalized
     predictions fall back to 0.5 and both correlations are reported as 0.
@@ -113,7 +126,7 @@ def extrapolation_report(
     if len(eval_set) < 2:
         raise DegenerateEvalError(f"need >= 2 eval trajectories, have {len(eval_set)}")
     gt = np.array([gt_return(t, discount) for t in eval_set])
-    pred = np.array([predict_return(model, t) for t in eval_set])
+    pred = np.array(pred, dtype=np.float64)
     if float(gt.min()) == float(gt.max()):
         raise DegenerateEvalError("all ground-truth returns are identical")
     gt_norm, _ = _min_max(gt)

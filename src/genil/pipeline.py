@@ -48,6 +48,7 @@ from .genetics import RankedDataset, relabel_demos, reproduce
 from .metrics import (
     extrapolation_report,
     policy_table_row,
+    predicted_returns_report,
     write_extrapolation_csv,
     write_loss_csv,
     write_policy_table_csv,
@@ -65,10 +66,10 @@ from .policy_opt import (
 )
 from .reward_net import (
     CompiledPairs,
-    RewardEnsemble,
     TrainResult,
     load_model,
     make_reward_model,
+    predict_states,
     save_model,
     train,
 )
@@ -151,12 +152,19 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _exit_with_parent(parent_pid: int) -> None:
-    """Pool worker initializer: exit once the parent is gone.
+# A pool worker's unit function: set by _start_worker, in workers only.
+_unit_fn = None
+
+
+def _start_worker(parent_pid: int, fn) -> None:
+    """Pool worker initializer: keep the unit function, and exit once the
+    parent is gone.
 
     A worker blocked on its task queue would otherwise outlive a parent
     killed by SIGKILL, which runs no clean-up.
     """
+    global _unit_fn
+    _unit_fn = fn
 
     def watch() -> None:
         while os.getppid() == parent_pid:
@@ -166,15 +174,21 @@ def _exit_with_parent(parent_pid: int) -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
+def _run_unit(unit: tuple):
+    return _unit_fn(*unit)
+
+
 def _map_units(fn, units: list[tuple]) -> list:
     """[fn(*u) for u in units], spread over the usable CPUs.
 
     Results come back in unit order, and the first unit in that order
     that raises decides the exception.  Units must share no state, as the
     seeds derived from their own labels make them.  Workers are forked:
-    they inherit the loaded modules, and need no __main__ guard in a
-    calling script, which spawn and forkserver do.  genil starts no thread
-    of its own before the fork.
+    they inherit the loaded modules and fn, with every input it closes
+    over, so fn need not pickle and is never sent.  Only the unit tuples
+    and the results cross the pipes.  Forked workers also need no
+    __main__ guard in a calling script, which spawn and forkserver do.
+    genil starts no thread of its own before the fork.
     """
     n_workers = min(len(units), _usable_cpus())
     if n_workers <= 1:
@@ -186,11 +200,11 @@ def _map_units(fn, units: list[tuple]) -> list:
     with concurrent.futures.ProcessPoolExecutor(
         n_workers,
         mp_context=multiprocessing.get_context("fork"),
-        initializer=_exit_with_parent,
-        initargs=(os.getpid(),),
+        initializer=_start_worker,
+        initargs=(os.getpid(), fn),
     ) as pool:
         # a failing unit cancels those not yet started
-        return list(pool.map(fn, *zip(*units)))
+        return list(pool.map(_run_unit, units))
 
 
 class _Timed:
@@ -439,16 +453,35 @@ def _run_method_trial(method, cfg, spec, trial, good, bad):
     return returns, []
 
 
-def _compare_trial(cfg, spec, demo_pairs, method, trial):
-    """One (method, trial) unit of compare.
+def _compare_trial(cfg, spec, demo_pairs, eval_set, method, trial):
+    """One (method, trial) unit of compare: (per-model ground-truth returns,
+    eval-set scores).
 
-    A GenilError is returned rather than raised, so that it marks only
-    its method as failed.
+    The scores hold one row per reward model: its predict_states over each
+    eval trajectory in turn, end to end (None for BC).  A GenilError is
+    returned rather than raised, so that it marks only its method as failed.
     """
     try:
-        return _run_method_trial(method, cfg, spec, trial, *demo_pairs[trial])
+        returns, models = _run_method_trial(method, cfg, spec, trial, *demo_pairs[trial])
     except GenilError as exc:
         return exc
+    if not models:
+        return returns, None
+    return returns, np.array(
+        [np.concatenate([predict_states(m, t.states) for t in eval_set]) for m in models]
+    )
+
+
+def _ensemble_returns(scores: np.ndarray, eval_set) -> list[float]:
+    """Each eval trajectory's predicted return under the uniform ensemble of
+    the models whose _compare_trial score rows these are: the member mean of
+    their per-state scores, summed, as predict_return gives for a
+    RewardEnsemble of those models in row order."""
+    ends = np.cumsum([len(t) for t in eval_set]).tolist()
+    return [
+        float(np.mean([row[a:b] for row in scores], axis=0).sum())
+        for a, b in zip([0] + ends, ends)
+    ]
 
 
 def stage_compare(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
@@ -491,7 +524,9 @@ def stage_compare(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> No
     n_trials = cfg.eval.n_trials
     with _Timed(manifest, "compare/trials"):
         units = [(method, t) for method in methods for t in range(n_trials)]
-        outcomes = _map_units(functools.partial(_compare_trial, cfg, spec, demo_pairs), units)
+        outcomes = _map_units(
+            functools.partial(_compare_trial, cfg, spec, demo_pairs, eval_set), units
+        )
         for i, method in enumerate(methods):
             results = outcomes[i * n_trials : (i + 1) * n_trials]
             try:
@@ -501,9 +536,12 @@ def stage_compare(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> No
                 row = policy_table_row(method, np.array([r[0] for r in results]))
                 report = None
                 if method != "BC":
-                    ensemble = RewardEnsemble([mdl for r in results for mdl in r[1]])
-                    report = extrapolation_report(
-                        ensemble, eval_set, spec.discount, n_bins=cfg.eval.n_bins
+                    scores = np.concatenate([r[1] for r in results])
+                    report = predicted_returns_report(
+                        _ensemble_returns(scores, eval_set),
+                        eval_set,
+                        spec.discount,
+                        n_bins=cfg.eval.n_bins,
                     )
                 method_eval_hash[method] = manifest.artifacts[F_EVAL]
             except GenilError as exc:

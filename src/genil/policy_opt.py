@@ -32,7 +32,7 @@ from .envs import (
     rollout,
 )
 from .errors import ConfigError, DivergenceError
-from .fileio import atomic_write
+from .fileio import atomic_write, parsing
 from .reward_net import RewardEnsemble, RewardModel, predict_states
 from .seeding import derive_seed
 from .trajectory import gt_return
@@ -128,7 +128,9 @@ def value_iteration(
 
     The reward model is evaluated once per cell feature vector; iteration
     runs to sup-norm residual < tol; the greedy policy breaks ties toward
-    the lowest action index.  Fully deterministic.
+    the lowest action index.  Fully deterministic.  A non-finite cell
+    reward, whose residual never falls below tol, is refused with
+    DivergenceError before the first sweep.
     """
     if spec.name != ENV_GRIDNAV:
         raise ConfigError(f"value_iteration requires GridNav, got {spec.name}")
@@ -138,6 +140,8 @@ def value_iteration(
     rewards = _reward_vector(reward, gridnav_all_features())
     if rewards.shape != (GRID_N_STATES,):
         raise ConfigError(f"expected {GRID_N_STATES} cell rewards, got {rewards.shape}")
+    if not np.all(np.isfinite(rewards)):
+        raise DivergenceError("non-finite cell reward: value iteration cannot converge", step=0)
     transitions = gridnav_transitions()
     values = np.zeros(GRID_N_STATES)
     for _ in range(max_iters):
@@ -271,17 +275,17 @@ def save_policy(artifact: PolicyArtifact, path) -> None:
 
 
 def load_policy(path) -> PolicyArtifact:
-    with open(path) as fh:
+    with open(path) as fh, parsing(path):
         payload = json.load(fh)
-    if payload.get("format_version") != ARTIFACT_VERSION:
-        raise ConfigError(
-            f"unsupported policy artifact version {payload.get('format_version')!r} in {path}"
+        if payload.get("format_version") != ARTIFACT_VERSION:
+            raise ConfigError(
+                f"unsupported policy artifact version {payload.get('format_version')!r} in {path}"
+            )
+        dtype = np.int64 if payload["kind"] == KIND_GREEDY_TABULAR else np.float64
+        return PolicyArtifact(
+            kind=payload["kind"],
+            env=payload["env"],
+            parameters=np.asarray(payload["parameters"], dtype=dtype),
+            source_model=payload["source_model"],
+            meta=payload["meta"],
         )
-    dtype = np.int64 if payload["kind"] == KIND_GREEDY_TABULAR else np.float64
-    return PolicyArtifact(
-        kind=payload["kind"],
-        env=payload["env"],
-        parameters=np.asarray(payload["parameters"], dtype=dtype),
-        source_model=payload["source_model"],
-        meta=payload["meta"],
-    )

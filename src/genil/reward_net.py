@@ -39,7 +39,7 @@ from .errors import (
     EmptyPairError,
     InvalidTrajectoryError,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, parsing
 from .mlp import MLP
 from .seeding import derive_seed
 from .snippets import SnippetPair
@@ -128,15 +128,6 @@ def predict_states(model, states: np.ndarray) -> np.ndarray:
     if isinstance(model, RewardEnsemble):
         return np.mean([predict_states(m, states) for m in model.members], axis=0)
     return model.net.predict(states)[:, 0]
-
-
-def predict_state(model, state: np.ndarray) -> float:
-    state = np.asarray(state, dtype=np.float64)
-    if state.ndim != 1 or state.shape[0] != model.feature_dim:
-        raise ValueError(
-            f"state must be a length-{model.feature_dim} vector, got shape {state.shape}"
-        )
-    return float(predict_states(model, state[None, :])[0])
 
 
 def _states_of(item) -> np.ndarray:
@@ -391,16 +382,6 @@ def train(model: RewardModel, pairs: Sequence[SnippetPair], cfg: TrainConfig) ->
     return TrainResult(model=trained, losses=losses, config=cfg)
 
 
-def ordering_fraction(model: RewardModel, pairs: Sequence[SnippetPair]) -> float:
-    """Fraction of pairs the model scores in the labeled order."""
-    if len(pairs) == 0:
-        raise EmptyPairError("no pairs to score")
-    correct = sum(
-        1 for p in pairs if predict_return(model, p.hi) > predict_return(model, p.lo)
-    )
-    return correct / len(pairs)
-
-
 def save_model(model: RewardModel, path, train_config: TrainConfig | None = None) -> None:
     """JSON checkpoint; float repr round-trips bit-exactly."""
     payload = {
@@ -415,12 +396,12 @@ def save_model(model: RewardModel, path, train_config: TrainConfig | None = None
 
 
 def load_model(path) -> RewardModel:
-    with open(path) as fh:
+    with open(path) as fh, parsing(path):
         payload = json.load(fh)
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ConfigError(
-            f"unsupported checkpoint version {payload.get('format_version')!r} in {path}"
-        )
-    if payload.get("kind") != "reward_mlp":
-        raise ConfigError(f"not a reward checkpoint: {path}")
-    return RewardModel(net=MLP.from_dict(payload))
+        if payload.get("format_version") != CHECKPOINT_VERSION:
+            raise ConfigError(
+                f"unsupported checkpoint version {payload.get('format_version')!r} in {path}"
+            )
+        if payload.get("kind") != "reward_mlp":
+            raise ConfigError(f"not a reward checkpoint: {path}")
+        return RewardModel(net=MLP.from_dict(payload))

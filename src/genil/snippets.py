@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, EmptyPairError, InvalidTrajectoryError
-from .fileio import atomic_write
+from .fileio import atomic_write, parsing
 from .genetics import RankedDataset
 from .seeding import derive_seed
 
@@ -164,7 +164,7 @@ def load_pairs(path, dataset: RankedDataset) -> list[SnippetPair]:
     """Rebuild pairs by slicing the dataset; labels are recomputed and
     checked against the stored values."""
     pairs = []
-    with open(path) as fh:
+    with open(path) as fh, parsing(path):
         for line_no, line in enumerate(fh, start=1):
             record = json.loads(line)
             pairs.append(

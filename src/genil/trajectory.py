@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InvalidTrajectoryError
-from .fileio import atomic_write
+from .fileio import atomic_write, parsing
 
 SOURCES = ("demo", "offspring", "eval")
 
@@ -166,7 +166,7 @@ def save_trajectories(path, trajectories: Iterable[Trajectory]) -> None:
 
 
 def load_trajectories(path) -> list[Trajectory]:
-    with open(path) as fh:
+    with open(path) as fh, parsing(path):
         return [loads_trajectory(line) for line in iter_lines(fh)]
 
 

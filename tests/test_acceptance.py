@@ -36,7 +36,7 @@ from genil.genetics import (
 )
 from genil.metrics import extrapolation_report
 from genil.mlp import MLP
-from genil.pipeline import run_command
+from genil.pipeline import _map_units, run_command
 from genil.policy_opt import (
     CEMConfig,
     KIND_LINEAR_GAUSSIAN,
@@ -48,6 +48,7 @@ from genil.policy_opt import (
     value_iteration,
 )
 from genil.reward_net import (
+    CompiledPairs,
     RewardEnsemble,
     RewardModel,
     TrainConfig,
@@ -136,12 +137,13 @@ class SeedOutcome:
 def ten_seed_runs():
     """Full pipeline per base seed: 5-model ensembles for both ranking
     methods on shared demos and a shared eval set, plus the greedy policy
-    from the learned reward."""
+    from the learned reward.  The seeds run as parallel units; each is
+    timed inside its worker."""
     spec = make_spec("GridNav")
     ga = GAConfig()
     qualities = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
-    outcomes = []
-    for s in range(10):
+
+    def one_seed(s):
         t0 = time.perf_counter()
         good, bad = make_demo_pair(spec, 0.1, 0.5, seed=s)
         datasets = {
@@ -153,7 +155,7 @@ def ten_seed_runs():
         ensembles = {}
         for name, dataset in datasets.items():
             snips = subsample(dataset, 2000, 15, 30, seed=s)
-            pairs = make_pairs(snips, 4000, 0.5, seed=s)
+            pairs = CompiledPairs(make_pairs(snips, 4000, 0.5, seed=s))
             models = []
             for m in range(5):
                 ms = derive_seed(s, "model", m)
@@ -167,18 +169,17 @@ def ten_seed_runs():
             )
         artifact = value_iteration(spec, ensembles["genil"], discount=0.99)
         policy_return = evaluate_policy(artifact, spec, 1, seed=s + 2000).mean
-        outcomes.append(
-            SeedOutcome(
-                rho_genil=reports["genil"].spearman_rho,
-                bin_std_genil=reports["genil"].mean_bin_std,
-                bin_std_trex2=reports["trex2"].mean_bin_std,
-                policy_return=policy_return,
-                good_return=gt_return(good, spec.discount),
-                bad_return=gt_return(bad, spec.discount),
-                seconds=time.perf_counter() - t0,
-            )
+        return SeedOutcome(
+            rho_genil=reports["genil"].spearman_rho,
+            bin_std_genil=reports["genil"].mean_bin_std,
+            bin_std_trex2=reports["trex2"].mean_bin_std,
+            policy_return=policy_return,
+            good_return=gt_return(good, spec.discount),
+            bad_return=gt_return(bad, spec.discount),
+            seconds=time.perf_counter() - t0,
         )
-    return outcomes
+
+    return _map_units(one_seed, [(s,) for s in range(10)])
 
 
 # ---------------------------------------------------------------------------

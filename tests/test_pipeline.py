@@ -8,9 +8,11 @@ import json
 import os
 import pickle
 import re
+import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -24,24 +26,28 @@ from genil.config import config_to_dict, parse_config_text
 from genil.envs import make_demo_pair, make_eval_set, make_spec
 from genil.errors import (
     ConfigError,
+    CorruptArtifactError,
     DivergenceError,
     MissingArtifactError,
     ReproductionStalledError,
 )
-from genil.genetics import relabel_demos, reproduce
+from genil.genetics import RankedDataset, relabel_demos, reproduce
+from genil.metrics import ExtrapolationReport, extrapolation_report, predicted_returns_report
 from genil.policy_opt import cem_search, evaluate_policy, value_iteration
-from genil.reward_net import make_reward_model, train
+from genil.reward_net import RewardEnsemble, make_reward_model, train
 from genil.seeding import derive_seed
-from genil.snippets import make_pairs, subsample
+from genil.snippets import load_pairs, make_pairs, subsample
 from genil.pipeline import (
     COMPARE_METHODS,
     F_DEMOS,
     F_EVAL,
     F_MANIFEST,
     F_MODEL,
+    F_PAIRS,
     F_POLICY,
     F_POLICY_TABLE,
     F_RANKED,
+    F_RANKED_MANIFEST,
     F_SUMMARY,
     F_SWEEP,
     file_sha256,
@@ -367,6 +373,22 @@ def test_same_output_at_one_and_two_workers(
     assert runs[0][0].err.startswith(err) if err else runs[0][0].err == ""
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers run on Linux only")
+def test_workers_inherit_a_unit_function_that_cannot_pickle(monkeypatch):
+    # a closure over a lock cannot be pickled: it reaches the workers only
+    # because they inherit it
+    lock = threading.Lock()
+
+    def unit(i):
+        with lock:
+            return i * i, os.getpid()
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    results = pipeline._map_units(unit, [(i,) for i in range(6)])
+    assert [r[0] for r in results] == [i * i for i in range(6)]
+    assert os.getpid() not in {r[1] for r in results}
+
+
 def test_errors_with_fields_survive_pickling():
     # a worker's exception reaches the parent through pickle
     stalled = pickle.loads(
@@ -614,6 +636,43 @@ def test_train_and_score_keeps_the_seeds(small_cfg, env, monkeypatch):
     assert_same_models(models, want_models)
 
 
+def assert_same_report(got, want):
+    for f in dataclasses.fields(ExtrapolationReport):
+        # per_bin_std marks an empty bin with NaN, which compares unequal to itself
+        np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name), f.name)
+
+
+@pytest.mark.parametrize("env", ["GridNav", "PointChase"])
+def test_compare_reports_from_scores_match_the_ensemble_reports(small_cfg, env):
+    # the reports compare builds from the scores its units send back, against
+    # the report of a RewardEnsemble of the units' models, as compare built it
+    # when the units sent back their models
+    cfg = dataclasses.replace(small_cfg, env=dataclasses.replace(small_cfg.env, name=env))
+    spec = cfg.spec()
+    eval_set = make_eval_set(spec, list(cfg.eval.qualities), cfg.eval.n_per_quality, seed=3)
+    demo_pairs = [
+        make_demo_pair(spec, 0.1, 0.5, seed=derive_seed(5, "trial", t, "demos"))
+        for t in range(cfg.eval.n_trials)
+    ]
+    for method in COMPARE_METHODS[:-1]:
+        units = [
+            pipeline._compare_trial(cfg, spec, demo_pairs, eval_set, method, t)
+            for t in range(cfg.eval.n_trials)
+        ]
+        scores = np.concatenate([u[1] for u in units])
+        got = predicted_returns_report(
+            pipeline._ensemble_returns(scores, eval_set), eval_set, spec.discount, n_bins=4
+        )
+        models = [
+            model
+            for t in range(cfg.eval.n_trials)
+            for model in pipeline._run_method_trial(method, cfg, spec, t, *demo_pairs[t])[1]
+        ]
+        assert len(models) == len(scores) == cfg.eval.n_trials * cfg.eval.n_models_per_trial
+        want = extrapolation_report(RewardEnsemble(models), eval_set, spec.discount, n_bins=4)
+        assert_same_report(got, want)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -696,3 +755,69 @@ def test_cli_compare_warns_about_a_failed_method(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("genil: warning: GenIL failed: ReproductionStalledError: ")
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A finished run-all at SMALL; tests copy it before they edit it."""
+    root = tmp_path_factory.mktemp("small-run")
+    cfg_path = write_cfg(root, SMALL)
+    assert main(["--config", cfg_path, "--out", str(root / "out"), "--quiet", "run-all"]) == 0
+    return root
+
+
+def copy_run(small_run, tmp_path):
+    shutil.copytree(small_run / "out", tmp_path / "out")
+    return write_cfg(tmp_path, SMALL), tmp_path / "out"
+
+
+def test_cli_train_policy_refuses_a_nan_reward(small_run, tmp_path, capsys):
+    cfg_path, out = copy_run(small_run, tmp_path)
+    payload = json.loads((out / F_MODEL).read_text())
+    payload["params"][0] = float("nan")
+    (out / F_MODEL).write_text(json.dumps(payload))
+    t0 = time.perf_counter()
+    code = main(["--config", cfg_path, "--out", str(out), "--quiet", "train-policy"])
+    assert code == 3 and time.perf_counter() - t0 < 2.0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["genil: train-policy failed: non-finite cell reward: "
+                   "value iteration cannot converge"]
+
+
+def truncate(path):
+    """Cut a file at half its length, off a line end, so it cannot parse."""
+    data = path.read_bytes()
+    cut = len(data) // 2
+    if data[cut - 1 : cut] == b"\n":
+        cut -= 1
+    path.write_bytes(data[:cut])
+
+
+@pytest.mark.parametrize(
+    "name, stage",
+    [
+        (F_DEMOS, "reproduce"),
+        (F_RANKED, "train-reward"),
+        (F_RANKED_MANIFEST, "train-reward"),
+        (F_MODEL, "train-policy"),
+        (F_MODEL, "evaluate"),
+        (F_POLICY, "evaluate"),
+        (F_EVAL, "evaluate"),
+    ],
+)
+def test_cli_refuses_a_truncated_artifact(small_run, tmp_path, capsys, name, stage):
+    cfg_path, out = copy_run(small_run, tmp_path)
+    truncate(out / name)
+    assert main(["--config", cfg_path, "--out", str(out), "--quiet", stage]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"genil: {stage} failed: malformed artifact {out / name}: ")
+
+
+def test_load_pairs_refuses_a_truncated_file(small_run, tmp_path):
+    _, out = copy_run(small_run, tmp_path)
+    dataset = RankedDataset.load(out / F_RANKED, out / F_RANKED_MANIFEST)
+    assert len(load_pairs(out / F_PAIRS, dataset)) == parse_config_text(SMALL).data.n_pairs
+    truncate(out / F_PAIRS)
+    with pytest.raises(CorruptArtifactError, match=re.escape(str(out / F_PAIRS))):
+        load_pairs(out / F_PAIRS, dataset)
