@@ -52,7 +52,7 @@ def build_trex_dataset(
         raise ConfigError(f"n_per_quality must be >= 1, got {n_per_quality}")
     by_rank = sorted(qualities, reverse=True)  # worst first -> rank 0
     rank_of = {q: r for r, q in enumerate(by_rank)}
-    env = make_env(spec, seed)
+    env = make_env(spec)
     trajectories: list[Trajectory] = []
     ranks: dict[str, int] = {}
     for q in qualities:
@@ -230,7 +230,7 @@ def build_drex_dataset(
         raise ConfigError(f"n_per_level must be >= 1, got {n_per_level}")
     if bc_policy.spec.name != spec.name:
         raise ConfigError("bc_policy/spec environment mismatch")
-    env = make_env(spec, seed)
+    env = make_env(spec)
     n_levels = len(noise_levels)
     trajectories: list[Trajectory] = []
     ranks: dict[str, int] = {}

@@ -7,7 +7,9 @@ GridNav
     step, three pit cells worth -1, and a -0.01 step cost everywhere else.
     Four clamped move actions (0=up, 1=right, 2=down, 3=left).  State
     features are the normalized (x, y) coordinates followed by a one-hot
-    cell encoding, so the true reward is linear in the features.
+    cell encoding, so the true reward is linear in the features.  One
+    value iteration, gridnav_greedy_actions, builds both the optimal
+    demonstrator and the policy of a learned reward.
 
 PointChase
     A 1-d double integrator chasing a fixed target.  Actions are clipped
@@ -166,40 +168,46 @@ def gridnav_cell_of(features: np.ndarray) -> int:
 
 
 _OPTIMAL_ACTION_CACHE: dict[float, np.ndarray] = {}
-_OPTIMAL_ACTION_MAX_ITERS = 1_000_000
+_VALUE_ITERATION_MAX_SWEEPS = 1_000_000
+
+
+def gridnav_greedy_actions(rewards: np.ndarray, discount: float, tol: float) -> np.ndarray:
+    """Greedy action table from value iteration on per-cell rewards.
+
+    Sweeps V <- r + discount * max_a V[next] (the bits of max_a of
+    r + discount * V[next], as rounding is monotone) from V = 0 until the
+    sup-norm change is below tol, then takes the action to the best next
+    cell, ties toward the lowest index.  Raises ConfigError when that
+    takes more than _VALUE_ITERATION_MAX_SWEEPS sweeps.
+    """
+    nxt = gridnav_transitions()
+    values = np.zeros(GRID_N_STATES)
+    for _ in range(_VALUE_ITERATION_MAX_SWEEPS):
+        new = rewards + discount * values[nxt].max(axis=1)
+        residual = np.max(np.abs(new - values))
+        values = new
+        if residual < tol:
+            return np.argmax(values[nxt], axis=1).astype(np.int64)
+    raise ConfigError(
+        f"value iteration at discount {discount} did not converge to residual "
+        f"{tol} within {_VALUE_ITERATION_MAX_SWEEPS} sweeps"
+    )
 
 
 def gridnav_optimal_actions(discount: float) -> np.ndarray:
-    """Greedy action table from value iteration on the true reward.
-
-    Ties break toward the lowest action index.  Cached per discount.
-    Raises ConfigError when the values have not converged to a sup-norm
-    change below 1e-13 within _OPTIMAL_ACTION_MAX_ITERS sweeps.
-    """
+    """Optimal action table: gridnav_greedy_actions on the true reward at
+    tol 1e-13, cached per discount."""
     table = _OPTIMAL_ACTION_CACHE.get(discount)
     if table is None:
-        nxt = gridnav_transitions()
-        rew = gridnav_reward_field()
-        values = np.zeros(GRID_N_STATES)
-        for _ in range(_OPTIMAL_ACTION_MAX_ITERS):
-            new = rew + discount * values[nxt].max(axis=1)
-            if np.max(np.abs(new - values)) < 1e-13:
-                values = new
-                break
-            values = new
-        else:
-            raise ConfigError(
-                f"optimal-action value iteration at discount {discount} did not "
-                f"converge within {_OPTIMAL_ACTION_MAX_ITERS} iterations"
-            )
-        table = np.argmax(values[nxt], axis=1).astype(np.int64)
-        _OPTIMAL_ACTION_CACHE[discount] = table
+        table = _OPTIMAL_ACTION_CACHE[discount] = gridnav_greedy_actions(
+            gridnav_reward_field(), discount, 1e-13
+        )
     return table
 
 
 def gridnav_optimal_return(spec: EnvSpec) -> float:
     """Return of the greedy-optimal policy over one episode."""
-    traj = rollout(make_env(spec, seed=0), DemoPolicy(spec, quality=0.0), seed=0)
+    traj = rollout(make_env(spec), DemoPolicy(spec, quality=0.0), seed=0)
     return gt_return(traj, spec.discount)
 
 
@@ -210,9 +218,8 @@ def gridnav_optimal_return(spec: EnvSpec) -> float:
 class GridNavEnv:
     """Deterministic grid walk; see the module docstring for the rules."""
 
-    def __init__(self, spec: EnvSpec, seed: int):
+    def __init__(self, spec: EnvSpec):
         self.spec = spec
-        self.seed = seed
         self._next = gridnav_transitions()
         self._reward = gridnav_reward_field()
         self._cell = _cell_index(*GRID_START)
@@ -284,9 +291,8 @@ def pointchase_linear_rollout(spec: EnvSpec, gains: np.ndarray) -> np.ndarray:
 class PointChaseEnv:
     """1-d chase toward a fixed target with clipped double-integrator dynamics."""
 
-    def __init__(self, spec: EnvSpec, seed: int):
+    def __init__(self, spec: EnvSpec):
         self.spec = spec
-        self.seed = seed
         self._pos = PC_START_POS
         self._vel = PC_START_VEL
         self._t = 0
@@ -314,11 +320,11 @@ class PointChaseEnv:
 Environment = GridNavEnv | PointChaseEnv
 
 
-def make_env(spec: EnvSpec, seed: int) -> Environment:
+def make_env(spec: EnvSpec) -> Environment:
     if spec.name == ENV_GRIDNAV:
-        return GridNavEnv(spec, seed)
+        return GridNavEnv(spec)
     if spec.name == ENV_POINTCHASE:
-        return PointChaseEnv(spec, seed)
+        return PointChaseEnv(spec)
     raise ConfigError(f"unknown environment {spec.name!r}")
 
 
@@ -450,7 +456,7 @@ def make_demo_pair(
         raise ValueError(
             f"bad_quality ({bad_quality}) must exceed good_quality ({good_quality})"
         )
-    env = make_env(spec, seed)
+    env = make_env(spec)
     good_policy = DemoPolicy(spec, good_quality)
     bad_policy = DemoPolicy(spec, bad_quality)
     for attempt in range(max_retries):
@@ -477,7 +483,7 @@ def make_eval_set(
     """Evaluation rollouts spanning the quality range, source='eval'."""
     if not qualities:
         raise ValueError("qualities must be non-empty")
-    env = make_env(spec, seed)
+    env = make_env(spec)
     out = []
     for q in qualities:
         policy = DemoPolicy(spec, q)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    CorruptArtifactError,
     DatasetTooSmallError,
     InvalidTrajectoryError,
     MutationPoolError,
@@ -132,10 +133,6 @@ def decomposition_sums(off: Offspring) -> tuple[float, float, float]:
 
 def provenance_to_string(provenance: np.ndarray) -> str:
     return "".join(_PROVENANCE_CHARS[int(p)] for p in provenance)
-
-
-def provenance_from_string(text: str) -> np.ndarray:
-    return np.asarray([_PROVENANCE_CHARS.index(c) for c in text], dtype=np.int8)
 
 
 class MutationPool:
@@ -356,7 +353,7 @@ class RankedDataset:
                 for rank, ids in manifest["ranks"].items()
                 for tid in ids
             }
-            return cls(
+            dataset = cls(
                 trajectories=trajectories,
                 ranks=ranks,
                 n_ranks=manifest["n_ranks"],
@@ -365,6 +362,13 @@ class RankedDataset:
                 config=manifest["config"],
                 warnings=manifest.get("warnings", []),
             )
+        # every trajectory has a rank, so a shortfall is a cut trajectory file
+        if len(trajectories) != len(ranks):
+            raise CorruptArtifactError(
+                f"malformed artifact {traj_path}: {len(trajectories)} trajectories "
+                f"for the {len(ranks)} ranked ids in {manifest_path}"
+            )
+        return dataset
 
 
 def reproduce(

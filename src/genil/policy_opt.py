@@ -1,7 +1,8 @@
 """Policy derivation from a reward model, plus ground-truth evaluation.
 
-GridNav admits exact value iteration over its 64 cells; PointChase uses
-the cross-entropy method over three linear feedback gains.  CEM rolls out
+GridNav admits exact value iteration over its 64 cells, by the loop that
+builds the optimal demonstrator (envs.gridnav_greedy_actions); PointChase
+uses the cross-entropy method over three linear feedback gains.  CEM rolls out
 its whole population in lockstep (envs.pointchase_linear_rollout), with
 one dot product per candidate per step so that every rollout equals the
 per-step rollout of that candidate bit for bit.  Both read the reward
@@ -26,7 +27,7 @@ from .envs import (
     _clamp,
     gridnav_all_features,
     gridnav_cell_of,
-    gridnav_transitions,
+    gridnav_greedy_actions,
     make_env,
     pointchase_linear_rollout,
     rollout,
@@ -121,15 +122,13 @@ def value_iteration(
     reward,
     discount: float | None = None,
     tol: float = 1e-10,
-    max_iters: int = 100000,
     source_model: str | None = None,
 ) -> PolicyArtifact:
-    """Exact Bellman iteration on the 64-cell grid.
+    """Greedy tabular policy from exact value iteration on the 64-cell grid.
 
-    The reward model is evaluated once per cell feature vector; iteration
-    runs to sup-norm residual < tol; the greedy policy breaks ties toward
-    the lowest action index.  Fully deterministic.  A non-finite cell
-    reward, whose residual never falls below tol, is refused with
+    The reward model is evaluated once per cell feature vector and handed
+    to envs.gridnav_greedy_actions, the demonstrator's loop.  A non-finite
+    cell reward, whose residual never falls below tol, is refused with
     DivergenceError before the first sweep.
     """
     if spec.name != ENV_GRIDNAV:
@@ -142,24 +141,10 @@ def value_iteration(
         raise ConfigError(f"expected {GRID_N_STATES} cell rewards, got {rewards.shape}")
     if not np.all(np.isfinite(rewards)):
         raise DivergenceError("non-finite cell reward: value iteration cannot converge", step=0)
-    transitions = gridnav_transitions()
-    values = np.zeros(GRID_N_STATES)
-    for _ in range(max_iters):
-        q = rewards[:, None] + gamma * values[transitions]
-        new_values = q.max(axis=1)
-        residual = float(np.abs(new_values - values).max())
-        values = new_values
-        if residual < tol:
-            break
-    else:
-        raise ConfigError(
-            f"value iteration did not reach residual {tol} within {max_iters} iterations"
-        )
-    greedy = np.argmax(rewards[:, None] + gamma * values[transitions], axis=1)
     return PolicyArtifact(
         kind=KIND_GREEDY_TABULAR,
         env=ENV_GRIDNAV,
-        parameters=greedy.astype(np.int64),
+        parameters=gridnav_greedy_actions(rewards, gamma, tol),
         source_model=source_model,
         meta={"discount": gamma, "tol": tol},
     )
@@ -237,7 +222,7 @@ def policy_returns(policy, spec: EnvSpec, n_episodes: int, seed: int) -> np.ndar
     """
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
-    env = make_env(spec, seed)
+    env = make_env(spec)
     return np.array(
         [
             gt_return(

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    CorruptArtifactError,
     DivergenceError,
     EmptyPairError,
     InvalidTrajectoryError,
@@ -404,4 +405,7 @@ def load_model(path) -> RewardModel:
             )
         if payload.get("kind") != "reward_mlp":
             raise ConfigError(f"not a reward checkpoint: {path}")
-        return RewardModel(net=MLP.from_dict(payload))
+        net = MLP.from_dict(payload)
+    if not np.all(np.isfinite(net.params)):
+        raise CorruptArtifactError(f"malformed artifact {path}: non-finite parameters")
+    return RewardModel(net=net)

@@ -1,6 +1,8 @@
 """Config parsing: desk defaults, per-section overrides, strict errors."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,12 @@ def test_empty_text_is_desk_default():
     cfg = parse_config_text("")
     assert cfg == ExperimentConfig()
     assert cfg == default_config()
+
+
+def test_readme_config_block_is_the_desk_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert parse_config_text(block, "README.md") == default_config()
 
 
 def test_desk_default_values():

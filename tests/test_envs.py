@@ -55,6 +55,7 @@ from genil.errors import ConfigError
 from genil.mlp import MLP
 from genil.policy_opt import LinearPolicy
 from genil.trajectory import gt_return, trajectories_equal
+from reference_value_iteration import reference_optimal_actions
 
 # Discounted return of the optimal GridNav policy at the default spec
 # (horizon 50, discount 0.95), frozen from the finite-horizon DP oracle
@@ -181,9 +182,14 @@ def test_optimal_actions_tie_break_lowest():
     assert table[_cell(*GRID_START)] in (1, 2)
 
 
+@pytest.mark.parametrize("discount", [0.0, 0.5, 0.9, 0.95, 0.99])
+def test_optimal_actions_match_the_reference_oracle(discount):
+    assert np.array_equal(gridnav_optimal_actions(discount), reference_optimal_actions(discount))
+
+
 def test_optimal_actions_raise_when_unconverged(monkeypatch):
     monkeypatch.setattr(envs, "_OPTIMAL_ACTION_CACHE", {})
-    monkeypatch.setattr(envs, "_OPTIMAL_ACTION_MAX_ITERS", 5)
+    monkeypatch.setattr(envs, "_VALUE_ITERATION_MAX_SWEEPS", 5)
     with pytest.raises(ConfigError, match="did not converge"):
         gridnav_optimal_actions(0.95)
     # nothing unconverged was cached
@@ -195,7 +201,7 @@ def test_optimal_actions_raise_when_unconverged(monkeypatch):
 
 
 def test_pointchase_euler_steps():
-    env = PointChaseEnv(make_spec(ENV_POINTCHASE), seed=0)
+    env = PointChaseEnv(make_spec(ENV_POINTCHASE))
     feats = env.reset()
     assert np.array_equal(feats, [0.0, 0.0, 1.0])
     assert env.current_reward() == -1.0
@@ -211,7 +217,7 @@ def test_pointchase_euler_steps():
 
 
 def test_pointchase_state_clipping():
-    env = PointChaseEnv(make_spec(ENV_POINTCHASE), seed=0)
+    env = PointChaseEnv(make_spec(ENV_POINTCHASE))
     env.reset()
     for _ in range(60):
         feats, _, _ = env.step(PC_ACTION_MAX)
@@ -272,7 +278,7 @@ def test_pointchase_linear_rollout_requires_pointchase(grid_spec):
 
 
 def test_gridnav_action_validation(grid_spec):
-    env = GridNavEnv(grid_spec, seed=0)
+    env = GridNavEnv(grid_spec)
     env.reset()
     with pytest.raises(ConfigError):
         env.step(4)
@@ -284,7 +290,7 @@ def test_gridnav_action_validation(grid_spec):
 
 def test_rollout_shapes_and_reward_convention(grid_spec, pc_spec):
     for spec in (grid_spec, pc_spec):
-        env = make_env(spec, seed=3)
+        env = make_env(spec)
         traj = rollout(env, DemoPolicy(spec, 0.3), seed=3)
         assert len(traj) == spec.horizon
         assert traj.states.shape == (spec.horizon, spec.feature_dim)
@@ -292,28 +298,28 @@ def test_rollout_shapes_and_reward_convention(grid_spec, pc_spec):
         # rewards[t] is the true reward of the state occupied at time t
         expected = true_reward_fn(spec)(traj.states)
         assert np.array_equal(traj.gt_step_rewards, expected)
-    grid = rollout(make_env(grid_spec, 0), DemoPolicy(grid_spec, 0.5), seed=0)
+    grid = rollout(make_env(grid_spec), DemoPolicy(grid_spec, 0.5), seed=0)
     assert grid.actions.dtype == np.int64
-    pc = rollout(make_env(pc_spec, 0), DemoPolicy(pc_spec, 0.5), seed=0)
+    pc = rollout(make_env(pc_spec), DemoPolicy(pc_spec, 0.5), seed=0)
     assert pc.actions.dtype == np.float64
 
 
 def test_rollout_starts_at_start_cell(grid_spec):
-    traj = rollout(make_env(grid_spec, 0), DemoPolicy(grid_spec, 0.2), seed=9)
+    traj = rollout(make_env(grid_spec), DemoPolicy(grid_spec, 0.2), seed=9)
     assert gridnav_cell_of(traj.states[0]) == _cell(*GRID_START)
 
 
 def test_rollout_determinism(grid_spec, pc_spec):
     for spec in (grid_spec, pc_spec):
-        a = rollout(make_env(spec, 5), DemoPolicy(spec, 0.4), seed=5)
-        b = rollout(make_env(spec, 5), DemoPolicy(spec, 0.4), seed=5)
+        a = rollout(make_env(spec), DemoPolicy(spec, 0.4), seed=5)
+        b = rollout(make_env(spec), DemoPolicy(spec, 0.4), seed=5)
         assert trajectories_equal(a, b)
-        c = rollout(make_env(spec, 5), DemoPolicy(spec, 0.4), seed=6)
+        c = rollout(make_env(spec), DemoPolicy(spec, 0.4), seed=6)
         assert not np.array_equal(a.actions, c.actions)
 
 
 def test_rollout_meta_and_id(grid_spec):
-    traj = rollout(make_env(grid_spec, 2), DemoPolicy(grid_spec, 0.25), seed=2)
+    traj = rollout(make_env(grid_spec), DemoPolicy(grid_spec, 0.25), seed=2)
     assert traj.meta["quality"] == 0.25
     assert traj.meta["seed"] == 2
     assert traj.id == "demo-GridNav-q0.25-s2"
@@ -321,7 +327,7 @@ def test_rollout_meta_and_id(grid_spec):
 
 
 def test_quality_zero_matches_optimal_rollout(grid_spec):
-    traj = rollout(make_env(grid_spec, 0), DemoPolicy(grid_spec, 0.0), seed=11)
+    traj = rollout(make_env(grid_spec), DemoPolicy(grid_spec, 0.0), seed=11)
     assert gt_return(traj, grid_spec.discount) == pytest.approx(
         GRID_OPTIMAL_RETURN, abs=1e-12
     )
@@ -336,7 +342,7 @@ def test_quality_monotone_in_expectation(env_name):
 
     def returns(quality):
         policy = DemoPolicy(spec, quality)
-        env = make_env(spec, seed=0)
+        env = make_env(spec)
         return np.array(
             [gt_return(rollout(env, policy, seed=i), spec.discount) for i in range(n)]
         )
@@ -397,7 +403,7 @@ def test_make_eval_set_rejects_empty_qualities(grid_spec):
 @settings(max_examples=25, deadline=None)
 @given(actions=st.lists(st.integers(0, 3), min_size=1, max_size=30))
 def test_gridnav_stays_on_grid(actions):
-    env = GridNavEnv(make_spec(ENV_GRIDNAV), seed=0)
+    env = GridNavEnv(make_spec(ENV_GRIDNAV))
     feats = env.reset()
     for a in actions:
         assert 0 <= gridnav_cell_of(feats) < GRID_N_STATES
@@ -414,7 +420,7 @@ def test_gridnav_stays_on_grid(actions):
     )
 )
 def test_pointchase_respects_state_bounds(actions):
-    env = PointChaseEnv(make_spec(ENV_POINTCHASE), seed=0)
+    env = PointChaseEnv(make_spec(ENV_POINTCHASE))
     env.reset()
     for a in actions:
         feats, _, _ = env.step(a)
@@ -452,7 +458,7 @@ def test_population_rollout_matches_per_step_rollouts(gains, horizon):
     gains = np.array(gains)
     population = pointchase_linear_rollout(spec, gains)
     per_candidate = np.stack(
-        [rollout(PointChaseEnv(spec, seed=0), LinearPolicy(spec, g), seed=0).states for g in gains]
+        [rollout(PointChaseEnv(spec), LinearPolicy(spec, g), seed=0).states for g in gains]
     )
     assert population.shape == (len(gains), horizon, PC_FEATURE_DIM)
     assert np.array_equal(population, per_candidate)

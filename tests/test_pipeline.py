@@ -771,17 +771,32 @@ def copy_run(small_run, tmp_path):
     return write_cfg(tmp_path, SMALL), tmp_path / "out"
 
 
-def test_cli_train_policy_refuses_a_nan_reward(small_run, tmp_path, capsys):
-    cfg_path, out = copy_run(small_run, tmp_path)
+def write_nan_model(out):
     payload = json.loads((out / F_MODEL).read_text())
     payload["params"][0] = float("nan")
     (out / F_MODEL).write_text(json.dumps(payload))
+
+
+def test_cli_train_policy_refuses_a_nan_reward(small_run, tmp_path, capsys):
+    cfg_path, out = copy_run(small_run, tmp_path)
+    write_nan_model(out)
     t0 = time.perf_counter()
     code = main(["--config", cfg_path, "--out", str(out), "--quiet", "train-policy"])
     assert code == 3 and time.perf_counter() - t0 < 2.0
     err = capsys.readouterr().err.splitlines()
-    assert err == ["genil: train-policy failed: non-finite cell reward: "
-                   "value iteration cannot converge"]
+    assert err == [f"genil: train-policy failed: malformed artifact {out / F_MODEL}: "
+                   "non-finite parameters"]
+
+
+def test_cli_evaluate_refuses_a_nan_model(small_run, tmp_path, capsys):
+    cfg_path, out = copy_run(small_run, tmp_path)
+    write_nan_model(out)
+    summary = (out / F_SUMMARY).read_bytes()
+    assert main(["--config", cfg_path, "--out", str(out), "--quiet", "evaluate"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"genil: evaluate failed: malformed artifact {out / F_MODEL}: "
+                   "non-finite parameters"]
+    assert (out / F_SUMMARY).read_bytes() == summary
 
 
 def truncate(path):
@@ -812,6 +827,19 @@ def test_cli_refuses_a_truncated_artifact(small_run, tmp_path, capsys, name, sta
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"genil: {stage} failed: malformed artifact {out / name}: ")
+
+
+def test_cli_refuses_a_ranked_file_cut_at_a_line_end(small_run, tmp_path, capsys):
+    cfg_path, out = copy_run(small_run, tmp_path)
+    lines = (out / F_RANKED).read_bytes().splitlines(keepends=True)
+    (out / F_RANKED).write_bytes(b"".join(lines[:-4]))
+    assert main(["--config", cfg_path, "--out", str(out), "--quiet", "train-reward"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"genil: train-reward failed: malformed artifact {out / F_RANKED}: "
+        f"{len(lines) - 4} trajectories for the {len(lines)} ranked ids in "
+        f"{out / F_RANKED_MANIFEST}"
+    ]
 
 
 def test_load_pairs_refuses_a_truncated_file(small_run, tmp_path):

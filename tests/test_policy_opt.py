@@ -12,6 +12,7 @@ from genil.envs import (
     gridnav_all_features,
     gridnav_optimal_actions,
     gridnav_optimal_return,
+    gridnav_transitions,
     make_env,
     make_spec,
     rollout,
@@ -34,6 +35,7 @@ from genil.policy_opt import (
 from genil.reward_net import RewardEnsemble, RewardModel, make_reward_model, predict_states
 from genil.seeding import derive_seed
 from genil.trajectory import gt_return
+from reference_value_iteration import reference_value_iteration
 
 
 def linear_reward_model(field):
@@ -116,6 +118,43 @@ def test_value_iteration_discount_override(grid_spec):
     assert np.array_equal(art.parameters, gridnav_optimal_actions(0.99))
 
 
+def reward_cases():
+    """Seeded cell-reward vectors: standard normal draws and the outputs
+    of freshly initialized reward MLPs on the 64 cell features."""
+    feats = gridnav_all_features()
+    for k in range(4):
+        yield np.random.default_rng(derive_seed(k, "vi-rewards")).normal(size=GRID_N_STATES)
+        yield predict_states(make_reward_model(feats.shape[1], seed=k), feats)
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.9, 0.95, 0.99])
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_value_iteration_matches_the_reference_loop(grid_spec, gamma, tol):
+    for rewards in reward_cases():
+        art = value_iteration(grid_spec, lambda feats: rewards, discount=gamma, tol=tol)
+        assert np.array_equal(art.parameters, reference_value_iteration(rewards, gamma, tol))
+
+
+def test_value_iteration_at_discount_zero_takes_the_best_next_cell(grid_spec):
+    # at discount 0 every action's Q value is the cell's own reward, so the
+    # old loop's argmax over Q took action 0 everywhere; the shared loop
+    # takes the action whose next cell scores highest, as the oracle does
+    for rewards in reward_cases():
+        art = value_iteration(grid_spec, lambda feats: rewards, discount=0.0)
+        assert np.all(reference_value_iteration(rewards, 0.0, 1e-10) == 0)
+        best_next = np.argmax(rewards[gridnav_transitions()], axis=1)
+        assert np.array_equal(art.parameters, best_next)
+        assert np.any(art.parameters != 0)
+
+
+def test_value_iteration_refuses_a_non_finite_reward(grid_spec):
+    rewards = np.zeros(GRID_N_STATES)
+    rewards[5] = np.nan
+    with pytest.raises(DivergenceError, match="non-finite cell reward") as info:
+        value_iteration(grid_spec, lambda feats: rewards)
+    assert info.value.step == 0
+
+
 def test_value_iteration_validation(grid_spec, pc_spec):
     with pytest.raises(ConfigError):
         value_iteration(pc_spec, true_reward_fn(pc_spec))
@@ -190,7 +229,7 @@ def reference_fitness(env, gains, reward):
 
 def reference_cem(spec, reward, cfg, seed):
     rng = np.random.default_rng(derive_seed(seed, "cem"))
-    env = PointChaseEnv(spec, seed=0)
+    env = PointChaseEnv(spec)
     dim = spec.feature_dim
     mean = np.zeros(dim)
     std = np.full(dim, cfg.init_std)
@@ -298,8 +337,8 @@ def test_evaluate_policy_validation(grid_spec, pc_spec):
 def test_tabular_policy_matches_rollout_of_table(grid_spec):
     art = value_iteration(grid_spec, true_reward_fn(grid_spec))
     policy = art.as_policy(grid_spec)
-    traj = rollout(make_env(grid_spec, 0), policy, seed=0)
-    reference = rollout(make_env(grid_spec, 0), DemoPolicy(grid_spec, 0.0), seed=0)
+    traj = rollout(make_env(grid_spec), policy, seed=0)
+    reference = rollout(make_env(grid_spec), DemoPolicy(grid_spec, 0.0), seed=0)
     assert gt_return(traj, grid_spec.discount) == pytest.approx(
         gt_return(reference, grid_spec.discount), abs=1e-12
     )

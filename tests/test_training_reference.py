@@ -61,7 +61,7 @@ def test_bc_training_matches_reference(env_name):
     """GridNav clones a classifier (4 outputs), PointChase a regressor (1)."""
     spec = make_spec(env_name)
     demos = [
-        rollout(make_env(spec, 0), DemoPolicy(spec, q), seed=k) for k, q in enumerate((0.0, 0.3))
+        rollout(make_env(spec), DemoPolicy(spec, q), seed=k) for k, q in enumerate((0.0, 0.3))
     ]
     cfg = BCConfig(steps=STEPS, seed=3)
     policy = train_bc(demos, spec, cfg)
