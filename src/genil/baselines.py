@@ -139,6 +139,8 @@ class BCPolicy:
     spec: EnvSpec
     net: MLP
 
+    deterministic = True  # act never reads its rng
+
     @property
     def kind(self) -> str:
         return "bc_classifier" if self.spec.name == ENV_GRIDNAV else "bc_regressor"

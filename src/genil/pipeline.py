@@ -42,7 +42,7 @@ from .baselines import (
 )
 from .config import ExperimentConfig, config_to_dict
 from .envs import ENV_GRIDNAV, EnvSpec, make_demo_pair, make_eval_set
-from .errors import ConfigError, GenilError, MissingArtifactError
+from .errors import ConfigError, CorruptArtifactError, GenilError, MissingArtifactError
 from .fileio import atomic_write
 from .genetics import RankedDataset, relabel_demos, reproduce
 from .metrics import (
@@ -317,7 +317,10 @@ def stage_reproduce(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> 
     with _Timed(manifest, "reproduce"):
         demos = load_trajectories(out / F_DEMOS)
         if len(demos) != 2:
-            raise ConfigError(f"{F_DEMOS} must hold exactly 2 trajectories, got {len(demos)}")
+            raise CorruptArtifactError(
+                f"malformed artifact {out / F_DEMOS}: must hold exactly 2 trajectories, "
+                f"got {len(demos)}"
+            )
         if any(t.env != spec.name for t in demos):
             raise ConfigError(f"{F_DEMOS} trajectories are not from {spec.name}")
         ga_seed = derive_seed(cfg.base_seed, "trial", 0, "ga")
@@ -371,6 +374,12 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
         model = load_model(out / F_MODEL)
         artifact = load_policy(out / F_POLICY)
         eval_set = load_trajectories(out / F_EVAL)
+        expected = len(cfg.eval.qualities) * cfg.eval.n_per_quality
+        if len(eval_set) != expected:
+            raise CorruptArtifactError(
+                f"malformed artifact {out / F_EVAL}: {len(eval_set)} trajectories, "
+                f"the eval config makes {expected}"
+            )
         report = extrapolation_report(model, eval_set, spec.discount, n_bins=cfg.eval.n_bins)
         write_extrapolation_csv(out / F_EXTRAPOLATION, report)
         write_summary_csv(out / F_SUMMARY, [("GenIL", report)])

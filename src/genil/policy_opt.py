@@ -101,6 +101,7 @@ class TabularPolicy:
     table: np.ndarray  # (64,) action per cell
 
     kind = KIND_GREEDY_TABULAR
+    deterministic = True  # act never reads its rng
 
     def act(self, features: np.ndarray, rng: np.random.Generator) -> int:
         return int(self.table[gridnav_cell_of(features)])
@@ -112,6 +113,7 @@ class LinearPolicy:
     gains: np.ndarray  # (3,) feedback gains over (pos, vel, target-pos)
 
     kind = KIND_LINEAR_GAUSSIAN
+    deterministic = True  # act never reads its rng
 
     def act(self, features: np.ndarray, rng: np.random.Generator) -> float:
         return float(_clamp(self.gains @ features, -PC_ACTION_MAX, PC_ACTION_MAX))
@@ -218,20 +220,22 @@ def policy_returns(policy, spec: EnvSpec, n_episodes: int, seed: int) -> np.ndar
     """Discounted ground-truth returns of n_episodes fresh seeded rollouts.
 
     Any policy envs.rollout accepts will do; episode i is seeded by
-    derive_seed(seed, "eval-ep", i).
+    derive_seed(seed, "eval-ep", i).  Both environments are deterministic
+    and start every episode in the same state, so a policy marked
+    deterministic (its act never reads the rng) plays one episode, whose
+    return stands for all n_episodes.
     """
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
     env = make_env(spec)
-    return np.array(
-        [
-            gt_return(
-                rollout(env, policy, derive_seed(seed, "eval-ep", i), source="eval"),
-                spec.discount,
-            )
-            for i in range(n_episodes)
-        ]
-    )
+
+    def episode_return(i: int) -> float:
+        traj = rollout(env, policy, derive_seed(seed, "eval-ep", i), source="eval")
+        return gt_return(traj, spec.discount)
+
+    if getattr(policy, "deterministic", False):
+        return np.full(n_episodes, episode_return(0))
+    return np.array([episode_return(i) for i in range(n_episodes)])
 
 
 def evaluate_policy(

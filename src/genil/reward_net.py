@@ -12,15 +12,20 @@ into a unique-state table and one CSR row of state multiplicities per
 snippet.  Every snippet is a window of a parent trajectory, so the table
 comes from each parent's rows, laid out once from its snippets (which
 must agree with them) and byte-deduplicated, then sorted by value; no
-copy of every snippet row is ever held.  Batches are drawn and gathered
-BATCH_BLOCK steps at a time: one repeat-and-offset index collects every
-snippet's rows, a (steps, table rows) mask marks the rows each step
-touches, and one running count over it ranks them.  Each step then
-forwards only its own touched rows, and checks its loss, before the next
-step's parameters exist.  On the grid environment this collapses
-thousands of snippet states to at most 64 rows per step.  The draws, the
-forwarded rows, their order and the order of every sum are those of a
-per-step, per-snippet np.unique build, so training is bit-identical to it.
+copy of every snippet row is ever held.  The CSR rows come from one
+(snippet, table row) key per snippet row, sorted in place, whose runs of
+equal keys are the entries and run lengths the multiplicities.  Batches
+are drawn and gathered BATCH_BLOCK (16) steps at a time: one
+repeat-and-offset index collects every snippet's rows, a (steps, table
+rows) mask marks the rows each step touches, and one running count over
+it ranks them.  A block's arrays hold about 16 x 720 entries on
+PointChase, so what training holds does not grow with the step count.
+Each step then forwards only its own touched rows, and checks its loss,
+before the next step's parameters exist.  On the grid environment this
+collapses thousands of snippet states to at most 64 rows per step.  The
+draws, the forwarded rows, their order and the order of every sum are
+those of a per-step, per-snippet np.unique build, so training is
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -156,19 +161,17 @@ def _logistic(v: float) -> float:
         return 0.0
 
 
-def _expit(z) -> np.ndarray:
-    """Elementwise 1 / (1 + exp(-z)), bit for bit what scipy.special.expit
-    gives: both use the C library's exp, which numpy's SIMD exp does not
-    match in the last bit on every input.  Only an input below about -709.78
-    overflows math.exp; a batch holding one takes the per-element path."""
-    z = np.asarray(z, dtype=np.float64)
-    values = z.ravel().tolist()
+def _expit(z: np.ndarray) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-z)) over a 1-d float64 array, bit for bit
+    what scipy.special.expit gives: both use the C library's exp, which
+    numpy's SIMD exp does not match in the last bit on every input.  Only an
+    input below about -709.78 overflows math.exp; a batch holding one takes
+    the per-element path."""
     exp = math.exp
     try:
-        out = [1.0 / (1.0 + exp(-v)) for v in values]
+        return np.array([1.0 / (1.0 + exp(-v)) for v in z.tolist()])
     except OverflowError:
-        out = [_logistic(v) for v in values]
-    return np.array(out).reshape(z.shape)
+        return np.array([_logistic(v) for v in z.tolist()])
 
 
 def pair_loss(model: RewardModel, pair: SnippetPair) -> float:
@@ -184,7 +187,7 @@ def pair_grad(model: RewardModel, pair: SnippetPair) -> np.ndarray:
     out, cache = model.net.forward(states)
     n_lo = pair.lo.states.shape[0]
     z = float(out[:n_lo, 0].sum() - out[n_lo:, 0].sum())
-    g = float(_expit(z))
+    g = _logistic(z)
     d_out = np.empty((states.shape[0], 1))
     d_out[:n_lo, 0] = g
     d_out[n_lo:, 0] = -g
@@ -224,8 +227,10 @@ class CompiledPairs(Sequence):
     ``np.unique(axis=0)`` over every snippet state gives: the same table in
     the same order, rows that differ only in the sign of a zero merged.
     Each snippet is a CSR row (``indptr``, ``indices`` ascending,
-    ``counts``) of multiplicities over the table, decoded from one
-    ``np.unique`` over (snippet, state) keys.
+    ``counts``) of multiplicities over the table.  Its entries are the runs
+    of one (snippet, table row) key array sorted in place, the same entries
+    and counts that ``np.unique(keys, return_counts=True)`` gives without
+    that call's sorted copy, mask and index temporaries.
     """
 
     def __init__(self, pairs: Sequence[SnippetPair]):
@@ -272,16 +277,27 @@ class CompiledPairs(Sequence):
         )
         table_row = np.zeros(n_rows, dtype=np.intp)
         table_row[covered] = value_inverse.ravel()[byte_inverse]
+        # one (snippet, table row) key per snippet row, sorted in place: a
+        # run of equal keys is one CSR entry, and its length the multiplicity
+        n_unique = len(self.unique_states)
         lengths = np.array([s.length for s in snippets])
         ends = np.cumsum(lengths)
-        inverse = table_row[np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)]
-        n_unique = len(self.unique_states)
-        owner = np.repeat(np.arange(len(snippets)), lengths)
-        keys, counts = np.unique(owner * n_unique + inverse, return_counts=True)
-        self.indices = keys % n_unique
-        self.counts = counts.astype(np.float64)
-        per_snippet = np.bincount(keys // n_unique, minlength=len(snippets))
-        self.indptr = np.concatenate([[0], np.cumsum(per_snippet)])
+        keys = np.repeat(starts - (ends - lengths), lengths)
+        keys += np.arange(ends[-1])
+        keys = table_row[keys]
+        keys += np.repeat(np.arange(len(snippets)) * n_unique, lengths)
+        keys.sort()
+        first = np.empty(len(keys), dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        run_starts = np.flatnonzero(first)
+        self.indices = keys[run_starts]
+        del first, keys
+        self.counts = np.empty(len(run_starts))
+        np.subtract(run_starts[1:], run_starts[:-1], out=self.counts[:-1])
+        self.counts[-1] = ends[-1] - run_starts[-1]
+        self.indptr = np.searchsorted(self.indices, np.arange(len(snippets) + 1) * n_unique)
+        self.indices %= n_unique
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -337,7 +353,9 @@ class _BatchBlock:
 
 # Training steps whose batches are drawn and gathered together; the batches
 # and every result are those of drawing and gathering them one step at a time.
-BATCH_BLOCK = 64
+# A block's arrays are what training holds beyond the compiled pairs, and at
+# 16 steps a step costs no more than at 64.
+BATCH_BLOCK = 16
 
 
 def train(model: RewardModel, pairs: Sequence[SnippetPair], cfg: TrainConfig) -> TrainResult:

@@ -134,7 +134,7 @@ def test_reproduce_validates_demo_file(small_cfg, tmp_path):
     three.mkdir()
     extra = make_eval_set(spec, [0.2], 1, seed=0)
     save_trajectories(three / F_DEMOS, [good, bad] + extra)
-    with pytest.raises(ConfigError, match="exactly 2"):
+    with pytest.raises(CorruptArtifactError, match="exactly 2"):
         run_command("reproduce", small_cfg, three)
 
     wrong_env = tmp_path / "env"
@@ -840,6 +840,32 @@ def test_cli_refuses_a_ranked_file_cut_at_a_line_end(small_run, tmp_path, capsys
         f"{len(lines) - 4} trajectories for the {len(lines)} ranked ids in "
         f"{out / F_RANKED_MANIFEST}"
     ]
+
+
+def test_cli_refuses_a_demo_file_cut_at_a_line_end(small_run, tmp_path, capsys):
+    cfg_path, out = copy_run(small_run, tmp_path)
+    first = (out / F_DEMOS).read_bytes().splitlines(keepends=True)[0]
+    (out / F_DEMOS).write_bytes(first)
+    assert main(["--config", cfg_path, "--out", str(out), "--quiet", "reproduce"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"genil: reproduce failed: malformed artifact {out / F_DEMOS}: "
+        "must hold exactly 2 trajectories, got 1"
+    ]
+
+
+def test_cli_refuses_an_eval_file_cut_at_a_line_end(small_run, tmp_path, capsys):
+    cfg_path, out = copy_run(small_run, tmp_path)
+    lines = (out / F_EVAL).read_bytes().splitlines(keepends=True)
+    (out / F_EVAL).write_bytes(b"".join(lines[:-1]))
+    summary = (out / F_SUMMARY).read_bytes()
+    assert main(["--config", cfg_path, "--out", str(out), "--quiet", "evaluate"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"genil: evaluate failed: malformed artifact {out / F_EVAL}: "
+        f"{len(lines) - 1} trajectories, the eval config makes {len(lines)}"
+    ]
+    assert (out / F_SUMMARY).read_bytes() == summary
 
 
 def test_load_pairs_refuses_a_truncated_file(small_run, tmp_path):

@@ -3,7 +3,10 @@ artifact serialization."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from genil.baselines import BCConfig, train_bc
 from genil.envs import (
     DemoPolicy,
     GRID_N_STATES,
@@ -332,6 +335,62 @@ def test_evaluate_policy_validation(grid_spec, pc_spec):
         evaluate_policy(art, grid_spec, n_episodes=0, seed=0)
     with pytest.raises(ConfigError):
         evaluate_policy(art, pc_spec, n_episodes=1, seed=0)
+
+
+@pytest.fixture(scope="module")
+def deterministic_policies(grid_spec, pc_spec):
+    """One policy of each kind that policy_returns rolls out only once."""
+    bc = []
+    for spec in (grid_spec, pc_spec):
+        demos = [
+            rollout(make_env(spec), DemoPolicy(spec, q), seed=k) for k, q in enumerate((0.0, 0.3))
+        ]
+        bc.append(train_bc(demos, spec, BCConfig(steps=50, seed=1)))
+    linear = PolicyArtifact(
+        kind=KIND_LINEAR_GAUSSIAN, env="PointChase", parameters=np.array([0.5, -0.3, 1.2])
+    )
+    return [
+        value_iteration(grid_spec, true_reward_fn(grid_spec)).as_policy(grid_spec),
+        linear.as_policy(pc_spec),
+        *bc,
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(which=st.integers(0, 3), seeds=st.lists(st.integers(0, 2**31 - 1), min_size=2, max_size=2))
+def test_deterministic_policies_play_one_episode_at_every_seed(
+    deterministic_policies, which, seeds
+):
+    """policy_returns repeats one episode's return for these policies; one
+    that starts reading its rng must drop its mark, or this fails."""
+    policy = deterministic_policies[which]
+    assert policy.deterministic
+    a, b = (rollout(make_env(policy.spec), policy, seed=s) for s in seeds)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.actions, b.actions)
+    assert np.array_equal(a.gt_step_rewards, b.gt_step_rewards)
+
+
+def test_policy_returns_of_a_deterministic_policy_equal_every_episode(
+    deterministic_policies, grid_spec
+):
+    def every_episode(policy, spec, n, seed):
+        return np.array([
+            gt_return(
+                rollout(make_env(spec), policy, derive_seed(seed, "eval-ep", i), source="eval"),
+                spec.discount,
+            )
+            for i in range(n)
+        ])
+
+    for policy in deterministic_policies:
+        want = every_episode(policy, policy.spec, 4, seed=7)
+        assert np.array_equal(policy_returns(policy, policy.spec, 4, seed=7), want)
+    demo = DemoPolicy(grid_spec, 0.5)
+    assert not getattr(demo, "deterministic", False)
+    returns = policy_returns(demo, grid_spec, 4, seed=7)
+    assert np.array_equal(returns, every_episode(demo, grid_spec, 4, seed=7))
+    assert len(set(returns.tolist())) > 1
 
 
 def test_tabular_policy_matches_rollout_of_table(grid_spec):

@@ -24,6 +24,7 @@ from genil.reward_net import (
     predict_states,
     CompiledPairs,
     _expit,
+    _logistic,
     save_model,
     train,
 )
@@ -178,8 +179,10 @@ def same_floats(a, b):
 
 @pytest.mark.parametrize("z", EXPIT_EDGES, ids=repr)
 def test_expit_matches_scipy_on_edge_scalars(z):
-    assert same_floats(_expit(z), expit(z))
-    assert same_floats(_expit(np.float64(z)), expit(np.float64(z)))
+    # _expit takes 1-d arrays; pair_grad's scalar margins go to _logistic
+    assert same_floats(_expit(np.array([z])), expit(np.array([z])))
+    assert same_floats(_logistic(z), expit(z))
+    assert same_floats(_logistic(np.float64(z)), expit(np.float64(z)))
 
 
 def test_expit_matches_scipy_on_batches():
