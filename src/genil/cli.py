@@ -1,9 +1,9 @@
 """Command-line entry points for the experiment pipeline.
 
-Exit codes: 0 success, 2 configuration error, 3 stage failure,
-4 reproduction stalled.  A compare method that fails is reported on
-stderr as a warning; the command still exits 0 with that method's rows
-left empty.
+Exit codes: 0 success, 2 configuration error (an unreadable config file
+is one), 3 stage failure, 4 reproduction stalled.  A compare method that
+fails is reported on stderr as a warning; the command still exits 0 with
+that method's rows left empty.
 
 BLAS is held to one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
 is already set: outputs are identical at any thread count, and a second

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -142,7 +143,11 @@ class SweepSection:
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs, grouped by pipeline stage."""
+    """Everything a run needs, grouped by pipeline stage.
+
+    Each field is one config section: a section dataclass, whose fields
+    are the section's keys, or a single value placed by _SCALARS.
+    """
 
     env: EnvSection = field(default_factory=EnvSection)
     ga: GAConfig = field(default_factory=GAConfig)
@@ -155,6 +160,14 @@ class ExperimentConfig:
     sweep: SweepSection = field(default_factory=SweepSection)
     base_seed: int = 1
     output_dir: str = "out"
+
+    def __post_init__(self) -> None:
+        horizon = self.spec().horizon
+        if self.data.max_len > horizon:
+            raise ConfigError(
+                f"[data] max_len {self.data.max_len} exceeds the {self.env.name} "
+                f"horizon {horizon}"
+            )
 
     def spec(self) -> EnvSpec:
         return make_spec(self.env.name)
@@ -201,88 +214,49 @@ def _to_opt_int(raw: str) -> int | None:
     return _to_int(raw)
 
 
-def _to_float_list(raw: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"expected a comma-separated list, got {raw!r}")
-    return tuple(_to_float(p) for p in parts)
+def _list_of(cast):
+    def to_list(raw: str) -> tuple:
+        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        if not parts:
+            raise ConfigError(f"expected a comma-separated list, got {raw!r}")
+        return tuple(cast(p) for p in parts)
+
+    return to_list
 
 
-def _to_int_list(raw: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"expected a comma-separated list, got {raw!r}")
-    return tuple(_to_int(p) for p in parts)
-
-
-# section -> key -> caster; unknown sections/keys are rejected
-_SCHEMA: dict[str, dict[str, object]] = {
-    "env": {
-        "name": str.strip,
-        "demo_quality_good": _to_float,
-        "demo_quality_bad": _to_float,
-    },
-    "ga": {
-        "n_offspring": _to_int,
-        "crossover_rate": _to_float,
-        "mutation_rate": _to_float,
-        "max_crossover_step": _to_int,
-        "n_ranks": _to_int,
-        "rank_low": _to_int,
-        "rank_high": _to_opt_int,
-        "bucket_tolerance": _to_float,
-        "max_attempts": _to_int,
-        "parents_include_offspring": _to_bool,
-    },
-    "data": {
-        "n_snippets": _to_int,
-        "min_len": _to_int,
-        "max_len": _to_int,
-        "n_pairs": _to_int,
-        "min_margin": _to_float,
-    },
-    "train": {
-        "learning_rate": _to_float,
-        "steps": _to_int,
-        "batch_size": _to_int,
-        "l2": _to_float,
-    },
-    "policy": {
-        "discount": _to_float,
-        "tol": _to_float,
-        "cem_population_size": _to_int,
-        "cem_elite_frac": _to_float,
-        "cem_n_iters": _to_int,
-        "cem_init_std": _to_float,
-    },
-    "eval": {
-        "qualities": _to_float_list,
-        "n_per_quality": _to_int,
-        "n_bins": _to_int,
-        "n_trials": _to_int,
-        "n_models_per_trial": _to_int,
-        "n_eval_episodes": _to_int,
-    },
-    "sweep": {
-        "step_sizes": _to_int_list,
-    },
-    "seeds": {
-        "base": _to_int,
-    },
-    "output": {
-        "dir": str.strip,
-    },
+# a field's annotation -> the caster of its config value
+_CASTERS = {
+    str: str.strip,
+    int: _to_int,
+    float: _to_float,
+    bool: _to_bool,
+    int | None: _to_opt_int,
+    tuple[int, ...]: _list_of(_to_int),
+    tuple[float, ...]: _list_of(_to_float),
 }
 
-_SECTION_TYPES = {
-    "env": EnvSection,
-    "ga": GAConfig,
-    "data": DataSection,
-    "train": TrainConfig,
-    "policy": PolicySection,
-    "eval": EvalSection,
-    "sweep": SweepSection,
-}
+# ExperimentConfig field -> (section, key) of a single value
+_SCALARS = {"base_seed": ("seeds", "base"), "output_dir": ("output", "dir")}
+
+
+def _field_types(cls) -> dict[str, type]:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+_TYPES = _field_types(ExperimentConfig)
+# section -> its dataclass, for every ExperimentConfig field not in _SCALARS
+_SECTIONS = {name: cls for name, cls in _TYPES.items() if name not in _SCALARS}
+# section -> key -> caster; unknown sections/keys are rejected, and so is
+# [train] seed, which the pipeline derives for each model
+_SCHEMA = {
+    section: {
+        key: _CASTERS[kind]
+        for key, kind in _field_types(cls).items()
+        if (section, key) != ("train", "seed")
+    }
+    for section, cls in _SECTIONS.items()
+} | {section: {key: _CASTERS[_TYPES[name]]} for name, (section, key) in _SCALARS.items()}
 
 
 def parse_config_text(text: str, origin: str = "<string>") -> ExperimentConfig:
@@ -304,7 +278,7 @@ def parse_config_text(text: str, origin: str = "<string>") -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
 
-    overrides: dict[str, dict[str, object]] = {}
+    overrides: dict[str, dict[str, object]] = {section: {} for section in _SCHEMA}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(
@@ -319,41 +293,33 @@ def parse_config_text(text: str, origin: str = "<string>") -> ExperimentConfig:
                     f"known keys: {', '.join(sorted(casters))}"
                 )
             try:
-                overrides.setdefault(section, {})[key] = casters[key](raw)
+                overrides[section][key] = casters[key](raw)
             except ConfigError as exc:
                 raise ConfigError(f"{origin}: [{section}] {key}: {exc}") from None
 
     base = default_config()
-    built: dict[str, object] = {}
-    for section, cls in _SECTION_TYPES.items():
-        current = dataclasses.asdict(getattr(base, section))
-        current.update(overrides.get(section, {}))
-        built[section] = cls(**current)
-    return ExperimentConfig(
-        env=built["env"],
-        ga=built["ga"],
-        data=built["data"],
-        train=built["train"],
-        policy=built["policy"],
-        eval=built["eval"],
-        sweep=built["sweep"],
-        base_seed=overrides.get("seeds", {}).get("base", base.base_seed),
-        output_dir=overrides.get("output", {}).get("dir", base.output_dir),
-    )
+    built = {
+        section: dataclasses.replace(getattr(base, section), **overrides[section])
+        for section in _SECTIONS
+    }
+    for name, (section, key) in _SCALARS.items():
+        built[name] = overrides[section].get(key, getattr(base, name))
+    return ExperimentConfig(**built)
 
 
 def load_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(encoding="utf-8"), origin=str(path))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    return parse_config_text(text, origin=str(path))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain nested dict of every setting, for manifests and echoing."""
-    out = {}
-    for section in _SECTION_TYPES:
-        out[section] = dataclasses.asdict(getattr(cfg, section))
-    out["seeds"] = {"base": cfg.base_seed}
-    out["output"] = {"dir": cfg.output_dir}
+    out = {section: dataclasses.asdict(getattr(cfg, section)) for section in _SECTIONS}
+    for name, (section, key) in _SCALARS.items():
+        out[section] = {key: getattr(cfg, name)}
     return out

@@ -4,9 +4,10 @@ Every stage reads and writes files under one output directory, so any
 stage can be rerun in isolation.  A run manifest records the config
 echo, a content hash for every emitted artifact, per-stage wall-clock,
 and the derived seeds, which makes bit-level reproducibility checkable
-from the manifest alone.  STAGES maps each stage name to its function,
-COMMANDS maps each command to the stages it runs in order, and
-run_command runs one command under one manifest.
+from the manifest alone.  STAGES maps each stage name to its function
+and the artifacts it reads and writes, COMMANDS maps each command to the
+stages it runs in order, and run_command runs one command under one
+manifest: it alone checks, times and hashes every stage's artifacts.
 
 Seed discipline: each unit of work owns a seed derived from
 (base_seed, labels..., kind[, model]), so no stage's RNG consumption can
@@ -117,9 +118,6 @@ class RunManifest:
     warnings: list[str] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def add_artifact(self, out_dir: Path, name: str) -> None:
-        self.artifacts[name] = file_sha256(out_dir / name)
-
     def save(self, out_dir: Path) -> None:
         payload = {
             "format_version": MANIFEST_VERSION,
@@ -207,20 +205,6 @@ def _map_units(fn, units: list[tuple]) -> list:
         return list(pool.map(_run_unit, units))
 
 
-class _Timed:
-    def __init__(self, manifest: RunManifest, stage: str):
-        self.manifest = manifest
-        self.stage = stage
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.manifest.stage_seconds[self.stage] = time.perf_counter() - self.t0
-        return False
-
-
 # ---------------------------------------------------------------------------
 # Shared steps.  A seed is derive_seed(base, *labels, kind[, model]): the
 # single-lineage stages use the labels _LINEAGE, compare ("trial", t,
@@ -237,12 +221,11 @@ def _demo_pair(cfg: ExperimentConfig, spec: EnvSpec, seed: int):
 
 
 def _write_eval_set(cfg: ExperimentConfig, spec: EnvSpec, out: Path, manifest: RunManifest):
-    """Generate and save the evaluation set, recording its seed and hash."""
+    """Generate and save the evaluation set, recording its seed."""
     seed = derive_seed(cfg.base_seed, "eval-set")
     eval_set = make_eval_set(spec, list(cfg.eval.qualities), cfg.eval.n_per_quality, seed)
     save_trajectories(out / F_EVAL, eval_set)
     manifest.seeds["eval_set"] = seed
-    manifest.add_artifact(out, F_EVAL)
     return eval_set
 
 
@@ -303,63 +286,49 @@ def _train_and_score(cfg: ExperimentConfig, spec: EnvSpec, dataset: RankedDatase
 
 def stage_gen_demos(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
     spec = cfg.spec()
-    with _Timed(manifest, "gen-demos"):
-        demo_seed = derive_seed(cfg.base_seed, "trial", 0, "demos")
-        save_trajectories(out / F_DEMOS, list(_demo_pair(cfg, spec, demo_seed)))
-        _write_eval_set(cfg, spec, out, manifest)
+    demo_seed = derive_seed(cfg.base_seed, "trial", 0, "demos")
+    save_trajectories(out / F_DEMOS, list(_demo_pair(cfg, spec, demo_seed)))
+    _write_eval_set(cfg, spec, out, manifest)
     manifest.seeds["trial0/demos"] = demo_seed
-    manifest.add_artifact(out, F_DEMOS)
 
 
 def stage_reproduce(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
-    _require(out, F_DEMOS)
     spec = cfg.spec()
-    with _Timed(manifest, "reproduce"):
-        demos = load_trajectories(out / F_DEMOS)
-        if len(demos) != 2:
-            raise CorruptArtifactError(
-                f"malformed artifact {out / F_DEMOS}: must hold exactly 2 trajectories, "
-                f"got {len(demos)}"
-            )
-        if any(t.env != spec.name for t in demos):
-            raise ConfigError(f"{F_DEMOS} trajectories are not from {spec.name}")
-        ga_seed = derive_seed(cfg.base_seed, "trial", 0, "ga")
-        dataset = _grow(demos[0], demos[1], cfg.ga, ga_seed)
-        dataset.save(out / F_RANKED, out / F_RANKED_MANIFEST)
+    demos = load_trajectories(out / F_DEMOS)
+    if len(demos) != 2:
+        raise CorruptArtifactError(
+            f"malformed artifact {out / F_DEMOS}: must hold exactly 2 trajectories, "
+            f"got {len(demos)}"
+        )
+    if any(t.env != spec.name for t in demos):
+        raise ConfigError(f"{F_DEMOS} trajectories are not from {spec.name}")
+    ga_seed = derive_seed(cfg.base_seed, "trial", 0, "ga")
+    dataset = _grow(demos[0], demos[1], cfg.ga, ga_seed)
+    dataset.save(out / F_RANKED, out / F_RANKED_MANIFEST)
     manifest.seeds["trial0/ga"] = ga_seed
     manifest.warnings.extend(dataset.warnings)
-    manifest.add_artifact(out, F_RANKED)
-    manifest.add_artifact(out, F_RANKED_MANIFEST)
 
 
 def stage_train_reward(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
-    _require(out, F_RANKED, F_RANKED_MANIFEST)
-    with _Timed(manifest, "train-reward"):
-        dataset = RankedDataset.load(out / F_RANKED, out / F_RANKED_MANIFEST)
-        data_seed = derive_seed(cfg.base_seed, *_LINEAGE, "data")
-        pairs = _pairs(cfg, dataset, data_seed)
-        save_pairs(out / F_PAIRS, pairs)
-        model_seed = derive_seed(cfg.base_seed, *_LINEAGE, "model", 0)
-        result = _train(cfg, pairs, model_seed)
-        save_model(result.model, out / F_MODEL, train_config=result.config)
-        write_loss_csv(out / F_LOSS, result.losses)
+    dataset = RankedDataset.load(out / F_RANKED, out / F_RANKED_MANIFEST)
+    data_seed = derive_seed(cfg.base_seed, *_LINEAGE, "data")
+    pairs = _pairs(cfg, dataset, data_seed)
+    save_pairs(out / F_PAIRS, pairs)
+    model_seed = derive_seed(cfg.base_seed, *_LINEAGE, "model", 0)
+    result = _train(cfg, pairs, model_seed)
+    save_model(result.model, out / F_MODEL, train_config=result.config)
+    write_loss_csv(out / F_LOSS, result.losses)
     manifest.seeds["trial0/data"] = data_seed
     manifest.seeds["trial0/model0"] = model_seed
-    manifest.add_artifact(out, F_PAIRS)
-    manifest.add_artifact(out, F_MODEL)
-    manifest.add_artifact(out, F_LOSS)
 
 
 def stage_train_policy(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
-    _require(out, F_MODEL)
     spec = cfg.spec()
-    with _Timed(manifest, "train-policy"):
-        model = load_model(out / F_MODEL)
-        policy_seed = derive_seed(cfg.base_seed, *_LINEAGE, "policy", 0)
-        artifact = _derive_policy(cfg, spec, model, policy_seed, F_MODEL)
-        save_policy(artifact, out / F_POLICY)
+    model = load_model(out / F_MODEL)
+    policy_seed = derive_seed(cfg.base_seed, *_LINEAGE, "policy", 0)
+    artifact = _derive_policy(cfg, spec, model, policy_seed, F_MODEL)
+    save_policy(artifact, out / F_POLICY)
     manifest.seeds["trial0/policy0"] = policy_seed
-    manifest.add_artifact(out, F_POLICY)
 
 
 def stage_evaluate(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
@@ -368,31 +337,26 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
     The policy table's model axis holds evaluation episodes here, since
     exactly one policy is being scored.
     """
-    _require(out, F_MODEL, F_POLICY, F_EVAL)
     spec = cfg.spec()
-    with _Timed(manifest, "evaluate"):
-        model = load_model(out / F_MODEL)
-        artifact = load_policy(out / F_POLICY)
-        eval_set = load_trajectories(out / F_EVAL)
-        expected = len(cfg.eval.qualities) * cfg.eval.n_per_quality
-        if len(eval_set) != expected:
-            raise CorruptArtifactError(
-                f"malformed artifact {out / F_EVAL}: {len(eval_set)} trajectories, "
-                f"the eval config makes {expected}"
-            )
-        report = extrapolation_report(model, eval_set, spec.discount, n_bins=cfg.eval.n_bins)
-        write_extrapolation_csv(out / F_EXTRAPOLATION, report)
-        write_summary_csv(out / F_SUMMARY, [("GenIL", report)])
-        eval_seed = derive_seed(cfg.base_seed, *_LINEAGE, "policy-eval", 0)
-        stats = evaluate_policy(artifact, spec, cfg.eval.n_eval_episodes, seed=eval_seed)
-        row = policy_table_row("GenIL", np.asarray(stats.returns)[None, :])
-        write_policy_table_csv(out / F_POLICY_TABLE, [("GenIL", row)])
+    model = load_model(out / F_MODEL)
+    artifact = load_policy(out / F_POLICY)
+    eval_set = load_trajectories(out / F_EVAL)
+    expected = len(cfg.eval.qualities) * cfg.eval.n_per_quality
+    if len(eval_set) != expected:
+        raise CorruptArtifactError(
+            f"malformed artifact {out / F_EVAL}: {len(eval_set)} trajectories, "
+            f"the eval config makes {expected}"
+        )
+    report = extrapolation_report(model, eval_set, spec.discount, n_bins=cfg.eval.n_bins)
+    write_extrapolation_csv(out / F_EXTRAPOLATION, report)
+    write_summary_csv(out / F_SUMMARY, [("GenIL", report)])
+    eval_seed = derive_seed(cfg.base_seed, *_LINEAGE, "policy-eval", 0)
+    stats = evaluate_policy(artifact, spec, cfg.eval.n_eval_episodes, seed=eval_seed)
+    row = policy_table_row("GenIL", np.asarray(stats.returns)[None, :])
+    write_policy_table_csv(out / F_POLICY_TABLE, [("GenIL", row)])
     manifest.seeds["trial0/policy_eval0"] = eval_seed
     if report.pred_degenerate:
         manifest.warnings.append("degenerate predictions: zero spread on the eval set")
-    manifest.add_artifact(out, F_EXTRAPOLATION)
-    manifest.add_artifact(out, F_SUMMARY)
-    manifest.add_artifact(out, F_POLICY_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -504,21 +468,20 @@ def stage_compare(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> No
     when the demos carry actions.
     """
     spec = cfg.spec()
-    with _Timed(manifest, "compare/setup"):
-        eval_set = _write_eval_set(cfg, spec, out, manifest)
-        demo_pairs = []
-        for t in range(cfg.eval.n_trials):
-            seed = derive_seed(cfg.base_seed, "trial", t, "demos")
-            manifest.seeds[f"trial{t}/demos"] = seed
-            good, bad = _demo_pair(cfg, spec, seed)
-            demo_pairs.append(
-                (
-                    dataclasses.replace(good, id=f"trial{t}-demo-good"),
-                    dataclasses.replace(bad, id=f"trial{t}-demo-bad"),
-                )
+    eval_set = _write_eval_set(cfg, spec, out, manifest)
+    eval_hash = file_sha256(out / F_EVAL)
+    demo_pairs = []
+    for t in range(cfg.eval.n_trials):
+        seed = derive_seed(cfg.base_seed, "trial", t, "demos")
+        manifest.seeds[f"trial{t}/demos"] = seed
+        good, bad = _demo_pair(cfg, spec, seed)
+        demo_pairs.append(
+            (
+                dataclasses.replace(good, id=f"trial{t}-demo-good"),
+                dataclasses.replace(bad, id=f"trial{t}-demo-bad"),
             )
-        save_trajectories(out / F_DEMOS, [traj for pair in demo_pairs for traj in pair])
-        manifest.add_artifact(out, F_DEMOS)
+        )
+    save_trajectories(out / F_DEMOS, [traj for pair in demo_pairs for traj in pair])
 
     methods = list(COMPARE_METHODS)
     has_actions = all(t.actions is not None for pair in demo_pairs for t in pair)
@@ -531,40 +494,36 @@ def stage_compare(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> No
     method_errors: dict[str, str] = {}
     method_eval_hash: dict[str, str] = {}
     n_trials = cfg.eval.n_trials
-    with _Timed(manifest, "compare/trials"):
-        units = [(method, t) for method in methods for t in range(n_trials)]
-        outcomes = _map_units(
-            functools.partial(_compare_trial, cfg, spec, demo_pairs, eval_set), units
-        )
-        for i, method in enumerate(methods):
-            results = outcomes[i * n_trials : (i + 1) * n_trials]
-            try:
-                for r in results:
-                    if isinstance(r, GenilError):
-                        raise r
-                row = policy_table_row(method, np.array([r[0] for r in results]))
-                report = None
-                if method != "BC":
-                    scores = np.concatenate([r[1] for r in results])
-                    report = predicted_returns_report(
-                        _ensemble_returns(scores, eval_set),
-                        eval_set,
-                        spec.discount,
-                        n_bins=cfg.eval.n_bins,
-                    )
-                method_eval_hash[method] = manifest.artifacts[F_EVAL]
-            except GenilError as exc:
-                method_errors[method] = f"{type(exc).__name__}: {exc}"
-                row = report = None
-            table_entries.append((method, row))
+    units = [(method, t) for method in methods for t in range(n_trials)]
+    outcomes = _map_units(
+        functools.partial(_compare_trial, cfg, spec, demo_pairs, eval_set), units
+    )
+    for i, method in enumerate(methods):
+        results = outcomes[i * n_trials : (i + 1) * n_trials]
+        try:
+            for r in results:
+                if isinstance(r, GenilError):
+                    raise r
+            row = policy_table_row(method, np.array([r[0] for r in results]))
+            report = None
             if method != "BC":
-                summary_entries.append((method, report))
+                scores = np.concatenate([r[1] for r in results])
+                report = predicted_returns_report(
+                    _ensemble_returns(scores, eval_set),
+                    eval_set,
+                    spec.discount,
+                    n_bins=cfg.eval.n_bins,
+                )
+            method_eval_hash[method] = eval_hash
+        except GenilError as exc:
+            method_errors[method] = f"{type(exc).__name__}: {exc}"
+            row = report = None
+        table_entries.append((method, row))
+        if method != "BC":
+            summary_entries.append((method, report))
 
-    with _Timed(manifest, "compare/emit"):
-        write_policy_table_csv(out / F_POLICY_TABLE, table_entries)
-        write_summary_csv(out / F_SUMMARY, summary_entries)
-        manifest.add_artifact(out, F_POLICY_TABLE)
-        manifest.add_artifact(out, F_SUMMARY)
+    write_policy_table_csv(out / F_POLICY_TABLE, table_entries)
+    write_summary_csv(out / F_SUMMARY, summary_entries)
     manifest.meta["method_errors"] = method_errors
     manifest.meta["method_eval_hash"] = method_eval_hash
 
@@ -600,47 +559,52 @@ def stage_sweep(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None
     spec = cfg.spec()
     steps, n_trials = cfg.sweep.step_sizes, cfg.eval.n_trials
     records = []
-    with _Timed(manifest, "sweep"):
-        for step in steps:
-            if step >= cfg.data.min_len:
-                manifest.warnings.append(
-                    f"step size {step} >= snippet min length {cfg.data.min_len}: "
-                    "crossover segments span whole snippets"
+    for step in steps:
+        if step >= cfg.data.min_len:
+            manifest.warnings.append(
+                f"step size {step} >= snippet min length {cfg.data.min_len}: "
+                "crossover segments span whole snippets"
+            )
+    units = [(step, t) for step in steps for t in range(n_trials)]
+    returns = _map_units(functools.partial(_sweep_trial, cfg, spec), units)
+    for i, step in enumerate(steps):
+        grid = np.array(returns[i * n_trials : (i + 1) * n_trials])
+        step_mean = float(grid.mean())
+        for t in range(n_trials):
+            trial_std = float(grid[t].std())
+            for m in range(cfg.eval.n_models_per_trial):
+                records.append(
+                    {
+                        "step_size": step,
+                        "trial": t,
+                        "model": m,
+                        "gt_return": float(grid[t, m]),
+                        "trial_std": trial_std,
+                        "step_mean": step_mean,
+                    }
                 )
-        units = [(step, t) for step in steps for t in range(n_trials)]
-        returns = _map_units(functools.partial(_sweep_trial, cfg, spec), units)
-        for i, step in enumerate(steps):
-            grid = np.array(returns[i * n_trials : (i + 1) * n_trials])
-            step_mean = float(grid.mean())
-            for t in range(n_trials):
-                trial_std = float(grid[t].std())
-                for m in range(cfg.eval.n_models_per_trial):
-                    records.append(
-                        {
-                            "step_size": step,
-                            "trial": t,
-                            "model": m,
-                            "gt_return": float(grid[t, m]),
-                            "trial_std": trial_std,
-                            "step_mean": step_mean,
-                        }
-                    )
-        records.sort(key=lambda r: (r["step_size"], r["trial"], r["model"]))
-        write_sweep_csv(out / F_SWEEP, records)
-    manifest.add_artifact(out, F_SWEEP)
+    records.sort(key=lambda r: (r["step_size"], r["trial"], r["model"]))
+    write_sweep_csv(out / F_SWEEP, records)
 
 
 # ---------------------------------------------------------------------------
 # Commands: each runs its stages in order under one manifest
 
+# stage -> (its function, the artifacts it reads, the artifacts it writes)
 STAGES = {
-    "gen-demos": stage_gen_demos,
-    "reproduce": stage_reproduce,
-    "train-reward": stage_train_reward,
-    "train-policy": stage_train_policy,
-    "evaluate": stage_evaluate,
-    "compare": stage_compare,
-    "sweep": stage_sweep,
+    "gen-demos": (stage_gen_demos, (), (F_DEMOS, F_EVAL)),
+    "reproduce": (stage_reproduce, (F_DEMOS,), (F_RANKED, F_RANKED_MANIFEST)),
+    "train-reward": (
+        stage_train_reward, (F_RANKED, F_RANKED_MANIFEST), (F_PAIRS, F_MODEL, F_LOSS)
+    ),
+    "train-policy": (stage_train_policy, (F_MODEL,), (F_POLICY,)),
+    "evaluate": (
+        stage_evaluate,
+        (F_MODEL, F_POLICY, F_EVAL),
+        (F_EXTRAPOLATION, F_SUMMARY, F_POLICY_TABLE),
+    ),
+    "compare": (stage_compare, (), (F_DEMOS, F_EVAL, F_POLICY_TABLE, F_SUMMARY)),
+    "sweep": (stage_sweep, (), (F_SWEEP,)),
 }
 
 # command -> (the stages it runs, in order; its one-line help)
@@ -660,14 +624,23 @@ COMMANDS = {
 
 
 def run_command(command: str, cfg: ExperimentConfig, out_dir=None) -> RunManifest:
-    """Run a command's stages in order and save the run manifest.
+    """Run a command's stages in order under one run manifest.
 
-    out_dir defaults to the config's output directory.
+    Each stage must find the artifacts it reads.  Once it returns, its
+    wall-clock and the hashes of the artifacts it writes go into the
+    manifest, which is saved then, so a command that fails part way leaves
+    a manifest of the stages it finished.  out_dir defaults to the
+    config's output directory.
     """
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(command=command, config=config_to_dict(cfg), base_seed=cfg.base_seed)
     for name in COMMANDS[command][0]:
-        STAGES[name](cfg, out, manifest)
-    manifest.save(out)
+        run, reads, writes = STAGES[name]
+        _require(out, *reads)
+        t0 = time.perf_counter()
+        run(cfg, out, manifest)
+        manifest.stage_seconds[name] = time.perf_counter() - t0
+        manifest.artifacts.update({a: file_sha256(out / a) for a in writes})
+        manifest.save(out)
     return manifest

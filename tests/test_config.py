@@ -2,19 +2,27 @@
 
 import dataclasses
 import re
+import typing
 from pathlib import Path
 
 import pytest
 
 from genil.config import (
+    DataSection,
+    EnvSection,
+    EvalSection,
     ExperimentConfig,
+    PolicySection,
+    SweepSection,
     config_to_dict,
     default_config,
     load_config,
     parse_config_text,
 )
 from genil.errors import ConfigError
+from genil.genetics import GAConfig
 from genil.policy_opt import CEMConfig
+from genil.reward_net import TrainConfig
 
 
 def test_empty_text_is_desk_default():
@@ -132,6 +140,7 @@ def test_spec_reflects_env_choice():
         ("[data]\nn_snippets = 5\nn_snippets = 6\n", ""),  # duplicate key
         ("[DEFAULT]\nname = GridNav\n", "unknown section"),
         ("[sweep]\nstep_sizes =\n", "comma-separated"),
+        ("[train]\nseed = 3\n", "unknown key 'seed'"),  # derived per model
     ],
 )
 def test_parse_errors(text, needle):
@@ -198,3 +207,66 @@ def test_config_to_dict_covers_everything():
     import json
 
     json.dumps(d)
+
+
+# ---------------------------------------------------------------------------
+# Each key is declared once, as a field of its section's dataclass
+
+SECTION_TYPES = {
+    "env": EnvSection,
+    "ga": GAConfig,
+    "data": DataSection,
+    "train": TrainConfig,
+    "policy": PolicySection,
+    "eval": EvalSection,
+    "sweep": SweepSection,
+}
+
+
+def section_fields(section):
+    """(key, annotation) of every field a config may set in a section."""
+    cls = SECTION_TYPES[section]
+    hints = typing.get_type_hints(cls)
+    return [
+        (f.name, hints[f.name])
+        for f in dataclasses.fields(cls)
+        if (section, f.name) != ("train", "seed")  # derived per model
+    ]
+
+
+def known_keys(section):
+    """The keys the parser lists when it refuses an unknown one."""
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(f"[{section}]\nnot_a_key = 1\n")
+    return set(str(exc.value).split("known keys: ")[1].split(", "))
+
+
+KEYS = {s: {name for name, _ in section_fields(s)} for s in SECTION_TYPES}
+KEYS |= {"seeds": {"base"}, "output": {"dir"}}
+
+
+@pytest.mark.parametrize("section", sorted(KEYS))
+def test_section_keys_are_its_dataclass_fields(section):
+    assert known_keys(section) == KEYS[section]
+
+
+MALFORMED = [
+    (section, key)
+    for section in sorted(SECTION_TYPES)
+    for key, kind in section_fields(section)
+    if kind is not str  # every string is a well-formed str value
+] + [("seeds", "base")]
+
+
+@pytest.mark.parametrize("section, key", MALFORMED, ids=[f"{s}.{k}" for s, k in MALFORMED])
+def test_malformed_value_names_its_key(section, key):
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}: expected")):
+        parse_config_text(f"[{section}]\n{key} = x!\n", origin="exp.cfg")
+
+
+def test_max_len_above_the_horizon_is_refused():
+    with pytest.raises(ConfigError, match="max_len 60 exceeds the GridNav horizon 50"):
+        parse_config_text("[data]\nmax_len = 60\n")
+    assert parse_config_text("[data]\nmax_len = 50\n").data.max_len == 50
+    point = parse_config_text("[env]\nname = PointChase\n[data]\nmax_len = 60\n")
+    assert point.data.max_len == 60

@@ -717,6 +717,19 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "absent.cfg"), "--quiet", "gen-demos"]) == 2
 
 
+def test_cli_config_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"\xff\xfe[seeds]\nbase = 2\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet", "gen-demos"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"genil: config error: cannot read config file {path}: ")
+    assert not out.exists()
+
+
 def test_cli_missing_artifacts_exit_3(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, SMALL)
     out = tmp_path / "empty"
@@ -734,6 +747,23 @@ def test_cli_stalled_reproduction_exit_4(tmp_path, capsys):
     assert "reproduction stalled" in err
     assert "bucket" in err
     assert "attempts used: 1" in err
+
+
+def test_failed_command_leaves_the_manifest_of_its_finished_stages(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, SMALL)
+    stalls = write_cfg(tmp_path, SMALL + STALL, name="stall.cfg")
+    out = tmp_path / "out"
+    for path, seed, code in ((cfg_path, "1", 0), (stalls, "9", 4)):
+        argv = ["--config", path, "--out", str(out), "--seed", seed, "--quiet", "run-all"]
+        assert main(argv) == code
+    assert "reproduction stalled" in capsys.readouterr().err
+    manifest = json.loads((out / F_MANIFEST).read_text())
+    assert (manifest["command"], manifest["base_seed"]) == ("run-all", 9)
+    assert manifest["config"]["ga"]["max_attempts"] == 1
+    assert set(manifest["stage_seconds"]) == {"gen-demos"}
+    assert manifest["artifacts"] == {
+        name: file_sha256(out / name) for name in (F_DEMOS, F_EVAL)
+    }
 
 
 def test_cli_sweep_emits_warnings(tmp_path, capsys):
@@ -866,6 +896,25 @@ def test_cli_refuses_an_eval_file_cut_at_a_line_end(small_run, tmp_path, capsys)
         f"{len(lines) - 1} trajectories, the eval config makes {len(lines)}"
     ]
     assert (out / F_SUMMARY).read_bytes() == summary
+
+
+@pytest.mark.parametrize("command", sorted(pipeline.COMMANDS))
+def test_command_writes_exactly_its_stages_declared_outputs(small_run, tmp_path, command):
+    # inputs a command reads before any of its own stages writes them come
+    # from a finished run-all
+    needed, written = set(), set()
+    for stage in pipeline.COMMANDS[command][0]:
+        _, reads, writes = pipeline.STAGES[stage]
+        needed |= set(reads) - written
+        written |= set(writes)
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in needed:
+        shutil.copy(small_run / "out" / name, out / name)
+    manifest = run_command(command, parse_config_text(SMALL), out)
+    assert set(manifest.artifacts) == written
+    assert {p.name for p in out.iterdir()} == needed | written | {F_MANIFEST}
+    assert set(manifest.stage_seconds) == set(pipeline.COMMANDS[command][0])
 
 
 def test_load_pairs_refuses_a_truncated_file(small_run, tmp_path):
