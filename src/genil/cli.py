@@ -22,7 +22,7 @@ import argparse
 import dataclasses
 import sys
 
-from .config import default_config, load_config
+from .config import ExperimentConfig, load_config
 from .errors import ConfigError, GenilError, ReproductionStalledError
 from .pipeline import COMMANDS, run_command
 
@@ -54,7 +54,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     say = (lambda *a: None) if args.quiet else (lambda *a: print(*a))
     try:
-        cfg = load_config(args.config) if args.config else default_config()
+        cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, base_seed=args.seed)
         manifest = run_command(args.command, cfg, out_dir=args.out)

@@ -2,9 +2,9 @@
 
 Config files are INI-style: ``[section]`` headers, ``key = value`` lines,
 ``#`` comments (full-line or inline).  Unknown sections or keys are
-errors, so a typo can never silently fall back to a default.  The
-defaults encoded here are the desk-scale settings every command runs
-with when no file is given; they are the single source of truth for
+errors, so a typo can never silently fall back to a default.  Each
+section is a dataclass whose field defaults are the desk-scale settings
+every command runs with when no file is given; ``ExperimentConfig()`` is
 "the desk config" used throughout the test suite.
 """
 
@@ -80,10 +80,10 @@ class PolicySection:
 
     discount: float = 0.99
     tol: float = 1e-10
-    cem_population_size: int = 64
-    cem_elite_frac: float = 0.125
-    cem_n_iters: int = 30
-    cem_init_std: float = 2.0
+    cem_population_size: int = CEMConfig.population_size
+    cem_elite_frac: float = CEMConfig.elite_frac
+    cem_n_iters: int = CEMConfig.n_iters
+    cem_init_std: float = CEMConfig.init_std
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.discount < 1.0:
@@ -152,9 +152,7 @@ class ExperimentConfig:
     env: EnvSection = field(default_factory=EnvSection)
     ga: GAConfig = field(default_factory=GAConfig)
     data: DataSection = field(default_factory=DataSection)
-    train: TrainConfig = field(
-        default_factory=lambda: TrainConfig(learning_rate=3e-4, steps=6000, batch_size=16)
-    )
+    train: TrainConfig = field(default_factory=TrainConfig)
     policy: PolicySection = field(default_factory=PolicySection)
     eval: EvalSection = field(default_factory=EvalSection)
     sweep: SweepSection = field(default_factory=SweepSection)
@@ -173,10 +171,6 @@ class ExperimentConfig:
         return make_spec(self.env.name)
 
 
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -193,19 +187,6 @@ def _to_float(raw: str) -> float:
         return float(raw)
     except ValueError:
         raise ConfigError(f"expected a number, got {raw!r}") from None
-
-
-_BOOL_WORDS = {
-    "true": True, "yes": True, "on": True, "1": True,
-    "false": False, "no": False, "off": False, "0": False,
-}
-
-
-def _to_bool(raw: str) -> bool:
-    try:
-        return _BOOL_WORDS[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"expected a boolean, got {raw!r}") from None
 
 
 def _to_opt_int(raw: str) -> int | None:
@@ -229,7 +210,6 @@ _CASTERS = {
     str: str.strip,
     int: _to_int,
     float: _to_float,
-    bool: _to_bool,
     int | None: _to_opt_int,
     tuple[int, ...]: _list_of(_to_int),
     tuple[float, ...]: _list_of(_to_float),
@@ -262,9 +242,11 @@ _SCHEMA = {
 def parse_config_text(text: str, origin: str = "<string>") -> ExperimentConfig:
     """Build an ExperimentConfig from config-file text.
 
-    Every value starts at its desk default; the file overrides.  Unknown
-    sections, unknown keys, duplicate keys, and type errors all raise
-    ConfigError naming the offending location.
+    Each section is its dataclass built from the keys the file gives, so
+    a key the file leaves out takes its field's default, and a default
+    that depends on other keys (GAConfig.rank_high) sees the file's
+    values.  Unknown sections, unknown keys, duplicate keys, and type
+    errors all raise ConfigError naming the offending location.
     """
     parser = configparser.ConfigParser(
         interpolation=None,
@@ -297,13 +279,10 @@ def parse_config_text(text: str, origin: str = "<string>") -> ExperimentConfig:
             except ConfigError as exc:
                 raise ConfigError(f"{origin}: [{section}] {key}: {exc}") from None
 
-    base = default_config()
-    built = {
-        section: dataclasses.replace(getattr(base, section), **overrides[section])
-        for section in _SECTIONS
-    }
+    built = {section: cls(**overrides[section]) for section, cls in _SECTIONS.items()}
     for name, (section, key) in _SCALARS.items():
-        built[name] = overrides[section].get(key, getattr(base, name))
+        if key in overrides[section]:
+            built[name] = overrides[section][key]
     return ExperimentConfig(**built)
 
 

@@ -47,10 +47,9 @@ class GAConfig:
 
     max_crossover_step is an exclusive upper bound: copied segment lengths
     are drawn uniformly from {1, ..., max_crossover_step - 1}.  rank_high
-    defaults to n_ranks - 1.  bucket_tolerance shrinks each intermediate
-    acceptance interval by that amount on both sides (0 = plain uniform
-    partition).  parents_include_offspring controls whether accepted
-    offspring re-enter the parent pool.
+    defaults to rank_low + n_ranks - 1.  bucket_tolerance shrinks each
+    intermediate acceptance interval by that amount on both sides (0 =
+    plain uniform partition).
     """
 
     n_offspring: int = 12
@@ -62,7 +61,6 @@ class GAConfig:
     rank_high: int | None = None
     bucket_tolerance: float = 0.0
     max_attempts: int = 10000
-    parents_include_offspring: bool = True
 
     def __post_init__(self) -> None:
         if self.rank_high is None:
@@ -378,8 +376,8 @@ def reproduce(
 
     Loops sample -> crossover -> mutate -> select until n_offspring are
     accepted or the attempt budget runs out.  Accepted offspring join the
-    dataset (and, unless disabled, the parent pool), so later offspring may
-    recombine earlier ones.
+    dataset, which is the parent pool, so later offspring may recombine
+    earlier ones.
     """
     if len(demos) != 2:
         raise DatasetTooSmallError(f"reproduce expects exactly 2 demos, got {len(demos)}")
@@ -396,8 +394,7 @@ def reproduce(
     attempts = 0
     while len(accepted) < cfg.n_offspring and attempts < cfg.max_attempts:
         attempts += 1
-        parent_pool = dataset if cfg.parents_include_offspring else originals
-        x, y = sample_parents(parent_pool, rng)
+        x, y = sample_parents(dataset, rng)
         off = crossover(x, y, cfg, rng)
         off = mutate(off, pool, cfg, rng)
         ok, bucket = select(off, cfg, quotas)

@@ -129,13 +129,9 @@ class MLP:
             raise ConfigError(f"expected {self.n_params} parameters, got {vec.shape}")
         self.params[...] = vec
 
-    def apply_grads(self, grads: np.ndarray, learning_rate: float, l2: float = 0.0) -> None:
-        """One gradient-descent step on a gradient vector laid out like
-        params; l2 penalizes weights only."""
-        if l2 != 0.0:
-            grads = grads.copy()
-            for dw, w in zip(self._layer_views(grads)[0], self.weights):
-                dw += l2 * w
+    def apply_grads(self, grads: np.ndarray, learning_rate: float) -> None:
+        """One plain gradient-descent step on a gradient vector laid out
+        like params."""
         self.params -= learning_rate * grads
 
     def to_dict(self) -> dict:

@@ -67,6 +67,7 @@ from .policy_opt import (
 )
 from .reward_net import (
     CompiledPairs,
+    RewardModel,
     TrainResult,
     load_model,
     make_reward_model,
@@ -141,6 +142,22 @@ def _require(out: Path, *names: str) -> None:
             raise MissingArtifactError(
                 f"missing {name} in {out}; run the producing stage first"
             )
+
+
+def _require_env(spec: EnvSpec, path: Path, trajectories) -> None:
+    if any(t.env != spec.name for t in trajectories):
+        raise ConfigError(f"{path}: trajectories are not from {spec.name}")
+
+
+def _load_model_for(spec: EnvSpec, path: Path) -> RewardModel:
+    """The reward model at path, refused unless it scores spec's states."""
+    model = load_model(path)
+    if model.feature_dim != spec.feature_dim:
+        raise ConfigError(
+            f"{path}: reward model takes {model.feature_dim} features, "
+            f"{spec.name} states have {spec.feature_dim}"
+        )
+    return model
 
 
 def _usable_cpus() -> int:
@@ -300,8 +317,7 @@ def stage_reproduce(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> 
             f"malformed artifact {out / F_DEMOS}: must hold exactly 2 trajectories, "
             f"got {len(demos)}"
         )
-    if any(t.env != spec.name for t in demos):
-        raise ConfigError(f"{F_DEMOS} trajectories are not from {spec.name}")
+    _require_env(spec, out / F_DEMOS, demos)
     ga_seed = derive_seed(cfg.base_seed, "trial", 0, "ga")
     dataset = _grow(demos[0], demos[1], cfg.ga, ga_seed)
     dataset.save(out / F_RANKED, out / F_RANKED_MANIFEST)
@@ -324,7 +340,7 @@ def stage_train_reward(cfg: ExperimentConfig, out: Path, manifest: RunManifest) 
 
 def stage_train_policy(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
     spec = cfg.spec()
-    model = load_model(out / F_MODEL)
+    model = _load_model_for(spec, out / F_MODEL)
     policy_seed = derive_seed(cfg.base_seed, *_LINEAGE, "policy", 0)
     artifact = _derive_policy(cfg, spec, model, policy_seed, F_MODEL)
     save_policy(artifact, out / F_POLICY)
@@ -338,9 +354,10 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
     exactly one policy is being scored.
     """
     spec = cfg.spec()
-    model = load_model(out / F_MODEL)
+    model = _load_model_for(spec, out / F_MODEL)
     artifact = load_policy(out / F_POLICY)
     eval_set = load_trajectories(out / F_EVAL)
+    _require_env(spec, out / F_EVAL, eval_set)
     expected = len(cfg.eval.qualities) * cfg.eval.n_per_quality
     if len(eval_set) != expected:
         raise CorruptArtifactError(

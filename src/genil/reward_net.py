@@ -56,12 +56,12 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class TrainConfig:
-    """Minibatch gradient-descent settings for ranking-loss training."""
+    """Minibatch gradient-descent settings for ranking-loss training; the
+    defaults are the desk [train] section."""
 
-    learning_rate: float = 1e-4
-    steps: int = 5000
+    learning_rate: float = 3e-4
+    steps: int = 6000
     batch_size: int = 16
-    l2: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -71,8 +71,6 @@ class TrainConfig:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.l2 < 0:
-            raise ConfigError(f"l2 must be >= 0, got {self.l2}")
 
 
 @dataclass
@@ -397,7 +395,7 @@ def train(model: RewardModel, pairs: Sequence[SnippetPair], cfg: TrainConfig) ->
             g = _expit(z) / cfg.batch_size
             seg_grad = np.concatenate([g, -g])
             d_rewards = np.bincount(pos, weights=cnt * seg_grad[seg_ids], minlength=r1 - r0)
-            net.apply_grads(net.backward(cache, d_rewards[:, None]), cfg.learning_rate, cfg.l2)
+            net.apply_grads(net.backward(cache, d_rewards[:, None]), cfg.learning_rate)
     return TrainResult(model=trained, losses=losses, config=cfg)
 
 

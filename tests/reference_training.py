@@ -51,10 +51,9 @@ class ReferenceMLP:
                 delta = delta * (activations[i] > 0.0)
         return grads
 
-    def apply_grads(self, grads, learning_rate, l2=0.0):
+    def apply_grads(self, grads, learning_rate):
         for i, (dw, db) in enumerate(grads):
-            step_w = dw if l2 == 0.0 else dw + l2 * self.weights[i]
-            self.weights[i] = self.weights[i] - learning_rate * step_w
+            self.weights[i] = self.weights[i] - learning_rate * dw
             self.biases[i] = self.biases[i] - learning_rate * db
 
     def get_flat(self):
@@ -114,7 +113,7 @@ def reference_train(model, pairs, cfg, transpose=np.transpose):
             local_pos, weights=cnt * seg_grad[seg_ids], minlength=len(local_rows)
         )
         grads = net.backward(cache, d_rewards[:, None])
-        net.apply_grads(grads, cfg.learning_rate, cfg.l2)
+        net.apply_grads(grads, cfg.learning_rate)
     return net, losses
 
 

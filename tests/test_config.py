@@ -1,5 +1,6 @@
 """Config parsing: desk defaults, per-section overrides, strict errors."""
 
+import configparser
 import dataclasses
 import re
 import typing
@@ -14,8 +15,8 @@ from genil.config import (
     ExperimentConfig,
     PolicySection,
     SweepSection,
+    _SCHEMA,
     config_to_dict,
-    default_config,
     load_config,
     parse_config_text,
 )
@@ -26,19 +27,23 @@ from genil.reward_net import TrainConfig
 
 
 def test_empty_text_is_desk_default():
-    cfg = parse_config_text("")
-    assert cfg == ExperimentConfig()
-    assert cfg == default_config()
+    assert parse_config_text("") == ExperimentConfig()
 
 
 def test_readme_config_block_is_the_desk_default():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
-    assert parse_config_text(block, "README.md") == default_config()
+    assert parse_config_text(block, "README.md") == ExperimentConfig()
+    # and it names every key a config may set, and no other
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    parser.read_string(block)
+    assert {s: set(parser[s]) for s in parser.sections()} == {
+        s: set(keys) for s, keys in _SCHEMA.items()
+    }
 
 
 def test_desk_default_values():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     assert cfg.env.name == "GridNav"
     assert (cfg.env.demo_quality_good, cfg.env.demo_quality_bad) == (0.1, 0.5)
     assert cfg.ga.n_offspring == 12
@@ -73,7 +78,6 @@ def test_overrides_reach_every_section():
         [ga]
         n_offspring = 6
         rank_high = none
-        parents_include_offspring = off
 
         [data]
         n_snippets = 100  # inline comment
@@ -81,7 +85,6 @@ def test_overrides_reach_every_section():
 
         [train]
         learning_rate = 1e-3
-        l2 = 0.01
 
         [policy]
         cem_n_iters = 5
@@ -104,10 +107,9 @@ def test_overrides_reach_every_section():
     assert (cfg.env.demo_quality_good, cfg.env.demo_quality_bad) == (0.05, 0.6)
     assert cfg.ga.n_offspring == 6
     assert cfg.ga.rank_high == 4  # "none" defers to rank_low + n_ranks - 1
-    assert cfg.ga.parents_include_offspring is False
     assert cfg.ga.crossover_rate == 0.9  # untouched keys keep defaults
     assert (cfg.data.n_snippets, cfg.data.min_margin) == (100, 0.25)
-    assert (cfg.train.learning_rate, cfg.train.l2) == (1e-3, 0.01)
+    assert cfg.train.learning_rate == 1e-3
     assert cfg.train.steps == 6000
     assert cfg.policy.cem_n_iters == 5
     assert cfg.eval.qualities == (0.0, 0.5)
@@ -136,7 +138,10 @@ def test_spec_reflects_env_choice():
         ("[nope]\nx = 1\n", "unknown section"),
         ("[env]\ncolour = blue\n", "unknown key"),
         ("[data]\nn_snippets = many\n", "integer"),
-        ("[ga]\nparents_include_offspring = maybe\n", "boolean"),
+        # deleted keys: parents always include accepted offspring, and
+        # training has no weight penalty
+        ("[ga]\nparents_include_offspring = false\n", "unknown key 'parents_include_offspring'"),
+        ("[train]\nl2 = 0.01\n", "unknown key 'l2'"),
         ("[data]\nn_snippets = 5\nn_snippets = 6\n", ""),  # duplicate key
         ("[DEFAULT]\nname = GridNav\n", "unknown section"),
         ("[sweep]\nstep_sizes =\n", "comma-separated"),
@@ -186,7 +191,7 @@ def test_load_config_round_trip(tmp_path):
 
 
 def test_config_to_dict_covers_everything():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     d = config_to_dict(cfg)
     assert set(d) == {
         "env",
@@ -248,6 +253,17 @@ KEYS |= {"seeds": {"base"}, "output": {"dir"}}
 @pytest.mark.parametrize("section", sorted(KEYS))
 def test_section_keys_are_its_dataclass_fields(section):
     assert known_keys(section) == KEYS[section]
+
+
+@pytest.mark.parametrize("section", sorted(SECTION_TYPES))
+def test_empty_section_is_its_dataclass_default(section):
+    assert getattr(parse_config_text(""), section) == SECTION_TYPES[section]()
+
+
+@pytest.mark.parametrize("text", ["[ga]\nn_ranks = 7\n", "[ga]\nrank_low = 2\n"])
+def test_rank_high_defaults_from_the_files_rank_range(text):
+    # rank_high = rank_low + n_ranks - 1, with the values the file gives
+    assert parse_config_text(text).ga.rank_high == 6
 
 
 MALFORMED = [

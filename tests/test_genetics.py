@@ -350,15 +350,6 @@ def test_reproduce_deterministic(grid_demos):
     )
 
 
-def test_reproduce_originals_only_parent_pool(grid_demos):
-    cfg = GAConfig(parents_include_offspring=False)
-    demos = relabel_demos(*grid_demos, cfg)
-    ds = reproduce(demos, cfg, seed=2)
-    for traj in ds.trajectories:
-        if traj.source == "offspring":
-            assert set(traj.meta["parents"]) <= {"demo-good", "demo-bad"}
-
-
 def test_reproduce_input_validation(grid_demos):
     cfg = GAConfig()
     with pytest.raises(DatasetTooSmallError):

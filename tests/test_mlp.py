@@ -98,14 +98,6 @@ def test_apply_grads_descends():
     assert after < before  # gradient on +output must push the output down
 
 
-def test_l2_shrinks_weights():
-    net = MLP.create([2, 4, 1], seed=1)
-    zero_grads = np.zeros(net.n_params)
-    norm_before = np.linalg.norm(net.weights[0])
-    net.apply_grads(zero_grads, learning_rate=0.1, l2=0.5)
-    assert np.linalg.norm(net.weights[0]) < norm_before
-
-
 def test_dict_round_trip_bit_exact():
     net = MLP.create([3, 7, 1], seed=4)
     back = MLP.from_dict(net.to_dict())

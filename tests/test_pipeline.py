@@ -829,6 +829,38 @@ def test_cli_evaluate_refuses_a_nan_model(small_run, tmp_path, capsys):
     assert (out / F_SUMMARY).read_bytes() == summary
 
 
+@pytest.mark.parametrize(
+    "run_env, model_env", [("GridNav", "PointChase"), ("PointChase", "GridNav")]
+)
+def test_cli_train_policy_refuses_a_model_from_the_other_env(
+    small_run, tmp_path, capsys, run_env, model_env
+):
+    _, out = copy_run(small_run, tmp_path)
+    cfg_path = write_cfg(tmp_path, SMALL + f"\n[env]\nname = {run_env}\n")
+    n_in = make_spec(model_env).feature_dim
+    reward_net.save_model(make_reward_model(n_in, seed=0), out / F_MODEL)
+    policy = (out / F_POLICY).read_bytes()
+    assert main(["--config", cfg_path, "--out", str(out), "--quiet", "train-policy"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"genil: config error: {out / F_MODEL}: reward model takes {n_in} "
+                   f"features, {run_env} states have {make_spec(run_env).feature_dim}"]
+    assert (out / F_POLICY).read_bytes() == policy
+
+
+def test_cli_evaluate_refuses_an_eval_set_from_the_other_env(small_run, tmp_path, capsys):
+    cfg_path, out = copy_run(small_run, tmp_path)
+    cfg = parse_config_text(SMALL)
+    eval_set = make_eval_set(
+        make_spec("PointChase"), list(cfg.eval.qualities), cfg.eval.n_per_quality, seed=0
+    )
+    save_trajectories(out / F_EVAL, eval_set)
+    summary = (out / F_SUMMARY).read_bytes()
+    assert main(["--config", cfg_path, "--out", str(out), "--quiet", "evaluate"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"genil: config error: {out / F_EVAL}: trajectories are not from GridNav"]
+    assert (out / F_SUMMARY).read_bytes() == summary
+
+
 def truncate(path):
     """Cut a file at half its length, off a line end, so it cannot parse."""
     data = path.read_bytes()

@@ -75,8 +75,6 @@ def test_train_config_validation():
         TrainConfig(steps=-1)
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(l2=-0.1)
     assert TrainConfig(steps=0).steps == 0  # explicitly allowed
 
 
@@ -388,7 +386,7 @@ def reference_train(model, pairs, cfg):
             local_pos, weights=cnt * seg_grad[seg_ids], minlength=len(local_rows)
         )
         grads = trained.net.backward(cache, d_rewards[:, None])
-        trained.net.apply_grads(grads, cfg.learning_rate, cfg.l2)
+        trained.net.apply_grads(grads, cfg.learning_rate)
     return trained, losses
 
 

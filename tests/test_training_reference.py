@@ -36,11 +36,10 @@ def test_steps_span_several_blocks():
     assert STEPS > 2 * BATCH_BLOCK and STEPS % BATCH_BLOCK != 0
 
 
-@pytest.mark.parametrize("l2", [0.0, 1e-3])
-def test_reward_training_matches_reference(env_pairs, l2):
+def test_reward_training_matches_reference(env_pairs):
     env_name, pairs = env_pairs
     model = make_reward_model(make_spec(env_name).feature_dim, seed=5)
-    cfg = TrainConfig(learning_rate=3e-4, steps=STEPS, batch_size=16, l2=l2, seed=5)
+    cfg = TrainConfig(learning_rate=3e-4, steps=STEPS, batch_size=16, seed=5)
     result = train(model, pairs, cfg)
     ref_net, ref_losses = reference_train(model, pairs, cfg)
     assert np.array_equal(result.model.net.params, ref_net.get_flat())
