@@ -141,10 +141,6 @@ class BCPolicy:
 
     deterministic = True  # act never reads its rng
 
-    @property
-    def kind(self) -> str:
-        return "bc_classifier" if self.spec.name == ENV_GRIDNAV else "bc_regressor"
-
     def act(self, features: np.ndarray, rng: np.random.Generator):
         out = self.net.predict(features[None, :])[0]
         if self.spec.name == ENV_GRIDNAV:
@@ -200,10 +196,6 @@ class MixturePolicy:
     @property
     def spec(self) -> EnvSpec:
         return self.base.spec
-
-    @property
-    def kind(self) -> str:
-        return f"mixture({self.base.kind}, eps={self.epsilon:g})"
 
     def act(self, features: np.ndarray, rng: np.random.Generator):
         if rng.random() < self.epsilon:

@@ -72,7 +72,9 @@ class DataSection:
 
 @dataclass
 class PolicySection:
-    """Policy-stage settings: value-iteration discount and CEM knobs.
+    """Policy-stage settings: value-iteration discount and tolerance, CEM
+    population size and iteration count (its elite fraction and initial
+    std keep CEMConfig's defaults).
 
     The discount here drives policy optimization only; ground-truth
     returns are always discounted with the environment's own factor.
@@ -81,9 +83,7 @@ class PolicySection:
     discount: float = 0.99
     tol: float = 1e-10
     cem_population_size: int = CEMConfig.population_size
-    cem_elite_frac: float = CEMConfig.elite_frac
     cem_n_iters: int = CEMConfig.n_iters
-    cem_init_std: float = CEMConfig.init_std
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.discount < 1.0:
@@ -93,12 +93,7 @@ class PolicySection:
         self.cem()
 
     def cem(self) -> CEMConfig:
-        return CEMConfig(
-            population_size=self.cem_population_size,
-            elite_frac=self.cem_elite_frac,
-            n_iters=self.cem_n_iters,
-            init_std=self.cem_init_std,
-        )
+        return CEMConfig(population_size=self.cem_population_size, n_iters=self.cem_n_iters)
 
 
 @dataclass

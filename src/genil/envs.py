@@ -74,9 +74,6 @@ _DEFAULT_HORIZON = {ENV_GRIDNAV: 50, ENV_POINTCHASE: 100}
 _DEFAULT_DISCOUNT = {ENV_GRIDNAV: 0.95, ENV_POINTCHASE: 0.99}
 _FEATURE_DIM = {ENV_GRIDNAV: GRID_FEATURE_DIM, ENV_POINTCHASE: PC_FEATURE_DIM}
 
-KIND_EPSILON_GREEDY = "epsilon_greedy_optimal"
-KIND_NOISY_PROPORTIONAL = "noisy_proportional"
-
 
 @dataclass(frozen=True)
 class EnvSpec:
@@ -368,14 +365,6 @@ class DemoPolicy:
             gridnav_optimal_actions(self.spec.discount)
             if self.spec.name == ENV_GRIDNAV
             else None
-        )
-
-    @property
-    def kind(self) -> str:
-        return (
-            KIND_EPSILON_GREEDY
-            if self.spec.name == ENV_GRIDNAV
-            else KIND_NOISY_PROPORTIONAL
         )
 
     def act(self, features: np.ndarray, rng: np.random.Generator):

@@ -3,8 +3,8 @@
 Two rank-labeled demonstrations are recombined into synthetic trajectories
 whose per-step rank labels interpolate between the originals.  Crossover
 copies time-aligned segments from alternating donor parents; mutation
-replaces single steps with states drawn from the pool of all visited
-states, assigning them a fresh random rank; selection keeps an offspring
+replaces single steps with states drawn from all those the population has
+visited, assigning them a fresh random rank; selection keeps an offspring
 only if its mean rank falls in an intermediate bucket of the rank range
 with quota remaining.
 
@@ -133,35 +133,6 @@ def provenance_to_string(provenance: np.ndarray) -> str:
     return "".join(_PROVENANCE_CHARS[int(p)] for p in provenance)
 
 
-class MutationPool:
-    """All states visited by the current dataset, with their true rewards."""
-
-    def __init__(self) -> None:
-        self._states: list[np.ndarray] = []
-        self._rewards: list[float] = []
-
-    @classmethod
-    def from_trajectories(cls, trajectories: Sequence[Trajectory]) -> "MutationPool":
-        pool = cls()
-        for traj in trajectories:
-            pool.extend(traj)
-        return pool
-
-    def extend(self, traj: Trajectory) -> None:
-        for row, rew in zip(traj.states, traj.gt_step_rewards):
-            self._states.append(row)
-            self._rewards.append(float(rew))
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-        if not self._states:
-            raise MutationPoolError("mutation pool is empty")
-        i = int(rng.integers(len(self._states)))
-        return self._states[i], self._rewards[i]
-
-
 def relabel_demos(
     good: Trajectory, bad: Trajectory, cfg: GAConfig
 ) -> tuple[Trajectory, Trajectory]:
@@ -232,12 +203,21 @@ def crossover(
 
 
 def mutate(
-    off: Offspring, pool: MutationPool, cfg: GAConfig, rng: np.random.Generator
+    off: Offspring,
+    population: Sequence[Trajectory],
+    cfg: GAConfig,
+    rng: np.random.Generator,
 ) -> Offspring:
-    """Per step, with probability mutation_rate: swap in a pool state and a
-    uniform random integer rank; tag the step as mutated."""
-    if len(pool) == 0:
+    """Per step, with probability mutation_rate: swap in a state the
+    population visited, with its true reward, and a uniform random integer
+    rank; tag the step as mutated.
+
+    The state is the row at a uniform offset into the population's states
+    concatenated in list order.
+    """
+    if not population:
         raise MutationPoolError("mutation pool is empty")
+    n_rows = sum(len(t) for t in population)
     traj = off.trajectory
     states = traj.states.copy()
     ranks = traj.step_ranks.copy()
@@ -245,9 +225,13 @@ def mutate(
     provenance = off.provenance.copy()
     for t in range(len(traj)):
         if rng.random() < cfg.mutation_rate:
-            state, reward = pool.sample(rng)
-            states[t] = state
-            rewards[t] = reward
+            row = int(rng.integers(n_rows))
+            for donor in population:
+                if row < len(donor):
+                    break
+                row -= len(donor)
+            states[t] = donor.states[row]
+            rewards[t] = donor.gt_step_rewards[row]
             ranks[t] = float(rng.integers(cfg.rank_low, cfg.rank_high + 1))
             provenance[t] = MUTATED
     mutated_traj = dataclasses.replace(
@@ -376,8 +360,8 @@ def reproduce(
 
     Loops sample -> crossover -> mutate -> select until n_offspring are
     accepted or the attempt budget runs out.  Accepted offspring join the
-    dataset, which is the parent pool, so later offspring may recombine
-    earlier ones.
+    dataset, which is both the parent pool and the mutation pool, so later
+    offspring may recombine earlier ones and take up their states.
     """
     if len(demos) != 2:
         raise DatasetTooSmallError(f"reproduce expects exactly 2 demos, got {len(demos)}")
@@ -387,7 +371,6 @@ def reproduce(
     rng = np.random.default_rng(derive_seed(seed, "reproduce"))
     originals = list(demos)
     dataset = list(demos)
-    pool = MutationPool.from_trajectories(dataset)
     quotas: dict[int, int] = {b: 0 for b in cfg.intermediate_buckets}
     ranks = {t.id: int(round(float(t.step_ranks.mean()))) for t in originals}
     accepted: list[Trajectory] = []
@@ -396,7 +379,7 @@ def reproduce(
         attempts += 1
         x, y = sample_parents(dataset, rng)
         off = crossover(x, y, cfg, rng)
-        off = mutate(off, pool, cfg, rng)
+        off = mutate(off, dataset, cfg, rng)
         ok, bucket = select(off, cfg, quotas)
         if not ok:
             continue
@@ -413,7 +396,6 @@ def reproduce(
         ranks[traj.id] = bucket
         accepted.append(traj)
         dataset.append(traj)
-        pool.extend(traj)
     if len(accepted) < cfg.n_offspring:
         raise ReproductionStalledError(
             f"accepted only {len(accepted)}/{cfg.n_offspring} offspring in "

@@ -105,7 +105,7 @@ def extrapolation_report(
 ) -> ExtrapolationReport:
     """Score an evaluation set with a reward model (or ensemble) and
     summarize extrapolation quality (see predicted_returns_report)."""
-    pred = [predict_return(model, t) for t in eval_set]
+    pred = [predict_return(model, t.states) for t in eval_set]
     return predicted_returns_report(pred, eval_set, discount, n_bins=n_bins)
 
 

@@ -120,17 +120,7 @@ class RunManifest:
     meta: dict = field(default_factory=dict)
 
     def save(self, out_dir: Path) -> None:
-        payload = {
-            "format_version": MANIFEST_VERSION,
-            "command": self.command,
-            "config": self.config,
-            "base_seed": self.base_seed,
-            "artifacts": self.artifacts,
-            "stage_seconds": self.stage_seconds,
-            "seeds": self.seeds,
-            "warnings": self.warnings,
-            "meta": self.meta,
-        }
+        payload = {"format_version": MANIFEST_VERSION, **dataclasses.asdict(self)}
         with atomic_write(out_dir / F_MANIFEST) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -158,6 +148,14 @@ def _load_model_for(spec: EnvSpec, path: Path) -> RewardModel:
             f"{spec.name} states have {spec.feature_dim}"
         )
     return model
+
+
+def _load_policy_for(spec: EnvSpec, path: Path) -> PolicyArtifact:
+    """The policy at path, refused unless it acts in spec's environment."""
+    artifact = load_policy(path)
+    if artifact.env != spec.name:
+        raise ConfigError(f"{path}: policy is for {artifact.env}, not {spec.name}")
+    return artifact
 
 
 def _usable_cpus() -> int:
@@ -355,7 +353,7 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
     """
     spec = cfg.spec()
     model = _load_model_for(spec, out / F_MODEL)
-    artifact = load_policy(out / F_POLICY)
+    artifact = _load_policy_for(spec, out / F_POLICY)
     eval_set = load_trajectories(out / F_EVAL)
     _require_env(spec, out / F_EVAL, eval_set)
     expected = len(cfg.eval.qualities) * cfg.eval.n_per_quality

@@ -14,6 +14,7 @@ policy_returns and evaluate_policy.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +22,10 @@ import numpy as np
 from .envs import (
     ENV_GRIDNAV,
     ENV_POINTCHASE,
+    GRID_N_ACTIONS,
     GRID_N_STATES,
     PC_ACTION_MAX,
+    PC_FEATURE_DIM,
     EnvSpec,
     _clamp,
     gridnav_all_features,
@@ -40,6 +43,8 @@ from .trajectory import gt_return
 
 KIND_GREEDY_TABULAR = "greedy_tabular"
 KIND_LINEAR_GAUSSIAN = "linear_gaussian"
+# policy kind -> the environment it acts in
+_KIND_ENV = {KIND_GREEDY_TABULAR: ENV_GRIDNAV, KIND_LINEAR_GAUSSIAN: ENV_POINTCHASE}
 ARTIFACT_VERSION = 1
 
 
@@ -83,7 +88,7 @@ class PolicyArtifact:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_GREEDY_TABULAR, KIND_LINEAR_GAUSSIAN):
+        if self.kind not in _KIND_ENV:
             raise ConfigError(f"unknown policy kind {self.kind!r}")
         self.parameters = np.asarray(self.parameters)
 
@@ -100,7 +105,6 @@ class TabularPolicy:
     spec: EnvSpec
     table: np.ndarray  # (64,) action per cell
 
-    kind = KIND_GREEDY_TABULAR
     deterministic = True  # act never reads its rng
 
     def act(self, features: np.ndarray, rng: np.random.Generator) -> int:
@@ -112,7 +116,6 @@ class LinearPolicy:
     spec: EnvSpec
     gains: np.ndarray  # (3,) feedback gains over (pos, vel, target-pos)
 
-    kind = KIND_LINEAR_GAUSSIAN
     deterministic = True  # act never reads its rng
 
     def act(self, features: np.ndarray, rng: np.random.Generator) -> float:
@@ -208,12 +211,7 @@ def cem_search(
 @dataclass
 class EvalStats:
     mean: float
-    std: float
     returns: np.ndarray
-
-    @property
-    def n_episodes(self) -> int:
-        return len(self.returns)
 
 
 def policy_returns(policy, spec: EnvSpec, n_episodes: int, seed: int) -> np.ndarray:
@@ -241,9 +239,9 @@ def policy_returns(policy, spec: EnvSpec, n_episodes: int, seed: int) -> np.ndar
 def evaluate_policy(
     artifact: PolicyArtifact, spec: EnvSpec, n_episodes: int, seed: int
 ) -> EvalStats:
-    """Mean and population std of policy_returns for a policy artifact."""
+    """policy_returns for a policy artifact, with their mean."""
     returns = policy_returns(artifact.as_policy(spec), spec, n_episodes, seed)
-    return EvalStats(mean=float(returns.mean()), std=float(returns.std()), returns=returns)
+    return EvalStats(mean=float(returns.mean()), returns=returns)
 
 
 def save_policy(artifact: PolicyArtifact, path) -> None:
@@ -263,18 +261,37 @@ def save_policy(artifact: PolicyArtifact, path) -> None:
         fh.write("\n")
 
 
+def _check_parameters(kind: str, values) -> None:
+    """Raise ValueError unless values are an action per GridNav cell
+    (greedy_tabular) or finite feedback gains (linear_gaussian)."""
+    if kind == KIND_GREEDY_TABULAR:
+        n, what = GRID_N_STATES, f"integers in [0, {GRID_N_ACTIONS})"
+        fits = lambda v: type(v) is int and 0 <= v < GRID_N_ACTIONS
+    else:
+        n, what = PC_FEATURE_DIM, "finite numbers"
+        fits = lambda v: type(v) in (int, float) and math.isfinite(v)
+    if not (isinstance(values, list) and len(values) == n and all(map(fits, values))):
+        raise ValueError(f"{kind} parameters must be {n} {what}")
+
+
 def load_policy(path) -> PolicyArtifact:
+    """The policy artifact at path, refused with a CorruptArtifactError
+    naming path unless its kind, environment and parameters fit together."""
     with open(path) as fh, parsing(path):
         payload = json.load(fh)
         if payload.get("format_version") != ARTIFACT_VERSION:
             raise ConfigError(
                 f"unsupported policy artifact version {payload.get('format_version')!r} in {path}"
             )
-        dtype = np.int64 if payload["kind"] == KIND_GREEDY_TABULAR else np.float64
+        kind, env, values = payload["kind"], payload["env"], payload["parameters"]
+        if _KIND_ENV.get(kind) != env:
+            raise ValueError(f"policy kind {kind!r} does not act in environment {env!r}")
+        _check_parameters(kind, values)
+        dtype = np.int64 if kind == KIND_GREEDY_TABULAR else np.float64
         return PolicyArtifact(
-            kind=payload["kind"],
-            env=payload["env"],
-            parameters=np.asarray(payload["parameters"], dtype=dtype),
+            kind=kind,
+            env=env,
+            parameters=np.asarray(values, dtype=dtype),
             source_model=payload["source_model"],
             meta=payload["meta"],
         )

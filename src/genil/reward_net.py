@@ -49,7 +49,6 @@ from .fileio import atomic_write, parsing
 from .mlp import MLP
 from .seeding import derive_seed
 from .snippets import SnippetPair
-from .trajectory import Trajectory
 
 CHECKPOINT_VERSION = 1
 
@@ -134,19 +133,9 @@ def predict_states(model, states: np.ndarray) -> np.ndarray:
     return model.net.predict(states)[:, 0]
 
 
-def _states_of(item) -> np.ndarray:
-    if isinstance(item, Trajectory):
-        return item.states
-    states = getattr(item, "states", None)
-    if states is None:
-        states = np.asarray(item, dtype=np.float64)
-    return states
-
-
-def predict_return(model, item) -> float:
-    """Undiscounted sum of per-state predictions over a snippet, a
-    trajectory, or a raw (n, feature_dim) array."""
-    states = _states_of(item)
+def predict_return(model, states: np.ndarray) -> float:
+    """Undiscounted sum of per-state predictions over a (n, feature_dim)
+    state sequence."""
     if states.ndim != 2 or states.shape[0] == 0:
         raise ValueError(f"need a non-empty (n, d) state sequence, got shape {states.shape}")
     return float(predict_states(model, states).sum())
@@ -174,7 +163,7 @@ def _expit(z: np.ndarray) -> np.ndarray:
 
 def pair_loss(model: RewardModel, pair: SnippetPair) -> float:
     """log(1 + exp(S_lo - S_hi)), stable for any margin."""
-    z = predict_return(model, pair.lo) - predict_return(model, pair.hi)
+    z = predict_return(model, pair.lo.states) - predict_return(model, pair.hi.states)
     return float(np.logaddexp(0.0, z))
 
 

@@ -25,7 +25,6 @@ from genil.envs import (
 )
 from genil.genetics import (
     GAConfig,
-    MutationPool,
     bucket_interval,
     crossover,
     decomposition_sums,
@@ -201,7 +200,7 @@ def test_criterion_01_rank_decomposition(capsys):
                 mutation_rate=float(rng.uniform(0.0, 0.5)),
             )
             g, b = relabel_demos(good, bad, cfg)
-            pool = MutationPool.from_trajectories([g, b])
+            pool = [g, b]
             for _ in range(50):
                 off = crossover(g, b, cfg, rng)
                 if rng.random() < 0.5:

@@ -96,7 +96,6 @@ def test_bc_config_validation():
 
 def test_bc_clones_optimal_grid_policy(grid_bc):
     spec, demo, bc = grid_bc
-    assert bc.kind == "bc_classifier"
     out = bc.net.predict(demo.states)
     agreement = float((np.argmax(out, axis=1) == demo.actions).mean())
     assert agreement >= 0.9
@@ -111,7 +110,6 @@ def test_bc_regresses_pointchase_actions():
     spec = make_spec("PointChase")
     demo = rollout(make_env(spec), DemoPolicy(spec, 0.0), seed=0)
     bc = train_bc([demo], spec, BCConfig(seed=0))
-    assert bc.kind == "bc_regressor"
     pred = np.clip(bc.net.predict(demo.states)[:, 0], -1.0, 1.0)
     mse = float(np.mean((pred - demo.actions) ** 2))
     assert mse < 0.1 * float(demo.actions.var()) + 1e-3

@@ -138,10 +138,12 @@ def test_spec_reflects_env_choice():
         ("[nope]\nx = 1\n", "unknown section"),
         ("[env]\ncolour = blue\n", "unknown key"),
         ("[data]\nn_snippets = many\n", "integer"),
-        # deleted keys: parents always include accepted offspring, and
-        # training has no weight penalty
+        # deleted keys: parents always include accepted offspring, training
+        # has no weight penalty, and CEM keeps its elite fraction and init std
         ("[ga]\nparents_include_offspring = false\n", "unknown key 'parents_include_offspring'"),
         ("[train]\nl2 = 0.01\n", "unknown key 'l2'"),
+        ("[policy]\ncem_elite_frac = 0.2\n", "unknown key 'cem_elite_frac'"),
+        ("[policy]\ncem_init_std = 1.0\n", "unknown key 'cem_init_std'"),
         ("[data]\nn_snippets = 5\nn_snippets = 6\n", ""),  # duplicate key
         ("[DEFAULT]\nname = GridNav\n", "unknown section"),
         ("[sweep]\nstep_sizes =\n", "comma-separated"),

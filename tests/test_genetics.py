@@ -24,7 +24,6 @@ from genil.genetics import (
     FROM_PARENT_Y,
     MUTATED,
     GAConfig,
-    MutationPool,
     Offspring,
     RankedDataset,
     bucket_interval,
@@ -198,7 +197,7 @@ def test_crossover_monotone_without_mutation(rng):
 def test_mutate_swaps_pool_states(rng):
     x = ranked_traj("x", 40, 4.0, seed=1)
     y = ranked_traj("y", 40, 0.0, seed=2)
-    pool = MutationPool.from_trajectories([x, y])
+    pool = [x, y]
     cfg = GAConfig(mutation_rate=0.5)
     off = mutate(crossover(x, y, cfg, rng), pool, cfg, rng)
     pool_states = np.vstack([x.states, y.states])
@@ -217,7 +216,7 @@ def test_mutate_swaps_pool_states(rng):
 def test_mutate_zero_rate_is_identity(rng):
     x = ranked_traj("x", 15, 4.0, seed=1)
     y = ranked_traj("y", 15, 0.0, seed=2)
-    pool = MutationPool.from_trajectories([x, y])
+    pool = [x, y]
     cfg = GAConfig(mutation_rate=0.0)
     off = crossover(x, y, cfg, rng)
     after = mutate(off, pool, cfg, rng)
@@ -227,17 +226,44 @@ def test_mutate_zero_rate_is_identity(rng):
 
 def test_mutate_empty_pool_rejected(rng):
     off = constant_offspring(1.0)
+    before = rng.bit_generator.state
     with pytest.raises(MutationPoolError):
-        mutate(off, MutationPool(), GAConfig(), rng)
+        mutate(off, [], GAConfig(), rng)
+    assert rng.bit_generator.state == before  # refused before any draw
 
 
-def test_mutation_pool_sampling(rng):
-    traj = ranked_traj("t", 12, 2.0)
-    pool = MutationPool.from_trajectories([traj])
-    assert len(pool) == 12
-    state, reward = pool.sample(rng)
-    idx = next(i for i in range(12) if np.array_equal(traj.states[i], state))
-    assert reward == traj.gt_step_rewards[idx]
+class OffsetRng:
+    """Stands in for mutate's rng: every step mutates, the k-th pool draw
+    returns offset k, and every rank draw returns its low end."""
+
+    def __init__(self):
+        self.offsets = 0
+
+    def random(self):
+        return 0.0
+
+    def integers(self, low, high=None):
+        if high is not None:
+            return low
+        self.offsets += 1
+        return self.offsets - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6), seed=st.integers(0, 2**16))
+def test_mutation_draws_the_row_at_its_offset(lengths, seed):
+    population = [
+        ranked_traj(f"p{i}", n, 1.0, seed=seed + i) for i, n in enumerate(lengths)
+    ]
+    n_rows = sum(lengths)
+    off = mutate(constant_offspring(1.0, T=n_rows), population, GAConfig(), OffsetRng())
+    # step t drew offset t into the parents' rows concatenated in order
+    assert np.array_equal(off.trajectory.states, np.vstack([p.states for p in population]))
+    assert np.array_equal(
+        off.trajectory.gt_step_rewards,
+        np.concatenate([p.gt_step_rewards for p in population]),
+    )
+    assert np.all(off.provenance == MUTATED)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +461,7 @@ def test_offspring_properties_random(seed, lx, ly, lmax, cx, mut):
     y = ranked_traj("y", ly, data_rng.integers(0, 5, ly), seed=seed + 1)
     cfg = GAConfig(crossover_rate=cx, mutation_rate=mut, max_crossover_step=lmax)
     rng = np.random.default_rng(seed + 2)
-    pool = MutationPool.from_trajectories([x, y])
+    pool = [x, y]
     off = mutate(crossover(x, y, cfg, rng), pool, cfg, rng)
     assert len(off.trajectory) == min(lx, ly)
     assert len(off.provenance) == len(off.trajectory)

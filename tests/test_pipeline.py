@@ -796,9 +796,25 @@ def small_run(tmp_path_factory):
     return root
 
 
-def copy_run(small_run, tmp_path):
+SMALL_PC = SMALL + "\n[env]\nname = PointChase\n\n[policy]\ncem_n_iters = 2\n"
+
+
+@pytest.fixture(scope="module")
+def small_pc_run(tmp_path_factory):
+    """A finished run-all at SMALL on PointChase, with two CEM iterations."""
+    root = tmp_path_factory.mktemp("small-pc-run")
+    cfg_path = write_cfg(root, SMALL_PC)
+    assert main(["--config", cfg_path, "--out", str(root / "out"), "--quiet", "run-all"]) == 0
+    return root
+
+
+def copy_run(small_run, tmp_path, text=SMALL):
     shutil.copytree(small_run / "out", tmp_path / "out")
-    return write_cfg(tmp_path, SMALL), tmp_path / "out"
+    return write_cfg(tmp_path, text), tmp_path / "out"
+
+
+def file_bytes(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
 def write_nan_model(out):
@@ -859,6 +875,82 @@ def test_cli_evaluate_refuses_an_eval_set_from_the_other_env(small_run, tmp_path
     err = capsys.readouterr().err.splitlines()
     assert err == [f"genil: config error: {out / F_EVAL}: trajectories are not from GridNav"]
     assert (out / F_SUMMARY).read_bytes() == summary
+
+
+def edit_policy(out, **fields):
+    payload = json.loads((out / F_POLICY).read_text())
+    (out / F_POLICY).write_text(json.dumps({**payload, **fields}))
+
+
+def parameters(out):
+    return json.loads((out / F_POLICY).read_text())["parameters"]
+
+
+TABLE = "greedy_tabular parameters must be 64 integers in [0, 4)"
+GAINS = "linear_gaussian parameters must be 3 finite numbers"
+
+
+@pytest.mark.parametrize(
+    "env, edit, reason",
+    [
+        ("GridNav", lambda out: edit_policy(out, parameters=parameters(out)[:10]), TABLE),
+        ("GridNav", lambda out: edit_policy(out, parameters=[7] + parameters(out)[1:]), TABLE),
+        ("GridNav", lambda out: edit_policy(out, parameters=[1.5] + parameters(out)[1:]), TABLE),
+        (
+            "GridNav",
+            lambda out: edit_policy(out, kind="bogus"),
+            "policy kind 'bogus' does not act in environment 'GridNav'",
+        ),
+        (
+            "GridNav",
+            lambda out: edit_policy(out, env="Atlantis"),
+            "policy kind 'greedy_tabular' does not act in environment 'Atlantis'",
+        ),
+        ("PointChase", lambda out: edit_policy(out, parameters=parameters(out)[:2]), GAINS),
+        (
+            "PointChase",
+            lambda out: edit_policy(out, parameters=[float("nan")] + parameters(out)[1:]),
+            GAINS,
+        ),
+        ("PointChase", lambda out: edit_policy(out, parameters=[True, 0.0, 1.0]), GAINS),
+    ],
+    ids=["short-table", "action-7", "float-action", "bogus-kind", "unknown-env",
+         "two-gains", "nan-gain", "bool-gain"],
+)
+def test_cli_evaluate_refuses_a_malformed_policy(
+    small_run, small_pc_run, tmp_path, capsys, env, edit, reason
+):
+    run, text = (small_run, SMALL) if env == "GridNav" else (small_pc_run, SMALL_PC)
+    cfg_path, out = copy_run(run, tmp_path, text)
+    edit(out)
+    before = file_bytes(out)
+    assert main(["--config", cfg_path, "--out", str(out), "--quiet", "evaluate"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"genil: evaluate failed: malformed artifact {out / F_POLICY}: ValueError: {reason}"
+    ]
+    assert file_bytes(out) == before
+
+
+@pytest.mark.parametrize("run_env", ["GridNav", "PointChase"])
+def test_cli_evaluate_refuses_a_policy_from_the_other_env(
+    small_run, small_pc_run, tmp_path, capsys, run_env
+):
+    run, other, text = (
+        (small_run, small_pc_run, SMALL)
+        if run_env == "GridNav"
+        else (small_pc_run, small_run, SMALL_PC)
+    )
+    cfg_path, out = copy_run(run, tmp_path, text)
+    shutil.copy(other / "out" / F_POLICY, out / F_POLICY)
+    before = file_bytes(out)
+    assert main(["--config", cfg_path, "--out", str(out), "--quiet", "evaluate"]) == 2
+    other_env = "PointChase" if run_env == "GridNav" else "GridNav"
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"genil: config error: {out / F_POLICY}: policy is for {other_env}, not {run_env}"
+    ]
+    assert file_bytes(out) == before
 
 
 def truncate(path):

@@ -315,9 +315,8 @@ def test_evaluate_policy_deterministic(grid_spec):
     a = evaluate_policy(art, grid_spec, n_episodes=3, seed=5)
     b = evaluate_policy(art, grid_spec, n_episodes=3, seed=5)
     assert np.array_equal(a.returns, b.returns)
-    assert a.n_episodes == 3
+    assert len(a.returns) == 3
     assert a.mean == pytest.approx(float(a.returns.mean()))
-    assert a.std == pytest.approx(float(a.returns.std()))
 
 
 def test_evaluate_policy_is_policy_returns_of_artifact(pc_spec):

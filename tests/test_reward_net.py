@@ -105,7 +105,7 @@ def test_predict_hand_values():
     states = np.array([[1.0, 2.0], [2.0, 0.5]])
     assert np.array_equal(predict_states(model, states), [3.5, 3.0])
     assert predict_return(model, states) == 6.5
-    assert predict_return(model, snip(states, 1.0)) == 6.5
+    assert predict_return(model, snip(states, 1.0).states) == 6.5
 
 
 def test_predict_state_shape_check():
@@ -247,7 +247,7 @@ def separable_pairs(n=40, d=3, seed=0):
 
 def ordered_share(model, pairs):
     """Share of pairs the model scores in their labelled order."""
-    return np.mean([predict_return(model, p.hi) > predict_return(model, p.lo) for p in pairs])
+    return np.mean([predict_return(model, p.hi.states) > predict_return(model, p.lo.states) for p in pairs])
 
 
 def test_train_learns_separable_data():
