@@ -1,10 +1,12 @@
 """Comparator methods: quality-ranked and noise-ranked datasets, plus
 behavioral cloning.
 
-All builders emit the same RankedDataset structure as the genetic
-reproduction path, so reward training and metrics run unchanged on top of
-them.  The two-demo variant consumes exactly the trajectories given to the
-genetic pipeline, which keeps the comparison inputs identical.
+Each builder returns a plain list of trajectories whose constant step
+ranks are their rank labels, the same labels snippet subsampling reads
+from GenIL's trajectories, so reward training and metrics run unchanged
+on top of them.  The two-demo variant consumes exactly the trajectories
+given to the genetic pipeline, which keeps the comparison inputs
+identical.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from .envs import (
     rollout,
 )
 from .errors import ConfigError
-from .genetics import RankedDataset
 from .mlp import MLP
 from .seeding import derive_seed
-from .trajectory import Trajectory, gt_return
+from .trajectory import Trajectory
 
 
 def _constant_ranks(traj: Trajectory, rank: int) -> Trajectory:
@@ -37,12 +38,11 @@ def _constant_ranks(traj: Trajectory, rank: int) -> Trajectory:
 
 def build_trex_dataset(
     spec: EnvSpec, qualities: list[float], n_per_quality: int, seed: int
-) -> RankedDataset:
+) -> list[Trajectory]:
     """Rollouts at several qualities, ranked by quality ordinal.
 
     Lower quality value means a better policy, so it receives the higher
-    rank; per-step ranks are constant.  If the mean ground-truth returns
-    are not monotone in rank, a warning is recorded in the dataset.
+    rank; per-step ranks are constant.
     """
     if len(qualities) < 2:
         raise ConfigError(f"need >= 2 qualities, got {len(qualities)}")
@@ -54,7 +54,6 @@ def build_trex_dataset(
     rank_of = {q: r for r, q in enumerate(by_rank)}
     env = make_env(spec)
     trajectories: list[Trajectory] = []
-    ranks: dict[str, int] = {}
     for q in qualities:
         policy = DemoPolicy(spec, q)
         for i in range(n_per_quality):
@@ -64,43 +63,13 @@ def build_trex_dataset(
                 derive_seed(seed, "trex", format(q, ".17g"), i),
                 traj_id=f"trex-q{q:g}-{i}",
             )
-            traj = _constant_ranks(traj, rank_of[q])
-            trajectories.append(traj)
-            ranks[traj.id] = rank_of[q]
-    warnings = []
-    mean_by_rank = [
-        np.mean(
-            [
-                gt_return(t, spec.discount)
-                for t in trajectories
-                if ranks[t.id] == r
-            ]
-        )
-        for r in range(len(qualities))
-    ]
-    if any(b <= a for a, b in zip(mean_by_rank, mean_by_rank[1:])):
-        warnings.append(
-            "degenerate ordering: mean gt_return is not strictly increasing in rank "
-            f"({[float(f'{m:.6g}') for m in mean_by_rank]})"
-        )
-    return RankedDataset(
-        trajectories=trajectories,
-        ranks=ranks,
-        n_ranks=len(qualities),
-        seed=seed,
-        warnings=warnings,
-    )
+            trajectories.append(_constant_ranks(traj, rank_of[q]))
+    return trajectories
 
 
-def build_trex2_dataset(good: Trajectory, bad: Trajectory) -> RankedDataset:
+def build_trex2_dataset(good: Trajectory, bad: Trajectory) -> list[Trajectory]:
     """The two seed demos only, ranked {good: 1, bad: 0}."""
-    good_r = _constant_ranks(good, 1)
-    bad_r = _constant_ranks(bad, 0)
-    return RankedDataset(
-        trajectories=[good_r, bad_r],
-        ranks={good_r.id: 1, bad_r.id: 0},
-        n_ranks=2,
-    )
+    return [_constant_ranks(good, 1), _constant_ranks(bad, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +180,7 @@ def build_drex_dataset(
     noise_levels: list[float],
     n_per_level: int,
     seed: int,
-) -> RankedDataset:
+) -> list[Trajectory]:
     """Noise-injection ranking: roll out epsilon-mixtures of the cloned
     policy; less noise earns a higher rank."""
     if len(noise_levels) < 2:
@@ -227,7 +196,6 @@ def build_drex_dataset(
     env = make_env(spec)
     n_levels = len(noise_levels)
     trajectories: list[Trajectory] = []
-    ranks: dict[str, int] = {}
     for level_idx, eps in enumerate(noise_levels):
         rank = n_levels - 1 - level_idx
         policy = MixturePolicy(base=bc_policy, epsilon=eps)
@@ -239,12 +207,5 @@ def build_drex_dataset(
                 traj_id=f"drex-e{eps:g}-{i}",
                 extra_meta={"noise": eps},
             )
-            traj = _constant_ranks(traj, rank)
-            trajectories.append(traj)
-            ranks[traj.id] = rank
-    return RankedDataset(
-        trajectories=trajectories,
-        ranks=ranks,
-        n_ranks=n_levels,
-        seed=seed,
-    )
+            trajectories.append(_constant_ranks(traj, rank))
+    return trajectories

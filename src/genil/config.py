@@ -114,6 +114,8 @@ class EvalSection:
         for q in self.qualities:
             if not 0.0 <= q <= 1.0:
                 raise ConfigError(f"eval qualities must lie in [0, 1], got {q}")
+        if len(set(self.qualities)) != len(self.qualities):
+            raise ConfigError(f"eval qualities must not repeat, got {list(self.qualities)}")
         for name in ("n_per_quality", "n_trials", "n_models_per_trial", "n_eval_episodes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -134,6 +136,8 @@ class SweepSection:
         for s in self.step_sizes:
             if s < 1:
                 raise ConfigError(f"step sizes must be >= 1, got {s}")
+        if len(set(self.step_sizes)) != len(self.step_sizes):
+            raise ConfigError(f"step sizes must not repeat, got {list(self.step_sizes)}")
 
 
 @dataclass

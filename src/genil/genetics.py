@@ -197,7 +197,6 @@ def crossover(
         gt_step_rewards=rewards,
         step_ranks=ranks,
         source="offspring",
-        meta={"parents": [x.id, y.id]},
     )
     return Offspring(trajectory=traj, parent_ids=(x.id, y.id), provenance=provenance)
 
@@ -280,33 +279,38 @@ def select(
 
 @dataclass
 class RankedDataset:
-    """Trajectories partitioned into integer rank buckets."""
+    """GenIL's reproduction record: the two relabeled demos, then the
+    accepted offspring, with the config, seed and attempts that grew them.
+
+    A trajectory's rank is its step ranks.  by_rank buckets each
+    trajectory by its mean step rank (bucket_of), which puts the demos in
+    the two end buckets and each offspring in the bucket select accepted
+    it into.
+    """
 
     trajectories: list[Trajectory]
-    ranks: dict[str, int]
-    n_ranks: int
-    seed: int | None = None
-    attempts_used: int | None = None
-    config: dict | None = None
-    warnings: list[str] = field(default_factory=list)
+    config: GAConfig
+    seed: int
+    attempts_used: int
     _by_id: dict[str, Trajectory] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        missing = [t.id for t in self.trajectories if t.id not in self.ranks]
-        if missing:
-            raise InvalidTrajectoryError(f"trajectories without a rank label: {missing}")
         self._by_id = {}
         for traj in self.trajectories:
+            if traj.step_ranks is None:
+                raise InvalidTrajectoryError(f"trajectory {traj.id!r} has no step ranks")
             if self._by_id.setdefault(traj.id, traj) is not traj:
-                raise InvalidTrajectoryError(
-                    f"duplicate trajectory id {traj.id!r}; rank labels are keyed by id"
-                )
+                raise InvalidTrajectoryError(f"duplicate trajectory id {traj.id!r}")
 
     def by_rank(self) -> dict[int, list[str]]:
         out: dict[int, list[str]] = {}
         for traj in self.trajectories:
-            out.setdefault(self.ranks[traj.id], []).append(traj.id)
+            bucket = bucket_of(float(traj.step_ranks.mean()), self.config)
+            out.setdefault(bucket, []).append(traj.id)
         return out
+
+    def _listed_ranks(self) -> dict[str, list[str]]:
+        return {str(r): ids for r, ids in sorted(self.by_rank().items())}
 
     def get(self, traj_id: str) -> Trajectory:
         return self._by_id[traj_id]
@@ -314,12 +318,10 @@ class RankedDataset:
     def save(self, traj_path, manifest_path) -> None:
         save_trajectories(traj_path, self.trajectories)
         manifest = {
-            "ranks": {str(r): ids for r, ids in sorted(self.by_rank().items())},
-            "n_ranks": self.n_ranks,
+            "ranks": self._listed_ranks(),
             "seed": self.seed,
             "attempts_used": self.attempts_used,
-            "config": self.config,
-            "warnings": self.warnings,
+            "config": dataclasses.asdict(self.config),
         }
         with atomic_write(manifest_path) as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -327,28 +329,28 @@ class RankedDataset:
 
     @classmethod
     def load(cls, traj_path, manifest_path) -> "RankedDataset":
+        """The record save wrote, refused unless its trajectories rank as
+        the manifest lists them (which a cut or edited file does not)."""
         trajectories = load_trajectories(traj_path)
         with open(manifest_path) as fh, parsing(manifest_path):
             manifest = json.load(fh)
-            ranks = {
-                tid: int(rank)
-                for rank, ids in manifest["ranks"].items()
-                for tid in ids
-            }
+            try:
+                config = GAConfig(**manifest["config"])
+            except ConfigError as exc:
+                raise CorruptArtifactError(
+                    f"malformed artifact {manifest_path}: {exc}"
+                ) from exc
             dataset = cls(
                 trajectories=trajectories,
-                ranks=ranks,
-                n_ranks=manifest["n_ranks"],
+                config=config,
                 seed=manifest["seed"],
                 attempts_used=manifest["attempts_used"],
-                config=manifest["config"],
-                warnings=manifest.get("warnings", []),
             )
-        # every trajectory has a rank, so a shortfall is a cut trajectory file
-        if len(trajectories) != len(ranks):
+            listed = manifest["ranks"]
+        if dataset._listed_ranks() != listed:
             raise CorruptArtifactError(
-                f"malformed artifact {traj_path}: {len(trajectories)} trajectories "
-                f"for the {len(ranks)} ranked ids in {manifest_path}"
+                f"malformed artifact {traj_path}: its trajectories do not rank "
+                f"as {manifest_path} lists them"
             )
         return dataset
 
@@ -372,7 +374,6 @@ def reproduce(
     originals = list(demos)
     dataset = list(demos)
     quotas: dict[int, int] = {b: 0 for b in cfg.intermediate_buckets}
-    ranks = {t.id: int(round(float(t.step_ranks.mean()))) for t in originals}
     accepted: list[Trajectory] = []
     attempts = 0
     while len(accepted) < cfg.n_offspring and attempts < cfg.max_attempts:
@@ -393,7 +394,6 @@ def reproduce(
                 "provenance": provenance_to_string(off.provenance),
             },
         )
-        ranks[traj.id] = bucket
         accepted.append(traj)
         dataset.append(traj)
     if len(accepted) < cfg.n_offspring:
@@ -405,10 +405,5 @@ def reproduce(
             attempts=attempts,
         )
     return RankedDataset(
-        trajectories=originals + accepted,
-        ranks=ranks,
-        n_ranks=cfg.n_ranks,
-        seed=seed,
-        attempts_used=attempts,
-        config=dataclasses.asdict(cfg),
+        trajectories=originals + accepted, config=cfg, seed=seed, attempts_used=attempts
     )

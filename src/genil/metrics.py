@@ -45,9 +45,7 @@ class ExtrapolationReport:
     per_bin_std: list[float]  # NaN marks an empty bin
     mean_bin_std: float
     n_bins: int
-    bin_edges: list[float]
     pred_degenerate: bool
-    normalization: str = "min-max over eval set"
 
 
 def _min_max(values: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -138,7 +136,6 @@ def predicted_returns_report(
         pearson = pearson_r(gt, pred)
     keep = gt_norm >= ACCURACY_GT_NORM_FLOOR
     accuracy = float((pred_norm[keep] / gt_norm[keep]).mean())
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
     bins = np.minimum((gt_norm * n_bins).astype(int), n_bins - 1)
     per_bin = [
         float(pred_norm[bins == b].std()) if np.any(bins == b) else float("nan")
@@ -165,7 +162,6 @@ def predicted_returns_report(
         per_bin_std=per_bin,
         mean_bin_std=float(np.mean(finite)),
         n_bins=n_bins,
-        bin_edges=[float(e) for e in edges],
         pred_degenerate=pred_degenerate,
     )
 

@@ -77,7 +77,7 @@ from .reward_net import (
 )
 from .seeding import derive_seed
 from .snippets import make_pairs, save_pairs, subsample
-from .trajectory import load_trajectories, save_trajectories
+from .trajectory import Trajectory, load_trajectories, save_trajectories
 
 MANIFEST_VERSION = 1
 
@@ -249,9 +249,9 @@ def _grow(good, bad, ga, seed: int) -> RankedDataset:
     return reproduce(list(relabel_demos(good, bad, ga)), ga, seed=seed)
 
 
-def _pairs(cfg: ExperimentConfig, dataset: RankedDataset, seed: int):
+def _pairs(cfg: ExperimentConfig, trajectories: list[Trajectory], seed: int):
     snips = subsample(
-        dataset, cfg.data.n_snippets, cfg.data.min_len, cfg.data.max_len, seed=seed
+        trajectories, cfg.data.n_snippets, cfg.data.min_len, cfg.data.max_len, seed=seed
     )
     return make_pairs(snips, cfg.data.n_pairs, cfg.data.min_margin, seed=seed)
 
@@ -272,8 +272,11 @@ def _derive_policy(
     return cem_search(spec, reward, cfg.policy.cem(), seed=policy_seed, source_model=source)
 
 
-def _train_and_score(cfg: ExperimentConfig, spec: EnvSpec, dataset: RankedDataset, labels):
-    """Pairs from a ranked dataset, then per model: train, derive, evaluate.
+def _train_and_score(
+    cfg: ExperimentConfig, spec: EnvSpec, trajectories: list[Trajectory], labels
+):
+    """Pairs from rank-labeled trajectories, then per model: train, derive,
+    evaluate.
 
     The unit of work shared by compare and sweep.  Returns (per-model
     mean ground-truth returns, reward models).
@@ -282,7 +285,7 @@ def _train_and_score(cfg: ExperimentConfig, spec: EnvSpec, dataset: RankedDatase
     def seed(*kind) -> int:
         return derive_seed(cfg.base_seed, *labels, *kind)
 
-    pairs = CompiledPairs(_pairs(cfg, dataset, seed("data")))
+    pairs = CompiledPairs(_pairs(cfg, trajectories, seed("data")))
     returns, models = [], []
     for m in range(cfg.eval.n_models_per_trial):
         model = _train(cfg, pairs, seed("model", m)).model
@@ -320,13 +323,12 @@ def stage_reproduce(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> 
     dataset = _grow(demos[0], demos[1], cfg.ga, ga_seed)
     dataset.save(out / F_RANKED, out / F_RANKED_MANIFEST)
     manifest.seeds["trial0/ga"] = ga_seed
-    manifest.warnings.extend(dataset.warnings)
 
 
 def stage_train_reward(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
     dataset = RankedDataset.load(out / F_RANKED, out / F_RANKED_MANIFEST)
     data_seed = derive_seed(cfg.base_seed, *_LINEAGE, "data")
-    pairs = _pairs(cfg, dataset, data_seed)
+    pairs = _pairs(cfg, dataset.trajectories, data_seed)
     save_pairs(out / F_PAIRS, pairs)
     model_seed = derive_seed(cfg.base_seed, *_LINEAGE, "model", 0)
     result = _train(cfg, pairs, model_seed)
@@ -392,10 +394,11 @@ def _trex_multi_qualities(cfg: ExperimentConfig) -> list[float]:
 
 def _method_ranked_dataset(
     method: str, cfg: ExperimentConfig, spec: EnvSpec, trial: int, good, bad
-) -> RankedDataset:
+) -> list[Trajectory]:
+    """The rank-labeled trajectories a reward-learning method trains on."""
     base = cfg.base_seed
     if method == "GenIL":
-        return _grow(good, bad, cfg.ga, derive_seed(base, "trial", trial, "ga"))
+        return _grow(good, bad, cfg.ga, derive_seed(base, "trial", trial, "ga")).trajectories
     if method == "T-REX-2":
         return build_trex2_dataset(good, bad)
     if method == "T-REX-multi":
@@ -424,8 +427,8 @@ def _run_method_trial(method, cfg, spec, trial, good, bad):
     BC learns no reward model: it clones one policy per model seed.
     """
     if method != "BC":
-        dataset = _method_ranked_dataset(method, cfg, spec, trial, good, bad)
-        return _train_and_score(cfg, spec, dataset, ("trial", trial, method))
+        trajectories = _method_ranked_dataset(method, cfg, spec, trial, good, bad)
+        return _train_and_score(cfg, spec, trajectories, ("trial", trial, method))
     labels = ("trial", trial, "bc")
     returns = []
     for m in range(cfg.eval.n_models_per_trial):
@@ -552,8 +555,8 @@ def _sweep_trial(cfg: ExperimentConfig, spec: EnvSpec, step: int, trial: int) ->
     labels = ("sweep", step, "trial", trial)
     ga = dataclasses.replace(cfg.ga, max_crossover_step=step + 1)
     good, bad = _demo_pair(cfg, spec, derive_seed(cfg.base_seed, *labels, "demos"))
-    dataset = _grow(good, bad, ga, derive_seed(cfg.base_seed, *labels, "ga"))
-    return _train_and_score(cfg, spec, dataset, labels)[0]
+    trajectories = _grow(good, bad, ga, derive_seed(cfg.base_seed, *labels, "ga")).trajectories
+    return _train_and_score(cfg, spec, trajectories, labels)[0]
 
 
 def stage_sweep(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:

@@ -1,9 +1,10 @@
 """Snippet subsampling and pairwise training-pair construction.
 
-A ranked dataset is cut into short contiguous windows; each window's label
-is the mean of the parent's per-step ranks over the window.  Training
-pairs are drawn uniformly from the set of snippet pairs whose label gap
-meets a margin, oriented so the higher-labeled snippet is always `hi`.
+Rank-labeled trajectories are cut into short contiguous windows; each
+window's label is the mean of the parent's per-step ranks over the
+window.  Training pairs are drawn uniformly from the set of snippet pairs
+whose label gap meets a margin, oriented so the higher-labeled snippet is
+always `hi`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import ConfigError, EmptyPairError, InvalidTrajectoryError
 from .fileio import atomic_write, parsing
 from .genetics import RankedDataset
 from .seeding import derive_seed
+from .trajectory import Trajectory
 
 
 @dataclass
@@ -63,19 +65,20 @@ class SnippetPair:
 
 
 def subsample(
-    dataset: RankedDataset,
+    trajectories: Sequence[Trajectory],
     n_snippets: int,
     min_len: int,
     max_len: int,
     seed: int,
 ) -> list[Snippet]:
-    """n_snippets windows: parent uniform, length uniform in [min_len,
-    max_len], start uniform over valid offsets."""
+    """n_snippets windows of trajectories that carry step ranks: parent
+    uniform, length uniform in [min_len, max_len], start uniform over
+    valid offsets."""
     if n_snippets < 2:
         raise ConfigError(f"n_snippets must be >= 2, got {n_snippets}")
     if not 1 <= min_len <= max_len:
         raise ConfigError(f"need 1 <= min_len <= max_len, got [{min_len}, {max_len}]")
-    for traj in dataset.trajectories:
+    for traj in trajectories:
         if len(traj) < max_len:
             raise ConfigError(
                 f"max_len {max_len} exceeds trajectory {traj.id!r} length {len(traj)}"
@@ -83,10 +86,9 @@ def subsample(
         if traj.step_ranks is None:
             raise InvalidTrajectoryError(f"trajectory {traj.id!r} has no step ranks")
     rng = np.random.default_rng(derive_seed(seed, "subsample"))
-    trajs = dataset.trajectories
     out: list[Snippet] = []
     for _ in range(n_snippets):
-        traj = trajs[int(rng.integers(len(trajs)))]
+        traj = trajectories[int(rng.integers(len(trajectories)))]
         length = int(rng.integers(min_len, max_len + 1))
         start = int(rng.integers(0, len(traj) - length + 1))
         out.append(

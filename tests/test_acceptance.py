@@ -146,7 +146,7 @@ def ten_seed_runs():
         t0 = time.perf_counter()
         good, bad = make_demo_pair(spec, 0.1, 0.5, seed=s)
         datasets = {
-            "genil": reproduce(relabel_demos(good, bad, ga), ga, seed=s),
+            "genil": reproduce(relabel_demos(good, bad, ga), ga, seed=s).trajectories,
             "trex2": build_trex2_dataset(good, bad),
         }
         eval_set = make_eval_set(spec, qualities, 15, seed=s + 1000)
@@ -506,7 +506,7 @@ def test_criterion_10_serialization_round_trip(capsys, tmp_path):
     spec = make_spec("GridNav")
     ga = GAConfig()
     dataset = reproduce(relabel_demos(*make_demo_pair(spec, 0.1, 0.5, seed=4), ga), ga, seed=4)
-    snips = subsample(dataset, 60, 5, 10, seed=4)
+    snips = subsample(dataset.trajectories, 60, 5, 10, seed=4)
     pairs = make_pairs(snips, 120, 0.5, seed=4)
     model = train(
         make_reward_model(spec.feature_dim, seed=4), pairs, TrainConfig(steps=50, seed=4)

@@ -25,28 +25,34 @@ def grid_bc():
     return spec, demo, train_bc([demo], spec, BCConfig(seed=0))
 
 
+def constant_ranks(trajectories) -> dict[str, float]:
+    """Each trajectory's rank by id, checked constant over its steps."""
+    out = {}
+    for traj in trajectories:
+        assert np.all(traj.step_ranks == traj.step_ranks[0])
+        out[traj.id] = float(traj.step_ranks[0])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Quality-ranked datasets
 
 
 def test_trex_dataset_structure(grid_spec):
     qualities = [0.1, 0.5, 0.3]
-    ds = build_trex_dataset(grid_spec, qualities, n_per_quality=2, seed=3)
-    assert len(ds.trajectories) == 6
-    assert ds.n_ranks == 3
+    trajs = build_trex_dataset(grid_spec, qualities, n_per_quality=2, seed=3)
+    assert [t.id for t in trajs] == [f"trex-q{q:g}-{i}" for q in qualities for i in (0, 1)]
     # worst quality gets rank 0, best gets the top rank
-    by_rank = ds.by_rank()
-    assert by_rank[0] == ["trex-q0.5-0", "trex-q0.5-1"]
-    assert by_rank[2] == ["trex-q0.1-0", "trex-q0.1-1"]
-    for traj in ds.trajectories:
-        rank = ds.ranks[traj.id]
-        assert np.all(traj.step_ranks == float(rank))
+    ranks = constant_ranks(trajs)
+    assert [ranks[f"trex-q{q:g}-{i}"] for q in (0.5, 0.3, 0.1) for i in (0, 1)] == [
+        0.0, 0.0, 1.0, 1.0, 2.0, 2.0
+    ]
 
 
 def test_trex_dataset_deterministic(grid_spec):
     a = build_trex_dataset(grid_spec, [0.0, 0.4], 2, seed=5)
     b = build_trex_dataset(grid_spec, [0.0, 0.4], 2, seed=5)
-    assert all(trajectories_equal(x, y) for x, y in zip(a.trajectories, b.trajectories))
+    assert all(trajectories_equal(x, y) for x, y in zip(a, b))
 
 
 def test_trex_dataset_validation(grid_spec):
@@ -58,22 +64,10 @@ def test_trex_dataset_validation(grid_spec):
         build_trex_dataset(grid_spec, [0.1, 0.5], 0, seed=0)
 
 
-def test_trex_dataset_warns_on_degenerate_ordering(grid_spec):
-    # near-identical qualities: single rollouts do not separate, so the
-    # mean-return-vs-rank check must flag the dataset
-    ds = build_trex_dataset(grid_spec, [0.55, 0.5], 1, seed=0)
-    assert any("degenerate ordering" in w for w in ds.warnings)
-    clean = build_trex_dataset(grid_spec, [0.05, 0.6], 3, seed=0)
-    assert clean.warnings == []
-
-
 def test_trex2_dataset(grid_spec):
     good, bad = make_demo_pair(grid_spec, 0.1, 0.5, seed=2)
-    ds = build_trex2_dataset(good, bad)
-    assert ds.n_ranks == 2
-    assert ds.ranks == {"demo-good": 1, "demo-bad": 0}
-    assert np.all(ds.get("demo-good").step_ranks == 1.0)
-    assert np.all(ds.get("demo-bad").step_ranks == 0.0)
+    trajs = build_trex2_dataset(good, bad)
+    assert constant_ranks(trajs) == {"demo-good": 1.0, "demo-bad": 0.0}
     # the input demos are not mutated
     assert good.step_ranks is None
 
@@ -164,23 +158,24 @@ def test_mixture_policy_epsilon_extremes(grid_bc, rng):
 
 def test_drex_dataset_structure(grid_bc):
     spec, demo, bc = grid_bc
-    ds = build_drex_dataset(bc, spec, [0.1, 0.4, 0.8], n_per_level=2, seed=1)
-    assert len(ds.trajectories) == 6
-    assert ds.n_ranks == 3
+    trajs = build_drex_dataset(bc, spec, [0.1, 0.4, 0.8], n_per_level=2, seed=1)
+    assert len(trajs) == 6
+    ranks = constant_ranks(trajs)
+    assert set(ranks.values()) == {0.0, 1.0, 2.0}
     # least noise earns the top rank
-    assert ds.ranks["drex-e0.1-0"] == 2
-    assert ds.ranks["drex-e0.8-1"] == 0
-    for traj in ds.trajectories:
-        assert np.all(traj.step_ranks == float(ds.ranks[traj.id]))
+    assert ranks["drex-e0.1-0"] == 2
+    assert ranks["drex-e0.8-1"] == 0
+    for traj in trajs:
         assert traj.meta["noise"] in (0.1, 0.4, 0.8)
 
 
 def test_drex_returns_track_rank(grid_bc):
     spec, demo, bc = grid_bc
-    ds = build_drex_dataset(bc, spec, [0.05, 0.9], n_per_level=3, seed=0)
+    trajs = build_drex_dataset(bc, spec, [0.05, 0.9], n_per_level=3, seed=0)
+    ranks = constant_ranks(trajs)
     means = {}
-    for traj in ds.trajectories:
-        means.setdefault(ds.ranks[traj.id], []).append(gt_return(traj, spec.discount))
+    for traj in trajs:
+        means.setdefault(ranks[traj.id], []).append(gt_return(traj, spec.discount))
     assert np.mean(means[1]) > np.mean(means[0])
 
 

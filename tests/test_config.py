@@ -148,6 +148,8 @@ def test_spec_reflects_env_choice():
         ("[DEFAULT]\nname = GridNav\n", "unknown section"),
         ("[sweep]\nstep_sizes =\n", "comma-separated"),
         ("[train]\nseed = 3\n", "unknown key 'seed'"),  # derived per model
+        ("[eval]\nqualities = 0.3, 0.3\n", "eval qualities must not repeat"),
+        ("[sweep]\nstep_sizes = 3, 3\n", "step sizes must not repeat"),
     ],
 )
 def test_parse_errors(text, needle):

@@ -6,6 +6,8 @@ tolerance, both on hand-built cases and under randomized property tests.
 """
 
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from genil.errors import (
     ConfigError,
+    CorruptArtifactError,
     DatasetTooSmallError,
     InvalidTrajectoryError,
     MutationPoolError,
@@ -339,7 +342,6 @@ def test_reproduce_structure(grid_dataset):
     cfg = GAConfig()
     ds = grid_dataset
     assert len(ds.trajectories) == 2 + cfg.n_offspring
-    assert ds.n_ranks == cfg.n_ranks
     by_rank = ds.by_rank()
     assert by_rank[0] == ["demo-bad"]
     assert by_rank[4] == ["demo-good"]
@@ -347,15 +349,16 @@ def test_reproduce_structure(grid_dataset):
         assert len(by_rank.get(bucket, [])) <= cfg.bucket_quota
     assert sum(len(by_rank.get(b, [])) for b in cfg.intermediate_buckets) == cfg.n_offspring
     assert ds.attempts_used >= cfg.n_offspring
-    assert ds.config["n_offspring"] == cfg.n_offspring
+    assert ds.config == cfg
 
 
 def test_reproduce_offspring_consistent(grid_dataset):
     cfg = GAConfig()
+    rank_of = {tid: r for r, ids in grid_dataset.by_rank().items() for tid in ids}
     for traj in grid_dataset.trajectories:
         if traj.source != "offspring":
             continue
-        bucket = grid_dataset.ranks[traj.id]
+        bucket = rank_of[traj.id]
         lo, hi = bucket_interval(bucket, cfg)
         mean = float(traj.step_ranks.mean())
         assert lo <= mean < hi
@@ -368,12 +371,24 @@ def test_reproduce_deterministic(grid_demos):
     demos = relabel_demos(*grid_demos, cfg)
     a = reproduce(demos, cfg, seed=3)
     b = reproduce(demos, cfg, seed=3)
-    assert a.ranks == b.ranks
+    assert a.by_rank() == b.by_rank()
     assert all(trajectories_equal(x, y) for x, y in zip(a.trajectories, b.trajectories))
     c = reproduce(demos, cfg, seed=4)
     assert any(
         not trajectories_equal(x, y) for x, y in zip(a.trajectories, c.trajectories)
     )
+
+
+def test_by_rank_puts_the_demos_in_the_end_buckets_for_any_rank_low(grid_demos):
+    # rank_high is 6: the demos' mean step ranks 2 and 6 are buckets 0 and 4
+    cfg = GAConfig(rank_low=2)
+    ds = reproduce(relabel_demos(*grid_demos, cfg), cfg, seed=1)
+    by_rank = ds.by_rank()
+    assert by_rank[0] == ["demo-bad"]
+    assert by_rank[4] == ["demo-good"]
+    for bucket in cfg.intermediate_buckets:
+        assert all(ds.get(tid).meta["bucket"] == bucket for tid in by_rank.get(bucket, []))
+    assert sum(len(by_rank.get(b, [])) for b in cfg.intermediate_buckets) == cfg.n_offspring
 
 
 def test_reproduce_input_validation(grid_demos):
@@ -400,15 +415,19 @@ def test_reproduce_stall_reports_fill(grid_demos):
 # RankedDataset
 
 
+def record(*trajectories, cfg=None):
+    return RankedDataset(list(trajectories), cfg or GAConfig(), seed=0, attempts_used=0)
+
+
 def test_ranked_dataset_requires_labels():
-    traj = ranked_traj("t", 5, 1.0)
-    with pytest.raises(InvalidTrajectoryError):
-        RankedDataset(trajectories=[traj], ranks={}, n_ranks=5)
+    traj = dataclasses.replace(ranked_traj("t", 5, 1.0), step_ranks=None)
+    with pytest.raises(InvalidTrajectoryError, match="trajectory 't' has no step ranks"):
+        record(traj)
 
 
 def test_ranked_dataset_get():
     traj = ranked_traj("t", 5, 1.0)
-    ds = RankedDataset(trajectories=[traj], ranks={"t": 1}, n_ranks=5)
+    ds = record(traj)
     assert ds.get("t") is traj
     with pytest.raises(KeyError):
         ds.get("missing")
@@ -417,7 +436,7 @@ def test_ranked_dataset_get():
 def test_ranked_dataset_rejects_duplicate_ids():
     a, b = ranked_traj("t", 5, 1.0), ranked_traj("t", 5, 2.0)
     with pytest.raises(InvalidTrajectoryError, match="duplicate trajectory id 't'"):
-        RankedDataset(trajectories=[a, b], ranks={"t": 1}, n_ranks=5)
+        record(a, b)
 
 
 def test_ranked_dataset_save_load_round_trip(grid_dataset, tmp_path):
@@ -425,8 +444,7 @@ def test_ranked_dataset_save_load_round_trip(grid_dataset, tmp_path):
     mp = tmp_path / "ranked_manifest.json"
     grid_dataset.save(tp, mp)
     back = RankedDataset.load(tp, mp)
-    assert back.ranks == grid_dataset.ranks
-    assert back.n_ranks == grid_dataset.n_ranks
+    assert back.by_rank() == grid_dataset.by_rank()
     assert back.seed == grid_dataset.seed
     assert back.attempts_used == grid_dataset.attempts_used
     assert back.config == grid_dataset.config
@@ -440,6 +458,21 @@ def test_ranked_dataset_save_load_round_trip(grid_dataset, tmp_path):
     back.save(tp2, mp2)
     assert tp.read_bytes() == tp2.read_bytes()
     assert mp.read_bytes() == mp2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [({"n_ranks": 2}, "n_ranks must be >= 3"), ({"colour": 1}, "unexpected keyword")],
+)
+def test_ranked_dataset_load_refuses_a_malformed_config(grid_dataset, tmp_path, edit, needle):
+    tp, mp = tmp_path / "ranked.jsonl", tmp_path / "ranked_manifest.json"
+    grid_dataset.save(tp, mp)
+    manifest = json.loads(mp.read_text())
+    manifest["config"].update(edit)
+    mp.write_text(json.dumps(manifest))
+    with pytest.raises(CorruptArtifactError, match=re.escape(f"malformed artifact {mp}: ")) as exc:
+        RankedDataset.load(tp, mp)
+    assert needle in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,6 @@ def test_affine_predictions_score_perfectly():
     assert rep.pearson_r == pytest.approx(1.0)
     assert rep.accuracy_ratio == pytest.approx(1.0)
     assert not rep.pred_degenerate
-    assert rep.normalization == "min-max over eval set"
 
 
 def test_spearman_matches_bruteforce_oracle():
@@ -175,7 +174,6 @@ def test_hand_computed_report():
     assert rep.per_bin_std[7] == 0.0
     assert rep.mean_bin_std == pytest.approx(0.225, abs=1e-15)
     assert rep.n_bins == 8
-    assert rep.bin_edges == pytest.approx(np.linspace(0, 1, 9))
     assert rep.rows[1].gt_norm == pytest.approx(0.05)
     assert rep.rows[1].gt_norm < ACCURACY_GT_NORM_FLOOR
 
@@ -256,7 +254,6 @@ def test_extrapolation_csv_golden(tmp_path):
         per_bin_std=[],
         mean_bin_std=0.0,
         n_bins=8,
-        bin_edges=[],
         pred_degenerate=False,
     )
     path = tmp_path / "e.csv"
@@ -277,7 +274,6 @@ def test_summary_csv_golden(tmp_path):
         per_bin_std=[],
         mean_bin_std=0.125,
         n_bins=8,
-        bin_edges=[],
         pred_degenerate=False,
     )
     path = tmp_path / "s.csv"

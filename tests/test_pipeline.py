@@ -4,6 +4,7 @@ method comparison, the step-size sweep, and the command-line wrapper."""
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import pickle
@@ -412,7 +413,7 @@ def test_train_and_score_compiles_its_pairs_once(small_cfg, grid_dataset, monkey
     monkeypatch.setattr(pipeline, "CompiledPairs", CountedPairs)
     monkeypatch.setattr(reward_net, "CompiledPairs", CountedPairs)
     returns, models = pipeline._train_and_score(
-        small_cfg, small_cfg.spec(), grid_dataset, ("trial", 0, "GenIL")
+        small_cfg, small_cfg.spec(), grid_dataset.trajectories, ("trial", 0, "GenIL")
     )
     assert len(models) == 2 and built == [small_cfg.data.n_pairs]
 
@@ -562,7 +563,11 @@ def reference_sweep_trial(cfg, spec, step, trial):
     dataset = reproduce([g, b], ga, seed=derive_seed(base, "sweep", step, "trial", trial, "ga"))
     data_seed = derive_seed(base, "sweep", step, "trial", trial, "data")
     snips = subsample(
-        dataset, cfg.data.n_snippets, cfg.data.min_len, cfg.data.max_len, seed=data_seed
+        dataset.trajectories,
+        cfg.data.n_snippets,
+        cfg.data.min_len,
+        cfg.data.max_len,
+        seed=data_seed,
     )
     pairs = make_pairs(snips, cfg.data.n_pairs, cfg.data.min_margin, seed=data_seed)
     returns, models = [], []
@@ -590,7 +595,11 @@ def reference_genil_trial(cfg, spec, trial, good, bad):
     dataset = reproduce([g, b], cfg.ga, seed=derive_seed(base, "trial", trial, "ga"))
     data_seed = derive_seed(base, "trial", trial, "GenIL", "data")
     snips = subsample(
-        dataset, cfg.data.n_snippets, cfg.data.min_len, cfg.data.max_len, seed=data_seed
+        dataset.trajectories,
+        cfg.data.n_snippets,
+        cfg.data.min_len,
+        cfg.data.max_len,
+        seed=data_seed,
     )
     pairs = make_pairs(snips, cfg.data.n_pairs, cfg.data.min_margin, seed=data_seed)
     returns, models = [], []
@@ -991,9 +1000,45 @@ def test_cli_refuses_a_ranked_file_cut_at_a_line_end(small_run, tmp_path, capsys
     err = capsys.readouterr().err.splitlines()
     assert err == [
         f"genil: train-reward failed: malformed artifact {out / F_RANKED}: "
-        f"{len(lines) - 4} trajectories for the {len(lines)} ranked ids in "
-        f"{out / F_RANKED_MANIFEST}"
+        f"its trajectories do not rank as {out / F_RANKED_MANIFEST} lists them"
     ]
+
+
+def test_cli_refuses_ranked_step_ranks_moved_out_of_their_bucket(small_run, tmp_path, capsys):
+    cfg_path, out = copy_run(small_run, tmp_path)
+    records = [json.loads(line) for line in (out / F_RANKED).read_text().splitlines()]
+    for record in records:
+        if record["id"] == "off-000":
+            record["step_ranks"] = [4.0] * len(record["step_ranks"])
+    (out / F_RANKED).write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["--config", cfg_path, "--out", str(out), "--quiet", "train-reward"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"genil: train-reward failed: malformed artifact {out / F_RANKED}: "
+        f"its trajectories do not rank as {out / F_RANKED_MANIFEST} lists them"
+    ]
+
+
+def load_checks():
+    """benchmarks/checks.py, which recomputes what a run must satisfy
+    without importing genil."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "checks.py"
+    spec = importlib.util.spec_from_file_location("genil_bench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
+
+
+def test_run_all_files_the_demos_in_the_end_buckets_for_any_rank_low(tmp_path):
+    # rank_high defaults to 6: the demos' mean step ranks 2 and 6 are buckets 0 and 4
+    cfg_path = write_cfg(tmp_path, SMALL + "\n[ga]\nrank_low = 2\n")
+    out = tmp_path / "out"
+    assert main(["--config", cfg_path, "--out", str(out), "--quiet", "run-all"]) == 0
+    ranks = json.loads((out / F_RANKED_MANIFEST).read_text())["ranks"]
+    assert (ranks["0"], ranks["4"]) == (["demo-bad"], ["demo-good"])
+    results = load_checks().check_run_all(out, {"env": "GridNav", "seed": 5})
+    assert "ranked.buckets" in dict(results)
+    assert [r for r in results if r[1] is not None] == []
 
 
 def test_cli_refuses_a_demo_file_cut_at_a_line_end(small_run, tmp_path, capsys):

@@ -556,7 +556,7 @@ def test_compiled_pairs_reject_nan_states_and_negative_starts():
 
 
 def test_compiled_pairs_gridnav_sized(grid_dataset):
-    snips = subsample(grid_dataset, 2000, 15, 30, seed=3)
+    snips = subsample(grid_dataset.trajectories, 2000, 15, 30, seed=3)
     pairs = make_pairs(snips, 4000, 0.5, seed=3)
     assert_compiles_like_reference(pairs, n_batches=300, seed=3)
 
@@ -564,7 +564,8 @@ def test_compiled_pairs_gridnav_sized(grid_dataset):
 def test_compiled_pairs_gridnav_peak_memory(grid_dataset):
     """Compiling holds no stacked copy of every snippet row: its traced peak
     stays below half of one such copy."""
-    pairs = make_pairs(subsample(grid_dataset, 2000, 15, 30, seed=1), 4000, 0.5, seed=1)
+    snips = subsample(grid_dataset.trajectories, 2000, 15, 30, seed=1)
+    pairs = make_pairs(snips, 4000, 0.5, seed=1)
     tracemalloc.start()
     try:
         compiled = CompiledPairs(pairs)
@@ -578,7 +579,8 @@ def test_compiled_pairs_gridnav_peak_memory(grid_dataset):
 @pytest.mark.parametrize("source", ["overlapping", "gridnav"])
 def test_train_matches_reference_bookkeeping(source, grid_spec, grid_dataset):
     if source == "gridnav":
-        pairs = make_pairs(subsample(grid_dataset, 2000, 15, 30, seed=4), 4000, 0.5, seed=4)
+        snips = subsample(grid_dataset.trajectories, 2000, 15, 30, seed=4)
+        pairs = make_pairs(snips, 4000, 0.5, seed=4)
         model = make_reward_model(grid_spec.feature_dim, seed=4)
     else:
         pairs = overlapping_pairs(np.random.default_rng(4))

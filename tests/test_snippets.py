@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genil.errors import ConfigError, EmptyPairError, InvalidTrajectoryError
-from genil.genetics import RankedDataset
+from genil.genetics import GAConfig, RankedDataset
 from genil.snippets import Snippet, SnippetPair, load_pairs, make_pairs, save_pairs, subsample
 from genil.trajectory import Trajectory
 
@@ -29,7 +29,7 @@ def labeled_traj(traj_id, T, ranks, d=3, seed=0):
 def two_rank_dataset(T=30):
     hi = labeled_traj("hi", T, 4.0, seed=1)
     lo = labeled_traj("lo", T, 0.0, seed=2)
-    return RankedDataset(trajectories=[hi, lo], ranks={"hi": 4, "lo": 0}, n_ranks=5)
+    return RankedDataset([hi, lo], GAConfig(), seed=0, attempts_used=0)
 
 
 def snip(label, length=3, parent="p", start=0, seed=0):
@@ -62,7 +62,7 @@ def test_snippet_pair_requires_positive_margin():
 
 def test_subsample_counts_lengths_labels():
     ds = two_rank_dataset(T=40)
-    snips = subsample(ds, 200, 5, 12, seed=3)
+    snips = subsample(ds.trajectories, 200, 5, 12, seed=3)
     assert len(snips) == 200
     for s in snips:
         assert 5 <= s.length <= 12
@@ -77,7 +77,7 @@ def test_subsample_counts_lengths_labels():
 
 def test_subsample_constant_rank_label():
     ds = two_rank_dataset()
-    snips = subsample(ds, 50, 4, 8, seed=0)
+    snips = subsample(ds.trajectories, 50, 4, 8, seed=0)
     for s in snips:
         assert s.rank_label in (0.0, 4.0)
 
@@ -86,8 +86,7 @@ def test_subsample_mixed_rank_labels():
     ranks = np.concatenate([np.full(10, 0.0), np.full(10, 4.0)])
     traj = labeled_traj("mix", 20, ranks)
     pad = labeled_traj("pad", 20, 2.0, seed=5)
-    ds = RankedDataset(trajectories=[traj, pad], ranks={"mix": 2, "pad": 2}, n_ranks=5)
-    snips = subsample(ds, 100, 10, 15, seed=1)
+    snips = subsample([traj, pad], 100, 10, 15, seed=1)
     crossing = [s for s in snips if s.parent_id == "mix" and s.start + s.length > 10 > s.start]
     assert crossing  # some windows straddle the rank boundary
     for s in crossing:
@@ -97,12 +96,12 @@ def test_subsample_mixed_rank_labels():
 
 def test_subsample_deterministic():
     ds = two_rank_dataset()
-    a = subsample(ds, 30, 5, 10, seed=9)
-    b = subsample(ds, 30, 5, 10, seed=9)
+    a = subsample(ds.trajectories, 30, 5, 10, seed=9)
+    b = subsample(ds.trajectories, 30, 5, 10, seed=9)
     assert [(s.parent_id, s.start, s.length) for s in a] == [
         (s.parent_id, s.start, s.length) for s in b
     ]
-    c = subsample(ds, 30, 5, 10, seed=10)
+    c = subsample(ds.trajectories, 30, 5, 10, seed=10)
     assert [(s.parent_id, s.start, s.length) for s in a] != [
         (s.parent_id, s.start, s.length) for s in c
     ]
@@ -111,13 +110,13 @@ def test_subsample_deterministic():
 def test_subsample_validation():
     ds = two_rank_dataset(T=30)
     with pytest.raises(ConfigError):
-        subsample(ds, 1, 5, 10, seed=0)
+        subsample(ds.trajectories, 1, 5, 10, seed=0)
     with pytest.raises(ConfigError):
-        subsample(ds, 10, 0, 10, seed=0)
+        subsample(ds.trajectories, 10, 0, 10, seed=0)
     with pytest.raises(ConfigError):
-        subsample(ds, 10, 12, 10, seed=0)
+        subsample(ds.trajectories, 10, 12, 10, seed=0)
     with pytest.raises(ConfigError, match="hi"):
-        subsample(ds, 10, 5, 31, seed=0)  # max_len exceeds trajectory length
+        subsample(ds.trajectories, 10, 5, 31, seed=0)  # max_len exceeds trajectory length
 
 
 def test_subsample_rejects_unranked_parent():
@@ -131,9 +130,8 @@ def test_subsample_rejects_unranked_parent():
         step_ranks=None,
         source="demo",
     )
-    ds = RankedDataset(trajectories=[traj, bare], ranks={"a": 1, "b": 0}, n_ranks=5)
     with pytest.raises(InvalidTrajectoryError):
-        subsample(ds, 10, 5, 10, seed=0)
+        subsample([traj, bare], 10, 5, 10, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +218,7 @@ def test_make_pairs_property(labels, margin, seed):
 
 def test_save_load_pairs_round_trip(tmp_path):
     ds = two_rank_dataset()
-    snips = subsample(ds, 40, 5, 10, seed=2)
+    snips = subsample(ds.trajectories, 40, 5, 10, seed=2)
     pairs = make_pairs(snips, 30, seed=2)
     path = tmp_path / "pairs.jsonl"
     save_pairs(path, pairs)
@@ -239,7 +237,7 @@ def test_save_load_pairs_round_trip(tmp_path):
 
 def test_load_pairs_detects_label_drift(tmp_path):
     ds = two_rank_dataset()
-    snips = subsample(ds, 20, 5, 10, seed=2)
+    snips = subsample(ds.trajectories, 20, 5, 10, seed=2)
     pairs = make_pairs(snips, 10, seed=2)
     path = tmp_path / "pairs.jsonl"
     save_pairs(path, pairs)
