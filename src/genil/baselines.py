@@ -1,5 +1,5 @@
 """Comparator methods: quality-ranked and noise-ranked datasets, plus
-behavioral cloning.
+behavioral cloning at one fixed setting (the BC_* constants).
 
 Each builder returns a plain list of trajectories whose constant step
 ranks are their rank labels, the same labels snippet subsampling reads
@@ -76,29 +76,12 @@ def build_trex2_dataset(good: Trajectory, bad: Trajectory) -> list[Trajectory]:
 # Behavioral cloning
 
 
-@dataclass
-class BCConfig:
-    """Supervised state-to-action training settings.
-
-    steps counts gradient updates (0 = return the initial predictor).
-    """
-
-    hidden_width: int = 64
-    n_hidden: int = 2
-    learning_rate: float = 1e-2
-    steps: int = 2000
-    batch_size: int = 64
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.hidden_width < 1 or self.n_hidden < 1:
-            raise ConfigError("hidden_width and n_hidden must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.steps < 0:
-            raise ConfigError(f"steps must be >= 0, got {self.steps}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+# The one behavioral-cloning setting: hidden widths, then minibatch SGD's
+# learning rate, step count and batch size.
+BC_HIDDEN = (64, 64)
+BC_LEARNING_RATE = 1e-2
+BC_STEPS = 2000
+BC_BATCH_SIZE = 64
 
 
 @dataclass
@@ -117,9 +100,10 @@ class BCPolicy:
         return float(_clamp(out[0], -PC_ACTION_MAX, PC_ACTION_MAX))
 
 
-def train_bc(demos: list[Trajectory], spec: EnvSpec, cfg: BCConfig) -> BCPolicy:
+def train_bc(demos: list[Trajectory], spec: EnvSpec, seed: int) -> BCPolicy:
     """Minibatch SGD on cross-entropy (grid actions) or squared error
-    (scalar actions) over all demo transitions."""
+    (scalar actions) over all demo transitions; seed drives both the
+    initialisation and the batches."""
     if not demos:
         raise ConfigError("train_bc needs at least one demonstration")
     for traj in demos:
@@ -131,12 +115,11 @@ def train_bc(demos: list[Trajectory], spec: EnvSpec, cfg: BCConfig) -> BCPolicy:
     y = np.concatenate([t.actions for t in demos], axis=0)
     classify = spec.name == ENV_GRIDNAV
     out_dim = GRID_N_ACTIONS if classify else 1
-    widths = [spec.feature_dim] + [cfg.hidden_width] * cfg.n_hidden + [out_dim]
-    net = MLP.create(widths, seed=derive_seed(cfg.seed, "bc-init"))
-    rng = np.random.default_rng(derive_seed(cfg.seed, "bc-batches"))
+    net = MLP.create([spec.feature_dim, *BC_HIDDEN, out_dim], seed=derive_seed(seed, "bc-init"))
+    rng = np.random.default_rng(derive_seed(seed, "bc-batches"))
     n = X.shape[0]
-    for _ in range(cfg.steps):
-        batch = rng.integers(n, size=min(cfg.batch_size, n))
+    for _ in range(BC_STEPS):
+        batch = rng.integers(n, size=min(BC_BATCH_SIZE, n))
         out, cache = net.forward(X[batch])
         if classify:
             shifted = out - out.max(axis=1, keepdims=True)
@@ -147,7 +130,7 @@ def train_bc(demos: list[Trajectory], spec: EnvSpec, cfg: BCConfig) -> BCPolicy:
             d_out /= len(batch)
         else:
             d_out = 2.0 * (out - y[batch, None]) / len(batch)
-        net.apply_grads(net.backward(cache, d_out), cfg.learning_rate)
+        net.apply_grads(net.backward(cache, d_out), BC_LEARNING_RATE)
     return BCPolicy(spec=spec, net=net)
 
 

@@ -74,7 +74,7 @@ class DataSection:
 class PolicySection:
     """Policy-stage settings: value-iteration discount and tolerance, CEM
     population size and iteration count (its elite fraction and initial
-    std keep CEMConfig's defaults).
+    std are policy_opt's CEM_ELITE_FRAC and CEM_INIT_STD).
 
     The discount here drives policy optimization only; ground-truth
     returns are always discounted with the environment's own factor.
@@ -226,14 +226,9 @@ def _field_types(cls) -> dict[str, type]:
 _TYPES = _field_types(ExperimentConfig)
 # section -> its dataclass, for every ExperimentConfig field not in _SCALARS
 _SECTIONS = {name: cls for name, cls in _TYPES.items() if name not in _SCALARS}
-# section -> key -> caster; unknown sections/keys are rejected, and so is
-# [train] seed, which the pipeline derives for each model
+# section -> key -> caster; unknown sections/keys are rejected
 _SCHEMA = {
-    section: {
-        key: _CASTERS[kind]
-        for key, kind in _field_types(cls).items()
-        if (section, key) != ("train", "seed")
-    }
+    section: {key: _CASTERS[kind] for key, kind in _field_types(cls).items()}
     for section, cls in _SECTIONS.items()
 } | {section: {key: _CASTERS[_TYPES[name]]} for name, (section, key) in _SCALARS.items()}
 

@@ -27,6 +27,9 @@ themselves are deterministic, so a rollout is a pure function of
 0 is the optimal policy for the environment, 1 is (close to) uniform
 random, and expected return degrades monotonically in between.
 
+Each environment has one fixed EnvSpec, which make_spec returns: GridNav
+runs 50 steps at discount 0.95, PointChase 100 steps at 0.99.
+
 States are plain float64 feature vectors; trajectories stack them row-wise.
 """
 
@@ -43,7 +46,6 @@ from .trajectory import Trajectory, gt_return
 
 ENV_GRIDNAV = "GridNav"
 ENV_POINTCHASE = "PointChase"
-ENV_NAMES = (ENV_GRIDNAV, ENV_POINTCHASE)
 
 # GridNav geometry and reward field (fixed; exact oracles depend on it).
 GRID_SIZE = 8
@@ -70,10 +72,6 @@ PC_KD = 2.0
 PC_NOISE_SCALE = 3.0
 PC_FEATURE_DIM = 3
 
-_DEFAULT_HORIZON = {ENV_GRIDNAV: 50, ENV_POINTCHASE: 100}
-_DEFAULT_DISCOUNT = {ENV_GRIDNAV: 0.95, ENV_POINTCHASE: 0.99}
-_FEATURE_DIM = {ENV_GRIDNAV: GRID_FEATURE_DIM, ENV_POINTCHASE: PC_FEATURE_DIM}
-
 
 @dataclass(frozen=True)
 class EnvSpec:
@@ -82,34 +80,18 @@ class EnvSpec:
     discount: float
     feature_dim: int
 
-    def __post_init__(self) -> None:
-        if self.name not in ENV_NAMES:
-            raise ConfigError(f"unknown environment {self.name!r}; choose from {ENV_NAMES}")
-        if self.horizon < 2:
-            raise ConfigError(f"horizon must be >= 2, got {self.horizon}")
-        if not (0.0 <= self.discount < 1.0):
-            raise ConfigError(f"discount must lie in [0, 1), got {self.discount}")
-        if self.feature_dim != _FEATURE_DIM[self.name]:
-            raise ConfigError(
-                f"{self.name} has feature_dim {_FEATURE_DIM[self.name]}, "
-                f"got {self.feature_dim}"
-            )
+
+_SPECS = {
+    ENV_GRIDNAV: EnvSpec(ENV_GRIDNAV, 50, 0.95, GRID_FEATURE_DIM),
+    ENV_POINTCHASE: EnvSpec(ENV_POINTCHASE, 100, 0.99, PC_FEATURE_DIM),
+}
 
 
-def make_spec(
-    name: str,
-    horizon: int | None = None,
-    discount: float | None = None,
-) -> EnvSpec:
-    """EnvSpec with per-environment defaults filled in."""
-    if name not in ENV_NAMES:
-        raise ConfigError(f"unknown environment {name!r}; choose from {ENV_NAMES}")
-    return EnvSpec(
-        name=name,
-        horizon=_DEFAULT_HORIZON[name] if horizon is None else int(horizon),
-        discount=_DEFAULT_DISCOUNT[name] if discount is None else float(discount),
-        feature_dim=_FEATURE_DIM[name],
-    )
+def make_spec(name: str) -> EnvSpec:
+    """The fixed EnvSpec of the environment called name."""
+    if name not in _SPECS:
+        raise ConfigError(f"unknown environment {name!r}; choose from {tuple(_SPECS)}")
+    return _SPECS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +412,15 @@ def rollout(
     )
 
 
+# fresh seed pairs make_demo_pair tries before it gives up
+DEMO_PAIR_ATTEMPTS = 20
+
+
 def make_demo_pair(
     spec: EnvSpec,
     good_quality: float,
     bad_quality: float,
     seed: int,
-    max_retries: int = 20,
 ) -> tuple[Trajectory, Trajectory]:
     """Two demos whose ground-truth returns respect the quality ordering.
 
@@ -448,7 +433,7 @@ def make_demo_pair(
     env = make_env(spec)
     good_policy = DemoPolicy(spec, good_quality)
     bad_policy = DemoPolicy(spec, bad_quality)
-    for attempt in range(max_retries):
+    for attempt in range(DEMO_PAIR_ATTEMPTS):
         good = rollout(
             env, good_policy, derive_seed(seed, "good", attempt), traj_id="demo-good"
         )
@@ -459,7 +444,7 @@ def make_demo_pair(
             return good, bad
     raise DegenerateDemoError(
         f"no ordered demo pair for qualities ({good_quality}, {bad_quality}) "
-        f"after {max_retries} attempts at seed {seed}"
+        f"after {DEMO_PAIR_ATTEMPTS} attempts at seed {seed}"
     )
 
 

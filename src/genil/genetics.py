@@ -335,7 +335,11 @@ class RankedDataset:
         with open(manifest_path) as fh, parsing(manifest_path):
             manifest = json.load(fh)
             try:
-                config = GAConfig(**manifest["config"])
+                given = manifest["config"]
+                missing = [f.name for f in dataclasses.fields(GAConfig) if f.name not in given]
+                if missing:
+                    raise ConfigError(f"GA config lacks {', '.join(missing)}")
+                config = GAConfig(**given)
             except ConfigError as exc:
                 raise CorruptArtifactError(
                     f"malformed artifact {manifest_path}: {exc}"

@@ -42,9 +42,7 @@ class ExtrapolationReport:
     accuracy_ratio: float
     spearman_rho: float
     pearson_r: float
-    per_bin_std: list[float]  # NaN marks an empty bin
     mean_bin_std: float
-    n_bins: int
     pred_degenerate: bool
 
 
@@ -159,9 +157,7 @@ def predicted_returns_report(
         accuracy_ratio=accuracy,
         spearman_rho=rho,
         pearson_r=pearson,
-        per_bin_std=per_bin,
         mean_bin_std=float(np.mean(finite)),
-        n_bins=n_bins,
         pred_degenerate=pred_degenerate,
     )
 

@@ -34,13 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import (
-    BCConfig,
-    build_drex_dataset,
-    build_trex2_dataset,
-    build_trex_dataset,
-    train_bc,
-)
+from .baselines import build_drex_dataset, build_trex2_dataset, build_trex_dataset, train_bc
 from .config import ExperimentConfig, config_to_dict
 from .envs import ENV_GRIDNAV, EnvSpec, make_demo_pair, make_eval_set
 from .errors import ConfigError, CorruptArtifactError, GenilError, MissingArtifactError
@@ -258,8 +252,7 @@ def _pairs(cfg: ExperimentConfig, trajectories: list[Trajectory], seed: int):
 
 def _train(cfg: ExperimentConfig, pairs, seed: int) -> TrainResult:
     """One reward model; the seed drives both its initialisation and batches."""
-    train_cfg = dataclasses.replace(cfg.train, seed=seed)
-    return train(make_reward_model(cfg.spec().feature_dim, seed=seed), pairs, train_cfg)
+    return train(make_reward_model(cfg.spec().feature_dim, seed=seed), pairs, cfg.train, seed)
 
 
 def _derive_policy(
@@ -409,8 +402,7 @@ def _method_ranked_dataset(
             seed=derive_seed(base, "trial", trial, "trex-multi"),
         )
     if method == "D-REX":
-        bc_cfg = BCConfig(seed=derive_seed(base, "trial", trial, "drex-bc"))
-        cloned = train_bc([good, bad], spec, bc_cfg)
+        cloned = train_bc([good, bad], spec, derive_seed(base, "trial", trial, "drex-bc"))
         return build_drex_dataset(
             cloned,
             spec,
@@ -432,8 +424,7 @@ def _run_method_trial(method, cfg, spec, trial, good, bad):
     labels = ("trial", trial, "bc")
     returns = []
     for m in range(cfg.eval.n_models_per_trial):
-        bc_cfg = BCConfig(seed=derive_seed(cfg.base_seed, *labels, "model", m))
-        policy = train_bc([good, bad], spec, bc_cfg)
+        policy = train_bc([good, bad], spec, derive_seed(cfg.base_seed, *labels, "model", m))
         episodes = policy_returns(
             policy,
             spec,

@@ -41,11 +41,9 @@ from .reward_net import RewardEnsemble, RewardModel, predict_states
 from .seeding import derive_seed
 from .trajectory import gt_return
 
-KIND_GREEDY_TABULAR = "greedy_tabular"
-KIND_LINEAR_GAUSSIAN = "linear_gaussian"
-# policy kind -> the environment it acts in
-_KIND_ENV = {KIND_GREEDY_TABULAR: ENV_GRIDNAV, KIND_LINEAR_GAUSSIAN: ENV_POINTCHASE}
 ARTIFACT_VERSION = 1
+CEM_ELITE_FRAC = 0.125
+CEM_INIT_STD = 2.0
 
 
 def _reward_vector(reward, features: np.ndarray) -> np.ndarray:
@@ -58,44 +56,36 @@ def _reward_vector(reward, features: np.ndarray) -> np.ndarray:
 @dataclass
 class CEMConfig:
     population_size: int = 64
-    elite_frac: float = 0.125
     n_iters: int = 30
-    init_std: float = 2.0
 
     def __post_init__(self) -> None:
         if self.population_size < 8:
             raise ConfigError(f"population_size must be >= 8, got {self.population_size}")
-        if not 0.0 < self.elite_frac < 1.0:
-            raise ConfigError(f"elite_frac must lie in (0, 1), got {self.elite_frac}")
         if self.n_iters < 0:
             raise ConfigError(f"n_iters must be >= 0, got {self.n_iters}")
-        if self.init_std <= 0:
-            raise ConfigError(f"init_std must be > 0, got {self.init_std}")
 
     @property
     def n_elites(self) -> int:
-        return max(1, int(self.population_size * self.elite_frac))
+        return int(self.population_size * CEM_ELITE_FRAC)
 
 
 @dataclass
 class PolicyArtifact:
-    """Serializable policy: an action table or linear feedback gains."""
+    """Serializable policy: a GridNav action table or PointChase linear
+    feedback gains."""
 
-    kind: str
     env: str
     parameters: np.ndarray
     source_model: str | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_ENV:
-            raise ConfigError(f"unknown policy kind {self.kind!r}")
         self.parameters = np.asarray(self.parameters)
 
     def as_policy(self, spec: EnvSpec):
         if spec.name != self.env:
             raise ConfigError(f"policy is for {self.env}, spec is {spec.name}")
-        if self.kind == KIND_GREEDY_TABULAR:
+        if self.env == ENV_GRIDNAV:
             return TabularPolicy(spec=spec, table=self.parameters.astype(np.int64))
         return LinearPolicy(spec=spec, gains=self.parameters.astype(np.float64))
 
@@ -147,7 +137,6 @@ def value_iteration(
     if not np.all(np.isfinite(rewards)):
         raise DivergenceError("non-finite cell reward: value iteration cannot converge", step=0)
     return PolicyArtifact(
-        kind=KIND_GREEDY_TABULAR,
         env=ENV_GRIDNAV,
         parameters=gridnav_greedy_actions(rewards, gamma, tol),
         source_model=source_model,
@@ -178,7 +167,7 @@ def cem_search(
     rng = np.random.default_rng(derive_seed(seed, "cem"))
     dim = spec.feature_dim
     mean = np.zeros(dim)
-    std = np.full(dim, cfg.init_std)
+    std = np.full(dim, CEM_INIT_STD)
     history = [mean.copy()]
     for iteration in range(cfg.n_iters):
         population = mean + std * rng.normal(size=(cfg.population_size, dim))
@@ -196,7 +185,6 @@ def cem_search(
         std = np.maximum(elites.std(axis=0), 1e-6)
         history.append(mean.copy())
     return PolicyArtifact(
-        kind=KIND_LINEAR_GAUSSIAN,
         env=ENV_POINTCHASE,
         parameters=mean,
         source_model=source_model,
@@ -247,11 +235,9 @@ def evaluate_policy(
 def save_policy(artifact: PolicyArtifact, path) -> None:
     payload = {
         "format_version": ARTIFACT_VERSION,
-        "kind": artifact.kind,
         "env": artifact.env,
         "parameters": [
-            int(v) if artifact.kind == KIND_GREEDY_TABULAR else float(v)
-            for v in artifact.parameters
+            int(v) if artifact.env == ENV_GRIDNAV else float(v) for v in artifact.parameters
         ],
         "source_model": artifact.source_model,
         "meta": artifact.meta,
@@ -261,35 +247,35 @@ def save_policy(artifact: PolicyArtifact, path) -> None:
         fh.write("\n")
 
 
-def _check_parameters(kind: str, values) -> None:
-    """Raise ValueError unless values are an action per GridNav cell
-    (greedy_tabular) or finite feedback gains (linear_gaussian)."""
-    if kind == KIND_GREEDY_TABULAR:
+def _check_parameters(env: str, values) -> None:
+    """Raise ValueError unless values are an action per GridNav cell or
+    finite PointChase feedback gains."""
+    if env == ENV_GRIDNAV:
         n, what = GRID_N_STATES, f"integers in [0, {GRID_N_ACTIONS})"
         fits = lambda v: type(v) is int and 0 <= v < GRID_N_ACTIONS
-    else:
+    elif env == ENV_POINTCHASE:
         n, what = PC_FEATURE_DIM, "finite numbers"
         fits = lambda v: type(v) in (int, float) and math.isfinite(v)
+    else:
+        raise ValueError(f"unknown policy environment {env!r}")
     if not (isinstance(values, list) and len(values) == n and all(map(fits, values))):
-        raise ValueError(f"{kind} parameters must be {n} {what}")
+        raise ValueError(f"{env} policy parameters must be {n} {what}")
 
 
 def load_policy(path) -> PolicyArtifact:
     """The policy artifact at path, refused with a CorruptArtifactError
-    naming path unless its kind, environment and parameters fit together."""
+    naming path unless its environment is known and its parameters fit it.
+    A "kind" key, which older files carry, is ignored."""
     with open(path) as fh, parsing(path):
         payload = json.load(fh)
         if payload.get("format_version") != ARTIFACT_VERSION:
             raise ConfigError(
                 f"unsupported policy artifact version {payload.get('format_version')!r} in {path}"
             )
-        kind, env, values = payload["kind"], payload["env"], payload["parameters"]
-        if _KIND_ENV.get(kind) != env:
-            raise ValueError(f"policy kind {kind!r} does not act in environment {env!r}")
-        _check_parameters(kind, values)
-        dtype = np.int64 if kind == KIND_GREEDY_TABULAR else np.float64
+        env, values = payload["env"], payload["parameters"]
+        _check_parameters(env, values)
+        dtype = np.int64 if env == ENV_GRIDNAV else np.float64
         return PolicyArtifact(
-            kind=kind,
             env=env,
             parameters=np.asarray(values, dtype=dtype),
             source_model=payload["source_model"],

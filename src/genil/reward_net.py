@@ -61,7 +61,6 @@ class TrainConfig:
     learning_rate: float = 3e-4
     steps: int = 6000
     batch_size: int = 16
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -345,12 +344,14 @@ class _BatchBlock:
 BATCH_BLOCK = 16
 
 
-def train(model: RewardModel, pairs: Sequence[SnippetPair], cfg: TrainConfig) -> TrainResult:
+def train(
+    model: RewardModel, pairs: Sequence[SnippetPair], cfg: TrainConfig, seed: int
+) -> TrainResult:
     """Minibatch gradient descent on the ranking loss.
 
     The input model is left untouched; a trained copy is returned together
     with the per-step mean batch loss (data term only).  Batches are drawn
-    with replacement from a generator seeded by cfg.seed, so a fixed seed
+    with replacement from a generator seeded by seed, so a fixed seed
     reproduces parameters bit-exactly.  pairs may be a CompiledPairs, which
     skips compiling them again.
     """
@@ -360,7 +361,7 @@ def train(model: RewardModel, pairs: Sequence[SnippetPair], cfg: TrainConfig) ->
     if cfg.steps == 0:
         return TrainResult(model=trained, losses=np.empty(0), config=cfg)
     compiled = pairs if isinstance(pairs, CompiledPairs) else CompiledPairs(pairs)
-    rng = np.random.default_rng(derive_seed(cfg.seed, "train-batches"))
+    rng = np.random.default_rng(derive_seed(seed, "train-batches"))
     net = trained.net
     half = cfg.batch_size
     n_segs = 2 * half

@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, EmptyPairError, InvalidTrajectoryError
-from .fileio import atomic_write, parsing
-from .genetics import RankedDataset
+from .fileio import atomic_write
 from .seeding import derive_seed
 from .trajectory import Trajectory
 
@@ -162,22 +161,6 @@ def save_pairs(path, pairs: Sequence[SnippetPair]) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def load_pairs(path, dataset: RankedDataset) -> list[SnippetPair]:
-    """Rebuild pairs by slicing the dataset; labels are recomputed and
-    checked against the stored values."""
-    pairs = []
-    with open(path) as fh, parsing(path):
-        for line_no, line in enumerate(fh, start=1):
-            record = json.loads(line)
-            pairs.append(
-                SnippetPair(
-                    lo=_resolve_ref(record["lo"], dataset, path, line_no),
-                    hi=_resolve_ref(record["hi"], dataset, path, line_no),
-                )
-            )
-    return pairs
-
-
 def _snippet_ref(snip: Snippet) -> dict:
     return {
         "parent_id": snip.parent_id,
@@ -185,21 +168,3 @@ def _snippet_ref(snip: Snippet) -> dict:
         "length": snip.length,
         "rank": snip.rank_label,
     }
-
-
-def _resolve_ref(ref: dict, dataset: RankedDataset, path, line_no: int) -> Snippet:
-    traj = dataset.get(ref["parent_id"])
-    start, length = int(ref["start"]), int(ref["length"])
-    label = float(traj.step_ranks[start : start + length].mean())
-    if label != float(ref["rank"]):
-        raise InvalidTrajectoryError(
-            f"{path}:{line_no}: stored rank {ref['rank']} does not match "
-            f"recomputed label {label} for {ref['parent_id']}[{start}:{start + length}]"
-        )
-    return Snippet(
-        parent_id=ref["parent_id"],
-        start=start,
-        length=length,
-        states=traj.states[start : start + length],
-        rank_label=label,
-    )

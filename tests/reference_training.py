@@ -90,11 +90,11 @@ def block_step(block, j):
     )
 
 
-def reference_train(model, pairs, cfg, transpose=np.transpose):
+def reference_train(model, pairs, cfg, seed, transpose=np.transpose):
     """reward_net.train, one batch gather per step; returns (net, losses)."""
     net = ReferenceMLP(model.net, transpose)
     compiled = CompiledPairs(pairs)
-    rng = np.random.default_rng(derive_seed(cfg.seed, "train-batches"))
+    rng = np.random.default_rng(derive_seed(seed, "train-batches"))
     half = cfg.batch_size
     losses = np.empty(cfg.steps)
     for step in range(cfg.steps):
@@ -117,18 +117,19 @@ def reference_train(model, pairs, cfg, transpose=np.transpose):
     return net, losses
 
 
-def reference_train_bc(demos, spec, cfg):
-    """baselines.train_bc, validation left out; returns the net."""
+def reference_train_bc(demos, spec, seed):
+    """baselines.train_bc, validation left out: two hidden layers of 64,
+    2000 steps of batch 64 at learning rate 1e-2; returns the net."""
     X = np.concatenate([t.states for t in demos], axis=0)
     y = np.concatenate([t.actions for t in demos], axis=0)
     classify = spec.name == ENV_GRIDNAV
     out_dim = GRID_N_ACTIONS if classify else 1
-    widths = [spec.feature_dim] + [cfg.hidden_width] * cfg.n_hidden + [out_dim]
-    net = ReferenceMLP(MLP.create(widths, seed=derive_seed(cfg.seed, "bc-init")))
-    rng = np.random.default_rng(derive_seed(cfg.seed, "bc-batches"))
+    widths = [spec.feature_dim, 64, 64, out_dim]
+    net = ReferenceMLP(MLP.create(widths, seed=derive_seed(seed, "bc-init")))
+    rng = np.random.default_rng(derive_seed(seed, "bc-batches"))
     n = X.shape[0]
-    for _ in range(cfg.steps):
-        batch = rng.integers(n, size=min(cfg.batch_size, n))
+    for _ in range(2000):
+        batch = rng.integers(n, size=min(64, n))
         out, cache = net.forward(X[batch])
         if classify:
             shifted = out - out.max(axis=1, keepdims=True)
@@ -139,5 +140,5 @@ def reference_train_bc(demos, spec, cfg):
             d_out /= len(batch)
         else:
             d_out = 2.0 * (out - y[batch, None]) / len(batch)
-        net.apply_grads(net.backward(cache, d_out), cfg.learning_rate)
+        net.apply_grads(net.backward(cache, d_out), 1e-2)
     return net

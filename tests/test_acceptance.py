@@ -37,7 +37,6 @@ from genil.mlp import MLP
 from genil.pipeline import _map_units, run_command
 from genil.policy_opt import (
     CEMConfig,
-    KIND_LINEAR_GAUSSIAN,
     PolicyArtifact,
     cem_search,
     evaluate_policy,
@@ -158,9 +157,9 @@ def ten_seed_runs():
             models = []
             for m in range(5):
                 ms = derive_seed(s, "model", m)
-                cfg = TrainConfig(learning_rate=3e-4, steps=6000, batch_size=16, seed=ms)
+                cfg = TrainConfig(learning_rate=3e-4, steps=6000, batch_size=16)
                 models.append(
-                    train(make_reward_model(spec.feature_dim, seed=ms), pairs, cfg).model
+                    train(make_reward_model(spec.feature_dim, seed=ms), pairs, cfg, ms).model
                 )
             ensembles[name] = RewardEnsemble(models)
             reports[name] = extrapolation_report(
@@ -408,9 +407,7 @@ def test_criterion_07_policy_oracles(capsys):
     return_gap = abs(vi_return - gridnav_optimal_return(spec))
 
     pc = make_spec("PointChase")
-    controller = PolicyArtifact(
-        kind=KIND_LINEAR_GAUSSIAN, env="PointChase", parameters=np.array([0.0, -2.0, 4.0])
-    )
+    controller = PolicyArtifact(env="PointChase", parameters=np.array([0.0, -2.0, 4.0]))
     pd_mean = evaluate_policy(controller, pc, 20, seed=0).mean
     cem_artifact = cem_search(pc, true_reward_fn(pc), CEMConfig(), seed=0)
     cem_mean = evaluate_policy(cem_artifact, pc, 20, seed=0).mean
@@ -509,7 +506,7 @@ def test_criterion_10_serialization_round_trip(capsys, tmp_path):
     snips = subsample(dataset.trajectories, 60, 5, 10, seed=4)
     pairs = make_pairs(snips, 120, 0.5, seed=4)
     model = train(
-        make_reward_model(spec.feature_dim, seed=4), pairs, TrainConfig(steps=50, seed=4)
+        make_reward_model(spec.feature_dim, seed=4), pairs, TrainConfig(steps=50), 4
     ).model
     probe_states = gridnav_all_features()
     before = predict_states(model, probe_states)
@@ -535,11 +532,11 @@ def test_criterion_10_serialization_round_trip(capsys, tmp_path):
         save_policy(artifact, first)
         back = load_policy(first)
         if not np.array_equal(artifact.parameters, back.parameters):
-            failures.append(f"{artifact.kind} parameters differ after reload")
+            failures.append(f"{artifact.env} policy parameters differ after reload")
         second = tmp_path / f"policy{i}-again.json"
         save_policy(back, second)
         if first.read_bytes() != second.read_bytes():
-            failures.append(f"{artifact.kind} file not byte-stable")
+            failures.append(f"{artifact.env} policy file not byte-stable")
 
     ok = not failures
     line = emit(

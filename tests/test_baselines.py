@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from genil.baselines import (
-    BCConfig,
     BCPolicy,
     MixturePolicy,
     build_drex_dataset,
@@ -22,7 +21,7 @@ def grid_bc():
     """A clone of the optimal GridNav policy from one clean demo."""
     spec = make_spec("GridNav")
     demo = rollout(make_env(spec), DemoPolicy(spec, 0.0), seed=0)
-    return spec, demo, train_bc([demo], spec, BCConfig(seed=0))
+    return spec, demo, train_bc([demo], spec, 0)
 
 
 def constant_ranks(trajectories) -> dict[str, float]:
@@ -76,18 +75,6 @@ def test_trex2_dataset(grid_spec):
 # Behavioral cloning
 
 
-def test_bc_config_validation():
-    with pytest.raises(ConfigError):
-        BCConfig(hidden_width=0)
-    with pytest.raises(ConfigError):
-        BCConfig(learning_rate=0)
-    with pytest.raises(ConfigError):
-        BCConfig(steps=-1)
-    with pytest.raises(ConfigError):
-        BCConfig(batch_size=0)
-    assert BCConfig(steps=0).steps == 0
-
-
 def test_bc_clones_optimal_grid_policy(grid_bc):
     spec, demo, bc = grid_bc
     out = bc.net.predict(demo.states)
@@ -103,7 +90,7 @@ def test_bc_clones_optimal_grid_policy(grid_bc):
 def test_bc_regresses_pointchase_actions():
     spec = make_spec("PointChase")
     demo = rollout(make_env(spec), DemoPolicy(spec, 0.0), seed=0)
-    bc = train_bc([demo], spec, BCConfig(seed=0))
+    bc = train_bc([demo], spec, 0)
     pred = np.clip(bc.net.predict(demo.states)[:, 0], -1.0, 1.0)
     mse = float(np.mean((pred - demo.actions) ** 2))
     assert mse < 0.1 * float(demo.actions.var()) + 1e-3
@@ -115,7 +102,7 @@ def test_bc_act_types(grid_bc, rng):
     assert isinstance(a, int) and 0 <= a < 4
     pspec = make_spec("PointChase")
     pdemo = rollout(make_env(pspec), DemoPolicy(pspec, 0.3), seed=0)
-    pbc = train_bc([pdemo], pspec, BCConfig(steps=10, seed=0))
+    pbc = train_bc([pdemo], pspec, 0)
     action = pbc.act(pdemo.states[0], rng)
     assert isinstance(action, float) and abs(action) <= 1.0
 
@@ -123,20 +110,20 @@ def test_bc_act_types(grid_bc, rng):
 def test_bc_validation(grid_spec):
     demo = rollout(make_env(grid_spec), DemoPolicy(grid_spec, 0.0), seed=0)
     with pytest.raises(ConfigError):
-        train_bc([], grid_spec, BCConfig())
+        train_bc([], grid_spec, 0)
     import dataclasses
 
     no_actions = dataclasses.replace(demo, actions=None)
     with pytest.raises(ConfigError):
-        train_bc([no_actions], grid_spec, BCConfig())
+        train_bc([no_actions], grid_spec, 0)
     with pytest.raises(ConfigError):
-        train_bc([demo], make_spec("PointChase"), BCConfig())
+        train_bc([demo], make_spec("PointChase"), 0)
 
 
 def test_bc_deterministic(grid_spec):
     demo = rollout(make_env(grid_spec), DemoPolicy(grid_spec, 0.1), seed=4)
-    a = train_bc([demo], grid_spec, BCConfig(steps=100, seed=7))
-    b = train_bc([demo], grid_spec, BCConfig(steps=100, seed=7))
+    a = train_bc([demo], grid_spec, 7)
+    b = train_bc([demo], grid_spec, 7)
     assert np.array_equal(a.net.get_flat(), b.net.get_flat())
 
 

@@ -5,6 +5,8 @@ dynamic-programming oracle implemented here, not against the library's own
 value iteration code path.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -32,7 +34,6 @@ from genil.envs import (
     PC_TARGET,
     PC_VEL_MAX,
     DemoPolicy,
-    EnvSpec,
     GridNavEnv,
     PointChaseEnv,
     gridnav_all_features,
@@ -72,26 +73,23 @@ def _cell(x, y):
 
 
 def test_make_spec_defaults():
+    """One fixed spec per environment, with README's horizon and discount."""
     g = make_spec(ENV_GRIDNAV)
-    assert (g.horizon, g.discount, g.feature_dim) == (50, 0.95, GRID_FEATURE_DIM)
+    assert (g.name, g.horizon, g.discount, g.feature_dim) == (
+        ENV_GRIDNAV, 50, 0.95, GRID_FEATURE_DIM
+    )
     p = make_spec(ENV_POINTCHASE)
-    assert (p.horizon, p.discount, p.feature_dim) == (100, 0.99, PC_FEATURE_DIM)
-
-
-def test_make_spec_overrides():
-    s = make_spec(ENV_GRIDNAV, horizon=30, discount=0.9)
-    assert (s.horizon, s.discount) == (30, 0.9)
+    assert (p.name, p.horizon, p.discount, p.feature_dim) == (
+        ENV_POINTCHASE, 100, 0.99, PC_FEATURE_DIM
+    )
+    assert make_spec(ENV_GRIDNAV) is g and make_spec(ENV_POINTCHASE) is p
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.horizon = 30
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown environment 'Atari'"):
         make_spec("Atari")
-    with pytest.raises(ConfigError):
-        make_spec(ENV_GRIDNAV, horizon=1)
-    with pytest.raises(ConfigError):
-        make_spec(ENV_GRIDNAV, discount=1.0)
-    with pytest.raises(ConfigError):
-        EnvSpec(name=ENV_GRIDNAV, horizon=50, discount=0.95, feature_dim=3)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +452,7 @@ def test_wall_gains_reach_both_clips(pc_spec):
 )
 @example(gains=WALL_GAINS, horizon=100)
 def test_population_rollout_matches_per_step_rollouts(gains, horizon):
-    spec = make_spec(ENV_POINTCHASE, horizon=horizon)
+    spec = dataclasses.replace(make_spec(ENV_POINTCHASE), horizon=horizon)
     gains = np.array(gains)
     population = pointchase_linear_rollout(spec, gains)
     per_candidate = np.stack(

@@ -169,11 +169,8 @@ def test_hand_computed_report():
     rep = extrapolation_report(identity_model(), evs, 0.9, n_bins=8)
     assert rep.accuracy_ratio == 1.0
     assert [r.bin for r in rep.rows] == [0, 0, 7]
-    assert rep.per_bin_std[0] == pytest.approx(0.45, abs=1e-15)
-    assert all(np.isnan(v) for v in rep.per_bin_std[1:7])
-    assert rep.per_bin_std[7] == 0.0
+    # the mean of the two non-empty bins' stds, 0.45 and 0.0
     assert rep.mean_bin_std == pytest.approx(0.225, abs=1e-15)
-    assert rep.n_bins == 8
     assert rep.rows[1].gt_norm == pytest.approx(0.05)
     assert rep.rows[1].gt_norm < ACCURACY_GT_NORM_FLOOR
 
@@ -251,9 +248,7 @@ def test_extrapolation_csv_golden(tmp_path):
         accuracy_ratio=1.0,
         spearman_rho=1.0,
         pearson_r=1.0,
-        per_bin_std=[],
         mean_bin_std=0.0,
-        n_bins=8,
         pred_degenerate=False,
     )
     path = tmp_path / "e.csv"
@@ -271,9 +266,7 @@ def test_summary_csv_golden(tmp_path):
         accuracy_ratio=0.5,
         spearman_rho=1.0,
         pearson_r=-0.25,
-        per_bin_std=[],
         mean_bin_std=0.125,
-        n_bins=8,
         pred_degenerate=False,
     )
     path = tmp_path / "s.csv"

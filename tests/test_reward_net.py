@@ -253,7 +253,7 @@ def ordered_share(model, pairs):
 def test_train_learns_separable_data():
     pairs = separable_pairs()
     model = make_reward_model(3, hidden_width=16, n_hidden=1, seed=0)
-    result = train(model, pairs, TrainConfig(learning_rate=5e-3, steps=400, seed=0))
+    result = train(model, pairs, TrainConfig(learning_rate=5e-3, steps=400), 0)
     assert len(result.losses) == 400
     assert result.losses[-50:].mean() < result.losses[:50].mean() / 2
     assert ordered_share(result.model, pairs) == 1.0
@@ -263,19 +263,19 @@ def test_train_learns_separable_data():
 
 def test_train_bit_reproducible():
     pairs = separable_pairs(seed=3)
-    cfg = TrainConfig(learning_rate=1e-3, steps=120, batch_size=8, seed=9)
-    a = train(make_reward_model(3, 8, 1, seed=4), pairs, cfg)
-    b = train(make_reward_model(3, 8, 1, seed=4), pairs, cfg)
+    cfg = TrainConfig(learning_rate=1e-3, steps=120, batch_size=8)
+    a = train(make_reward_model(3, 8, 1, seed=4), pairs, cfg, 9)
+    b = train(make_reward_model(3, 8, 1, seed=4), pairs, cfg, 9)
     assert np.array_equal(a.model.net.get_flat(), b.model.net.get_flat())
     assert np.array_equal(a.losses, b.losses)
-    c = train(make_reward_model(3, 8, 1, seed=4), pairs, TrainConfig(1e-3, 120, 8, seed=10))
+    c = train(make_reward_model(3, 8, 1, seed=4), pairs, cfg, 10)
     assert not np.array_equal(a.model.net.get_flat(), c.model.net.get_flat())
 
 
 def test_train_zero_steps_returns_copy():
     pairs = separable_pairs()
     model = make_reward_model(3, 8, 1, seed=0)
-    result = train(model, pairs, TrainConfig(steps=0))
+    result = train(model, pairs, TrainConfig(steps=0), 0)
     assert len(result.losses) == 0
     assert np.array_equal(result.model.net.get_flat(), model.net.get_flat())
     assert result.model is not model
@@ -285,13 +285,13 @@ def test_train_raises_on_nan_weight_at_step_zero():
     model = make_reward_model(3, 8, 1, seed=0)
     model.net.weights[0][0, 0] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as info:
-        train(model, separable_pairs(), TrainConfig(steps=10, seed=0))
+        train(model, separable_pairs(), TrainConfig(steps=10), 0)
     assert info.value.step == 0
 
 
 def test_train_rejects_empty_pairs():
     with pytest.raises(EmptyPairError):
-        train(make_reward_model(3, 8, 1, seed=0), [], TrainConfig())
+        train(make_reward_model(3, 8, 1, seed=0), [], TrainConfig(), 0)
 
 
 def test_train_rejects_conflicting_snippet_keys(rng):
@@ -302,6 +302,7 @@ def test_train_rejects_conflicting_snippet_keys(rng):
             make_reward_model(2, 8, 1, seed=0),
             [SnippetPair(lo=a, hi=b)],
             TrainConfig(steps=1),
+            0,
         )
 
 
@@ -317,7 +318,7 @@ def test_desk_config_reaches_ordering_and_loss_targets():
     ms = derive_seed(1, "model", 0)
     model = make_reward_model(spec.feature_dim, seed=ms)
     result = train(
-        model, pairs, TrainConfig(learning_rate=3e-4, steps=6000, batch_size=16, seed=ms)
+        model, pairs, TrainConfig(learning_rate=3e-4, steps=6000, batch_size=16), ms
     )
     assert ordered_share(result.model, pairs) >= 0.95
     assert result.losses[-1000:].mean() < 0.1
@@ -367,11 +368,11 @@ class ReferenceCompiledPairs:
         return local_rows, local_pos, np.concatenate(parts_c), seg_ids, len(sids)
 
 
-def reference_train(model, pairs, cfg):
+def reference_train(model, pairs, cfg, seed):
     """train() with the reference bookkeeping, step for step."""
     trained = model.copy()
     compiled = ReferenceCompiledPairs(pairs)
-    rng = np.random.default_rng(derive_seed(cfg.seed, "train-batches"))
+    rng = np.random.default_rng(derive_seed(seed, "train-batches"))
     losses = np.empty(cfg.steps)
     for step in range(cfg.steps):
         batch = rng.integers(len(compiled.lo_idx), size=cfg.batch_size)
@@ -585,9 +586,9 @@ def test_train_matches_reference_bookkeeping(source, grid_spec, grid_dataset):
     else:
         pairs = overlapping_pairs(np.random.default_rng(4))
         model = make_reward_model(3, hidden_width=8, n_hidden=2, seed=4)
-    cfg = TrainConfig(learning_rate=3e-3, steps=300, batch_size=16, seed=4)
-    result = train(model, pairs, cfg)
-    ref_model, ref_losses = reference_train(model, pairs, cfg)
+    cfg = TrainConfig(learning_rate=3e-3, steps=300, batch_size=16)
+    result = train(model, pairs, cfg, 4)
+    ref_model, ref_losses = reference_train(model, pairs, cfg, 4)
     assert result.model.net.get_flat().tobytes() == ref_model.net.get_flat().tobytes()
     assert result.losses.tobytes() == ref_losses.tobytes()
 
@@ -599,7 +600,7 @@ def test_train_matches_reference_bookkeeping(source, grid_spec, grid_dataset):
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     pairs = separable_pairs(seed=5)
     result = train(
-        make_reward_model(3, 8, 1, seed=5), pairs, TrainConfig(1e-3, 100, seed=5)
+        make_reward_model(3, 8, 1, seed=5), pairs, TrainConfig(1e-3, 100), 5
     )
     path = tmp_path / "model.json"
     save_model(result.model, path, train_config=result.config)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from genil.baselines import BCConfig, build_trex2_dataset, train_bc
+from genil.baselines import build_trex2_dataset, train_bc
 from genil.envs import DemoPolicy, make_demo_pair, make_env, make_spec, rollout
 from genil.errors import DivergenceError
 from genil.reward_net import BATCH_BLOCK, CompiledPairs, TrainConfig, make_reward_model, train
@@ -39,9 +39,9 @@ def test_steps_span_several_blocks():
 def test_reward_training_matches_reference(env_pairs):
     env_name, pairs = env_pairs
     model = make_reward_model(make_spec(env_name).feature_dim, seed=5)
-    cfg = TrainConfig(learning_rate=3e-4, steps=STEPS, batch_size=16, seed=5)
-    result = train(model, pairs, cfg)
-    ref_net, ref_losses = reference_train(model, pairs, cfg)
+    cfg = TrainConfig(learning_rate=3e-4, steps=STEPS, batch_size=16)
+    result = train(model, pairs, cfg, 5)
+    ref_net, ref_losses = reference_train(model, pairs, cfg, 5)
     assert np.array_equal(result.model.net.params, ref_net.get_flat())
     assert np.array_equal(result.losses, ref_losses)
 
@@ -51,9 +51,11 @@ def test_reference_sees_a_contiguous_transpose():
     counts, so the comparison above would catch it."""
     pairs = desk_pairs("GridNav", seed=2)
     model = make_reward_model(make_spec("GridNav").feature_dim, seed=5)
-    cfg = TrainConfig(learning_rate=3e-4, steps=200, batch_size=16, seed=5)
-    result = train(model, pairs, cfg)
-    moved, _ = reference_train(model, pairs, cfg, transpose=lambda w: np.ascontiguousarray(w.T))
+    cfg = TrainConfig(learning_rate=3e-4, steps=200, batch_size=16)
+    result = train(model, pairs, cfg, 5)
+    moved, _ = reference_train(
+        model, pairs, cfg, 5, transpose=lambda w: np.ascontiguousarray(w.T)
+    )
     assert not np.array_equal(result.model.net.params, moved.get_flat())
 
 
@@ -64,9 +66,8 @@ def test_bc_training_matches_reference(env_name):
     demos = [
         rollout(make_env(spec), DemoPolicy(spec, q), seed=k) for k, q in enumerate((0.0, 0.3))
     ]
-    cfg = BCConfig(steps=STEPS, seed=3)
-    policy = train_bc(demos, spec, cfg)
-    ref_net = reference_train_bc(demos, spec, cfg)
+    policy = train_bc(demos, spec, 3)
+    ref_net = reference_train_bc(demos, spec, 3)
     assert np.array_equal(policy.net.params, ref_net.get_flat())
 
 
@@ -85,12 +86,12 @@ def test_divergence_in_a_later_block_reports_its_own_step():
     ]
     bad = 123
     pairs[bad] = SnippetPair(lo=pairs[bad].lo, hi=snip(np.array([[np.inf, 0.0]]), 1.0, "inf"))
-    cfg = TrainConfig(learning_rate=1e-3, steps=1000, batch_size=1, seed=0)
-    draws = np.random.default_rng(derive_seed(cfg.seed, "train-batches"))
+    cfg = TrainConfig(learning_rate=1e-3, steps=1000, batch_size=1)
+    draws = np.random.default_rng(derive_seed(0, "train-batches"))
     expected = next(s for s in range(cfg.steps) if draws.integers(len(pairs), size=1)[0] == bad)
     assert expected >= 2 * BATCH_BLOCK and expected % BATCH_BLOCK != 0
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(DivergenceError) as info:
-        train(make_reward_model(2, 8, 1, seed=0), pairs, cfg)
+        train(make_reward_model(2, 8, 1, seed=0), pairs, cfg, 0)
     assert info.value.step == expected
     assert f"at step {expected}" in str(info.value)
 
@@ -137,8 +138,8 @@ def test_training_working_set_does_not_grow_with_steps(pc_desk_pairs):
     model = make_reward_model(make_spec("PointChase").feature_dim, seed=5)
 
     def peak(steps):
-        cfg = TrainConfig(learning_rate=3e-4, steps=steps, batch_size=16, seed=5)
-        return traced_peak(lambda: train(model, compiled, cfg))
+        cfg = TrainConfig(learning_rate=3e-4, steps=steps, batch_size=16)
+        return traced_peak(lambda: train(model, compiled, cfg, 5))
 
     short, long = peak(200), peak(STEPS)
     assert long <= 1.1 * short
