@@ -1,7 +1,8 @@
 """Command-line entry points for the experiment pipeline.
 
 Exit codes: 0 success, 2 configuration error (an unreadable config file
-is one), 3 stage failure, 4 reproduction stalled.  A compare method that
+is one, and so is an output directory that a file blocks), 3 stage
+failure, 4 reproduction stalled.  A compare method that
 fails is reported on stderr as a warning; the command still exits 0 with
 that method's rows left empty.
 

@@ -473,12 +473,10 @@ def stage_compare(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> No
     every method's metrics use the identical eval set.  A method that
     raises a GenilError keeps its rows, with empty cells, and the error of
     its first failing trial in meta.method_errors while the rest proceed.
-    BC appears in the policy table only (it learns no reward), and only
-    when the demos carry actions.
+    BC appears in the policy table only (it learns no reward).
     """
     spec = cfg.spec()
     eval_set = _write_eval_set(cfg, spec, out, manifest)
-    eval_hash = file_sha256(out / F_EVAL)
     demo_pairs = []
     for t in range(cfg.eval.n_trials):
         seed = derive_seed(cfg.base_seed, "trial", t, "demos")
@@ -492,22 +490,15 @@ def stage_compare(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> No
         )
     save_trajectories(out / F_DEMOS, [traj for pair in demo_pairs for traj in pair])
 
-    methods = list(COMPARE_METHODS)
-    has_actions = all(t.actions is not None for pair in demo_pairs for t in pair)
-    if not has_actions:
-        methods = [m for m in methods if m not in ("BC", "D-REX")]
-        manifest.warnings.append("demos carry no actions: BC and D-REX rows skipped")
-
     table_entries = []
     summary_entries = []
     method_errors: dict[str, str] = {}
-    method_eval_hash: dict[str, str] = {}
     n_trials = cfg.eval.n_trials
-    units = [(method, t) for method in methods for t in range(n_trials)]
+    units = [(method, t) for method in COMPARE_METHODS for t in range(n_trials)]
     outcomes = _map_units(
         functools.partial(_compare_trial, cfg, spec, demo_pairs, eval_set), units
     )
-    for i, method in enumerate(methods):
+    for i, method in enumerate(COMPARE_METHODS):
         results = outcomes[i * n_trials : (i + 1) * n_trials]
         try:
             for r in results:
@@ -523,7 +514,6 @@ def stage_compare(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> No
                     spec.discount,
                     n_bins=cfg.eval.n_bins,
                 )
-            method_eval_hash[method] = eval_hash
         except GenilError as exc:
             method_errors[method] = f"{type(exc).__name__}: {exc}"
             row = report = None
@@ -534,7 +524,6 @@ def stage_compare(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> No
     write_policy_table_csv(out / F_POLICY_TABLE, table_entries)
     write_summary_csv(out / F_SUMMARY, summary_entries)
     manifest.meta["method_errors"] = method_errors
-    manifest.meta["method_eval_hash"] = method_eval_hash
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +628,13 @@ def run_command(command: str, cfg: ExperimentConfig, out_dir=None) -> RunManifes
     wall-clock and the hashes of the artifacts it writes go into the
     manifest, which is saved then, so a command that fails part way leaves
     a manifest of the stages it finished.  out_dir defaults to the
-    config's output directory.
+    config's output directory; one that a file blocks is a ConfigError.
     """
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"output directory {out} is blocked by a file ({exc.strerror})") from exc
     manifest = RunManifest(command=command, config=config_to_dict(cfg), base_seed=cfg.base_seed)
     for name in COMMANDS[command][0]:
         run, reads, writes = STAGES[name]

@@ -6,6 +6,9 @@ log(1 + exp(S_lo - S_hi)), the two-alternative ranking likelihood, and is
 evaluated in log-sum-exp form so extreme margins neither overflow nor
 produce NaN.  Gradients are analytic: dL/dS_hi = -sigmoid(S_lo - S_hi),
 dL/dS_lo = +sigmoid(S_lo - S_hi), back-propagated through the state sums.
+The loss and its gradient live in ``train`` only, and acceptance criterion
+03 checks them there: a one-step ``train`` on one pair at learning rate 1
+gives that pair's loss, and its gradient as the parameters' change.
 
 Training compiles the pair set once, without Python loops over states,
 into a unique-state table and one CSR row of state multiplicities per
@@ -140,13 +143,6 @@ def predict_return(model, states: np.ndarray) -> float:
     return float(predict_states(model, states).sum())
 
 
-def _logistic(v: float) -> float:
-    try:
-        return 1.0 / (1.0 + math.exp(-v))
-    except OverflowError:  # C's exp returns inf here, and 1 / inf is 0.0
-        return 0.0
-
-
 def _expit(z: np.ndarray) -> np.ndarray:
     """Elementwise 1 / (1 + exp(-z)) over a 1-d float64 array, bit for bit
     what scipy.special.expit gives: both use the C library's exp, which
@@ -157,27 +153,13 @@ def _expit(z: np.ndarray) -> np.ndarray:
     try:
         return np.array([1.0 / (1.0 + exp(-v)) for v in z.tolist()])
     except OverflowError:
-        return np.array([_logistic(v) for v in z.tolist()])
-
-
-def pair_loss(model: RewardModel, pair: SnippetPair) -> float:
-    """log(1 + exp(S_lo - S_hi)), stable for any margin."""
-    z = predict_return(model, pair.lo.states) - predict_return(model, pair.hi.states)
-    return float(np.logaddexp(0.0, z))
-
-
-def pair_grad(model: RewardModel, pair: SnippetPair) -> np.ndarray:
-    """Analytic parameter gradient of pair_loss, laid out like net.params
-    (in the net's gradient buffer, which its next backward overwrites)."""
-    states = np.concatenate([pair.lo.states, pair.hi.states], axis=0)
-    out, cache = model.net.forward(states)
-    n_lo = pair.lo.states.shape[0]
-    z = float(out[:n_lo, 0].sum() - out[n_lo:, 0].sum())
-    g = _logistic(z)
-    d_out = np.empty((states.shape[0], 1))
-    d_out[:n_lo, 0] = g
-    d_out[n_lo:, 0] = -g
-    return model.net.backward(cache, d_out)
+        out = []
+        for v in z.tolist():
+            try:
+                out.append(1.0 / (1.0 + exp(-v)))
+            except OverflowError:  # C's exp returns inf here, and 1 / inf is 0.0
+                out.append(0.0)
+        return np.array(out)
 
 
 def _row_bytes(rows: np.ndarray) -> np.ndarray:

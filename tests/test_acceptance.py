@@ -51,8 +51,6 @@ from genil.reward_net import (
     TrainConfig,
     load_model,
     make_reward_model,
-    pair_grad,
-    pair_loss,
     predict_states,
     save_model,
     train,
@@ -66,6 +64,7 @@ from genil.trajectory import (
     trajectories_equal,
 )
 from reference_value_iteration import reference_optimal_actions
+from train_steps import first_step
 
 LN2 = float(np.log(2.0))
 
@@ -272,7 +271,9 @@ def _min_preactivation(net, pair):
 
 def test_criterion_03_ranking_loss(capsys):
     """Tie loss is ln 2; extreme margins stay finite; analytic gradients
-    match central finite differences."""
+    match central finite differences.  Every loss and gradient comes from
+    one step of reward training on the pair (first_step), the code that
+    train-reward runs."""
     t0 = time.perf_counter()
     states = np.random.default_rng(0).normal(size=(6, 4))
     model = make_reward_model(4, hidden_width=8, n_hidden=2, seed=0)
@@ -280,7 +281,7 @@ def test_criterion_03_ranking_loss(capsys):
         lo=Snippet("a", 0, 6, states, 0.0),
         hi=Snippet("b", 0, 6, states.copy(), 3.0),
     )
-    tie_err = abs(pair_loss(model, tie) - LN2)
+    tie_err = abs(first_step(model, tie)[0] - LN2)
 
     scorer = RewardModel(net=MLP([1, 1], [np.array([[1.0]])], [np.zeros(1)]))
     right = SnippetPair(
@@ -291,7 +292,7 @@ def test_criterion_03_ranking_loss(capsys):
         lo=Snippet("lo2", 0, 1, np.array([[500.0]]), 0.0),
         hi=Snippet("hi2", 0, 1, np.array([[0.0]]), 3.0),
     )
-    losses = [pair_loss(scorer, right), pair_loss(scorer, wrong)]
+    losses = [first_step(scorer, right)[0], first_step(scorer, wrong)[0]]
     stable = (
         all(np.isfinite(losses))
         and losses[0] < 1e-100
@@ -315,7 +316,8 @@ def test_criterion_03_ranking_loss(capsys):
         # saturated pairs have gradients at float-noise level, where a
         # central difference carries no signal; redraw into the curved
         # region of the loss
-        if not 1e-3 < pair_loss(probe, pair) < 5.0:
+        loss, analytic = first_step(probe, pair)
+        if not 1e-3 < loss < 5.0:
             continue
         # the loss is non-differentiable on relu kinks, and zero-init
         # biases put fully-clamped rows exactly there; only probe where
@@ -323,7 +325,6 @@ def test_criterion_03_ranking_loss(capsys):
         if _min_preactivation(probe.net, pair) < 1e-5:
             continue
         draws += 1
-        analytic = pair_grad(probe, pair)
         base = probe.net.get_flat()
         eps = 1e-6
         numeric = np.empty_like(base)
@@ -331,10 +332,10 @@ def test_criterion_03_ranking_loss(capsys):
             vec = base.copy()
             vec[i] += eps
             probe.net.set_flat(vec)
-            up = pair_loss(probe, pair)
+            up = first_step(probe, pair)[0]
             vec[i] -= 2 * eps
             probe.net.set_flat(vec)
-            down = pair_loss(probe, pair)
+            down = first_step(probe, pair)[0]
             numeric[i] = (up - down) / (2 * eps)
         probe.net.set_flat(base)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)

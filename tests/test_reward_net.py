@@ -1,11 +1,14 @@
 """Ranking-loss reward training: loss values, gradients, invariances,
 training behavior, checkpoints, and the desk-config quality gate."""
 
+import functools
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from genil.baselines import build_trex2_dataset
@@ -18,19 +21,17 @@ from genil.reward_net import (
     TrainConfig,
     load_model,
     make_reward_model,
-    pair_grad,
-    pair_loss,
     predict_return,
     predict_states,
     CompiledPairs,
     _expit,
-    _logistic,
     save_model,
     train,
 )
 from genil.seeding import derive_seed
 from genil.snippets import Snippet, SnippetPair, make_pairs, subsample
 from reference_training import block_step
+from train_steps import first_step
 
 LN2 = float(np.log(2.0))
 
@@ -131,33 +132,36 @@ def test_ensemble_validation():
 
 
 # ---------------------------------------------------------------------------
-# Loss and gradients
+# Loss and gradients, from one training step on one pair (first_step)
+
+
+def loss(model, pair):
+    return first_step(model, pair)[0]
 
 
 def test_pair_loss_equal_scores_is_ln2():
     model = linear_model([[0.0], [0.0]], [0.0])
     pair = SnippetPair(lo=snip([[1.0, 2.0]], 0.0), hi=snip([[5.0, 5.0]], 3.0))
-    assert abs(pair_loss(model, pair) - LN2) < 1e-12
+    assert abs(loss(model, pair) - LN2) < 1e-12
 
 
 def test_pair_loss_direction():
     model = linear_model([[1.0], [0.0]], [0.0])
     good_order = SnippetPair(lo=snip([[0.0, 0.0]], 0.0), hi=snip([[2.0, 0.0]], 3.0))
     bad_order = SnippetPair(lo=snip([[2.0, 0.0]], 0.0), hi=snip([[0.0, 0.0]], 3.0))
-    assert pair_loss(model, good_order) < LN2 < pair_loss(model, bad_order)
+    assert loss(model, good_order) < LN2 < loss(model, bad_order)
 
 
 def test_pair_loss_extreme_margins_stable():
     model = linear_model([[1.0]], [0.0])
     for margin in (500.0, -500.0):
         pair = SnippetPair(lo=snip([[0.0]], 0.0), hi=snip([[margin]], 3.0))
-        loss = pair_loss(model, pair)
-        assert np.isfinite(loss)
+        assert np.isfinite(loss(model, pair))
     # confident correct pair: loss ~ exp(-500); confident wrong pair: ~ 500
     correct = SnippetPair(lo=snip([[0.0]], 0.0), hi=snip([[500.0]], 3.0))
     wrong = SnippetPair(lo=snip([[500.0]], 0.0), hi=snip([[0.0]], 3.0))
-    assert pair_loss(model, correct) < 1e-100
-    assert pair_loss(model, wrong) == pytest.approx(500.0, rel=1e-12)
+    assert loss(model, correct) < 1e-100
+    assert loss(model, wrong) == pytest.approx(500.0, rel=1e-12)
 
 
 EXPIT_EDGES = [0.0, 1e-300, 709.7, 709.8, 710.0, 745.0, 746.0, np.inf]
@@ -177,10 +181,9 @@ def same_floats(a, b):
 
 @pytest.mark.parametrize("z", EXPIT_EDGES, ids=repr)
 def test_expit_matches_scipy_on_edge_scalars(z):
-    # _expit takes 1-d arrays; pair_grad's scalar margins go to _logistic
+    # _expit takes 1-d arrays; an element that overflows math.exp sends
+    # its batch down the per-element path
     assert same_floats(_expit(np.array([z])), expit(np.array([z])))
-    assert same_floats(_logistic(z), expit(z))
-    assert same_floats(_logistic(np.float64(z)), expit(np.float64(z)))
 
 
 def test_expit_matches_scipy_on_batches():
@@ -197,7 +200,7 @@ def test_expit_matches_scipy_on_batches():
 def test_pair_grad_matches_finite_differences(rng):
     model = make_reward_model(4, hidden_width=8, n_hidden=2, seed=11)
     pair = random_pair(rng, 4, 5, 7)
-    analytic = pair_grad(model, pair)
+    analytic = first_step(model, pair)[1]
     base = model.net.get_flat()
     eps = 1e-6
     numeric = np.empty_like(base)
@@ -208,9 +211,9 @@ def test_pair_grad_matches_finite_differences(rng):
             vec[i] += sign * eps
             probe.net.set_flat(vec)
             if store == "hi":
-                up = pair_loss(probe, pair)
+                up = loss(probe, pair)
             else:
-                down = pair_loss(probe, pair)
+                down = loss(probe, pair)
         numeric[i] = (up - down) / (2 * eps)
     err = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
     assert err < 1e-4
@@ -223,9 +226,9 @@ def test_loss_shift_invariant_for_equal_length_pairs(rng):
     shifted = model.copy()
     shifted.net.biases[-1][:] += 10.0
     # equal lengths: the constant shift cancels in the score difference
-    assert pair_loss(shifted, equal) == pytest.approx(pair_loss(model, equal), abs=1e-9)
+    assert loss(shifted, equal) == pytest.approx(loss(model, equal), abs=1e-9)
     # unequal lengths: the shift scales with length and must not cancel
-    assert abs(pair_loss(shifted, unequal) - pair_loss(model, unequal)) > 1.0
+    assert abs(loss(shifted, unequal) - loss(model, unequal)) > 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +325,44 @@ def test_desk_config_reaches_ordering_and_loss_targets():
     )
     assert ordered_share(result.model, pairs) >= 0.95
     assert result.losses[-1000:].mean() < 0.1
+
+
+@functools.cache
+def desk_pair_set(env_name):
+    """Pairs at the desk data settings from a clean two-rank dataset,
+    compiled once per environment."""
+    good, bad = make_demo_pair(make_spec(env_name), 0.1, 0.5, seed=2)
+    snips = subsample(build_trex2_dataset(good, bad), 2000, 15, 30, seed=2)
+    return CompiledPairs(make_pairs(snips, 4000, 0.5, seed=2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    env_name=st.sampled_from(["GridNav", "PointChase"]),
+    batch_size=st.integers(1, 16),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_batch_step_is_the_mean_of_its_one_pair_steps(env_name, batch_size, seed):
+    """A training step's loss is the mean of the one-pair losses of the
+    pairs it drew, and its update the learning rate times the mean of their
+    one-pair gradients.  Each one-pair loss is log(1 + exp(S_lo - S_hi))
+    over the model's snippet scores."""
+    pairs = desk_pair_set(env_name)
+    model = make_reward_model(make_spec(env_name).feature_dim, seed=seed)
+    cfg = TrainConfig(steps=1, batch_size=batch_size)
+    result = train(model, pairs, cfg, seed)
+    drawn = np.random.default_rng(derive_seed(seed, "train-batches")).integers(
+        len(pairs), size=(1, batch_size)
+    )[0]
+    steps = [first_step(model, pairs[i]) for i in drawn]
+    for i, (loss_i, _) in zip(drawn, steps):
+        lo, hi = pairs[i].lo.states, pairs[i].hi.states
+        margin = predict_return(model, lo) - predict_return(model, hi)
+        assert loss_i == pytest.approx(np.logaddexp(0.0, margin), rel=1e-9)
+    mean_update = cfg.learning_rate * np.mean([grad for _, grad in steps], axis=0)
+    update = model.net.params - result.model.net.params
+    assert result.losses[0] == pytest.approx(np.mean([l for l, _ in steps]), rel=1e-12)
+    assert np.linalg.norm(update - mean_update) <= 1e-10 * np.linalg.norm(mean_update)
 
 
 # ---------------------------------------------------------------------------
