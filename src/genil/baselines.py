@@ -60,7 +60,7 @@ def build_trex_dataset(
             traj = rollout(
                 env,
                 policy,
-                derive_seed(seed, "trex", format(q, ".17g"), i),
+                derive_seed(seed, "trex", q, i),
                 traj_id=f"trex-q{q:g}-{i}",
             )
             trajectories.append(_constant_ranks(traj, rank_of[q]))
@@ -90,8 +90,6 @@ class BCPolicy:
 
     spec: EnvSpec
     net: MLP
-
-    deterministic = True  # act never reads its rng
 
     def act(self, features: np.ndarray, rng: np.random.Generator):
         out = self.net.predict(features[None, :])[0]
@@ -186,7 +184,7 @@ def build_drex_dataset(
             traj = rollout(
                 env,
                 policy,
-                derive_seed(seed, "drex", format(eps, ".17g"), i),
+                derive_seed(seed, "drex", eps, i),
                 traj_id=f"drex-e{eps:g}-{i}",
                 extra_meta={"noise": eps},
             )

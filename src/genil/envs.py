@@ -466,7 +466,7 @@ def make_eval_set(
                 rollout(
                     env,
                     policy,
-                    derive_seed(seed, "eval", format(q, ".17g"), i),
+                    derive_seed(seed, "eval", q, i),
                     source="eval",
                     traj_id=f"eval-q{q:g}-{i}",
                 )

@@ -55,7 +55,6 @@ from .policy_opt import (
     cem_search,
     evaluate_policy,
     load_policy,
-    policy_returns,
     save_policy,
     value_iteration,
 )
@@ -283,9 +282,7 @@ def _train_and_score(
     for m in range(cfg.eval.n_models_per_trial):
         model = _train(cfg, pairs, seed("model", m)).model
         artifact = _derive_policy(cfg, spec, model, seed("policy", m), None)
-        stats = evaluate_policy(
-            artifact, spec, cfg.eval.n_eval_episodes, seed=seed("policy-eval", m)
-        )
+        stats = evaluate_policy(artifact.as_policy(spec), spec, cfg.eval.n_eval_episodes)
         returns.append(stats.mean)
         models.append(model)
     return returns, models
@@ -360,11 +357,9 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
     report = extrapolation_report(model, eval_set, spec.discount, n_bins=cfg.eval.n_bins)
     write_extrapolation_csv(out / F_EXTRAPOLATION, report)
     write_summary_csv(out / F_SUMMARY, [("GenIL", report)])
-    eval_seed = derive_seed(cfg.base_seed, *_LINEAGE, "policy-eval", 0)
-    stats = evaluate_policy(artifact, spec, cfg.eval.n_eval_episodes, seed=eval_seed)
-    row = policy_table_row("GenIL", np.asarray(stats.returns)[None, :])
+    stats = evaluate_policy(artifact.as_policy(spec), spec, cfg.eval.n_eval_episodes)
+    row = policy_table_row("GenIL", stats.returns[None, :])
     write_policy_table_csv(out / F_POLICY_TABLE, [("GenIL", row)])
-    manifest.seeds["trial0/policy_eval0"] = eval_seed
     if report.pred_degenerate:
         manifest.warnings.append("degenerate predictions: zero spread on the eval set")
 
@@ -425,13 +420,7 @@ def _run_method_trial(method, cfg, spec, trial, good, bad):
     returns = []
     for m in range(cfg.eval.n_models_per_trial):
         policy = train_bc([good, bad], spec, derive_seed(cfg.base_seed, *labels, "model", m))
-        episodes = policy_returns(
-            policy,
-            spec,
-            cfg.eval.n_eval_episodes,
-            derive_seed(cfg.base_seed, *labels, "policy-eval", m),
-        )
-        returns.append(float(np.mean(episodes)))
+        returns.append(evaluate_policy(policy, spec, cfg.eval.n_eval_episodes).mean)
     return returns, []
 
 
@@ -566,19 +555,18 @@ def stage_sweep(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None
     units = [(step, t) for step in steps for t in range(n_trials)]
     returns = _map_units(functools.partial(_sweep_trial, cfg, spec), units)
     for i, step in enumerate(steps):
-        grid = np.array(returns[i * n_trials : (i + 1) * n_trials])
-        step_mean = float(grid.mean())
+        grid = returns[i * n_trials : (i + 1) * n_trials]
+        row = policy_table_row(str(step), grid)
         for t in range(n_trials):
-            trial_std = float(grid[t].std())
             for m in range(cfg.eval.n_models_per_trial):
                 records.append(
                     {
                         "step_size": step,
                         "trial": t,
                         "model": m,
-                        "gt_return": float(grid[t, m]),
-                        "trial_std": trial_std,
-                        "step_mean": step_mean,
+                        "gt_return": grid[t][m],
+                        "trial_std": row.per_trial_std[t],
+                        "step_mean": row.avg,
                     }
                 )
     records.sort(key=lambda r: (r["step_size"], r["trial"], r["model"]))

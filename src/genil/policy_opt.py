@@ -8,7 +8,7 @@ one dot product per candidate per step so that every rollout equals the
 per-step rollout of that candidate bit for bit.  Both read the reward
 model only through batch state predictions, so the true reward never
 leaks into policy optimization; ground truth is consulted solely by
-policy_returns and evaluate_policy.
+evaluate_policy, which scores every policy the pipeline derives or clones.
 """
 
 from __future__ import annotations
@@ -95,8 +95,6 @@ class TabularPolicy:
     spec: EnvSpec
     table: np.ndarray  # (64,) action per cell
 
-    deterministic = True  # act never reads its rng
-
     def act(self, features: np.ndarray, rng: np.random.Generator) -> int:
         return int(self.table[gridnav_cell_of(features)])
 
@@ -105,8 +103,6 @@ class TabularPolicy:
 class LinearPolicy:
     spec: EnvSpec
     gains: np.ndarray  # (3,) feedback gains over (pos, vel, target-pos)
-
-    deterministic = True  # act never reads its rng
 
     def act(self, features: np.ndarray, rng: np.random.Generator) -> float:
         return float(_clamp(self.gains @ features, -PC_ACTION_MAX, PC_ACTION_MAX))
@@ -202,33 +198,19 @@ class EvalStats:
     returns: np.ndarray
 
 
-def policy_returns(policy, spec: EnvSpec, n_episodes: int, seed: int) -> np.ndarray:
-    """Discounted ground-truth returns of n_episodes fresh seeded rollouts.
+def evaluate_policy(policy, spec: EnvSpec, n_episodes: int) -> EvalStats:
+    """The discounted ground-truth return of one rollout of policy, repeated
+    n_episodes times, with the mean of those copies.
 
-    Any policy envs.rollout accepts will do; episode i is seeded by
-    derive_seed(seed, "eval-ep", i).  Both environments are deterministic
-    and start every episode in the same state, so a policy marked
-    deterministic (its act never reads the rng) plays one episode, whose
-    return stands for all n_episodes.
+    Any policy envs.rollout accepts will do, provided its act never reads
+    its rng.  Both environments are deterministic and start every episode
+    in the same state, so such a policy plays the same episode at every
+    seed, and its rollout at seed 0 stands for all n_episodes.
     """
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
-    env = make_env(spec)
-
-    def episode_return(i: int) -> float:
-        traj = rollout(env, policy, derive_seed(seed, "eval-ep", i), source="eval")
-        return gt_return(traj, spec.discount)
-
-    if getattr(policy, "deterministic", False):
-        return np.full(n_episodes, episode_return(0))
-    return np.array([episode_return(i) for i in range(n_episodes)])
-
-
-def evaluate_policy(
-    artifact: PolicyArtifact, spec: EnvSpec, n_episodes: int, seed: int
-) -> EvalStats:
-    """policy_returns for a policy artifact, with their mean."""
-    returns = policy_returns(artifact.as_policy(spec), spec, n_episodes, seed)
+    traj = rollout(make_env(spec), policy, seed=0, source="eval")
+    returns = np.full(n_episodes, gt_return(traj, spec.discount))
     return EvalStats(mean=float(returns.mean()), returns=returns)
 
 

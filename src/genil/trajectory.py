@@ -139,8 +139,13 @@ def dumps_trajectory(traj: Trajectory) -> str:
     return "{" + ",".join(parts) + "}"
 
 
+def _json_int(text: str) -> int | float:
+    # _fmt_row writes the float -0.0 as "-0", which json would read as the int 0
+    return -0.0 if text == "-0" else int(text)
+
+
 def loads_trajectory(line: str) -> Trajectory:
-    raw = json.loads(line)
+    raw = json.loads(line, parse_int=_json_int)
     actions = raw["actions"]
     if actions is not None:
         dtype = np.int64 if all(isinstance(a, int) for a in actions) else np.float64
@@ -178,16 +183,6 @@ def iter_lines(fh) -> Iterator[str]:
 
 
 def trajectories_equal(a: Trajectory, b: Trajectory) -> bool:
-    """Bitwise equality of all fields, arrays included."""
-    if (a.id, a.env, a.source, a.meta) != (b.id, b.env, b.source, b.meta):
-        return False
-    if not np.array_equal(a.states, b.states):
-        return False
-    if not np.array_equal(a.gt_step_rewards, b.gt_step_rewards):
-        return False
-    for x, y in ((a.actions, b.actions), (a.step_ranks, b.step_ranks)):
-        if (x is None) != (y is None):
-            return False
-        if x is not None and not np.array_equal(x, y):
-            return False
-    return True
+    """Bitwise equality of all fields, arrays included: their
+    dumps_trajectory lines match, so 0.0 and -0.0 differ."""
+    return dumps_trajectory(a) == dumps_trajectory(b)

@@ -165,7 +165,7 @@ def ten_seed_runs():
                 ensembles[name], eval_set, spec.discount, n_bins=8
             )
         artifact = value_iteration(spec, ensembles["genil"], discount=0.99)
-        policy_return = evaluate_policy(artifact, spec, 1, seed=s + 2000).mean
+        policy_return = evaluate_policy(artifact.as_policy(spec), spec, 1).mean
         return SeedOutcome(
             rho_genil=reports["genil"].spearman_rho,
             bin_std_genil=reports["genil"].mean_bin_std,
@@ -404,14 +404,14 @@ def test_criterion_07_policy_oracles(capsys):
     spec = make_spec("GridNav")
     artifact = value_iteration(spec, true_reward_fn(spec))
     table_ok = np.array_equal(artifact.parameters, reference_optimal_actions(spec.discount))
-    vi_return = evaluate_policy(artifact, spec, 1, seed=0).mean
+    vi_return = evaluate_policy(artifact.as_policy(spec), spec, 1).mean
     return_gap = abs(vi_return - gridnav_optimal_return(spec))
 
     pc = make_spec("PointChase")
     controller = PolicyArtifact(env="PointChase", parameters=np.array([0.0, -2.0, 4.0]))
-    pd_mean = evaluate_policy(controller, pc, 20, seed=0).mean
+    pd_mean = evaluate_policy(controller.as_policy(pc), pc, 20).mean
     cem_artifact = cem_search(pc, true_reward_fn(pc), CEMConfig(), seed=0)
-    cem_mean = evaluate_policy(cem_artifact, pc, 20, seed=0).mean
+    cem_mean = evaluate_policy(cem_artifact.as_policy(pc), pc, 20).mean
     cem_ok = cem_mean >= pd_mean - 0.1 * abs(pd_mean)
 
     ok = table_ok and return_gap <= 1e-9 and cem_ok

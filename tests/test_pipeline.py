@@ -116,6 +116,19 @@ def test_gen_demos_artifacts_and_manifest(small_cfg, tmp_path):
     assert on_disk["config"] == json.loads(json.dumps(manifest.config))
 
 
+def test_run_all_records_one_seed_per_draw(small_run):
+    # the evaluation rollout draws nothing, so it records no seed
+    seeds = json.loads((small_run / "out" / F_MANIFEST).read_text())["seeds"]
+    assert set(seeds) == {
+        "trial0/demos",
+        "eval_set",
+        "trial0/ga",
+        "trial0/data",
+        "trial0/model0",
+        "trial0/policy0",
+    }
+
+
 def test_stages_require_predecessors(small_cfg, tmp_path):
     with pytest.raises(MissingArtifactError):
         run_command("reproduce", small_cfg, tmp_path / "a")
@@ -577,10 +590,7 @@ def reference_sweep_trial(cfg, spec, step, trial):
             cfg, spec, result.model,
             derive_seed(base, "sweep", step, "trial", trial, "policy", m),
         )
-        stats = evaluate_policy(
-            artifact, spec, cfg.eval.n_eval_episodes,
-            seed=derive_seed(base, "sweep", step, "trial", trial, "policy-eval", m),
-        )
+        stats = evaluate_policy(artifact.as_policy(spec), spec, cfg.eval.n_eval_episodes)
         returns.append(stats.mean)
     return returns, models
 
@@ -609,10 +619,7 @@ def reference_genil_trial(cfg, spec, trial, good, bad):
         artifact = reference_policy(
             cfg, spec, result.model, derive_seed(base, "trial", trial, "GenIL", "policy", m)
         )
-        stats = evaluate_policy(
-            artifact, spec, cfg.eval.n_eval_episodes,
-            seed=derive_seed(base, "trial", trial, "GenIL", "policy-eval", m),
-        )
+        stats = evaluate_policy(artifact.as_policy(spec), spec, cfg.eval.n_eval_episodes)
         returns.append(stats.mean)
     return returns, models
 

@@ -31,7 +31,6 @@ from genil.policy_opt import (
     cem_search,
     evaluate_policy,
     load_policy,
-    policy_returns,
     save_policy,
     value_iteration,
 )
@@ -82,7 +81,7 @@ def test_value_iteration_on_true_reward_is_optimal(grid_spec):
     art = value_iteration(grid_spec, true_reward_fn(grid_spec))
     assert art.env == "GridNav"
     assert np.array_equal(art.parameters, gridnav_optimal_actions(grid_spec.discount))
-    stats = evaluate_policy(art, grid_spec, n_episodes=1, seed=0)
+    stats = evaluate_policy(art.as_policy(grid_spec), grid_spec, n_episodes=1)
     assert stats.mean == pytest.approx(gridnav_optimal_return(grid_spec), abs=1e-12)
 
 
@@ -185,12 +184,11 @@ def test_cem_zero_iters_returns_zero_gains(pc_spec):
 def test_cem_improves_over_zero_gains(pc_spec):
     cfg = CEMConfig(population_size=24, n_iters=8)
     art = cem_search(pc_spec, true_reward_fn(pc_spec), cfg, seed=0)
-    searched = evaluate_policy(art, pc_spec, n_episodes=1, seed=0).mean
+    searched = evaluate_policy(art.as_policy(pc_spec), pc_spec, n_episodes=1).mean
     idle = evaluate_policy(
-        PolicyArtifact(env="PointChase", parameters=np.zeros(3)),
+        PolicyArtifact(env="PointChase", parameters=np.zeros(3)).as_policy(pc_spec),
         pc_spec,
         n_episodes=1,
-        seed=0,
     ).mean
     assert searched > idle
 
@@ -307,33 +305,24 @@ def test_cem_matches_reference_at_zero_iters(pc_spec):
 
 def test_evaluate_policy_deterministic(grid_spec):
     art = value_iteration(grid_spec, true_reward_fn(grid_spec))
-    a = evaluate_policy(art, grid_spec, n_episodes=3, seed=5)
-    b = evaluate_policy(art, grid_spec, n_episodes=3, seed=5)
+    a = evaluate_policy(art.as_policy(grid_spec), grid_spec, n_episodes=3)
+    b = evaluate_policy(art.as_policy(grid_spec), grid_spec, n_episodes=3)
     assert np.array_equal(a.returns, b.returns)
     assert len(a.returns) == 3
     assert a.mean == pytest.approx(float(a.returns.mean()))
 
 
-def test_evaluate_policy_is_policy_returns_of_artifact(pc_spec):
-    art = PolicyArtifact(
-        env="PointChase", parameters=np.array([0.5, -0.3, 1.2])
-    )
-    stats = evaluate_policy(art, pc_spec, n_episodes=3, seed=4)
-    returns = policy_returns(art.as_policy(pc_spec), pc_spec, 3, seed=4)
-    assert np.array_equal(stats.returns, returns)
-
-
 def test_evaluate_policy_validation(grid_spec, pc_spec):
     art = value_iteration(grid_spec, true_reward_fn(grid_spec))
     with pytest.raises(ConfigError):
-        evaluate_policy(art, grid_spec, n_episodes=0, seed=0)
+        evaluate_policy(art.as_policy(grid_spec), grid_spec, n_episodes=0)
     with pytest.raises(ConfigError):
-        evaluate_policy(art, pc_spec, n_episodes=1, seed=0)
+        art.as_policy(pc_spec)
 
 
 @pytest.fixture(scope="module")
-def deterministic_policies(grid_spec, pc_spec):
-    """One policy of each kind that policy_returns rolls out only once."""
+def evaluated_policies(grid_spec, pc_spec):
+    """One policy of each kind that evaluate_policy rolls out only once."""
     bc = []
     for spec in (grid_spec, pc_spec):
         demos = [
@@ -352,39 +341,29 @@ def deterministic_policies(grid_spec, pc_spec):
 
 @settings(max_examples=20, deadline=None)
 @given(which=st.integers(0, 3), seeds=st.lists(st.integers(0, 2**31 - 1), min_size=2, max_size=2))
-def test_deterministic_policies_play_one_episode_at_every_seed(
-    deterministic_policies, which, seeds
+def test_evaluated_policies_roll_out_the_same_at_every_seed(
+    evaluated_policies, which, seeds
 ):
-    """policy_returns repeats one episode's return for these policies; one
-    that starts reading its rng must drop its mark, or this fails."""
-    policy = deterministic_policies[which]
-    assert policy.deterministic
+    """evaluate_policy repeats one seed-0 episode's return for these
+    policies; one that starts reading its rng fails this."""
+    policy = evaluated_policies[which]
     a, b = (rollout(make_env(policy.spec), policy, seed=s) for s in seeds)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.actions, b.actions)
     assert np.array_equal(a.gt_step_rewards, b.gt_step_rewards)
 
 
-def test_policy_returns_of_a_deterministic_policy_equal_every_episode(
-    deterministic_policies, grid_spec
-):
-    def every_episode(policy, spec, n, seed):
-        return np.array([
+def test_evaluate_policy_returns_equal_every_episode(evaluated_policies):
+    for policy in evaluated_policies:
+        spec = policy.spec
+        want = np.array([
             gt_return(
-                rollout(make_env(spec), policy, derive_seed(seed, "eval-ep", i), source="eval"),
+                rollout(make_env(spec), policy, derive_seed(7, "episode", i), source="eval"),
                 spec.discount,
             )
-            for i in range(n)
+            for i in range(4)
         ])
-
-    for policy in deterministic_policies:
-        want = every_episode(policy, policy.spec, 4, seed=7)
-        assert np.array_equal(policy_returns(policy, policy.spec, 4, seed=7), want)
-    demo = DemoPolicy(grid_spec, 0.5)
-    assert not getattr(demo, "deterministic", False)
-    returns = policy_returns(demo, grid_spec, 4, seed=7)
-    assert np.array_equal(returns, every_episode(demo, grid_spec, 4, seed=7))
-    assert len(set(returns.tolist())) > 1
+        assert np.array_equal(evaluate_policy(policy, spec, 4).returns, want)
 
 
 def test_tabular_policy_matches_rollout_of_table(grid_spec):
@@ -425,8 +404,8 @@ def test_policy_round_trip_linear(pc_spec, tmp_path):
     back = load_policy(path)
     assert back.parameters.dtype == np.float64
     assert np.array_equal(back.parameters, art.parameters)
-    same = evaluate_policy(back, pc_spec, 1, seed=0).mean
-    orig = evaluate_policy(art, pc_spec, 1, seed=0).mean
+    same = evaluate_policy(back.as_policy(pc_spec), pc_spec, 1).mean
+    orig = evaluate_policy(art.as_policy(pc_spec), pc_spec, 1).mean
     assert same == orig
 
 

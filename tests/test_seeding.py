@@ -38,6 +38,11 @@ def test_equal_valued_int_and_float_parts_collapse():
 def test_float_parts_use_full_precision():
     assert derive_seed(0, 0.1) != derive_seed(0, 0.1 + 1e-16)
     assert derive_seed(0, 0.30000000000000004) != derive_seed(0, 0.3)
+    # a float part hashes as its 17-significant-digit text, so callers pass
+    # qualities and noise levels as floats
+    for q in (0.0, 0.1, 1.0 / 3.0, 0.35, 2.0):
+        for i in (0, 3):
+            assert derive_seed(5, "eval", q, i) == derive_seed(5, "eval", format(q, ".17g"), i)
 
 
 def test_bool_parts_rejected():

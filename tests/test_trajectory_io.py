@@ -257,6 +257,12 @@ def test_trajectories_equal_detects_differences():
     e = make_traj()
     e.meta = {**e.meta, "extra": 1}
     assert not trajectories_equal(a, e)
+    # signed zeros compare equal as numbers but serialize differently
+    f, g = make_traj(), make_traj()
+    f.states[0, 0], g.states[0, 0] = 0.0, -0.0
+    assert dumps_trajectory(f) != dumps_trajectory(g)
+    assert not trajectories_equal(f, g)
+    assert trajectories_equal(g, loads_trajectory(dumps_trajectory(g)))
 
 
 finite = st.floats(
