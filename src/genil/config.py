@@ -2,7 +2,8 @@
 
 Config files are INI-style: ``[section]`` headers, ``key = value`` lines,
 ``#`` comments (full-line or inline).  Unknown sections or keys are
-errors, so a typo can never silently fall back to a default.  Each
+errors, so a typo can never silently fall back to a default, and so is
+a float value that is not finite.  Each
 section is a dataclass whose field defaults are the desk-scale settings
 every command runs with when no file is given; ``ExperimentConfig()`` is
 "the desk config" used throughout the test suite.
@@ -183,9 +184,12 @@ def _to_int(raw: str) -> int:
 
 def _to_float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"expected a number, got {raw!r}") from None
+    if not abs(value) < float("inf"):  # false for nan as well as for +-inf
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _to_opt_int(raw: str) -> int | None:

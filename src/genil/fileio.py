@@ -6,7 +6,7 @@ from __future__ import annotations
 import contextlib
 import os
 
-from .errors import CorruptArtifactError
+from .errors import ConfigError, CorruptArtifactError
 
 
 @contextlib.contextmanager
@@ -30,10 +30,13 @@ def atomic_write(path):
 @contextlib.contextmanager
 def parsing(path):
     """Turn what a malformed artifact raises while the block parses it
-    (invalid JSON, a missing field, a value of the wrong type or shape)
-    into a CorruptArtifactError that names path."""
+    (invalid JSON, a missing field, a value of the wrong type or shape, a
+    ConfigError from what the file holds) into a CorruptArtifactError that
+    names path."""
     try:
         yield
+    except ConfigError as exc:
+        raise CorruptArtifactError(f"malformed artifact {path}: {exc}") from exc
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CorruptArtifactError(
             f"malformed artifact {path}: {type(exc).__name__}: {exc}"

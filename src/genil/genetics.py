@@ -334,16 +334,11 @@ class RankedDataset:
         trajectories = load_trajectories(traj_path)
         with open(manifest_path) as fh, parsing(manifest_path):
             manifest = json.load(fh)
-            try:
-                given = manifest["config"]
-                missing = [f.name for f in dataclasses.fields(GAConfig) if f.name not in given]
-                if missing:
-                    raise ConfigError(f"GA config lacks {', '.join(missing)}")
-                config = GAConfig(**given)
-            except ConfigError as exc:
-                raise CorruptArtifactError(
-                    f"malformed artifact {manifest_path}: {exc}"
-                ) from exc
+            given = manifest["config"]
+            missing = [f.name for f in dataclasses.fields(GAConfig) if f.name not in given]
+            if missing:
+                raise ConfigError(f"GA config lacks {', '.join(missing)}")
+            config = GAConfig(**given)
             dataset = cls(
                 trajectories=trajectories,
                 config=config,

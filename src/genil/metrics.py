@@ -1,7 +1,9 @@
 """Extrapolation quality, prediction compactness, and policy comparison.
 
-Ground-truth and predicted returns are min-max normalized independently
-over the evaluation set.  Accuracy is the mean of pred_norm/gt_norm over
+A reward reaches this module as a function from a state batch to its
+rewards, or as predicted returns already summed.  Ground-truth and
+predicted returns are min-max normalized independently over the
+evaluation set.  Accuracy is the mean of pred_norm/gt_norm over
 trajectories away from the normalization minimum; rank correlation uses
 the raw values; compactness is the per-bin spread of normalized
 predictions among trajectories of similar ground-truth return.  All
@@ -18,7 +20,6 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateEvalError
 from .fileio import atomic_write
-from .reward_net import predict_return
 from .trajectory import Trajectory, gt_return
 
 ACCURACY_GT_NORM_FLOOR = 0.1
@@ -94,14 +95,16 @@ def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def extrapolation_report(
-    model,
+    reward,
     eval_set: Sequence[Trajectory],
     discount: float,
     n_bins: int = DEFAULT_N_BINS,
 ) -> ExtrapolationReport:
-    """Score an evaluation set with a reward model (or ensemble) and
-    summarize extrapolation quality (see predicted_returns_report)."""
-    pred = [predict_return(model, t.states) for t in eval_set]
+    """Score an evaluation set with a reward function, from a state batch to
+    its rewards, and summarize extrapolation quality (see
+    predicted_returns_report).  A trajectory's predicted return is the
+    undiscounted sum of its states' rewards."""
+    pred = [float(reward(t.states).sum()) for t in eval_set]
     return predicted_returns_report(pred, eval_set, discount, n_bins=n_bins)
 
 

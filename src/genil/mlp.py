@@ -26,11 +26,7 @@ class MLP:
     """widths[0] inputs -> rectifier hiddens -> widths[-1] linear outputs."""
 
     def __init__(self, widths: list[int], weights: list[np.ndarray], biases: list[np.ndarray]):
-        self.widths = list(int(w) for w in widths)
-        if len(self.widths) < 2:
-            raise ConfigError("MLP needs at least input and output widths")
-        if any(w < 1 for w in self.widths):
-            raise ConfigError(f"all layer widths must be >= 1, got {self.widths}")
+        self.widths = _checked_widths(widths)
         if len(weights) != len(self.widths) - 1 or len(biases) != len(weights):
             raise ConfigError("parameter count does not match widths")
         for i, (w, b) in enumerate(zip(weights, biases)):
@@ -39,19 +35,9 @@ class MLP:
         self.params = np.concatenate(
             [np.ravel(p) for layer in zip(weights, biases) for p in layer], dtype=np.float64
         )
-        self.weights, self.biases = self._layer_views(self.params)
+        self.weights, self.biases = _layer_views(self.widths, self.params)
         self._grads = np.empty_like(self.params)
-        self._grad_weights, self._grad_biases = self._layer_views(self._grads)
-
-    def _layer_views(self, flat: np.ndarray) -> tuple[tuple, tuple]:
-        """Per-layer (weight, bias) views into a vector laid out like params."""
-        weights, biases, offset = [], [], 0
-        for fan_in, fan_out in zip(self.widths, self.widths[1:]):
-            end = offset + fan_in * fan_out
-            weights.append(flat[offset:end].reshape(fan_in, fan_out))
-            biases.append(flat[end : end + fan_out])
-            offset = end + fan_out
-        return tuple(weights), tuple(biases)
+        self._grad_weights, self._grad_biases = _layer_views(self.widths, self._grads)
 
     @classmethod
     def create(cls, widths: list[int], seed: int) -> "MLP":
@@ -143,9 +129,35 @@ class MLP:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MLP":
+        """The network to_dict wrote, its widths checked before anything is
+        allocated and its layers cut from the flat params."""
         if data.get("activation") != "relu":
             raise ConfigError(f"unsupported activation {data.get('activation')!r}")
-        widths = [int(w) for w in data["widths"]]
-        model = cls.create(widths, seed=0)
-        model.set_flat(np.asarray(data["params"], dtype=np.float64))
-        return model
+        widths = _checked_widths(data["widths"])
+        n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
+        params = np.asarray(data["params"], dtype=np.float64)
+        if params.shape != (n_params,):
+            raise ConfigError(f"expected {n_params} parameters, got shape {params.shape}")
+        return cls(widths, *_layer_views(widths, params))
+
+
+def _checked_widths(widths) -> list[int]:
+    """widths as ints, refused unless they name an input and an output
+    layer and every layer has at least one unit."""
+    widths = [int(w) for w in widths]
+    if len(widths) < 2:
+        raise ConfigError("MLP needs at least input and output widths")
+    if any(w < 1 for w in widths):
+        raise ConfigError(f"all layer widths must be >= 1, got {widths}")
+    return widths
+
+
+def _layer_views(widths: list[int], flat: np.ndarray) -> tuple[tuple, tuple]:
+    """Per-layer (weight, bias) views into a vector laid out like params."""
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        end = offset + fan_in * fan_out
+        weights.append(flat[offset:end].reshape(fan_in, fan_out))
+        biases.append(flat[end : end + fan_out])
+        offset = end + fan_out
+    return tuple(weights), tuple(biases)

@@ -281,7 +281,8 @@ def _train_and_score(
     returns, models = [], []
     for m in range(cfg.eval.n_models_per_trial):
         model = _train(cfg, pairs, seed("model", m)).model
-        artifact = _derive_policy(cfg, spec, model, seed("policy", m), None)
+        reward = functools.partial(predict_states, model)
+        artifact = _derive_policy(cfg, spec, reward, seed("policy", m), None)
         stats = evaluate_policy(artifact.as_policy(spec), spec, cfg.eval.n_eval_episodes)
         returns.append(stats.mean)
         models.append(model)
@@ -330,9 +331,9 @@ def stage_train_reward(cfg: ExperimentConfig, out: Path, manifest: RunManifest) 
 
 def stage_train_policy(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
     spec = cfg.spec()
-    model = _load_model_for(spec, out / F_MODEL)
+    reward = functools.partial(predict_states, _load_model_for(spec, out / F_MODEL))
     policy_seed = derive_seed(cfg.base_seed, *_LINEAGE, "policy", 0)
-    artifact = _derive_policy(cfg, spec, model, policy_seed, F_MODEL)
+    artifact = _derive_policy(cfg, spec, reward, policy_seed, F_MODEL)
     save_policy(artifact, out / F_POLICY)
     manifest.seeds["trial0/policy0"] = policy_seed
 
@@ -344,7 +345,7 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
     exactly one policy is being scored.
     """
     spec = cfg.spec()
-    model = _load_model_for(spec, out / F_MODEL)
+    reward = functools.partial(predict_states, _load_model_for(spec, out / F_MODEL))
     artifact = _load_policy_for(spec, out / F_POLICY)
     eval_set = load_trajectories(out / F_EVAL)
     _require_env(spec, out / F_EVAL, eval_set)
@@ -354,7 +355,7 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
             f"malformed artifact {out / F_EVAL}: {len(eval_set)} trajectories, "
             f"the eval config makes {expected}"
         )
-    report = extrapolation_report(model, eval_set, spec.discount, n_bins=cfg.eval.n_bins)
+    report = extrapolation_report(reward, eval_set, spec.discount, n_bins=cfg.eval.n_bins)
     write_extrapolation_csv(out / F_EXTRAPOLATION, report)
     write_summary_csv(out / F_SUMMARY, [("GenIL", report)])
     stats = evaluate_policy(artifact.as_policy(spec), spec, cfg.eval.n_eval_episodes)
@@ -445,9 +446,8 @@ def _compare_trial(cfg, spec, demo_pairs, eval_set, method, trial):
 
 def _ensemble_returns(scores: np.ndarray, eval_set) -> list[float]:
     """Each eval trajectory's predicted return under the uniform ensemble of
-    the models whose _compare_trial score rows these are: the member mean of
-    their per-state scores, summed, as predict_return gives for a
-    RewardEnsemble of those models in row order."""
+    the models whose _compare_trial score rows these are: the member mean,
+    in row order, of their per-state rewards, summed over the trajectory."""
     ends = np.cumsum([len(t) for t in eval_set]).tolist()
     return [
         float(np.mean([row[a:b] for row in scores], axis=0).sum())

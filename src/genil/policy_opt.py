@@ -1,13 +1,14 @@
-"""Policy derivation from a reward model, plus ground-truth evaluation.
+"""Policy derivation from a reward function, plus ground-truth evaluation.
 
 GridNav admits exact value iteration over its 64 cells, by the loop that
 builds the optimal demonstrator (envs.gridnav_greedy_actions); PointChase
 uses the cross-entropy method over three linear feedback gains.  CEM rolls out
 its whole population in lockstep (envs.pointchase_linear_rollout), with
 one dot product per candidate per step so that every rollout equals the
-per-step rollout of that candidate bit for bit.  Both read the reward
-model only through batch state predictions, so the true reward never
-leaks into policy optimization; ground truth is consulted solely by
+per-step rollout of that candidate bit for bit.  Both take the reward as a
+function from an (n, d) state batch to n rewards (a learned model's is
+functools.partial(reward_net.predict_states, model)), so the true reward
+never leaks into policy optimization; ground truth is consulted solely by
 evaluate_policy, which scores every policy the pipeline derives or clones.
 """
 
@@ -37,20 +38,12 @@ from .envs import (
 )
 from .errors import ConfigError, DivergenceError
 from .fileio import atomic_write, parsing
-from .reward_net import RewardEnsemble, RewardModel, predict_states
 from .seeding import derive_seed
 from .trajectory import gt_return
 
 ARTIFACT_VERSION = 1
 CEM_ELITE_FRAC = 0.125
 CEM_INIT_STD = 2.0
-
-
-def _reward_vector(reward, features: np.ndarray) -> np.ndarray:
-    """Batch rewards from a RewardModel, a RewardEnsemble, or a callable."""
-    if isinstance(reward, (RewardModel, RewardEnsemble)):
-        return predict_states(reward, features)
-    return np.asarray(reward(features), dtype=np.float64).reshape(-1)
 
 
 @dataclass
@@ -117,8 +110,9 @@ def value_iteration(
 ) -> PolicyArtifact:
     """Greedy tabular policy from exact value iteration on the 64-cell grid.
 
-    The reward model is evaluated once per cell feature vector and handed
-    to envs.gridnav_greedy_actions, the demonstrator's loop.  A non-finite
+    reward, a function from a state batch to its rewards, is called once on
+    the 64 cell feature vectors, and its rewards are handed to
+    envs.gridnav_greedy_actions, the demonstrator's loop.  A non-finite
     cell reward, whose residual never falls below tol, is refused with
     DivergenceError before the first sweep.
     """
@@ -127,7 +121,7 @@ def value_iteration(
     if tol <= 0:
         raise ConfigError(f"tol must be > 0, got {tol}")
     gamma = spec.discount if discount is None else float(discount)
-    rewards = _reward_vector(reward, gridnav_all_features())
+    rewards = reward(gridnav_all_features())
     if rewards.shape != (GRID_N_STATES,):
         raise ConfigError(f"expected {GRID_N_STATES} cell rewards, got {rewards.shape}")
     if not np.all(np.isfinite(rewards)):
@@ -151,12 +145,12 @@ def cem_search(
 
     Each iteration samples a Gaussian population around the current mean,
     rolls all candidates out in lockstep, scores each by the undiscounted
-    learned-reward sum over its own rollout (one prediction call per
-    candidate), and refits mean/std to the top elite fraction.  The
-    population rollout takes each action as a per-candidate dot product
-    (one BLAS ddot, as `gains @ feats` does), so fitness, elites and the
-    result are bit-identical to rolling each candidate out alone.
-    Returns the final mean.
+    sum of reward over its own rollout (one reward call per candidate), and
+    refits mean/std to the top elite fraction.  The population rollout
+    takes each action as a per-candidate dot product (one BLAS ddot, as
+    `gains @ feats` does), so fitness, elites and the result are
+    bit-identical to rolling each candidate out alone.  Returns the final
+    mean.
     """
     if spec.name != ENV_POINTCHASE:
         raise ConfigError(f"cem_search requires PointChase, got {spec.name}")
@@ -168,7 +162,7 @@ def cem_search(
     for iteration in range(cfg.n_iters):
         population = mean + std * rng.normal(size=(cfg.population_size, dim))
         states = pointchase_linear_rollout(spec, population)
-        fitness = np.array([float(_reward_vector(reward, s).sum()) for s in states])
+        fitness = np.array([float(reward(s).sum()) for s in states])
         if not np.all(np.isfinite(fitness)):
             raise DivergenceError(
                 f"non-finite candidate fitness at CEM iteration {iteration}",
@@ -252,7 +246,7 @@ def load_policy(path) -> PolicyArtifact:
         payload = json.load(fh)
         if payload.get("format_version") != ARTIFACT_VERSION:
             raise ConfigError(
-                f"unsupported policy artifact version {payload.get('format_version')!r} in {path}"
+                f"unsupported policy artifact version {payload.get('format_version')!r}"
             )
         env, values = payload["env"], payload["parameters"]
         _check_parameters(env, values)

@@ -1,7 +1,10 @@
 """Learned state-reward model trained with a pairwise ranking loss.
 
 The model scores single states; a snippet's score is the undiscounted sum
-of its per-state predictions.  For an ordered pair the loss is
+of its per-state predictions.  Outside training a reward is a function
+from an (n, d) state batch to n rewards: functools.partial(predict_states,
+model) is a model's, and policy derivation and the extrapolation metrics
+take nothing else.  For an ordered pair the loss is
 log(1 + exp(S_lo - S_hi)), the two-alternative ranking likelihood, and is
 evaluated in log-sum-exp form so extreme margins neither overflow nor
 produce NaN.  Gradients are analytic: dL/dS_hi = -sigmoid(S_lo - S_hi),
@@ -92,30 +95,6 @@ class RewardModel:
         return RewardModel(net=self.net.copy())
 
 
-@dataclass
-class RewardEnsemble:
-    """Uniform average of several reward models.
-
-    Scores are the mean of the members' per-state predictions, so any
-    place that accepts a RewardModel for prediction also accepts an
-    ensemble.  Averaging independently trained members damps the
-    per-model scatter that pairwise training leaves in the reward.
-    """
-
-    members: Sequence[RewardModel]
-
-    def __post_init__(self) -> None:
-        if len(self.members) == 0:
-            raise ConfigError("ensemble needs at least one member")
-        dims = {m.feature_dim for m in self.members}
-        if len(dims) != 1:
-            raise ConfigError(f"ensemble members disagree on feature_dim: {sorted(dims)}")
-
-    @property
-    def feature_dim(self) -> int:
-        return self.members[0].feature_dim
-
-
 def make_reward_model(
     feature_dim: int, hidden_width: int = 64, n_hidden: int = 3, seed: int = 0
 ) -> RewardModel:
@@ -125,22 +104,12 @@ def make_reward_model(
     return RewardModel(net=MLP.create(widths, seed=derive_seed(seed, "reward-model")))
 
 
-def predict_states(model, states: np.ndarray) -> np.ndarray:
+def predict_states(model: RewardModel, states: np.ndarray) -> np.ndarray:
     """Per-state rewards for a (n, feature_dim) batch.
 
-    Accepts a RewardModel or a RewardEnsemble.
-    """
-    if isinstance(model, RewardEnsemble):
-        return np.mean([predict_states(m, states) for m in model.members], axis=0)
+    functools.partial(predict_states, model) is the model's reward
+    function, the form every consumer of a reward takes."""
     return model.net.predict(states)[:, 0]
-
-
-def predict_return(model, states: np.ndarray) -> float:
-    """Undiscounted sum of per-state predictions over a (n, feature_dim)
-    state sequence."""
-    if states.ndim != 2 or states.shape[0] == 0:
-        raise ValueError(f"need a non-empty (n, d) state sequence, got shape {states.shape}")
-    return float(predict_states(model, states).sum())
 
 
 def _expit(z: np.ndarray) -> np.ndarray:
@@ -385,15 +354,16 @@ def save_model(model: RewardModel, path, train_config: TrainConfig | None = None
 
 
 def load_model(path) -> RewardModel:
+    """The reward model at path, refused with a CorruptArtifactError naming
+    path unless it is a reward checkpoint of this version whose network
+    parses and whose parameters are finite."""
     with open(path) as fh, parsing(path):
         payload = json.load(fh)
         if payload.get("format_version") != CHECKPOINT_VERSION:
-            raise ConfigError(
-                f"unsupported checkpoint version {payload.get('format_version')!r} in {path}"
-            )
+            raise ConfigError(f"unsupported checkpoint version {payload.get('format_version')!r}")
         if payload.get("kind") != "reward_mlp":
-            raise ConfigError(f"not a reward checkpoint: {path}")
-        net = MLP.from_dict(payload)
-    if not np.all(np.isfinite(net.params)):
+            raise ConfigError(f"not a reward checkpoint (kind {payload.get('kind')!r})")
+        model = RewardModel(net=MLP.from_dict(payload))
+    if not np.all(np.isfinite(model.net.params)):
         raise CorruptArtifactError(f"malformed artifact {path}: non-finite parameters")
-    return RewardModel(net=net)
+    return model

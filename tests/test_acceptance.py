@@ -46,7 +46,6 @@ from genil.policy_opt import (
 )
 from genil.reward_net import (
     CompiledPairs,
-    RewardEnsemble,
     RewardModel,
     TrainConfig,
     load_model,
@@ -130,6 +129,11 @@ class SeedOutcome:
     seconds: float
 
 
+def ensemble_reward(models):
+    """The uniform ensemble's reward: the member mean of per-state rewards."""
+    return lambda states: np.mean([predict_states(m, states) for m in models], axis=0)
+
+
 @pytest.fixture(scope="module")
 def ten_seed_runs():
     """Full pipeline per base seed: 5-model ensembles for both ranking
@@ -160,7 +164,7 @@ def ten_seed_runs():
                 models.append(
                     train(make_reward_model(spec.feature_dim, seed=ms), pairs, cfg, ms).model
                 )
-            ensembles[name] = RewardEnsemble(models)
+            ensembles[name] = ensemble_reward(models)
             reports[name] = extrapolation_report(
                 ensembles[name], eval_set, spec.discount, n_bins=8
             )

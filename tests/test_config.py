@@ -280,6 +280,21 @@ def test_malformed_value_names_its_key(section, key):
         parse_config_text(f"[{section}]\n{key} = x!\n", origin="exp.cfg")
 
 
+FLOAT_KEYS = [
+    (section, key)
+    for section in sorted(SECTION_TYPES)
+    for key, kind in section_fields(section)
+    if kind in (float, tuple[float, ...])
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
+def test_non_finite_float_is_refused_naming_its_key(section, key, value):
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}: expected a finite")):
+        parse_config_text(f"[{section}]\n{key} = {value}\n", origin="exp.cfg")
+
+
 def test_max_len_above_the_horizon_is_refused():
     with pytest.raises(ConfigError, match="max_len 60 exceeds the GridNav horizon 50"):
         parse_config_text("[data]\nmax_len = 60\n")

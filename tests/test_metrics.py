@@ -23,8 +23,6 @@ from genil.metrics import (
     write_summary_csv,
     write_sweep_csv,
 )
-from genil.mlp import MLP
-from genil.reward_net import RewardModel
 from genil.trajectory import Trajectory
 
 
@@ -43,11 +41,9 @@ def traj_point(i, gt, x, quality=None):
     )
 
 
-def identity_model(scale=1.0, shift=0.0):
-    """Predicts scale * x + shift for states [x, 1]."""
-    return RewardModel(
-        net=MLP([2, 1], [np.array([[scale], [0.0]])], [np.array([shift])])
-    )
+def identity_reward(scale=1.0, shift=0.0):
+    """The reward scale * x + shift of each state [x, 1] in a batch."""
+    return lambda states: scale * states[:, 0] + shift
 
 
 def spearman_bruteforce(a, b):
@@ -66,7 +62,7 @@ def spearman_bruteforce(a, b):
 def test_affine_predictions_score_perfectly():
     gts = [0.0, 1.0, 2.0, 5.0]
     evs = [traj_point(i, g, g) for i, g in enumerate(gts)]
-    rep = extrapolation_report(identity_model(scale=3.0, shift=-1.0), evs, 0.9)
+    rep = extrapolation_report(identity_reward(scale=3.0, shift=-1.0), evs, 0.9)
     assert rep.spearman_rho == pytest.approx(1.0)
     assert rep.pearson_r == pytest.approx(1.0)
     assert rep.accuracy_ratio == pytest.approx(1.0)
@@ -78,7 +74,7 @@ def test_spearman_matches_bruteforce_oracle():
     gts = rng.uniform(-5, 5, size=25)
     xs = rng.uniform(-5, 5, size=25)
     evs = [traj_point(i, g, x) for i, (g, x) in enumerate(zip(gts, xs))]
-    rep = extrapolation_report(identity_model(), evs, 0.9)
+    rep = extrapolation_report(identity_reward(), evs, 0.9)
     assert rep.spearman_rho == pytest.approx(
         spearman_bruteforce(gts, xs), abs=1e-12
     )
@@ -151,8 +147,8 @@ def test_report_invariant_under_positive_affine_rescale():
     gts = rng.uniform(0, 10, size=12)
     xs = gts + rng.normal(0, 1, size=12)
     evs = [traj_point(i, g, x) for i, (g, x) in enumerate(zip(gts, xs))]
-    base = extrapolation_report(identity_model(), evs, 0.9)
-    scaled = extrapolation_report(identity_model(scale=7.0, shift=-4.0), evs, 0.9)
+    base = extrapolation_report(identity_reward(), evs, 0.9)
+    scaled = extrapolation_report(identity_reward(scale=7.0, shift=-4.0), evs, 0.9)
     assert scaled.accuracy_ratio == pytest.approx(base.accuracy_ratio, abs=1e-9)
     assert scaled.spearman_rho == pytest.approx(base.spearman_rho, abs=1e-12)
     assert scaled.pearson_r == pytest.approx(base.pearson_r, abs=1e-12)
@@ -166,7 +162,7 @@ def test_hand_computed_report():
     # gt [0, 0.5, 10] -> gt_norm [0, 0.05, 1]; pred [0, 9, 10] -> pred_norm
     # [0, 0.9, 1]; the 0.05 row sits below the accuracy floor
     evs = [traj_point(0, 0.0, 0.0), traj_point(1, 0.5, 9.0), traj_point(2, 10.0, 10.0)]
-    rep = extrapolation_report(identity_model(), evs, 0.9, n_bins=8)
+    rep = extrapolation_report(identity_reward(), evs, 0.9, n_bins=8)
     assert rep.accuracy_ratio == 1.0
     assert [r.bin for r in rep.rows] == [0, 0, 7]
     # the mean of the two non-empty bins' stds, 0.45 and 0.0
@@ -177,14 +173,14 @@ def test_hand_computed_report():
 
 def test_quality_carried_from_meta():
     evs = [traj_point(0, 0.0, 0.0, quality=0.3), traj_point(1, 1.0, 1.0)]
-    rep = extrapolation_report(identity_model(), evs, 0.9)
+    rep = extrapolation_report(identity_reward(), evs, 0.9)
     assert rep.rows[0].quality == 0.3
     assert rep.rows[1].quality is None
 
 
 def test_constant_predictions_flagged_degenerate():
     evs = [traj_point(i, float(i), 4.0) for i in range(5)]
-    rep = extrapolation_report(identity_model(), evs, 0.9)
+    rep = extrapolation_report(identity_reward(), evs, 0.9)
     assert rep.pred_degenerate
     assert rep.spearman_rho == 0.0
     assert rep.pearson_r == 0.0
@@ -194,12 +190,12 @@ def test_constant_predictions_flagged_degenerate():
 def test_report_validation():
     evs = [traj_point(i, float(i), float(i)) for i in range(4)]
     with pytest.raises(ConfigError):
-        extrapolation_report(identity_model(), evs, 0.9, n_bins=1)
+        extrapolation_report(identity_reward(), evs, 0.9, n_bins=1)
     with pytest.raises(DegenerateEvalError):
-        extrapolation_report(identity_model(), evs[:1], 0.9)
+        extrapolation_report(identity_reward(), evs[:1], 0.9)
     flat = [traj_point(i, 2.0, float(i)) for i in range(4)]
     with pytest.raises(DegenerateEvalError):
-        extrapolation_report(identity_model(), flat, 0.9)
+        extrapolation_report(identity_reward(), flat, 0.9)
 
 
 # ---------------------------------------------------------------------------

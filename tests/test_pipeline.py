@@ -3,6 +3,7 @@ method comparison, the step-size sweep, and the command-line wrapper."""
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import json
@@ -35,7 +36,7 @@ from genil.errors import (
 from genil.genetics import relabel_demos, reproduce
 from genil.metrics import extrapolation_report, predicted_returns_report
 from genil.policy_opt import cem_search, evaluate_policy, value_iteration
-from genil.reward_net import RewardEnsemble, make_reward_model, train
+from genil.reward_net import make_reward_model, predict_states, train
 from genil.seeding import derive_seed
 from genil.snippets import make_pairs, subsample
 from genil.pipeline import (
@@ -552,7 +553,8 @@ def test_cli_holds_blas_to_one_thread_unless_set(env_vars, expected):
 # were written before compare and sweep shared one unit.
 
 
-def reference_policy(cfg, spec, reward, policy_seed):
+def reference_policy(cfg, spec, model, policy_seed):
+    reward = functools.partial(predict_states, model)
     if spec.name == "GridNav":
         return value_iteration(
             spec, reward, discount=cfg.policy.discount, tol=cfg.policy.tol, source_model=None
@@ -653,8 +655,9 @@ def test_train_and_score_keeps_the_seeds(small_cfg, env, monkeypatch):
 @pytest.mark.parametrize("env", ["GridNav", "PointChase"])
 def test_compare_reports_from_scores_match_the_ensemble_reports(small_cfg, env):
     # the reports compare builds from the scores its units send back, against
-    # the report of a RewardEnsemble of the units' models, as compare built it
-    # when the units sent back their models
+    # the report of the uniform ensemble of the units' models (the member mean
+    # of their per-state rewards), as compare built it when the units sent
+    # back their models
     cfg = dataclasses.replace(small_cfg, env=dataclasses.replace(small_cfg.env, name=env))
     spec = cfg.spec()
     eval_set = make_eval_set(spec, list(cfg.eval.qualities), cfg.eval.n_per_quality, seed=3)
@@ -677,7 +680,8 @@ def test_compare_reports_from_scores_match_the_ensemble_reports(small_cfg, env):
             for model in pipeline._run_method_trial(method, cfg, spec, t, *demo_pairs[t])[1]
         ]
         assert len(models) == len(scores) == cfg.eval.n_trials * cfg.eval.n_models_per_trial
-        want = extrapolation_report(RewardEnsemble(models), eval_set, spec.discount, n_bins=4)
+        ensemble = lambda s: np.mean([predict_states(m, s) for m in models], axis=0)
+        want = extrapolation_report(ensemble, eval_set, spec.discount, n_bins=4)
         assert got == want
 
 
@@ -1065,6 +1069,39 @@ def test_cli_refuses_a_ranked_manifest_that_lacks_a_ga_key(small_run, tmp_path, 
         f"genil: train-reward failed: malformed artifact {out / F_RANKED_MANIFEST}: "
         "GA config lacks mutation_rate, max_attempts"
     ]
+
+
+def edit_json(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "name, stage, edit",
+    [
+        (F_MODEL, "train-policy", lambda p: p.update(widths=[66, 0, 1])),
+        (F_MODEL, "train-policy", lambda p: p.update(params=p["params"][:-1])),
+        (F_MODEL, "train-policy", lambda p: p.update(widths=[66])),
+        (F_MODEL, "train-policy", lambda p: p.update(activation="tanh")),
+        (F_MODEL, "train-policy", lambda p: p.update(kind="x")),
+        (F_MODEL, "train-policy", lambda p: p.update(format_version=7)),
+        (F_POLICY, "evaluate", lambda p: p.update(format_version=2)),
+    ],
+    ids=["zero-width", "params-one-short", "one-width", "tanh", "kind", "model-version",
+         "policy-version"],
+)
+def test_cli_refuses_a_malformed_model_or_policy_naming_the_file(
+    small_run, tmp_path, capfd, name, stage, edit
+):
+    cfg_path, out = copy_run(small_run, tmp_path)
+    edit_json(out / name, edit)
+    before = file_bytes(out)
+    assert main(["--config", cfg_path, "--out", str(out), "--quiet", stage]) == 3
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+    assert err[0].startswith(f"genil: {stage} failed: malformed artifact {out / name}: ")
+    assert file_bytes(out) == before
 
 
 def load_checks():

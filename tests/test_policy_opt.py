@@ -1,13 +1,18 @@
 """Policy derivation: exact value iteration, CEM search, evaluation,
 artifact serialization."""
 
+import ast
 import dataclasses
+import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genil.metrics
+import genil.policy_opt
 from genil.baselines import train_bc
 from genil.envs import (
     DemoPolicy,
@@ -23,7 +28,7 @@ from genil.envs import (
     rollout,
     true_reward_fn,
 )
-from genil.errors import ConfigError, DivergenceError
+from genil.errors import ConfigError, CorruptArtifactError, DivergenceError
 from genil.mlp import MLP
 from genil.policy_opt import (
     CEMConfig,
@@ -34,7 +39,7 @@ from genil.policy_opt import (
     save_policy,
     value_iteration,
 )
-from genil.reward_net import RewardEnsemble, RewardModel, make_reward_model, predict_states
+from genil.reward_net import RewardModel, make_reward_model, predict_states
 from genil.seeding import derive_seed
 from genil.trajectory import gt_return
 from reference_value_iteration import reference_value_iteration
@@ -85,15 +90,12 @@ def test_value_iteration_on_true_reward_is_optimal(grid_spec):
     assert stats.mean == pytest.approx(gridnav_optimal_return(grid_spec), abs=1e-12)
 
 
-def test_value_iteration_accepts_model_and_ensemble(grid_spec):
+def test_value_iteration_accepts_a_model_reward(grid_spec):
     field = np.asarray(true_reward_fn(grid_spec)(gridnav_all_features()))
     model = linear_reward_model(field)
-    by_model = value_iteration(grid_spec, model)
+    by_model = value_iteration(grid_spec, functools.partial(predict_states, model))
     by_fn = value_iteration(grid_spec, true_reward_fn(grid_spec))
     assert np.array_equal(by_model.parameters, by_fn.parameters)
-    ens = RewardEnsemble([model, model.copy()])
-    by_ens = value_iteration(grid_spec, ens)
-    assert np.array_equal(by_ens.parameters, by_fn.parameters)
 
 
 def test_value_iteration_tie_break_lowest_action(grid_spec):
@@ -218,9 +220,7 @@ def reference_fitness(env, gains, reward):
         states[t] = feats
         action = float(np.clip(gains @ feats, -PC_ACTION_MAX, PC_ACTION_MAX))
         feats, _, _ = env.step(action)
-    if isinstance(reward, (RewardModel, RewardEnsemble)):
-        return float(predict_states(reward, states).sum())
-    return float(np.asarray(reward(states), dtype=np.float64).reshape(-1).sum())
+    return float(reward(states).sum())
 
 
 def reference_cem(spec, reward, cfg, seed):
@@ -244,10 +244,12 @@ def small_reward(kind, spec):
     if kind == "true":
         return true_reward_fn(spec)
     if kind == "model":
-        return make_reward_model(3, hidden_width=8, n_hidden=2, seed=11)
-    return RewardEnsemble(
-        [make_reward_model(3, hidden_width=8, n_hidden=2, seed=s) for s in (12, 13)]
-    )
+        return functools.partial(
+            predict_states, make_reward_model(3, hidden_width=8, n_hidden=2, seed=11)
+        )
+    # the uniform ensemble: the member mean of per-state rewards
+    members = [make_reward_model(3, hidden_width=8, n_hidden=2, seed=s) for s in (12, 13)]
+    return lambda states: np.mean([predict_states(m, states) for m in members], axis=0)
 
 
 def assert_cem_matches_reference(spec, reward, cfg, seed):
@@ -418,5 +420,29 @@ def test_policy_version_check(tmp_path):
     payload = json.loads(path.read_text())
     payload["format_version"] = 7
     path.write_text(json.dumps(payload))
-    with pytest.raises(ConfigError):
+    with pytest.raises(CorruptArtifactError, match="unsupported policy artifact version 7"):
         load_policy(path)
+
+
+# ---------------------------------------------------------------------------
+# A reward reaches policy derivation and the metrics as a function of states
+
+
+def imported_names(module):
+    """Every module, and every name from a module, that a module's source
+    imports, relative imports resolved within genil."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            source = ".".join(filter(None, ["genil" if node.level else "", node.module]))
+            names |= {source} | {f"{source}.{alias.name}" for alias in node.names}
+    return names
+
+
+@pytest.mark.parametrize("module", [genil.policy_opt, genil.metrics], ids=["policy_opt", "metrics"])
+def test_module_does_not_import_reward_net(module):
+    imported = imported_names(module)
+    assert "genil.trajectory.gt_return" in imported  # relative imports are seen
+    assert "genil.reward_net" not in imported

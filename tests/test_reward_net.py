@@ -13,15 +13,19 @@ from scipy.special import expit
 
 from genil.baselines import build_trex2_dataset
 from genil.envs import make_demo_pair, make_spec
-from genil.errors import ConfigError, DivergenceError, EmptyPairError, InvalidTrajectoryError
+from genil.errors import (
+    ConfigError,
+    CorruptArtifactError,
+    DivergenceError,
+    EmptyPairError,
+    InvalidTrajectoryError,
+)
 from genil.mlp import MLP
 from genil.reward_net import (
-    RewardEnsemble,
     RewardModel,
     TrainConfig,
     load_model,
     make_reward_model,
-    predict_return,
     predict_states,
     CompiledPairs,
     _expit,
@@ -105,30 +109,7 @@ def test_predict_hand_values():
     model = linear_model([[1.0], [1.0]], [0.5])
     states = np.array([[1.0, 2.0], [2.0, 0.5]])
     assert np.array_equal(predict_states(model, states), [3.5, 3.0])
-    assert predict_return(model, states) == 6.5
-    assert predict_return(model, snip(states, 1.0).states) == 6.5
-
-
-def test_predict_state_shape_check():
-    model = linear_model([[1.0], [1.0]], [0.0])
-    with pytest.raises(ValueError):
-        predict_return(model, np.zeros((0, 2)))
-
-
-def test_ensemble_predictions_average_members():
-    a = linear_model([[1.0], [0.0]], [0.0])
-    b = linear_model([[3.0], [0.0]], [1.0])
-    ens = RewardEnsemble([a, b])
-    states = np.array([[2.0, 9.0]])
-    assert predict_states(ens, states)[0] == pytest.approx((2.0 + 7.0) / 2)
-    assert ens.feature_dim == 2
-
-
-def test_ensemble_validation():
-    with pytest.raises(ConfigError):
-        RewardEnsemble([])
-    with pytest.raises(ConfigError):
-        RewardEnsemble([linear_model([[1.0]], [0.0]), linear_model([[1.0], [1.0]], [0.0])])
+    assert predict_states(model, snip(states, 1.0).states).sum() == 6.5
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +229,14 @@ def separable_pairs(n=40, d=3, seed=0):
     return out
 
 
+def score(model, states):
+    """A snippet's score: the sum of its per-state predictions."""
+    return predict_states(model, states).sum()
+
+
 def ordered_share(model, pairs):
     """Share of pairs the model scores in their labelled order."""
-    return np.mean([predict_return(model, p.hi.states) > predict_return(model, p.lo.states) for p in pairs])
+    return np.mean([score(model, p.hi.states) > score(model, p.lo.states) for p in pairs])
 
 
 def test_train_learns_separable_data():
@@ -357,7 +343,7 @@ def test_batch_step_is_the_mean_of_its_one_pair_steps(env_name, batch_size, seed
     steps = [first_step(model, pairs[i]) for i in drawn]
     for i, (loss_i, _) in zip(drawn, steps):
         lo, hi = pairs[i].lo.states, pairs[i].hi.states
-        margin = predict_return(model, lo) - predict_return(model, hi)
+        margin = score(model, lo) - score(model, hi)
         assert loss_i == pytest.approx(np.logaddexp(0.0, margin), rel=1e-9)
     mean_update = cfg.learning_rate * np.mean([grad for _, grad in steps], axis=0)
     update = model.net.params - result.model.net.params
@@ -664,10 +650,10 @@ def test_checkpoint_version_and_kind_checks(tmp_path):
     payload["format_version"] = 99
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
-    with pytest.raises(ConfigError):
+    with pytest.raises(CorruptArtifactError, match="unsupported checkpoint version 99"):
         load_model(bad)
     payload["format_version"] = 1
     payload["kind"] = "policy"
     bad.write_text(json.dumps(payload))
-    with pytest.raises(ConfigError):
+    with pytest.raises(CorruptArtifactError, match="not a reward checkpoint"):
         load_model(bad)
