@@ -156,14 +156,10 @@ class MixturePolicy:
 
 
 def build_drex_dataset(
-    bc_policy: BCPolicy,
-    spec: EnvSpec,
-    noise_levels: list[float],
-    n_per_level: int,
-    seed: int,
+    bc_policy: BCPolicy, noise_levels: list[float], n_per_level: int, seed: int
 ) -> list[Trajectory]:
     """Noise-injection ranking: roll out epsilon-mixtures of the cloned
-    policy; less noise earns a higher rank."""
+    policy in its own environment; less noise earns a higher rank."""
     if len(noise_levels) < 2:
         raise ConfigError(f"need >= 2 noise levels, got {len(noise_levels)}")
     if any(b <= a for a, b in zip(noise_levels, noise_levels[1:])):
@@ -172,9 +168,7 @@ def build_drex_dataset(
         raise ConfigError(f"noise levels must lie in [0, 1], got {noise_levels}")
     if n_per_level < 1:
         raise ConfigError(f"n_per_level must be >= 1, got {n_per_level}")
-    if bc_policy.spec.name != spec.name:
-        raise ConfigError("bc_policy/spec environment mismatch")
-    env = make_env(spec)
+    env = make_env(bc_policy.spec)
     n_levels = len(noise_levels)
     trajectories: list[Trajectory] = []
     for level_idx, eps in enumerate(noise_levels):

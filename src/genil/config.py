@@ -17,7 +17,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .envs import EnvSpec, make_spec
+from .envs import _VALUE_ITERATION_MAX_SWEEPS, EnvSpec, make_spec
 from .errors import ConfigError
 from .genetics import GAConfig
 from .policy_opt import CEMConfig
@@ -91,6 +91,13 @@ class PolicySection:
             raise ConfigError(f"discount must lie in [0, 1), got {self.discount}")
         if self.tol <= 0:
             raise ConfigError(f"tol must be > 0, got {self.tol}")
+        # value iteration's residual shrinks by about discount per sweep, so
+        # it needs about log(tol) / log(discount) sweeps to reach tol
+        if self.discount**_VALUE_ITERATION_MAX_SWEEPS > self.tol:
+            raise ConfigError(
+                f"[policy] discount {self.discount} with [policy] tol {self.tol} needs "
+                f"more than {_VALUE_ITERATION_MAX_SWEEPS} value-iteration sweeps"
+            )
         self.cem()
 
     def cem(self) -> CEMConfig:

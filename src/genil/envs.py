@@ -246,10 +246,11 @@ def pointchase_linear_rollout(spec: EnvSpec, gains: np.ndarray) -> np.ndarray:
     """States of one episode per row of (P, 3) linear feedback gains, (P, horizon, 3).
 
     All P episodes advance in lockstep through pointchase_step, which
-    clips the action as LinearPolicy.act does.  Each action is one dot
-    product per candidate (a stacked (1, 3) @ (3, 1) matmul, one BLAS
-    ddot like `gains[p] @ feats`), so row p equals the states of
-    rollout(PointChaseEnv, LinearPolicy(gains[p])) bit for bit.
+    clips the action as policy_opt.PolicyArtifact.act does.  Each action is
+    one dot product per candidate (a stacked (1, 3) @ (3, 1) matmul, one
+    BLAS ddot like `gains[p] @ feats`), so row p equals the states of
+    rollout(PointChaseEnv, PolicyArtifact("PointChase", gains[p])) bit for
+    bit.
     """
     if spec.name != ENV_POINTCHASE:
         raise ConfigError(f"pointchase_linear_rollout requires PointChase, got {spec.name}")

@@ -354,24 +354,18 @@ class RankedDataset:
         return dataset
 
 
-def reproduce(
-    demos: Sequence[Trajectory], cfg: GAConfig, seed: int
-) -> RankedDataset:
-    """Grow a ranked dataset from two relabeled demos.
+def reproduce(good: Trajectory, bad: Trajectory, cfg: GAConfig, seed: int) -> RankedDataset:
+    """Grow a ranked dataset from the good/bad demo pair.
 
-    Loops sample -> crossover -> mutate -> select until n_offspring are
+    The pair is relabeled with constant ranks (relabel_demos), then the
+    loop sample -> crossover -> mutate -> select runs until n_offspring are
     accepted or the attempt budget runs out.  Accepted offspring join the
     dataset, which is both the parent pool and the mutation pool, so later
     offspring may recombine earlier ones and take up their states.
     """
-    if len(demos) != 2:
-        raise DatasetTooSmallError(f"reproduce expects exactly 2 demos, got {len(demos)}")
-    for demo in demos:
-        if demo.step_ranks is None:
-            raise InvalidTrajectoryError(f"demo {demo.id!r} has not been relabeled")
     rng = np.random.default_rng(derive_seed(seed, "reproduce"))
-    originals = list(demos)
-    dataset = list(demos)
+    originals = list(relabel_demos(good, bad, cfg))
+    dataset = list(originals)
     quotas: dict[int, int] = {b: 0 for b in cfg.intermediate_buckets}
     accepted: list[Trajectory] = []
     attempts = 0

@@ -59,10 +59,6 @@ class MLP:
     def out_dim(self) -> int:
         return self.widths[-1]
 
-    @property
-    def n_params(self) -> int:
-        return self.params.size
-
     def copy(self) -> "MLP":
         return MLP(self.widths, self.weights, self.biases)
 
@@ -105,15 +101,6 @@ class MLP:
                 # rectifier mask: post-activation is zero exactly where it was clipped
                 delta *= activations[i] > 0.0
         return self._grads
-
-    def get_flat(self) -> np.ndarray:
-        return self.params.copy()
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != self.params.shape:
-            raise ConfigError(f"expected {self.n_params} parameters, got {vec.shape}")
-        self.params[...] = vec
 
     def apply_grads(self, grads: np.ndarray, learning_rate: float) -> None:
         """One plain gradient-descent step on a gradient vector laid out

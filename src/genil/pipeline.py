@@ -39,7 +39,7 @@ from .config import ExperimentConfig, config_to_dict
 from .envs import ENV_GRIDNAV, EnvSpec, make_demo_pair, make_eval_set
 from .errors import ConfigError, CorruptArtifactError, GenilError, MissingArtifactError
 from .fileio import atomic_write
-from .genetics import RankedDataset, relabel_demos, reproduce
+from .genetics import RankedDataset, reproduce
 from .metrics import (
     extrapolation_report,
     policy_table_row,
@@ -237,11 +237,6 @@ def _write_eval_set(cfg: ExperimentConfig, spec: EnvSpec, out: Path, manifest: R
     return eval_set
 
 
-def _grow(good, bad, ga, seed: int) -> RankedDataset:
-    """GenIL's ranked dataset: relabel the demo pair, then reproduce it."""
-    return reproduce(list(relabel_demos(good, bad, ga)), ga, seed=seed)
-
-
 def _pairs(cfg: ExperimentConfig, trajectories: list[Trajectory], seed: int):
     snips = subsample(
         trajectories, cfg.data.n_snippets, cfg.data.min_len, cfg.data.max_len, seed=seed
@@ -283,7 +278,7 @@ def _train_and_score(
         model = _train(cfg, pairs, seed("model", m)).model
         reward = functools.partial(predict_states, model)
         artifact = _derive_policy(cfg, spec, reward, seed("policy", m), None)
-        stats = evaluate_policy(artifact.as_policy(spec), spec, cfg.eval.n_eval_episodes)
+        stats = evaluate_policy(artifact, cfg.eval.n_eval_episodes)
         returns.append(stats.mean)
         models.append(model)
     return returns, models
@@ -311,7 +306,7 @@ def stage_reproduce(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> 
         )
     _require_env(spec, out / F_DEMOS, demos)
     ga_seed = derive_seed(cfg.base_seed, "trial", 0, "ga")
-    dataset = _grow(demos[0], demos[1], cfg.ga, ga_seed)
+    dataset = reproduce(demos[0], demos[1], cfg.ga, ga_seed)
     dataset.save(out / F_RANKED, out / F_RANKED_MANIFEST)
     manifest.seeds["trial0/ga"] = ga_seed
 
@@ -323,7 +318,7 @@ def stage_train_reward(cfg: ExperimentConfig, out: Path, manifest: RunManifest) 
     save_pairs(out / F_PAIRS, pairs)
     model_seed = derive_seed(cfg.base_seed, *_LINEAGE, "model", 0)
     result = _train(cfg, pairs, model_seed)
-    save_model(result.model, out / F_MODEL, train_config=result.config)
+    save_model(result.model, out / F_MODEL, train_config=cfg.train)
     write_loss_csv(out / F_LOSS, result.losses)
     manifest.seeds["trial0/data"] = data_seed
     manifest.seeds["trial0/model0"] = model_seed
@@ -358,7 +353,7 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
     report = extrapolation_report(reward, eval_set, spec.discount, n_bins=cfg.eval.n_bins)
     write_extrapolation_csv(out / F_EXTRAPOLATION, report)
     write_summary_csv(out / F_SUMMARY, [("GenIL", report)])
-    stats = evaluate_policy(artifact.as_policy(spec), spec, cfg.eval.n_eval_episodes)
+    stats = evaluate_policy(artifact, cfg.eval.n_eval_episodes)
     row = policy_table_row("GenIL", stats.returns[None, :])
     write_policy_table_csv(out / F_POLICY_TABLE, [("GenIL", row)])
     if report.pred_degenerate:
@@ -387,7 +382,7 @@ def _method_ranked_dataset(
     """The rank-labeled trajectories a reward-learning method trains on."""
     base = cfg.base_seed
     if method == "GenIL":
-        return _grow(good, bad, cfg.ga, derive_seed(base, "trial", trial, "ga")).trajectories
+        return reproduce(good, bad, cfg.ga, derive_seed(base, "trial", trial, "ga")).trajectories
     if method == "T-REX-2":
         return build_trex2_dataset(good, bad)
     if method == "T-REX-multi":
@@ -401,7 +396,6 @@ def _method_ranked_dataset(
         cloned = train_bc([good, bad], spec, derive_seed(base, "trial", trial, "drex-bc"))
         return build_drex_dataset(
             cloned,
-            spec,
             _drex_noise_levels(cfg),
             n_per_level=2,
             seed=derive_seed(base, "trial", trial, "drex"),
@@ -421,7 +415,7 @@ def _run_method_trial(method, cfg, spec, trial, good, bad):
     returns = []
     for m in range(cfg.eval.n_models_per_trial):
         policy = train_bc([good, bad], spec, derive_seed(cfg.base_seed, *labels, "model", m))
-        returns.append(evaluate_policy(policy, spec, cfg.eval.n_eval_episodes).mean)
+        returns.append(evaluate_policy(policy, cfg.eval.n_eval_episodes).mean)
     return returns, []
 
 
@@ -524,7 +518,7 @@ def _sweep_trial(cfg: ExperimentConfig, spec: EnvSpec, step: int, trial: int) ->
     labels = ("sweep", step, "trial", trial)
     ga = dataclasses.replace(cfg.ga, max_crossover_step=step + 1)
     good, bad = _demo_pair(cfg, spec, derive_seed(cfg.base_seed, *labels, "demos"))
-    trajectories = _grow(good, bad, ga, derive_seed(cfg.base_seed, *labels, "ga")).trajectories
+    trajectories = reproduce(good, bad, ga, derive_seed(cfg.base_seed, *labels, "ga")).trajectories
     return _train_and_score(cfg, spec, trajectories, labels)[0]
 
 

@@ -33,6 +33,7 @@ from .envs import (
     gridnav_cell_of,
     gridnav_greedy_actions,
     make_env,
+    make_spec,
     pointchase_linear_rollout,
     rollout,
 )
@@ -64,8 +65,9 @@ class CEMConfig:
 
 @dataclass
 class PolicyArtifact:
-    """Serializable policy: a GridNav action table or PointChase linear
-    feedback gains."""
+    """Serializable policy that acts by itself in its environment: a GridNav
+    action per cell (int64) or PointChase linear feedback gains (float64)
+    over (pos, vel, target-pos)."""
 
     env: str
     parameters: np.ndarray
@@ -73,32 +75,18 @@ class PolicyArtifact:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.parameters = np.asarray(self.parameters)
+        self.parameters = np.asarray(
+            self.parameters, dtype=np.int64 if self.env == ENV_GRIDNAV else np.float64
+        )
 
-    def as_policy(self, spec: EnvSpec):
-        if spec.name != self.env:
-            raise ConfigError(f"policy is for {self.env}, spec is {spec.name}")
+    @property
+    def spec(self) -> EnvSpec:
+        return make_spec(self.env)
+
+    def act(self, features: np.ndarray, rng: np.random.Generator) -> int | float:
         if self.env == ENV_GRIDNAV:
-            return TabularPolicy(spec=spec, table=self.parameters.astype(np.int64))
-        return LinearPolicy(spec=spec, gains=self.parameters.astype(np.float64))
-
-
-@dataclass
-class TabularPolicy:
-    spec: EnvSpec
-    table: np.ndarray  # (64,) action per cell
-
-    def act(self, features: np.ndarray, rng: np.random.Generator) -> int:
-        return int(self.table[gridnav_cell_of(features)])
-
-
-@dataclass
-class LinearPolicy:
-    spec: EnvSpec
-    gains: np.ndarray  # (3,) feedback gains over (pos, vel, target-pos)
-
-    def act(self, features: np.ndarray, rng: np.random.Generator) -> float:
-        return float(_clamp(self.gains @ features, -PC_ACTION_MAX, PC_ACTION_MAX))
+            return int(self.parameters[gridnav_cell_of(features)])
+        return float(_clamp(self.parameters @ features, -PC_ACTION_MAX, PC_ACTION_MAX))
 
 
 def value_iteration(
@@ -192,9 +180,10 @@ class EvalStats:
     returns: np.ndarray
 
 
-def evaluate_policy(policy, spec: EnvSpec, n_episodes: int) -> EvalStats:
-    """The discounted ground-truth return of one rollout of policy, repeated
-    n_episodes times, with the mean of those copies.
+def evaluate_policy(policy, n_episodes: int) -> EvalStats:
+    """The discounted ground-truth return of one rollout of policy in its
+    own environment (policy.spec), repeated n_episodes times, with the mean
+    of those copies.
 
     Any policy envs.rollout accepts will do, provided its act never reads
     its rng.  Both environments are deterministic and start every episode
@@ -203,6 +192,7 @@ def evaluate_policy(policy, spec: EnvSpec, n_episodes: int) -> EvalStats:
     """
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
+    spec = policy.spec
     traj = rollout(make_env(spec), policy, seed=0, source="eval")
     returns = np.full(n_episodes, gt_return(traj, spec.discount))
     return EvalStats(mean=float(returns.mean()), returns=returns)
@@ -212,9 +202,7 @@ def save_policy(artifact: PolicyArtifact, path) -> None:
     payload = {
         "format_version": ARTIFACT_VERSION,
         "env": artifact.env,
-        "parameters": [
-            int(v) if artifact.env == ENV_GRIDNAV else float(v) for v in artifact.parameters
-        ],
+        "parameters": artifact.parameters.tolist(),
         "source_model": artifact.source_model,
         "meta": artifact.meta,
     }
@@ -250,10 +238,9 @@ def load_policy(path) -> PolicyArtifact:
             )
         env, values = payload["env"], payload["parameters"]
         _check_parameters(env, values)
-        dtype = np.int64 if env == ENV_GRIDNAV else np.float64
         return PolicyArtifact(
             env=env,
-            parameters=np.asarray(values, dtype=dtype),
+            parameters=values,
             source_model=payload["source_model"],
             meta=payload["meta"],
         )

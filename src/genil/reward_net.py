@@ -140,7 +140,6 @@ def _row_bytes(rows: np.ndarray) -> np.ndarray:
 class TrainResult:
     model: RewardModel
     losses: np.ndarray  # per-step mean batch loss (data term only)
-    config: TrainConfig
 
 
 class CompiledPairs(Sequence):
@@ -310,7 +309,7 @@ def train(
         raise EmptyPairError("no training pairs given")
     trained = model.copy()
     if cfg.steps == 0:
-        return TrainResult(model=trained, losses=np.empty(0), config=cfg)
+        return TrainResult(model=trained, losses=np.empty(0))
     compiled = pairs if isinstance(pairs, CompiledPairs) else CompiledPairs(pairs)
     rng = np.random.default_rng(derive_seed(seed, "train-batches"))
     net = trained.net
@@ -337,7 +336,7 @@ def train(
             seg_grad = np.concatenate([g, -g])
             d_rewards = np.bincount(pos, weights=cnt * seg_grad[seg_ids], minlength=r1 - r0)
             net.apply_grads(net.backward(cache, d_rewards[:, None]), cfg.learning_rate)
-    return TrainResult(model=trained, losses=losses, config=cfg)
+    return TrainResult(model=trained, losses=losses)
 
 
 def save_model(model: RewardModel, path, train_config: TrainConfig | None = None) -> None:

@@ -52,6 +52,16 @@ class Trajectory:
         return self.states.shape[0]
 
     def validate(self) -> None:
+        for key in ("id", "env", "source"):
+            if not isinstance(getattr(self, key), str):
+                raise InvalidTrajectoryError(f"trajectory {self.id!r}: {key} must be a string")
+        if not isinstance(self.meta, dict):
+            raise InvalidTrajectoryError(f"trajectory {self.id!r}: meta must be an object")
+        quality = self.meta.get("quality", 0.0)
+        if isinstance(quality, bool) or not isinstance(quality, (int, float)):
+            raise InvalidTrajectoryError(
+                f"trajectory {self.id!r}: meta quality {quality!r} is not a number"
+            )
         T = self.states.shape[0]
         if T == 0:
             raise InvalidTrajectoryError(f"trajectory {self.id!r} is empty")

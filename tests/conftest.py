@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from genil.envs import make_demo_pair, make_spec
-from genil.genetics import GAConfig, relabel_demos, reproduce
+from genil.genetics import GAConfig, reproduce
 
 
 @pytest.fixture(scope="session")
@@ -39,9 +39,7 @@ def grid_demos(grid_spec):
 @pytest.fixture(scope="session")
 def grid_dataset(grid_spec, grid_demos):
     """A full ranked dataset grown from the desk demo pair."""
-    cfg = GAConfig()
-    good, bad = relabel_demos(*grid_demos, cfg)
-    return reproduce([good, bad], cfg, seed=1)
+    return reproduce(*grid_demos, GAConfig(), seed=1)
 
 
 @pytest.fixture

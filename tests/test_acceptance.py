@@ -148,7 +148,7 @@ def ten_seed_runs():
         t0 = time.perf_counter()
         good, bad = make_demo_pair(spec, 0.1, 0.5, seed=s)
         datasets = {
-            "genil": reproduce(relabel_demos(good, bad, ga), ga, seed=s).trajectories,
+            "genil": reproduce(good, bad, ga, seed=s).trajectories,
             "trex2": build_trex2_dataset(good, bad),
         }
         eval_set = make_eval_set(spec, qualities, 15, seed=s + 1000)
@@ -169,7 +169,7 @@ def ten_seed_runs():
                 ensembles[name], eval_set, spec.discount, n_bins=8
             )
         artifact = value_iteration(spec, ensembles["genil"], discount=0.99)
-        policy_return = evaluate_policy(artifact.as_policy(spec), spec, 1).mean
+        policy_return = evaluate_policy(artifact, 1).mean
         return SeedOutcome(
             rho_genil=reports["genil"].spearman_rho,
             bin_std_genil=reports["genil"].mean_bin_std,
@@ -231,7 +231,7 @@ def test_criterion_02_selection_soundness(capsys):
         spec = make_spec(env_name)
         for s in range(50):
             good, bad = make_demo_pair(spec, 0.1, 0.5, seed=s)
-            dataset = reproduce(relabel_demos(good, bad, cfg), cfg, seed=s)
+            dataset = reproduce(good, bad, cfg, seed=s)
             runs += 1
             by_rank = dataset.by_rank()
             for end in (0, cfg.n_ranks - 1):
@@ -329,19 +329,19 @@ def test_criterion_03_ranking_loss(capsys):
         if _min_preactivation(probe.net, pair) < 1e-5:
             continue
         draws += 1
-        base = probe.net.get_flat()
+        base = probe.net.params.copy()
         eps = 1e-6
         numeric = np.empty_like(base)
         for i in range(len(base)):
             vec = base.copy()
             vec[i] += eps
-            probe.net.set_flat(vec)
+            probe.net.params[...] = vec
             up = first_step(probe, pair)[0]
             vec[i] -= 2 * eps
-            probe.net.set_flat(vec)
+            probe.net.params[...] = vec
             down = first_step(probe, pair)[0]
             numeric[i] = (up - down) / (2 * eps)
-        probe.net.set_flat(base)
+        probe.net.params[...] = base
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
         worst_rel = max(worst_rel, rel)
     elapsed = time.perf_counter() - t0
@@ -408,14 +408,14 @@ def test_criterion_07_policy_oracles(capsys):
     spec = make_spec("GridNav")
     artifact = value_iteration(spec, true_reward_fn(spec))
     table_ok = np.array_equal(artifact.parameters, reference_optimal_actions(spec.discount))
-    vi_return = evaluate_policy(artifact.as_policy(spec), spec, 1).mean
+    vi_return = evaluate_policy(artifact, 1).mean
     return_gap = abs(vi_return - gridnav_optimal_return(spec))
 
     pc = make_spec("PointChase")
     controller = PolicyArtifact(env="PointChase", parameters=np.array([0.0, -2.0, 4.0]))
-    pd_mean = evaluate_policy(controller.as_policy(pc), pc, 20).mean
+    pd_mean = evaluate_policy(controller, 20).mean
     cem_artifact = cem_search(pc, true_reward_fn(pc), CEMConfig(), seed=0)
-    cem_mean = evaluate_policy(cem_artifact.as_policy(pc), pc, 20).mean
+    cem_mean = evaluate_policy(cem_artifact, 20).mean
     cem_ok = cem_mean >= pd_mean - 0.1 * abs(pd_mean)
 
     ok = table_ok and return_gap <= 1e-9 and cem_ok
@@ -507,7 +507,7 @@ def test_criterion_10_serialization_round_trip(capsys, tmp_path):
 
     spec = make_spec("GridNav")
     ga = GAConfig()
-    dataset = reproduce(relabel_demos(*make_demo_pair(spec, 0.1, 0.5, seed=4), ga), ga, seed=4)
+    dataset = reproduce(*make_demo_pair(spec, 0.1, 0.5, seed=4), ga, seed=4)
     snips = subsample(dataset.trajectories, 60, 5, 10, seed=4)
     pairs = make_pairs(snips, 120, 0.5, seed=4)
     model = train(
@@ -518,7 +518,7 @@ def test_criterion_10_serialization_round_trip(capsys, tmp_path):
     model_path = tmp_path / "model.json"
     save_model(model, model_path)
     back_model = load_model(model_path)
-    if not np.array_equal(model.net.get_flat(), back_model.net.get_flat()):
+    if not np.array_equal(model.net.params, back_model.net.params):
         failures.append("model parameters differ after reload")
     if not np.array_equal(before, predict_states(back_model, probe_states)):
         failures.append("model predictions differ after reload")

@@ -150,12 +150,21 @@ def test_spec_reflects_env_choice():
         ("[train]\nseed = 3\n", "unknown key 'seed'"),  # derived per model
         ("[eval]\nqualities = 0.3, 0.3\n", "eval qualities must not repeat"),
         ("[sweep]\nstep_sizes = 3, 3\n", "step sizes must not repeat"),
+        # value iteration would sweep to its 1,000,000 cap before refusing it
+        ("[policy]\ndiscount = 0.99999\n", "[policy] discount 0.99999 with [policy] tol 1e-10"),
     ],
 )
 def test_parse_errors(text, needle):
     with pytest.raises(ConfigError) as exc:
         parse_config_text(text)
     assert needle in str(exc.value)
+
+
+def test_discount_bound_follows_tol():
+    # value iteration needs about log(tol) / log(discount) sweeps
+    assert parse_config_text("[policy]\ndiscount = 0.9999\n").policy.discount == 0.9999
+    cfg = parse_config_text("[policy]\ndiscount = 0.99999\ntol = 1e-3\n")
+    assert cfg.policy.discount == 0.99999
 
 
 @pytest.mark.parametrize(

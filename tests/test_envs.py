@@ -6,6 +6,7 @@ value iteration code path.
 """
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ from genil.envs import (
 from genil.baselines import BCPolicy
 from genil.errors import ConfigError
 from genil.mlp import MLP
-from genil.policy_opt import LinearPolicy
+from genil.policy_opt import PolicyArtifact
 from genil.trajectory import gt_return, trajectories_equal
 from reference_value_iteration import reference_optimal_actions
 
@@ -241,7 +242,7 @@ def test_pointchase_step_scalar_path_matches_array_path():
 
 
 def test_scalar_policy_clamps_match_np_clip(pc_spec):
-    """DemoPolicy, LinearPolicy and BCPolicy clamp their one float action
+    """DemoPolicy, PolicyArtifact and BCPolicy clamp their one float action
     with min and max; it keeps np.clip's bits at both walls, past them, on
     -0.0 and on NaN."""
     nan = float("nan")
@@ -250,14 +251,14 @@ def test_scalar_policy_clamps_match_np_clip(pc_spec):
     # normal draw (negative at seeds 4 and 5), so -0.0 reaches its clamp
     values = [-5.0, -PC_ACTION_MAX, -0.0, 0.0, 0.3, PC_ACTION_MAX, 5.0, nan]
     identity = MLP([3, 1], [np.array([[1.0], [0.0], [0.0]])], [np.array([-0.0])])
-    linear = LinearPolicy(pc_spec, np.array([1.0, 0.0, 0.0]))
+    linear = PolicyArtifact(ENV_POINTCHASE, np.array([1.0, 0.0, 0.0]))
     bc = BCPolicy(pc_spec, identity)
     demo = DemoPolicy(pc_spec, 0.0)
     got, want = [], []
     for v in values:
         feats = np.array([v, -0.0, -0.0])
         got += [linear.act(feats, None), bc.act(feats, None)]
-        want.append(float(np.clip(linear.gains @ feats, -PC_ACTION_MAX, PC_ACTION_MAX)))
+        want.append(float(np.clip(linear.parameters @ feats, -PC_ACTION_MAX, PC_ACTION_MAX)))
         want.append(float(np.clip(identity.predict(feats[None, :])[0][0], -1.0, 1.0)))
         for seed in range(6):
             got.append(demo.act(np.array([0.0, 0.0, v / 4.0]), np.random.default_rng(seed)))
@@ -455,8 +456,10 @@ def test_population_rollout_matches_per_step_rollouts(gains, horizon):
     spec = dataclasses.replace(make_spec(ENV_POINTCHASE), horizon=horizon)
     gains = np.array(gains)
     population = pointchase_linear_rollout(spec, gains)
-    per_candidate = np.stack(
-        [rollout(PointChaseEnv(spec), LinearPolicy(spec, g), seed=0).states for g in gains]
-    )
+    # each candidate's PolicyArtifact.act, under the spec of this horizon
+    policies = [
+        types.SimpleNamespace(spec=spec, act=PolicyArtifact(ENV_POINTCHASE, g).act) for g in gains
+    ]
+    per_candidate = np.stack([rollout(PointChaseEnv(spec), p, seed=0).states for p in policies])
     assert population.shape == (len(gains), horizon, PC_FEATURE_DIM)
     assert np.array_equal(population, per_candidate)

@@ -368,12 +368,11 @@ def test_reproduce_offspring_consistent(grid_dataset):
 
 def test_reproduce_deterministic(grid_demos):
     cfg = GAConfig()
-    demos = relabel_demos(*grid_demos, cfg)
-    a = reproduce(demos, cfg, seed=3)
-    b = reproduce(demos, cfg, seed=3)
+    a = reproduce(*grid_demos, cfg, seed=3)
+    b = reproduce(*grid_demos, cfg, seed=3)
     assert a.by_rank() == b.by_rank()
     assert all(trajectories_equal(x, y) for x, y in zip(a.trajectories, b.trajectories))
-    c = reproduce(demos, cfg, seed=4)
+    c = reproduce(*grid_demos, cfg, seed=4)
     assert any(
         not trajectories_equal(x, y) for x, y in zip(a.trajectories, c.trajectories)
     )
@@ -382,7 +381,7 @@ def test_reproduce_deterministic(grid_demos):
 def test_by_rank_puts_the_demos_in_the_end_buckets_for_any_rank_low(grid_demos):
     # rank_high is 6: the demos' mean step ranks 2 and 6 are buckets 0 and 4
     cfg = GAConfig(rank_low=2)
-    ds = reproduce(relabel_demos(*grid_demos, cfg), cfg, seed=1)
+    ds = reproduce(*grid_demos, cfg, seed=1)
     by_rank = ds.by_rank()
     assert by_rank[0] == ["demo-bad"]
     assert by_rank[4] == ["demo-good"]
@@ -391,19 +390,10 @@ def test_by_rank_puts_the_demos_in_the_end_buckets_for_any_rank_low(grid_demos):
     assert sum(len(by_rank.get(b, [])) for b in cfg.intermediate_buckets) == cfg.n_offspring
 
 
-def test_reproduce_input_validation(grid_demos):
-    cfg = GAConfig()
-    with pytest.raises(DatasetTooSmallError):
-        reproduce([grid_demos[0]], cfg, seed=0)
-    with pytest.raises(InvalidTrajectoryError):
-        reproduce(list(grid_demos), cfg, seed=0)  # never relabeled
-
-
 def test_reproduce_stall_reports_fill(grid_demos):
     cfg = GAConfig(max_attempts=3)
-    demos = relabel_demos(*grid_demos, cfg)
     with pytest.raises(ReproductionStalledError) as exc_info:
-        reproduce(demos, cfg, seed=0)
+        reproduce(*grid_demos, cfg, seed=0)
     err = exc_info.value
     assert err.attempts == 3
     assert err.quota == cfg.bucket_quota

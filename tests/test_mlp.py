@@ -12,11 +12,11 @@ def test_create_shapes_and_determinism():
     net = MLP.create([3, 8, 8, 1], seed=5)
     assert net.in_dim == 3
     assert net.out_dim == 1
-    assert net.n_params == 3 * 8 + 8 + 8 * 8 + 8 + 8 * 1 + 1
+    assert net.params.size == 3 * 8 + 8 + 8 * 8 + 8 + 8 * 1 + 1
     again = MLP.create([3, 8, 8, 1], seed=5)
-    assert np.array_equal(net.get_flat(), again.get_flat())
+    assert np.array_equal(net.params, again.params)
     other = MLP.create([3, 8, 8, 1], seed=6)
-    assert not np.array_equal(net.get_flat(), other.get_flat())
+    assert not np.array_equal(net.params, other.params)
 
 
 def test_forward_hand_value():
@@ -48,18 +48,12 @@ def test_copy_is_independent():
 
 def test_flat_round_trip():
     net = MLP.create([3, 5, 1], seed=2)
-    vec = net.get_flat()
+    vec = net.params.copy()
     other = MLP.create([3, 5, 1], seed=9)
-    other.set_flat(vec)
-    assert np.array_equal(other.get_flat(), vec)
+    other.params[...] = vec
+    assert np.array_equal(other.params, vec)
     X = np.random.default_rng(0).normal(size=(6, 3))
     assert np.array_equal(net.predict(X), other.predict(X))
-
-
-def test_set_flat_rejects_wrong_size():
-    net = MLP.create([3, 5, 1], seed=2)
-    with pytest.raises(Exception):
-        net.set_flat(np.zeros(net.n_params + 1))
 
 
 def test_backward_matches_finite_differences():
@@ -69,12 +63,12 @@ def test_backward_matches_finite_differences():
 
     def loss_at(vec):
         probe = net.copy()
-        probe.set_flat(vec)
+        probe.params[...] = vec
         return float(probe.predict(X).sum())
 
     out, cache = net.forward(X)
     analytic = net.backward(cache, np.ones_like(out))
-    base = net.get_flat()
+    base = net.params.copy()
     eps = 1e-6
     numeric = np.empty_like(base)
     for i in range(len(base)):
@@ -102,7 +96,7 @@ def test_dict_round_trip_bit_exact():
     net = MLP.create([3, 7, 1], seed=4)
     back = MLP.from_dict(net.to_dict())
     assert back.widths == net.widths
-    assert np.array_equal(back.get_flat(), net.get_flat())
+    assert np.array_equal(back.params, net.params)
     X = np.random.default_rng(1).normal(size=(4, 3))
     assert np.array_equal(back.predict(X), net.predict(X))
 
@@ -110,12 +104,12 @@ def test_dict_round_trip_bit_exact():
 def test_layers_are_views_of_one_parameter_vector():
     net = MLP.create([3, 5, 2], seed=1)
     assert isinstance(net.weights, tuple) and isinstance(net.biases, tuple)
-    net.params[:] = np.arange(net.n_params)
+    net.params[:] = np.arange(net.params.size)
     # laid out W0 (15), b0 (5), W1 (10), b1 (2)
     assert np.array_equal(net.weights[0], np.arange(15).reshape(3, 5))
     assert np.array_equal(net.biases[1], [30.0, 31.0])
     net.weights[1][:] = -1.0
-    assert np.array_equal(net.get_flat()[20:30], np.full(10, -1.0))
+    assert np.array_equal(net.params[20:30], np.full(10, -1.0))
     # rebinding an entry would leave it out of step with params, so it fails
     with pytest.raises(TypeError):
         net.weights[0] = np.zeros((3, 5))
@@ -132,6 +126,6 @@ def test_pickle_round_trip_keeps_views_and_size():
     assert np.array_equal(back.predict(X), net.predict(X))
     assert all(np.shares_memory(back.params, p) for p in back.weights + back.biases)
     # an update to params moves the unpickled model's predictions
-    back.set_flat(back.params * 0.5)
+    back.params *= 0.5
     assert not np.array_equal(back.predict(X), net.predict(X))
     assert len(blob) < 2 * net.params.nbytes

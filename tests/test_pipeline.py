@@ -33,7 +33,7 @@ from genil.errors import (
     MissingArtifactError,
     ReproductionStalledError,
 )
-from genil.genetics import relabel_demos, reproduce
+from genil.genetics import reproduce
 from genil.metrics import extrapolation_report, predicted_returns_report
 from genil.policy_opt import cem_search, evaluate_policy, value_iteration
 from genil.reward_net import make_reward_model, predict_states, train
@@ -570,8 +570,7 @@ def reference_sweep_trial(cfg, spec, step, trial):
     good, bad = make_demo_pair(
         spec, cfg.env.demo_quality_good, cfg.env.demo_quality_bad, seed=demo_seed
     )
-    g, b = relabel_demos(good, bad, ga)
-    dataset = reproduce([g, b], ga, seed=derive_seed(base, "sweep", step, "trial", trial, "ga"))
+    dataset = reproduce(good, bad, ga, seed=derive_seed(base, "sweep", step, "trial", trial, "ga"))
     data_seed = derive_seed(base, "sweep", step, "trial", trial, "data")
     snips = subsample(
         dataset.trajectories,
@@ -592,7 +591,7 @@ def reference_sweep_trial(cfg, spec, step, trial):
             cfg, spec, result.model,
             derive_seed(base, "sweep", step, "trial", trial, "policy", m),
         )
-        stats = evaluate_policy(artifact.as_policy(spec), spec, cfg.eval.n_eval_episodes)
+        stats = evaluate_policy(artifact, cfg.eval.n_eval_episodes)
         returns.append(stats.mean)
     return returns, models
 
@@ -600,8 +599,7 @@ def reference_sweep_trial(cfg, spec, step, trial):
 def reference_genil_trial(cfg, spec, trial, good, bad):
     """(per-model returns, models) of GenIL for one compare trial."""
     base = cfg.base_seed
-    g, b = relabel_demos(good, bad, cfg.ga)
-    dataset = reproduce([g, b], cfg.ga, seed=derive_seed(base, "trial", trial, "ga"))
+    dataset = reproduce(good, bad, cfg.ga, seed=derive_seed(base, "trial", trial, "ga"))
     data_seed = derive_seed(base, "trial", trial, "GenIL", "data")
     snips = subsample(
         dataset.trajectories,
@@ -621,7 +619,7 @@ def reference_genil_trial(cfg, spec, trial, good, bad):
         artifact = reference_policy(
             cfg, spec, result.model, derive_seed(base, "trial", trial, "GenIL", "policy", m)
         )
-        stats = evaluate_policy(artifact.as_policy(spec), spec, cfg.eval.n_eval_episodes)
+        stats = evaluate_policy(artifact, cfg.eval.n_eval_episodes)
         returns.append(stats.mean)
     return returns, models
 

@@ -86,7 +86,7 @@ def test_value_iteration_on_true_reward_is_optimal(grid_spec):
     art = value_iteration(grid_spec, true_reward_fn(grid_spec))
     assert art.env == "GridNav"
     assert np.array_equal(art.parameters, gridnav_optimal_actions(grid_spec.discount))
-    stats = evaluate_policy(art.as_policy(grid_spec), grid_spec, n_episodes=1)
+    stats = evaluate_policy(art, n_episodes=1)
     assert stats.mean == pytest.approx(gridnav_optimal_return(grid_spec), abs=1e-12)
 
 
@@ -186,11 +186,9 @@ def test_cem_zero_iters_returns_zero_gains(pc_spec):
 def test_cem_improves_over_zero_gains(pc_spec):
     cfg = CEMConfig(population_size=24, n_iters=8)
     art = cem_search(pc_spec, true_reward_fn(pc_spec), cfg, seed=0)
-    searched = evaluate_policy(art.as_policy(pc_spec), pc_spec, n_episodes=1).mean
+    searched = evaluate_policy(art, n_episodes=1).mean
     idle = evaluate_policy(
-        PolicyArtifact(env="PointChase", parameters=np.zeros(3)).as_policy(pc_spec),
-        pc_spec,
-        n_episodes=1,
+        PolicyArtifact(env="PointChase", parameters=np.zeros(3)), n_episodes=1
     ).mean
     assert searched > idle
 
@@ -307,19 +305,17 @@ def test_cem_matches_reference_at_zero_iters(pc_spec):
 
 def test_evaluate_policy_deterministic(grid_spec):
     art = value_iteration(grid_spec, true_reward_fn(grid_spec))
-    a = evaluate_policy(art.as_policy(grid_spec), grid_spec, n_episodes=3)
-    b = evaluate_policy(art.as_policy(grid_spec), grid_spec, n_episodes=3)
+    a = evaluate_policy(art, n_episodes=3)
+    b = evaluate_policy(art, n_episodes=3)
     assert np.array_equal(a.returns, b.returns)
     assert len(a.returns) == 3
     assert a.mean == pytest.approx(float(a.returns.mean()))
 
 
-def test_evaluate_policy_validation(grid_spec, pc_spec):
+def test_evaluate_policy_validation(grid_spec):
     art = value_iteration(grid_spec, true_reward_fn(grid_spec))
     with pytest.raises(ConfigError):
-        evaluate_policy(art.as_policy(grid_spec), grid_spec, n_episodes=0)
-    with pytest.raises(ConfigError):
-        art.as_policy(pc_spec)
+        evaluate_policy(art, n_episodes=0)
 
 
 @pytest.fixture(scope="module")
@@ -335,8 +331,8 @@ def evaluated_policies(grid_spec, pc_spec):
         env="PointChase", parameters=np.array([0.5, -0.3, 1.2])
     )
     return [
-        value_iteration(grid_spec, true_reward_fn(grid_spec)).as_policy(grid_spec),
-        linear.as_policy(pc_spec),
+        value_iteration(grid_spec, true_reward_fn(grid_spec)),
+        linear,
         *bc,
     ]
 
@@ -365,17 +361,50 @@ def test_evaluate_policy_returns_equal_every_episode(evaluated_policies):
             )
             for i in range(4)
         ])
-        assert np.array_equal(evaluate_policy(policy, spec, 4).returns, want)
+        assert np.array_equal(evaluate_policy(policy, 4).returns, want)
 
 
 def test_tabular_policy_matches_rollout_of_table(grid_spec):
     art = value_iteration(grid_spec, true_reward_fn(grid_spec))
-    policy = art.as_policy(grid_spec)
-    traj = rollout(make_env(grid_spec), policy, seed=0)
+    traj = rollout(make_env(grid_spec), art, seed=0)
     reference = rollout(make_env(grid_spec), DemoPolicy(grid_spec, 0.0), seed=0)
     assert gt_return(traj, grid_spec.discount) == pytest.approx(
         gt_return(reference, grid_spec.discount), abs=1e-12
     )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    table=st.lists(st.integers(0, 3), min_size=GRID_N_STATES, max_size=GRID_N_STATES),
+    grid_feats=st.lists(st.floats(-1, 1), min_size=2 + GRID_N_STATES, max_size=2 + GRID_N_STATES),
+    gains=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+    pc_feats=st.lists(st.floats(-10, 10), min_size=3, max_size=3),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_artifact_act_is_table_lookup_or_clipped_gains(
+    tmp_path_factory, table, grid_feats, gains, pc_feats, seed
+):
+    """A GridNav artifact takes its table entry at the argmax cell, a
+    PointChase one clips gains @ features to the action bound; neither
+    draws from its rng, and each acts the same after a save and a load."""
+    grid_feats, pc_feats = np.array(grid_feats), np.array(pc_feats)
+    path = tmp_path_factory.getbasetemp() / "act.json"
+    cases = [
+        (PolicyArtifact("GridNav", table), grid_feats, table[int(np.argmax(grid_feats[2:]))]),
+        (
+            PolicyArtifact("PointChase", gains),
+            pc_feats,
+            float(np.clip(np.array(gains) @ pc_feats, -PC_ACTION_MAX, PC_ACTION_MAX)),
+        ),
+    ]
+    for artifact, feats, want in cases:
+        save_policy(artifact, path)
+        for policy in (artifact, load_policy(path)):
+            rng = np.random.default_rng(seed)
+            before = rng.bit_generator.state
+            got = policy.act(feats, rng)
+            assert type(got) is type(want) and got == want
+            assert rng.bit_generator.state == before
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +435,8 @@ def test_policy_round_trip_linear(pc_spec, tmp_path):
     back = load_policy(path)
     assert back.parameters.dtype == np.float64
     assert np.array_equal(back.parameters, art.parameters)
-    same = evaluate_policy(back.as_policy(pc_spec), pc_spec, 1).mean
-    orig = evaluate_policy(art.as_policy(pc_spec), pc_spec, 1).mean
+    same = evaluate_policy(back, 1).mean
+    orig = evaluate_policy(art, 1).mean
     assert same == orig
 
 

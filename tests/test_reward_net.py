@@ -89,8 +89,8 @@ def test_make_reward_model_architecture():
     assert model.feature_dim == 5
     with pytest.raises(ConfigError):
         make_reward_model(5, n_hidden=0)
-    a = make_reward_model(5, seed=1).net.get_flat()
-    b = make_reward_model(5, seed=1).net.get_flat()
+    a = make_reward_model(5, seed=1).net.params
+    b = make_reward_model(5, seed=1).net.params
     assert np.array_equal(a, b)
 
 
@@ -182,7 +182,7 @@ def test_pair_grad_matches_finite_differences(rng):
     model = make_reward_model(4, hidden_width=8, n_hidden=2, seed=11)
     pair = random_pair(rng, 4, 5, 7)
     analytic = first_step(model, pair)[1]
-    base = model.net.get_flat()
+    base = model.net.params.copy()
     eps = 1e-6
     numeric = np.empty_like(base)
     probe = model.copy()
@@ -190,7 +190,7 @@ def test_pair_grad_matches_finite_differences(rng):
         for sign, store in ((1, "hi"), (-1, "lo")):
             vec = base.copy()
             vec[i] += sign * eps
-            probe.net.set_flat(vec)
+            probe.net.params[...] = vec
             if store == "hi":
                 up = loss(probe, pair)
             else:
@@ -247,7 +247,7 @@ def test_train_learns_separable_data():
     assert result.losses[-50:].mean() < result.losses[:50].mean() / 2
     assert ordered_share(result.model, pairs) == 1.0
     # the input model is untouched
-    assert np.array_equal(model.net.get_flat(), make_reward_model(3, 16, 1, seed=0).net.get_flat())
+    assert np.array_equal(model.net.params, make_reward_model(3, 16, 1, seed=0).net.params)
 
 
 def test_train_bit_reproducible():
@@ -255,10 +255,10 @@ def test_train_bit_reproducible():
     cfg = TrainConfig(learning_rate=1e-3, steps=120, batch_size=8)
     a = train(make_reward_model(3, 8, 1, seed=4), pairs, cfg, 9)
     b = train(make_reward_model(3, 8, 1, seed=4), pairs, cfg, 9)
-    assert np.array_equal(a.model.net.get_flat(), b.model.net.get_flat())
+    assert np.array_equal(a.model.net.params, b.model.net.params)
     assert np.array_equal(a.losses, b.losses)
     c = train(make_reward_model(3, 8, 1, seed=4), pairs, cfg, 10)
-    assert not np.array_equal(a.model.net.get_flat(), c.model.net.get_flat())
+    assert not np.array_equal(a.model.net.params, c.model.net.params)
 
 
 def test_train_zero_steps_returns_copy():
@@ -266,7 +266,7 @@ def test_train_zero_steps_returns_copy():
     model = make_reward_model(3, 8, 1, seed=0)
     result = train(model, pairs, TrainConfig(steps=0), 0)
     assert len(result.losses) == 0
-    assert np.array_equal(result.model.net.get_flat(), model.net.get_flat())
+    assert np.array_equal(result.model.net.params, model.net.params)
     assert result.model is not model
 
 
@@ -616,7 +616,7 @@ def test_train_matches_reference_bookkeeping(source, grid_spec, grid_dataset):
     cfg = TrainConfig(learning_rate=3e-3, steps=300, batch_size=16)
     result = train(model, pairs, cfg, 4)
     ref_model, ref_losses = reference_train(model, pairs, cfg, 4)
-    assert result.model.net.get_flat().tobytes() == ref_model.net.get_flat().tobytes()
+    assert result.model.net.params.tobytes() == ref_model.net.params.tobytes()
     assert result.losses.tobytes() == ref_losses.tobytes()
 
 
@@ -626,18 +626,17 @@ def test_train_matches_reference_bookkeeping(source, grid_spec, grid_dataset):
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     pairs = separable_pairs(seed=5)
-    result = train(
-        make_reward_model(3, 8, 1, seed=5), pairs, TrainConfig(1e-3, 100), 5
-    )
+    cfg = TrainConfig(1e-3, 100)
+    result = train(make_reward_model(3, 8, 1, seed=5), pairs, cfg, 5)
     path = tmp_path / "model.json"
-    save_model(result.model, path, train_config=result.config)
+    save_model(result.model, path, train_config=cfg)
     back = load_model(path)
-    assert np.array_equal(back.net.get_flat(), result.model.net.get_flat())
+    assert np.array_equal(back.net.params, result.model.net.params)
     states = np.random.default_rng(0).normal(size=(20, 3))
     assert np.array_equal(predict_states(back, states), predict_states(result.model, states))
     # a second save emits identical bytes
     path2 = tmp_path / "again.json"
-    save_model(back, path2, train_config=result.config)
+    save_model(back, path2, train_config=cfg)
     assert path.read_bytes() == path2.read_bytes()
 
 

@@ -78,6 +78,27 @@ def test_validation_errors():
             Trajectory("x", "GridNav", good.states, None, good.gt_step_rewards, bad_ranks, "demo")
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("id", 7),
+        ("env", None),
+        ("source", ["demo"]),
+        ("meta", []),
+        ("meta", {"quality": "high"}),
+        ("meta", {"quality": True}),
+        ("meta", {"quality": None}),
+    ],
+)
+def test_fields_of_the_wrong_json_type_are_refused(tmp_path, key, value):
+    raw = json.loads(dumps_trajectory(make_traj()))
+    raw[key] = value
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps(raw) + "\n")
+    with pytest.raises(InvalidTrajectoryError, match=key):
+        load_trajectories(path)
+
+
 def test_gt_return_hand_value():
     traj = Trajectory(
         id="h",
