@@ -16,16 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import (
-    ENV_GRIDNAV,
-    GRID_N_ACTIONS,
-    PC_ACTION_MAX,
-    DemoPolicy,
-    EnvSpec,
-    _clamp,
-    make_env,
-    rollout,
-)
+from .envs import DemoPolicy, EnvSpec, environment, make_env, rollout
 from .errors import ConfigError
 from .mlp import MLP
 from .seeding import derive_seed
@@ -86,22 +77,22 @@ BC_BATCH_SIZE = 64
 
 @dataclass
 class BCPolicy:
-    """Deterministic cloned policy: argmax class or clipped regression."""
+    """Deterministic cloned policy: its environment's bc_action of the net's output."""
 
     spec: EnvSpec
     net: MLP
 
+    def __post_init__(self) -> None:
+        self._env = environment(self.spec.name)
+
     def act(self, features: np.ndarray, rng: np.random.Generator):
-        out = self.net.predict(features[None, :])[0]
-        if self.spec.name == ENV_GRIDNAV:
-            return int(np.argmax(out))
-        return float(_clamp(out[0], -PC_ACTION_MAX, PC_ACTION_MAX))
+        return self._env.bc_action(self.net.predict(features[None, :])[0])
 
 
 def train_bc(demos: list[Trajectory], spec: EnvSpec, seed: int) -> BCPolicy:
-    """Minibatch SGD on cross-entropy (grid actions) or squared error
-    (scalar actions) over all demo transitions; seed drives both the
-    initialisation and the batches."""
+    """Minibatch SGD on the environment's BC loss (cross-entropy over grid
+    actions, squared error of scalar ones) over all demo transitions; seed
+    drives both the initialisation and the batches."""
     if not demos:
         raise ConfigError("train_bc needs at least one demonstration")
     for traj in demos:
@@ -111,24 +102,14 @@ def train_bc(demos: list[Trajectory], spec: EnvSpec, seed: int) -> BCPolicy:
             raise ConfigError(f"demo {traj.id!r} is from {traj.env}, spec is {spec.name}")
     X = np.concatenate([t.states for t in demos], axis=0)
     y = np.concatenate([t.actions for t in demos], axis=0)
-    classify = spec.name == ENV_GRIDNAV
-    out_dim = GRID_N_ACTIONS if classify else 1
-    net = MLP.create([spec.feature_dim, *BC_HIDDEN, out_dim], seed=derive_seed(seed, "bc-init"))
+    env = environment(spec.name)
+    net = MLP.create([spec.feature_dim, *BC_HIDDEN, env.bc_out_dim], derive_seed(seed, "bc-init"))
     rng = np.random.default_rng(derive_seed(seed, "bc-batches"))
     n = X.shape[0]
     for _ in range(BC_STEPS):
         batch = rng.integers(n, size=min(BC_BATCH_SIZE, n))
         out, cache = net.forward(X[batch])
-        if classify:
-            shifted = out - out.max(axis=1, keepdims=True)
-            probs = np.exp(shifted)
-            probs /= probs.sum(axis=1, keepdims=True)
-            d_out = probs
-            d_out[np.arange(len(batch)), y[batch].astype(int)] -= 1.0
-            d_out /= len(batch)
-        else:
-            d_out = 2.0 * (out - y[batch, None]) / len(batch)
-        net.apply_grads(net.backward(cache, d_out), BC_LEARNING_RATE)
+        net.apply_grads(net.backward(cache, env.bc_grad(out, y[batch])), BC_LEARNING_RATE)
     return BCPolicy(spec=spec, net=net)
 
 
@@ -142,6 +123,7 @@ class MixturePolicy:
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+        self._env = environment(self.spec.name)
 
     @property
     def spec(self) -> EnvSpec:
@@ -149,9 +131,7 @@ class MixturePolicy:
 
     def act(self, features: np.ndarray, rng: np.random.Generator):
         if rng.random() < self.epsilon:
-            if self.spec.name == ENV_GRIDNAV:
-                return int(rng.integers(GRID_N_ACTIONS))
-            return float(rng.uniform(-PC_ACTION_MAX, PC_ACTION_MAX))
+            return self._env.random_action(rng)
         return self.base.act(features, rng)
 
 

@@ -17,7 +17,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .envs import _VALUE_ITERATION_MAX_SWEEPS, EnvSpec, make_spec
+from .envs import _VALUE_ITERATION_MAX_SWEEPS, EnvSpec, environment, make_spec
 from .errors import ConfigError
 from .genetics import GAConfig
 from .policy_opt import CEMConfig
@@ -77,8 +77,8 @@ class PolicySection:
     population size and iteration count (its elite fraction and initial
     std are policy_opt's CEM_ELITE_FRAC and CEM_INIT_STD).
 
-    The discount here drives policy optimization only; ground-truth
-    returns are always discounted with the environment's own factor.
+    discount and tol drive value iteration only (ExperimentConfig bounds them
+    there); ground-truth returns are discounted with the environment's own factor.
     """
 
     discount: float = 0.99
@@ -91,13 +91,6 @@ class PolicySection:
             raise ConfigError(f"discount must lie in [0, 1), got {self.discount}")
         if self.tol <= 0:
             raise ConfigError(f"tol must be > 0, got {self.tol}")
-        # value iteration's residual shrinks by about discount per sweep, so
-        # it needs about log(tol) / log(discount) sweeps to reach tol
-        if self.discount**_VALUE_ITERATION_MAX_SWEEPS > self.tol:
-            raise ConfigError(
-                f"[policy] discount {self.discount} with [policy] tol {self.tol} needs "
-                f"more than {_VALUE_ITERATION_MAX_SWEEPS} value-iteration sweeps"
-            )
         self.cem()
 
     def cem(self) -> CEMConfig:
@@ -167,6 +160,13 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
+        # value iteration needs about log(tol) / log(discount) sweeps to reach tol
+        discount, tol = self.policy.discount, self.policy.tol
+        if environment(self.env.name).tabular and discount**_VALUE_ITERATION_MAX_SWEEPS > tol:
+            raise ConfigError(
+                f"[policy] discount {discount} with [policy] tol {tol} needs "
+                f"more than {_VALUE_ITERATION_MAX_SWEEPS} value-iteration sweeps"
+            )
         horizon = self.spec().horizon
         if self.data.max_len > horizon:
             raise ConfigError(

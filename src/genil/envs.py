@@ -27,14 +27,26 @@ themselves are deterministic, so a rollout is a pure function of
 0 is the optimal policy for the environment, 1 is (close to) uniform
 random, and expected return degrades monotonically in between.
 
-Each environment has one fixed EnvSpec, which make_spec returns: GridNav
-runs 50 steps at discount 0.95, PointChase 100 steps at 0.99.
+Each environment is one class with one instance in ENVIRONMENTS, which
+environment(name) looks up; nothing else in genil branches on a name.
+GridNav's spec runs 50 steps at discount 0.95, PointChase's 100 at 0.99.
+A third environment is one more class there that defines:
+
+- spec, reset(), step(action), current_reward();
+- true_reward(features), on a state batch;
+- action_dtype, random_action(rng), demo_action(features, quality, rng);
+- parameter_dtype, policy_act(parameters, features), check_parameters(values);
+- bc_out_dim, bc_action(out), bc_grad(out, actions), for behavioral cloning;
+- tabular: True if policy_opt.value_iteration derives its policies, False
+  if cem_search does.  Each is written for its own environment, so a third
+  needs a derivation of its own as well.
 
 States are plain float64 feature vectors; trajectories stack them row-wise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,19 +91,6 @@ class EnvSpec:
     horizon: int
     discount: float
     feature_dim: int
-
-
-_SPECS = {
-    ENV_GRIDNAV: EnvSpec(ENV_GRIDNAV, 50, 0.95, GRID_FEATURE_DIM),
-    ENV_POINTCHASE: EnvSpec(ENV_POINTCHASE, 100, 0.99, PC_FEATURE_DIM),
-}
-
-
-def make_spec(name: str) -> EnvSpec:
-    """The fixed EnvSpec of the environment called name."""
-    if name not in _SPECS:
-        raise ConfigError(f"unknown environment {name!r}; choose from {tuple(_SPECS)}")
-    return _SPECS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +185,7 @@ def gridnav_optimal_actions(discount: float) -> np.ndarray:
 
 def gridnav_optimal_return(spec: EnvSpec) -> float:
     """Return of the greedy-optimal policy over one episode."""
-    traj = rollout(make_env(spec), DemoPolicy(spec, quality=0.0), seed=0)
-    return gt_return(traj, spec.discount)
+    return gt_return(rollout(make_env(spec), DemoPolicy(spec, 0.0), seed=0), spec.discount)
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +193,18 @@ def gridnav_optimal_return(spec: EnvSpec) -> float:
 
 
 class GridNavEnv:
-    """Deterministic grid walk; see the module docstring for the rules."""
+    """Deterministic grid walk; see the module docstring for the rules.  A
+    policy is an action per cell, derived by value iteration."""
+
+    action_dtype = parameter_dtype = np.int64
+    bc_out_dim = GRID_N_ACTIONS
+    tabular = True
 
     def __init__(self, spec: EnvSpec):
         self.spec = spec
         self._next = gridnav_transitions()
         self._reward = gridnav_reward_field()
-        self._cell = _cell_index(*GRID_START)
-        self._t = 0
+        self.reset()
 
     def reset(self) -> np.ndarray:
         self._cell = _cell_index(*GRID_START)
@@ -219,6 +221,37 @@ class GridNavEnv:
         self._t += 1
         done = self._t >= self.spec.horizon
         return gridnav_features(self._cell), float(self._reward[self._cell]), done
+
+    def true_reward(self, features: np.ndarray) -> np.ndarray:
+        return np.atleast_2d(features)[:, 2:] @ self._reward
+
+    def random_action(self, rng: np.random.Generator) -> int:
+        return int(rng.integers(GRID_N_ACTIONS))
+
+    def demo_action(self, features: np.ndarray, quality: float, rng: np.random.Generator) -> int:
+        """Epsilon-greedy, with epsilon = quality, over the optimal action table."""
+        if rng.random() < quality:
+            return self.random_action(rng)
+        return int(gridnav_optimal_actions(self.spec.discount)[gridnav_cell_of(features)])
+
+    def policy_act(self, parameters: np.ndarray, features: np.ndarray) -> int:
+        return int(parameters[gridnav_cell_of(features)])
+
+    def check_parameters(self, values) -> None:
+        ok = isinstance(values, list) and len(values) == GRID_N_STATES
+        if not (ok and all(type(v) is int and 0 <= v < GRID_N_ACTIONS for v in values)):
+            raise ValueError("GridNav policy parameters must be 64 integers in [0, 4)")
+
+    def bc_action(self, out: np.ndarray) -> int:
+        return int(np.argmax(out))
+
+    def bc_grad(self, out: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """Gradient of the batch-mean softmax cross-entropy of the actions."""
+        probs = np.exp(out - out.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[np.arange(len(actions)), actions.astype(int)] -= 1.0
+        probs /= len(actions)
+        return probs
 
 
 def _clamp(x, lo, hi):
@@ -246,13 +279,13 @@ def pointchase_linear_rollout(spec: EnvSpec, gains: np.ndarray) -> np.ndarray:
     """States of one episode per row of (P, 3) linear feedback gains, (P, horizon, 3).
 
     All P episodes advance in lockstep through pointchase_step, which
-    clips the action as policy_opt.PolicyArtifact.act does.  Each action is
+    clips the action as PointChaseEnv.policy_act does.  Each action is
     one dot product per candidate (a stacked (1, 3) @ (3, 1) matmul, one
     BLAS ddot like `gains[p] @ feats`), so row p equals the states of
     rollout(PointChaseEnv, PolicyArtifact("PointChase", gains[p])) bit for
     bit.
     """
-    if spec.name != ENV_POINTCHASE:
+    if not isinstance(environment(spec.name), PointChaseEnv):
         raise ConfigError(f"pointchase_linear_rollout requires PointChase, got {spec.name}")
     n = len(gains)
     states = np.empty((n, spec.horizon, PC_FEATURE_DIM))
@@ -269,13 +302,16 @@ def pointchase_linear_rollout(spec: EnvSpec, gains: np.ndarray) -> np.ndarray:
 
 
 class PointChaseEnv:
-    """1-d chase toward a fixed target with clipped double-integrator dynamics."""
+    """1-d chase toward a fixed target with clipped double-integrator
+    dynamics.  A policy is linear feedback gains, derived by CEM."""
+
+    action_dtype = parameter_dtype = np.float64
+    bc_out_dim = 1
+    tabular = False
 
     def __init__(self, spec: EnvSpec):
         self.spec = spec
-        self._pos = PC_START_POS
-        self._vel = PC_START_VEL
-        self._t = 0
+        self.reset()
 
     def _features(self) -> np.ndarray:
         return np.array([self._pos, self._vel, PC_TARGET - self._pos])
@@ -296,32 +332,62 @@ class PointChaseEnv:
         done = self._t >= self.spec.horizon
         return self._features(), self.current_reward(), done
 
+    def true_reward(self, features: np.ndarray) -> np.ndarray:
+        return -np.abs(np.atleast_2d(features)[:, 2])
+
+    def random_action(self, rng: np.random.Generator) -> float:
+        return float(rng.uniform(-PC_ACTION_MAX, PC_ACTION_MAX))
+
+    def demo_action(self, features: np.ndarray, quality: float, rng: np.random.Generator) -> float:
+        """A PD controller plus Gaussian action noise of scale 3 * quality."""
+        _, vel, err = features
+        noise = rng.normal() * PC_NOISE_SCALE * quality
+        return float(_clamp(PC_KP * err - PC_KD * vel + noise, -PC_ACTION_MAX, PC_ACTION_MAX))
+
+    def policy_act(self, parameters: np.ndarray, features: np.ndarray) -> float:
+        return float(_clamp(parameters @ features, -PC_ACTION_MAX, PC_ACTION_MAX))
+
+    def check_parameters(self, values) -> None:
+        ok = isinstance(values, list) and len(values) == PC_FEATURE_DIM
+        if not (ok and all(type(v) in (int, float) and math.isfinite(v) for v in values)):
+            raise ValueError("PointChase policy parameters must be 3 finite numbers")
+
+    def bc_action(self, out: np.ndarray) -> float:
+        return float(_clamp(out[0], -PC_ACTION_MAX, PC_ACTION_MAX))
+
+    def bc_grad(self, out: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """Gradient of the batch-mean squared error of the actions."""
+        return 2.0 * (out - actions[:, None]) / len(actions)
+
 
 Environment = GridNavEnv | PointChaseEnv
 
+ENVIRONMENTS: dict[str, Environment] = {
+    ENV_GRIDNAV: GridNavEnv(EnvSpec(ENV_GRIDNAV, 50, 0.95, GRID_FEATURE_DIM)),
+    ENV_POINTCHASE: PointChaseEnv(EnvSpec(ENV_POINTCHASE, 100, 0.99, PC_FEATURE_DIM)),
+}
+
+
+def environment(name: str) -> Environment:
+    """The environment called name, from ENVIRONMENTS."""
+    if name not in ENVIRONMENTS:
+        raise ConfigError(f"unknown environment {name!r}; choose from {tuple(ENVIRONMENTS)}")
+    return ENVIRONMENTS[name]
+
+
+def make_spec(name: str) -> EnvSpec:
+    """The fixed EnvSpec of the environment called name."""
+    return environment(name).spec
+
 
 def make_env(spec: EnvSpec) -> Environment:
-    if spec.name == ENV_GRIDNAV:
-        return GridNavEnv(spec)
-    if spec.name == ENV_POINTCHASE:
-        return PointChaseEnv(spec)
-    raise ConfigError(f"unknown environment {spec.name!r}")
+    """A fresh environment of spec to step through episodes."""
+    return type(environment(spec.name))(spec)
 
 
 def true_reward_fn(spec: EnvSpec) -> Callable[[np.ndarray], np.ndarray]:
     """Batch scorer for the environment's ground-truth reward on features."""
-    if spec.name == ENV_GRIDNAV:
-        field = gridnav_reward_field()
-
-        def score(features: np.ndarray) -> np.ndarray:
-            return np.atleast_2d(features)[:, 2:] @ field
-
-    else:
-
-        def score(features: np.ndarray) -> np.ndarray:
-            return -np.abs(np.atleast_2d(features)[:, 2])
-
-    return score
+    return environment(spec.name).true_reward
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +396,8 @@ def true_reward_fn(spec: EnvSpec) -> Callable[[np.ndarray], np.ndarray]:
 
 @dataclass
 class DemoPolicy:
-    """Scalar-quality stand-in for agents of diverse performance.
-
-    quality=0 is optimal for the environment; quality=1 behaves randomly.
-    GridNav uses epsilon-greedy over the value-iteration-optimal action
-    table with epsilon=quality; PointChase adds Gaussian action noise of
-    scale 3*quality to a proportional-derivative controller.
-    """
+    """Scalar-quality stand-in for agents of diverse performance: its
+    environment's demo_action, optimal at quality 0 and random at 1."""
 
     spec: EnvSpec
     quality: float
@@ -344,20 +405,10 @@ class DemoPolicy:
     def __post_init__(self) -> None:
         if not 0.0 <= self.quality <= 1.0:
             raise ConfigError(f"quality must lie in [0, 1], got {self.quality}")
-        self._optimal = (
-            gridnav_optimal_actions(self.spec.discount)
-            if self.spec.name == ENV_GRIDNAV
-            else None
-        )
+        self._env = environment(self.spec.name)
 
     def act(self, features: np.ndarray, rng: np.random.Generator):
-        if self.spec.name == ENV_GRIDNAV:
-            if rng.random() < self.quality:
-                return int(rng.integers(GRID_N_ACTIONS))
-            return int(self._optimal[gridnav_cell_of(features)])
-        _, vel, err = features
-        noise = rng.normal() * PC_NOISE_SCALE * self.quality
-        return float(_clamp(PC_KP * err - PC_KD * vel + noise, -PC_ACTION_MAX, PC_ACTION_MAX))
+        return self._env.demo_action(features, self.quality, rng)
 
 
 def rollout(
@@ -390,9 +441,7 @@ def rollout(
         action = policy.act(feats, rng)
         actions.append(action)
         feats, _, _ = env.step(action)
-    action_arr = np.asarray(
-        actions, dtype=np.int64 if spec.name == ENV_GRIDNAV else np.float64
-    )
+    action_arr = np.asarray(actions, dtype=env.action_dtype)
     quality = getattr(policy, "quality", None)
     if traj_id is None:
         qtag = "" if quality is None else f"-q{quality:g}"

@@ -6,7 +6,7 @@ from __future__ import annotations
 import contextlib
 import os
 
-from .errors import ConfigError, CorruptArtifactError
+from .errors import ConfigError, CorruptArtifactError, InvalidTrajectoryError
 
 
 @contextlib.contextmanager
@@ -31,11 +31,11 @@ def atomic_write(path):
 def parsing(path):
     """Turn what a malformed artifact raises while the block parses it
     (invalid JSON, a missing field, a value of the wrong type or shape, a
-    ConfigError from what the file holds) into a CorruptArtifactError that
-    names path."""
+    ConfigError or an InvalidTrajectoryError from what the file holds) into
+    a CorruptArtifactError that names path."""
     try:
         yield
-    except ConfigError as exc:
+    except (ConfigError, InvalidTrajectoryError) as exc:
         raise CorruptArtifactError(f"malformed artifact {path}: {exc}") from exc
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CorruptArtifactError(

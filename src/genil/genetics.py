@@ -339,13 +339,9 @@ class RankedDataset:
             if missing:
                 raise ConfigError(f"GA config lacks {', '.join(missing)}")
             config = GAConfig(**given)
-            dataset = cls(
-                trajectories=trajectories,
-                config=config,
-                seed=manifest["seed"],
-                attempts_used=manifest["attempts_used"],
-            )
-            listed = manifest["ranks"]
+            seed, attempts, listed = manifest["seed"], manifest["attempts_used"], manifest["ranks"]
+        with parsing(traj_path):
+            dataset = cls(trajectories, config, seed, attempts)
         if dataset._listed_ranks() != listed:
             raise CorruptArtifactError(
                 f"malformed artifact {traj_path}: its trajectories do not rank "

@@ -36,7 +36,7 @@ import numpy as np
 
 from .baselines import build_drex_dataset, build_trex2_dataset, build_trex_dataset, train_bc
 from .config import ExperimentConfig, config_to_dict
-from .envs import ENV_GRIDNAV, EnvSpec, make_demo_pair, make_eval_set
+from .envs import EnvSpec, environment, make_demo_pair, make_eval_set
 from .errors import ConfigError, CorruptArtifactError, GenilError, MissingArtifactError
 from .fileio import atomic_write
 from .genetics import RankedDataset, reproduce
@@ -252,7 +252,7 @@ def _train(cfg: ExperimentConfig, pairs, seed: int) -> TrainResult:
 def _derive_policy(
     cfg: ExperimentConfig, spec: EnvSpec, reward, policy_seed: int, source: str | None
 ) -> PolicyArtifact:
-    if spec.name == ENV_GRIDNAV:
+    if environment(spec.name).tabular:
         return value_iteration(
             spec, reward, discount=cfg.policy.discount, tol=cfg.policy.tol, source_model=source
         )

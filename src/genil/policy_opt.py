@@ -15,25 +15,18 @@ evaluate_policy, which scores every policy the pipeline derives or clones.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .envs import (
-    ENV_GRIDNAV,
-    ENV_POINTCHASE,
-    GRID_N_ACTIONS,
+    ENVIRONMENTS,
     GRID_N_STATES,
-    PC_ACTION_MAX,
-    PC_FEATURE_DIM,
     EnvSpec,
-    _clamp,
+    environment,
     gridnav_all_features,
-    gridnav_cell_of,
     gridnav_greedy_actions,
     make_env,
-    make_spec,
     pointchase_linear_rollout,
     rollout,
 )
@@ -65,9 +58,9 @@ class CEMConfig:
 
 @dataclass
 class PolicyArtifact:
-    """Serializable policy that acts by itself in its environment: a GridNav
-    action per cell (int64) or PointChase linear feedback gains (float64)
-    over (pos, vel, target-pos)."""
+    """Serializable policy that acts by itself in the environment called
+    env, which sets its parameters' form: a GridNav action per cell (int64)
+    or PointChase linear feedback gains (float64) over (pos, vel, target-pos)."""
 
     env: str
     parameters: np.ndarray
@@ -75,18 +68,15 @@ class PolicyArtifact:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.parameters = np.asarray(
-            self.parameters, dtype=np.int64 if self.env == ENV_GRIDNAV else np.float64
-        )
+        self._env = environment(self.env)
+        self.parameters = np.asarray(self.parameters, dtype=self._env.parameter_dtype)
 
     @property
     def spec(self) -> EnvSpec:
-        return make_spec(self.env)
+        return self._env.spec
 
     def act(self, features: np.ndarray, rng: np.random.Generator) -> int | float:
-        if self.env == ENV_GRIDNAV:
-            return int(self.parameters[gridnav_cell_of(features)])
-        return float(_clamp(self.parameters @ features, -PC_ACTION_MAX, PC_ACTION_MAX))
+        return self._env.policy_act(self.parameters, features)
 
 
 def value_iteration(
@@ -104,8 +94,8 @@ def value_iteration(
     cell reward, whose residual never falls below tol, is refused with
     DivergenceError before the first sweep.
     """
-    if spec.name != ENV_GRIDNAV:
-        raise ConfigError(f"value_iteration requires GridNav, got {spec.name}")
+    if not environment(spec.name).tabular:
+        raise ConfigError(f"value_iteration does not derive {spec.name} policies")
     if tol <= 0:
         raise ConfigError(f"tol must be > 0, got {tol}")
     gamma = spec.discount if discount is None else float(discount)
@@ -115,7 +105,7 @@ def value_iteration(
     if not np.all(np.isfinite(rewards)):
         raise DivergenceError("non-finite cell reward: value iteration cannot converge", step=0)
     return PolicyArtifact(
-        env=ENV_GRIDNAV,
+        env=spec.name,
         parameters=gridnav_greedy_actions(rewards, gamma, tol),
         source_model=source_model,
         meta={"discount": gamma, "tol": tol},
@@ -140,8 +130,6 @@ def cem_search(
     bit-identical to rolling each candidate out alone.  Returns the final
     mean.
     """
-    if spec.name != ENV_POINTCHASE:
-        raise ConfigError(f"cem_search requires PointChase, got {spec.name}")
     rng = np.random.default_rng(derive_seed(seed, "cem"))
     dim = spec.feature_dim
     mean = np.zeros(dim)
@@ -163,7 +151,7 @@ def cem_search(
         std = np.maximum(elites.std(axis=0), 1e-6)
         history.append(mean.copy())
     return PolicyArtifact(
-        env=ENV_POINTCHASE,
+        env=spec.name,
         parameters=mean,
         source_model=source_model,
         meta={
@@ -211,21 +199,6 @@ def save_policy(artifact: PolicyArtifact, path) -> None:
         fh.write("\n")
 
 
-def _check_parameters(env: str, values) -> None:
-    """Raise ValueError unless values are an action per GridNav cell or
-    finite PointChase feedback gains."""
-    if env == ENV_GRIDNAV:
-        n, what = GRID_N_STATES, f"integers in [0, {GRID_N_ACTIONS})"
-        fits = lambda v: type(v) is int and 0 <= v < GRID_N_ACTIONS
-    elif env == ENV_POINTCHASE:
-        n, what = PC_FEATURE_DIM, "finite numbers"
-        fits = lambda v: type(v) in (int, float) and math.isfinite(v)
-    else:
-        raise ValueError(f"unknown policy environment {env!r}")
-    if not (isinstance(values, list) and len(values) == n and all(map(fits, values))):
-        raise ValueError(f"{env} policy parameters must be {n} {what}")
-
-
 def load_policy(path) -> PolicyArtifact:
     """The policy artifact at path, refused with a CorruptArtifactError
     naming path unless its environment is known and its parameters fit it.
@@ -237,7 +210,9 @@ def load_policy(path) -> PolicyArtifact:
                 f"unsupported policy artifact version {payload.get('format_version')!r}"
             )
         env, values = payload["env"], payload["parameters"]
-        _check_parameters(env, values)
+        if env not in ENVIRONMENTS:
+            raise ValueError(f"unknown policy environment {env!r}")
+        ENVIRONMENTS[env].check_parameters(values)
         return PolicyArtifact(
             env=env,
             parameters=values,

@@ -167,6 +167,14 @@ def test_discount_bound_follows_tol():
     assert cfg.policy.discount == 0.99999
 
 
+def test_discount_bound_applies_only_where_value_iteration_runs():
+    # PointChase derives its policies by CEM, which reads neither discount nor tol
+    cfg = parse_config_text("[env]\nname = PointChase\n[policy]\ndiscount = 0.99999\n")
+    assert (cfg.policy.discount, cfg.policy.tol) == (0.99999, 1e-10)
+    with pytest.raises(ConfigError, match="value-iteration sweeps"):
+        parse_config_text("[env]\nname = GridNav\n[policy]\ndiscount = 0.99999\n")
+
+
 @pytest.mark.parametrize(
     "text",
     [

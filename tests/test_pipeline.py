@@ -1150,6 +1150,25 @@ def test_cli_refuses_an_eval_file_cut_at_a_line_end(small_run, tmp_path, capsys)
     assert (out / F_SUMMARY).read_bytes() == summary
 
 
+@pytest.mark.parametrize(
+    "name, stage", [(F_DEMOS, "reproduce"), (F_RANKED, "train-reward"), (F_EVAL, "evaluate")]
+)
+def test_cli_refuses_a_trajectory_field_of_the_wrong_type_naming_the_file(
+    small_run, tmp_path, capsys, name, stage
+):
+    cfg_path, out = copy_run(small_run, tmp_path)
+    first, *rest = (out / name).read_text().splitlines(keepends=True)
+    record = json.loads(first)
+    record["meta"] = []
+    (out / name).write_text(json.dumps(record) + "\n" + "".join(rest))
+    assert main(["--config", cfg_path, "--out", str(out), "--quiet", stage]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"genil: {stage} failed: malformed artifact {out / name}: "
+        f"trajectory {record['id']!r}: meta must be an object"
+    ]
+
+
 @pytest.mark.parametrize("command", sorted(pipeline.COMMANDS))
 def test_command_writes_exactly_its_stages_declared_outputs(small_run, tmp_path, command):
     # inputs a command reads before any of its own stages writes them come

@@ -3,13 +3,14 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genil.errors import InvalidTrajectoryError
+from genil.errors import CorruptArtifactError, InvalidTrajectoryError
 from genil.trajectory import (
     Trajectory,
     _fmt_actions,
@@ -93,9 +94,13 @@ def test_validation_errors():
 def test_fields_of_the_wrong_json_type_are_refused(tmp_path, key, value):
     raw = json.loads(dumps_trajectory(make_traj()))
     raw[key] = value
+    with pytest.raises(InvalidTrajectoryError, match=key):
+        loads_trajectory(json.dumps(raw))
+    # a file of such lines is refused by its path
     path = tmp_path / "t.jsonl"
     path.write_text(json.dumps(raw) + "\n")
-    with pytest.raises(InvalidTrajectoryError, match=key):
+    named = f"malformed artifact {re.escape(str(path))}: .*{key}"
+    with pytest.raises(CorruptArtifactError, match=named):
         load_trajectories(path)
 
 
