@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import DemoPolicy, EnvSpec, environment, make_env, rollout
+from .envs import DemoPolicy, EnvSpec, environment, rollout
 from .errors import ConfigError
 from .mlp import MLP
 from .seeding import derive_seed
@@ -43,13 +43,11 @@ def build_trex_dataset(
         raise ConfigError(f"n_per_quality must be >= 1, got {n_per_quality}")
     by_rank = sorted(qualities, reverse=True)  # worst first -> rank 0
     rank_of = {q: r for r, q in enumerate(by_rank)}
-    env = make_env(spec)
     trajectories: list[Trajectory] = []
     for q in qualities:
         policy = DemoPolicy(spec, q)
         for i in range(n_per_quality):
             traj = rollout(
-                env,
                 policy,
                 derive_seed(seed, "trex", q, i),
                 traj_id=f"trex-q{q:g}-{i}",
@@ -148,7 +146,6 @@ def build_drex_dataset(
         raise ConfigError(f"noise levels must lie in [0, 1], got {noise_levels}")
     if n_per_level < 1:
         raise ConfigError(f"n_per_level must be >= 1, got {n_per_level}")
-    env = make_env(bc_policy.spec)
     n_levels = len(noise_levels)
     trajectories: list[Trajectory] = []
     for level_idx, eps in enumerate(noise_levels):
@@ -156,7 +153,6 @@ def build_drex_dataset(
         policy = MixturePolicy(base=bc_policy, epsilon=eps)
         for i in range(n_per_level):
             traj = rollout(
-                env,
                 policy,
                 derive_seed(seed, "drex", eps, i),
                 traj_id=f"drex-e{eps:g}-{i}",

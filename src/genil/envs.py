@@ -32,7 +32,9 @@ environment(name) looks up; nothing else in genil branches on a name.
 GridNav's spec runs 50 steps at discount 0.95, PointChase's 100 at 0.99.
 A third environment is one more class there that defines:
 
-- spec, reset(), step(action), current_reward();
+- spec, start(), step(state, action): the first state, and the next state
+  as a pure function of a state and an action; the episode itself lives
+  in rollout, and the object holds none of it;
 - true_reward(features), on a state batch;
 - action_dtype, random_action(rng), demo_action(features, quality, rng);
 - parameter_dtype, policy_act(parameters, features), check_parameters(values);
@@ -142,7 +144,7 @@ def gridnav_all_features() -> np.ndarray:
 
 
 def gridnav_cell_of(features: np.ndarray) -> int:
-    return int(np.argmax(features[2:]))
+    return int(features[2:].argmax())
 
 
 _OPTIMAL_ACTION_CACHE: dict[float, np.ndarray] = {}
@@ -185,7 +187,7 @@ def gridnav_optimal_actions(discount: float) -> np.ndarray:
 
 def gridnav_optimal_return(spec: EnvSpec) -> float:
     """Return of the greedy-optimal policy over one episode."""
-    return gt_return(rollout(make_env(spec), DemoPolicy(spec, 0.0), seed=0), spec.discount)
+    return gt_return(rollout(DemoPolicy(spec, 0.0), seed=0), spec.discount)
 
 
 # ---------------------------------------------------------------------------
@@ -204,23 +206,14 @@ class GridNavEnv:
         self.spec = spec
         self._next = gridnav_transitions()
         self._reward = gridnav_reward_field()
-        self.reset()
 
-    def reset(self) -> np.ndarray:
-        self._cell = _cell_index(*GRID_START)
-        self._t = 0
-        return gridnav_features(self._cell)
+    def start(self) -> np.ndarray:
+        return gridnav_features(_cell_index(*GRID_START))
 
-    def current_reward(self) -> float:
-        return float(self._reward[self._cell])
-
-    def step(self, action: int) -> tuple[np.ndarray, float, bool]:
+    def step(self, state: np.ndarray, action: int) -> np.ndarray:
         if not 0 <= int(action) < GRID_N_ACTIONS:
             raise ConfigError(f"GridNav action must be in [0, 4), got {action}")
-        self._cell = int(self._next[self._cell, int(action)])
-        self._t += 1
-        done = self._t >= self.spec.horizon
-        return gridnav_features(self._cell), float(self._reward[self._cell]), done
+        return gridnav_features(int(self._next[gridnav_cell_of(state), int(action)]))
 
     def true_reward(self, features: np.ndarray) -> np.ndarray:
         return np.atleast_2d(features)[:, 2:] @ self._reward
@@ -275,6 +268,10 @@ def pointchase_step(pos, vel, action):
     return pos, vel
 
 
+def _pointchase_state(pos: float, vel: float) -> np.ndarray:
+    return np.array([pos, vel, PC_TARGET - pos])
+
+
 def pointchase_linear_rollout(spec: EnvSpec, gains: np.ndarray) -> np.ndarray:
     """States of one episode per row of (P, 3) linear feedback gains, (P, horizon, 3).
 
@@ -282,8 +279,7 @@ def pointchase_linear_rollout(spec: EnvSpec, gains: np.ndarray) -> np.ndarray:
     clips the action as PointChaseEnv.policy_act does.  Each action is
     one dot product per candidate (a stacked (1, 3) @ (3, 1) matmul, one
     BLAS ddot like `gains[p] @ feats`), so row p equals the states of
-    rollout(PointChaseEnv, PolicyArtifact("PointChase", gains[p])) bit for
-    bit.
+    rollout(PolicyArtifact("PointChase", gains[p]), seed) bit for bit.
     """
     if not isinstance(environment(spec.name), PointChaseEnv):
         raise ConfigError(f"pointchase_linear_rollout requires PointChase, got {spec.name}")
@@ -311,26 +307,13 @@ class PointChaseEnv:
 
     def __init__(self, spec: EnvSpec):
         self.spec = spec
-        self.reset()
 
-    def _features(self) -> np.ndarray:
-        return np.array([self._pos, self._vel, PC_TARGET - self._pos])
+    def start(self) -> np.ndarray:
+        return _pointchase_state(PC_START_POS, PC_START_VEL)
 
-    def reset(self) -> np.ndarray:
-        self._pos = PC_START_POS
-        self._vel = PC_START_VEL
-        self._t = 0
-        return self._features()
-
-    def current_reward(self) -> float:
-        return -abs(self._pos - PC_TARGET)
-
-    def step(self, action: float) -> tuple[np.ndarray, float, bool]:
-        pos, vel = pointchase_step(self._pos, self._vel, action)
-        self._pos, self._vel = float(pos), float(vel)
-        self._t += 1
-        done = self._t >= self.spec.horizon
-        return self._features(), self.current_reward(), done
+    def step(self, state: np.ndarray, action: float) -> np.ndarray:
+        pos, vel = pointchase_step(float(state[0]), float(state[1]), action)
+        return _pointchase_state(pos, vel)
 
     def true_reward(self, features: np.ndarray) -> np.ndarray:
         return -np.abs(np.atleast_2d(features)[:, 2])
@@ -380,11 +363,6 @@ def make_spec(name: str) -> EnvSpec:
     return environment(name).spec
 
 
-def make_env(spec: EnvSpec) -> Environment:
-    """A fresh environment of spec to step through episodes."""
-    return type(environment(spec.name))(spec)
-
-
 def true_reward_fn(spec: EnvSpec) -> Callable[[np.ndarray], np.ndarray]:
     """Batch scorer for the environment's ground-truth reward on features."""
     return environment(spec.name).true_reward
@@ -412,35 +390,34 @@ class DemoPolicy:
 
 
 def rollout(
-    env: Environment,
     policy,
     seed: int,
     source: str = "demo",
     traj_id: str | None = None,
     extra_meta: dict | None = None,
 ) -> Trajectory:
-    """Record one episode: T states, T actions, T per-state rewards.
+    """Record one episode of policy in its own environment (policy.spec):
+    T states, T actions, T per-state rewards.
 
-    The reward at index t is the ground-truth reward of the state occupied
-    at time t, so the discounted return matches sum_t discount^t * R(s_t).
-    Any object with a `spec` attribute and an `act(features, rng)` method
-    can serve as the policy.
+    The episode starts at the environment's start() and takes one
+    step(state, action) per recorded state; the environment holds no state
+    of its own.  The reward at index t is the ground-truth reward of the
+    state occupied at time t, so the discounted return matches
+    sum_t discount^t * R(s_t).  Any object with a `spec` attribute and an
+    `act(features, rng)` method can serve as the policy.
     """
-    spec = env.spec
-    if policy.spec != spec:
-        raise ConfigError("policy/environment spec mismatch")
+    spec = policy.spec
+    env = environment(spec.name)
     # the leading 0 keeps the stream every recorded episode was drawn from
     rng = np.random.default_rng([0, derive_seed(seed, "rollout")])
-    feats = env.reset()
+    state = env.start()
     states = np.empty((spec.horizon, spec.feature_dim))
-    rewards = np.empty(spec.horizon)
     actions: list = []
     for t in range(spec.horizon):
-        states[t] = feats
-        rewards[t] = env.current_reward()
-        action = policy.act(feats, rng)
+        states[t] = state
+        action = policy.act(state, rng)
         actions.append(action)
-        feats, _, _ = env.step(action)
+        state = env.step(state, action)
     action_arr = np.asarray(actions, dtype=env.action_dtype)
     quality = getattr(policy, "quality", None)
     if traj_id is None:
@@ -455,7 +432,7 @@ def rollout(
         env=spec.name,
         states=states,
         actions=action_arr,
-        gt_step_rewards=rewards,
+        gt_step_rewards=env.true_reward(states),
         step_ranks=None,
         source=source,
         meta=meta,
@@ -480,16 +457,11 @@ def make_demo_pair(
         raise ValueError(
             f"bad_quality ({bad_quality}) must exceed good_quality ({good_quality})"
         )
-    env = make_env(spec)
     good_policy = DemoPolicy(spec, good_quality)
     bad_policy = DemoPolicy(spec, bad_quality)
     for attempt in range(DEMO_PAIR_ATTEMPTS):
-        good = rollout(
-            env, good_policy, derive_seed(seed, "good", attempt), traj_id="demo-good"
-        )
-        bad = rollout(
-            env, bad_policy, derive_seed(seed, "bad", attempt), traj_id="demo-bad"
-        )
+        good = rollout(good_policy, derive_seed(seed, "good", attempt), traj_id="demo-good")
+        bad = rollout(bad_policy, derive_seed(seed, "bad", attempt), traj_id="demo-bad")
         if gt_return(good, spec.discount) > gt_return(bad, spec.discount):
             return good, bad
     raise DegenerateDemoError(
@@ -507,14 +479,12 @@ def make_eval_set(
     """Evaluation rollouts spanning the quality range, source='eval'."""
     if not qualities:
         raise ValueError("qualities must be non-empty")
-    env = make_env(spec)
     out = []
     for q in qualities:
         policy = DemoPolicy(spec, q)
         for i in range(n_per_quality):
             out.append(
                 rollout(
-                    env,
                     policy,
                     derive_seed(seed, "eval", q, i),
                     source="eval",

@@ -30,14 +30,15 @@ def atomic_write(path):
 @contextlib.contextmanager
 def parsing(path):
     """Turn what a malformed artifact raises while the block parses it
-    (invalid JSON, a missing field, a value of the wrong type or shape, a
-    ConfigError or an InvalidTrajectoryError from what the file holds) into
-    a CorruptArtifactError that names path."""
+    (invalid JSON, a missing field, a value of the wrong type or shape, an
+    integer too large for a float, a ConfigError or an
+    InvalidTrajectoryError from what the file holds) into a
+    CorruptArtifactError that names path."""
     try:
         yield
     except (ConfigError, InvalidTrajectoryError) as exc:
         raise CorruptArtifactError(f"malformed artifact {path}: {exc}") from exc
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise CorruptArtifactError(
             f"malformed artifact {path}: {type(exc).__name__}: {exc}"
         ) from exc

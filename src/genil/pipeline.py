@@ -128,8 +128,16 @@ def _require(out: Path, *names: str) -> None:
 
 
 def _require_env(spec: EnvSpec, path: Path, trajectories) -> None:
+    """Refuse trajectories that are not from spec's environment or whose
+    states are not spec's width."""
     if any(t.env != spec.name for t in trajectories):
         raise ConfigError(f"{path}: trajectories are not from {spec.name}")
+    for t in trajectories:
+        if t.states.shape[1] != spec.feature_dim:
+            raise ConfigError(
+                f"{path}: trajectory {t.id!r} has {t.states.shape[1]} features, "
+                f"{spec.name} states have {spec.feature_dim}"
+            )
 
 
 def _load_model_for(spec: EnvSpec, path: Path) -> RewardModel:
@@ -313,6 +321,7 @@ def stage_reproduce(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> 
 
 def stage_train_reward(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
     dataset = RankedDataset.load(out / F_RANKED, out / F_RANKED_MANIFEST)
+    _require_env(cfg.spec(), out / F_RANKED, dataset.trajectories)
     data_seed = derive_seed(cfg.base_seed, *_LINEAGE, "data")
     pairs = _pairs(cfg, dataset.trajectories, data_seed)
     save_pairs(out / F_PAIRS, pairs)

@@ -26,7 +26,6 @@ from .envs import (
     environment,
     gridnav_all_features,
     gridnav_greedy_actions,
-    make_env,
     pointchase_linear_rollout,
     rollout,
 )
@@ -174,15 +173,15 @@ def evaluate_policy(policy, n_episodes: int) -> EvalStats:
     of those copies.
 
     Any policy envs.rollout accepts will do, provided its act never reads
-    its rng.  Both environments are deterministic and start every episode
-    in the same state, so such a policy plays the same episode at every
-    seed, and its rollout at seed 0 stands for all n_episodes.
+    its rng.  Every episode begins at its environment's start() and each
+    step(state, action) is a pure function, so such a policy plays the
+    same episode at every seed, and its rollout at seed 0 stands for all
+    n_episodes.
     """
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
-    spec = policy.spec
-    traj = rollout(make_env(spec), policy, seed=0, source="eval")
-    returns = np.full(n_episodes, gt_return(traj, spec.discount))
+    traj = rollout(policy, seed=0, source="eval")
+    returns = np.full(n_episodes, gt_return(traj, policy.spec.discount))
     return EvalStats(mean=float(returns.mean()), returns=returns)
 
 

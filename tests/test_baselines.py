@@ -11,7 +11,7 @@ from genil.baselines import (
     build_trex_dataset,
     train_bc,
 )
-from genil.envs import DemoPolicy, make_demo_pair, make_env, make_spec, rollout
+from genil.envs import DemoPolicy, make_demo_pair, make_spec, rollout
 from genil.errors import ConfigError
 from genil.trajectory import gt_return, trajectories_equal
 
@@ -20,7 +20,7 @@ from genil.trajectory import gt_return, trajectories_equal
 def grid_bc():
     """A clone of the optimal GridNav policy from one clean demo."""
     spec = make_spec("GridNav")
-    demo = rollout(make_env(spec), DemoPolicy(spec, 0.0), seed=0)
+    demo = rollout(DemoPolicy(spec, 0.0), seed=0)
     return spec, demo, train_bc([demo], spec, 0)
 
 
@@ -81,7 +81,7 @@ def test_bc_clones_optimal_grid_policy(grid_bc):
     agreement = float((np.argmax(out, axis=1) == demo.actions).mean())
     assert agreement >= 0.9
     # the cloned policy should track the demo return closely
-    cloned = rollout(make_env(spec), bc, seed=0)
+    cloned = rollout(bc, seed=0)
     assert gt_return(cloned, spec.discount) == pytest.approx(
         gt_return(demo, spec.discount), rel=0.05
     )
@@ -89,7 +89,7 @@ def test_bc_clones_optimal_grid_policy(grid_bc):
 
 def test_bc_regresses_pointchase_actions():
     spec = make_spec("PointChase")
-    demo = rollout(make_env(spec), DemoPolicy(spec, 0.0), seed=0)
+    demo = rollout(DemoPolicy(spec, 0.0), seed=0)
     bc = train_bc([demo], spec, 0)
     pred = np.clip(bc.net.predict(demo.states)[:, 0], -1.0, 1.0)
     mse = float(np.mean((pred - demo.actions) ** 2))
@@ -101,14 +101,14 @@ def test_bc_act_types(grid_bc, rng):
     a = bc.act(demo.states[0], rng)
     assert isinstance(a, int) and 0 <= a < 4
     pspec = make_spec("PointChase")
-    pdemo = rollout(make_env(pspec), DemoPolicy(pspec, 0.3), seed=0)
+    pdemo = rollout(DemoPolicy(pspec, 0.3), seed=0)
     pbc = train_bc([pdemo], pspec, 0)
     action = pbc.act(pdemo.states[0], rng)
     assert isinstance(action, float) and abs(action) <= 1.0
 
 
 def test_bc_validation(grid_spec):
-    demo = rollout(make_env(grid_spec), DemoPolicy(grid_spec, 0.0), seed=0)
+    demo = rollout(DemoPolicy(grid_spec, 0.0), seed=0)
     with pytest.raises(ConfigError):
         train_bc([], grid_spec, 0)
     import dataclasses
@@ -121,7 +121,7 @@ def test_bc_validation(grid_spec):
 
 
 def test_bc_deterministic(grid_spec):
-    demo = rollout(make_env(grid_spec), DemoPolicy(grid_spec, 0.1), seed=4)
+    demo = rollout(DemoPolicy(grid_spec, 0.1), seed=4)
     a = train_bc([demo], grid_spec, 7)
     b = train_bc([demo], grid_spec, 7)
     assert np.array_equal(a.net.params, b.net.params)

@@ -6,6 +6,7 @@ value iteration code path.
 """
 
 import dataclasses
+import pickle
 import types
 
 import numpy as np
@@ -16,6 +17,7 @@ from scipy import stats
 
 from genil import envs
 from genil.envs import (
+    ENVIRONMENTS,
     ENV_GRIDNAV,
     ENV_POINTCHASE,
     GRID_FEATURE_DIM,
@@ -35,8 +37,7 @@ from genil.envs import (
     PC_TARGET,
     PC_VEL_MAX,
     DemoPolicy,
-    GridNavEnv,
-    PointChaseEnv,
+    environment,
     gridnav_all_features,
     gridnav_cell_of,
     gridnav_features,
@@ -45,7 +46,6 @@ from genil.envs import (
     gridnav_reward_field,
     gridnav_transitions,
     make_demo_pair,
-    make_env,
     make_eval_set,
     make_spec,
     pointchase_linear_rollout,
@@ -200,26 +200,25 @@ def test_optimal_actions_raise_when_unconverged(monkeypatch):
 
 
 def test_pointchase_euler_steps():
-    env = PointChaseEnv(make_spec(ENV_POINTCHASE))
-    feats = env.reset()
+    env = environment(ENV_POINTCHASE)
+    feats = env.start()
     assert np.array_equal(feats, [0.0, 0.0, 1.0])
-    assert env.current_reward() == -1.0
-    feats, reward, done = env.step(1.0)
+    assert env.true_reward(feats)[0] == -1.0
+    feats = env.step(feats, 1.0)
     assert feats[1] == pytest.approx(0.1)  # vel = 0 + 1 * dt
     assert feats[0] == pytest.approx(0.01)  # pos = 0 + 0.1 * dt
     assert feats[2] == pytest.approx(PC_TARGET - 0.01)
-    assert reward == pytest.approx(-(PC_TARGET - 0.01))
-    assert not done
+    assert env.true_reward(feats)[0] == pytest.approx(-(PC_TARGET - 0.01))
     # over-strength action is clipped to the action bound
-    feats, _, _ = env.step(-5.0)
+    feats = env.step(feats, -5.0)
     assert feats[1] == pytest.approx(0.1 - PC_ACTION_MAX * PC_DT)
 
 
 def test_pointchase_state_clipping():
-    env = PointChaseEnv(make_spec(ENV_POINTCHASE))
-    env.reset()
+    env = environment(ENV_POINTCHASE)
+    feats = env.start()
     for _ in range(60):
-        feats, _, _ = env.step(PC_ACTION_MAX)
+        feats = env.step(feats, PC_ACTION_MAX)
     assert feats[1] == PC_VEL_MAX
     assert feats[0] <= PC_POS_MAX
 
@@ -276,11 +275,10 @@ def test_pointchase_linear_rollout_requires_pointchase(grid_spec):
         pointchase_linear_rollout(grid_spec, np.zeros((2, 3)))
 
 
-def test_gridnav_action_validation(grid_spec):
-    env = GridNavEnv(grid_spec)
-    env.reset()
+def test_gridnav_action_validation():
+    env = environment(ENV_GRIDNAV)
     with pytest.raises(ConfigError):
-        env.step(4)
+        env.step(env.start(), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -289,36 +287,35 @@ def test_gridnav_action_validation(grid_spec):
 
 def test_rollout_shapes_and_reward_convention(grid_spec, pc_spec):
     for spec in (grid_spec, pc_spec):
-        env = make_env(spec)
-        traj = rollout(env, DemoPolicy(spec, 0.3), seed=3)
+        traj = rollout(DemoPolicy(spec, 0.3), seed=3)
         assert len(traj) == spec.horizon
         assert traj.states.shape == (spec.horizon, spec.feature_dim)
         assert len(traj.actions) == spec.horizon
         # rewards[t] is the true reward of the state occupied at time t
         expected = true_reward_fn(spec)(traj.states)
         assert np.array_equal(traj.gt_step_rewards, expected)
-    grid = rollout(make_env(grid_spec), DemoPolicy(grid_spec, 0.5), seed=0)
+    grid = rollout(DemoPolicy(grid_spec, 0.5), seed=0)
     assert grid.actions.dtype == np.int64
-    pc = rollout(make_env(pc_spec), DemoPolicy(pc_spec, 0.5), seed=0)
+    pc = rollout(DemoPolicy(pc_spec, 0.5), seed=0)
     assert pc.actions.dtype == np.float64
 
 
 def test_rollout_starts_at_start_cell(grid_spec):
-    traj = rollout(make_env(grid_spec), DemoPolicy(grid_spec, 0.2), seed=9)
+    traj = rollout(DemoPolicy(grid_spec, 0.2), seed=9)
     assert gridnav_cell_of(traj.states[0]) == _cell(*GRID_START)
 
 
 def test_rollout_determinism(grid_spec, pc_spec):
     for spec in (grid_spec, pc_spec):
-        a = rollout(make_env(spec), DemoPolicy(spec, 0.4), seed=5)
-        b = rollout(make_env(spec), DemoPolicy(spec, 0.4), seed=5)
+        a = rollout(DemoPolicy(spec, 0.4), seed=5)
+        b = rollout(DemoPolicy(spec, 0.4), seed=5)
         assert trajectories_equal(a, b)
-        c = rollout(make_env(spec), DemoPolicy(spec, 0.4), seed=6)
+        c = rollout(DemoPolicy(spec, 0.4), seed=6)
         assert not np.array_equal(a.actions, c.actions)
 
 
 def test_rollout_meta_and_id(grid_spec):
-    traj = rollout(make_env(grid_spec), DemoPolicy(grid_spec, 0.25), seed=2)
+    traj = rollout(DemoPolicy(grid_spec, 0.25), seed=2)
     assert traj.meta["quality"] == 0.25
     assert traj.meta["seed"] == 2
     assert traj.id == "demo-GridNav-q0.25-s2"
@@ -326,7 +323,7 @@ def test_rollout_meta_and_id(grid_spec):
 
 
 def test_quality_zero_matches_optimal_rollout(grid_spec):
-    traj = rollout(make_env(grid_spec), DemoPolicy(grid_spec, 0.0), seed=11)
+    traj = rollout(DemoPolicy(grid_spec, 0.0), seed=11)
     assert gt_return(traj, grid_spec.discount) == pytest.approx(
         GRID_OPTIMAL_RETURN, abs=1e-12
     )
@@ -341,9 +338,8 @@ def test_quality_monotone_in_expectation(env_name):
 
     def returns(quality):
         policy = DemoPolicy(spec, quality)
-        env = make_env(spec)
         return np.array(
-            [gt_return(rollout(env, policy, seed=i), spec.discount) for i in range(n)]
+            [gt_return(rollout(policy, seed=i), spec.discount) for i in range(n)]
         )
 
     lo, hi = returns(0.2), returns(0.8)
@@ -402,12 +398,12 @@ def test_make_eval_set_rejects_empty_qualities(grid_spec):
 @settings(max_examples=25, deadline=None)
 @given(actions=st.lists(st.integers(0, 3), min_size=1, max_size=30))
 def test_gridnav_stays_on_grid(actions):
-    env = GridNavEnv(make_spec(ENV_GRIDNAV))
-    feats = env.reset()
+    env = environment(ENV_GRIDNAV)
+    feats = env.start()
     for a in actions:
         assert 0 <= gridnav_cell_of(feats) < GRID_N_STATES
         assert np.all(np.isfinite(feats))
-        feats, _, _ = env.step(a)
+        feats = env.step(feats, a)
 
 
 @settings(max_examples=25, deadline=None)
@@ -419,13 +415,37 @@ def test_gridnav_stays_on_grid(actions):
     )
 )
 def test_pointchase_respects_state_bounds(actions):
-    env = PointChaseEnv(make_spec(ENV_POINTCHASE))
-    env.reset()
+    env = environment(ENV_POINTCHASE)
+    feats = env.start()
     for a in actions:
-        feats, _, _ = env.step(a)
+        feats = env.step(feats, a)
         assert abs(feats[0]) <= PC_POS_MAX
         assert abs(feats[1]) <= PC_VEL_MAX
         assert feats[2] == PC_TARGET - feats[0]
+
+
+def _actions(name):
+    if name == ENV_GRIDNAV:
+        return st.integers(0, GRID_N_ACTIONS - 1)
+    return st.floats(-5, 5, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(ENVIRONMENTS)))
+def test_step_is_a_pure_function_of_state_and_action(data, name):
+    """Stepping twice from one reachable state with one action gives the
+    same bytes, and leaves the state and the environment object as they
+    were: an episode's state lives in rollout alone."""
+    env = ENVIRONMENTS[name]
+    state = env.start()
+    for a in data.draw(st.lists(_actions(name), max_size=30), label="path"):
+        state = env.step(state, a)
+    action = data.draw(_actions(name), label="action")
+    state_bytes, env_bytes = state.tobytes(), pickle.dumps(vars(env))
+    first, second = env.step(state, action), env.step(state, action)
+    assert first.tobytes() == second.tobytes()
+    assert state.tobytes() == state_bytes
+    assert pickle.dumps(vars(env)) == env_bytes
 
 
 # Gains that drive the point into each wall at full speed: the first row's
@@ -460,6 +480,6 @@ def test_population_rollout_matches_per_step_rollouts(gains, horizon):
     policies = [
         types.SimpleNamespace(spec=spec, act=PolicyArtifact(ENV_POINTCHASE, g).act) for g in gains
     ]
-    per_candidate = np.stack([rollout(PointChaseEnv(spec), p, seed=0).states for p in policies])
+    per_candidate = np.stack([rollout(p, seed=0).states for p in policies])
     assert population.shape == (len(gains), horizon, PC_FEATURE_DIM)
     assert np.array_equal(population, per_candidate)

@@ -54,7 +54,7 @@ from genil.pipeline import (
     file_sha256,
     run_command,
 )
-from genil.trajectory import save_trajectories
+from genil.trajectory import load_trajectories, save_trajectories
 
 SMALL = """
 [data]
@@ -845,6 +845,9 @@ def file_bytes(out):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
+TRAJECTORY_FILES = [(F_DEMOS, "reproduce"), (F_RANKED, "train-reward"), (F_EVAL, "evaluate")]
+
+
 def write_nan_model(out):
     payload = json.loads((out / F_MODEL).read_text())
     payload["params"][0] = float("nan")
@@ -891,18 +894,30 @@ def test_cli_train_policy_refuses_a_model_from_the_other_env(
     assert (out / F_POLICY).read_bytes() == policy
 
 
-def test_cli_evaluate_refuses_an_eval_set_from_the_other_env(small_run, tmp_path, capsys):
+@pytest.mark.parametrize("name, stage", TRAJECTORY_FILES)
+@pytest.mark.parametrize("relabel", [False, True], ids=["other-env", "wrong-width"])
+def test_cli_refuses_trajectories_from_the_other_env(
+    small_run, small_pc_run, tmp_path, capsys, name, stage, relabel
+):
+    """PointChase trajectories in a GridNav run are refused, naming the
+    file, whether they say PointChase or claim GridNav with 3-wide states."""
     cfg_path, out = copy_run(small_run, tmp_path)
-    cfg = parse_config_text(SMALL)
-    eval_set = make_eval_set(
-        make_spec("PointChase"), list(cfg.eval.qualities), cfg.eval.n_per_quality, seed=0
-    )
-    save_trajectories(out / F_EVAL, eval_set)
-    summary = (out / F_SUMMARY).read_bytes()
-    assert main(["--config", cfg_path, "--out", str(out), "--quiet", "evaluate"]) == 2
+    if name == F_RANKED:
+        shutil.copy(small_pc_run / "out" / F_RANKED_MANIFEST, out / F_RANKED_MANIFEST)
+    trajectories = load_trajectories(small_pc_run / "out" / name)
+    if relabel:
+        trajectories = [dataclasses.replace(t, env="GridNav") for t in trajectories]
+    save_trajectories(out / name, trajectories)
+    before = file_bytes(out)
+    assert main(["--config", cfg_path, "--out", str(out), "--quiet", stage]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"genil: config error: {out / F_EVAL}: trajectories are not from GridNav"]
-    assert (out / F_SUMMARY).read_bytes() == summary
+    reason = (
+        f"trajectory {trajectories[0].id!r} has 3 features, GridNav states have 66"
+        if relabel
+        else "trajectories are not from GridNav"
+    )
+    assert err == [f"genil: config error: {out / name}: {reason}"]
+    assert file_bytes(out) == before
 
 
 def edit_policy(out, **fields):
@@ -914,8 +929,9 @@ def parameters(out):
     return json.loads((out / F_POLICY).read_text())["parameters"]
 
 
-TABLE = "GridNav policy parameters must be 64 integers in [0, 4)"
-GAINS = "PointChase policy parameters must be 3 finite numbers"
+TABLE = "ValueError: GridNav policy parameters must be 64 integers in [0, 4)"
+GAINS = "ValueError: PointChase policy parameters must be 3 finite numbers"
+TOO_LARGE = "OverflowError: int too large to convert to float"
 
 
 @pytest.mark.parametrize(
@@ -927,7 +943,7 @@ GAINS = "PointChase policy parameters must be 3 finite numbers"
         (
             "GridNav",
             lambda out: edit_policy(out, env="Atlantis"),
-            "unknown policy environment 'Atlantis'",
+            "ValueError: unknown policy environment 'Atlantis'",
         ),
         ("PointChase", lambda out: edit_policy(out, parameters=parameters(out)[:2]), GAINS),
         (
@@ -936,9 +952,14 @@ GAINS = "PointChase policy parameters must be 3 finite numbers"
             GAINS,
         ),
         ("PointChase", lambda out: edit_policy(out, parameters=[True, 0.0, 1.0]), GAINS),
+        (
+            "PointChase",
+            lambda out: edit_policy(out, parameters=[10**400] + parameters(out)[1:]),
+            TOO_LARGE,
+        ),
     ],
     ids=["short-table", "action-7", "float-action", "unknown-env",
-         "two-gains", "nan-gain", "bool-gain"],
+         "two-gains", "nan-gain", "bool-gain", "huge-gain"],
 )
 def test_cli_evaluate_refuses_a_malformed_policy(
     small_run, small_pc_run, tmp_path, capsys, env, edit, reason
@@ -949,9 +970,7 @@ def test_cli_evaluate_refuses_a_malformed_policy(
     before = file_bytes(out)
     assert main(["--config", cfg_path, "--out", str(out), "--quiet", "evaluate"]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert err == [
-        f"genil: evaluate failed: malformed artifact {out / F_POLICY}: ValueError: {reason}"
-    ]
+    assert err == [f"genil: evaluate failed: malformed artifact {out / F_POLICY}: {reason}"]
     assert file_bytes(out) == before
 
 
@@ -1085,9 +1104,10 @@ def edit_json(path, edit):
         (F_MODEL, "train-policy", lambda p: p.update(kind="x")),
         (F_MODEL, "train-policy", lambda p: p.update(format_version=7)),
         (F_POLICY, "evaluate", lambda p: p.update(format_version=2)),
+        (F_MODEL, "train-policy", lambda p: p.update(params=[10**400] + p["params"][1:])),
     ],
     ids=["zero-width", "params-one-short", "one-width", "tanh", "kind", "model-version",
-         "policy-version"],
+         "policy-version", "huge-param"],
 )
 def test_cli_refuses_a_malformed_model_or_policy_naming_the_file(
     small_run, tmp_path, capfd, name, stage, edit
@@ -1150,22 +1170,33 @@ def test_cli_refuses_an_eval_file_cut_at_a_line_end(small_run, tmp_path, capsys)
     assert (out / F_SUMMARY).read_bytes() == summary
 
 
+META = "trajectory {id!r}: meta must be an object"
+
+
+def huge_state(record):
+    record["states"][0][0] = 10**400
+
+
 @pytest.mark.parametrize(
-    "name, stage", [(F_DEMOS, "reproduce"), (F_RANKED, "train-reward"), (F_EVAL, "evaluate")]
+    "name, stage, edit, reason",
+    [(n, s, lambda r: r.update(meta=[]), META) for n, s in TRAJECTORY_FILES]
+    + [(n, s, huge_state, TOO_LARGE) for n, s in TRAJECTORY_FILES],
+    ids=[f"{n}-{s}" for n, s in TRAJECTORY_FILES]
+    + [f"{n}-{s}-huge-state" for n, s in TRAJECTORY_FILES],
 )
 def test_cli_refuses_a_trajectory_field_of_the_wrong_type_naming_the_file(
-    small_run, tmp_path, capsys, name, stage
+    small_run, tmp_path, capsys, name, stage, edit, reason
 ):
     cfg_path, out = copy_run(small_run, tmp_path)
     first, *rest = (out / name).read_text().splitlines(keepends=True)
     record = json.loads(first)
-    record["meta"] = []
+    edit(record)
     (out / name).write_text(json.dumps(record) + "\n" + "".join(rest))
     assert main(["--config", cfg_path, "--out", str(out), "--quiet", stage]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == [
         f"genil: {stage} failed: malformed artifact {out / name}: "
-        f"trajectory {record['id']!r}: meta must be an object"
+        + reason.format(id=record["id"])
     ]
 
 

@@ -23,7 +23,6 @@ from genil.envs import (
     gridnav_optimal_actions,
     gridnav_optimal_return,
     gridnav_transitions,
-    make_env,
     make_spec,
     rollout,
     true_reward_fn,
@@ -212,12 +211,12 @@ def test_cem_raises_on_non_finite_fitness(pc_spec):
 # population out in lockstep; one scalar env.step per candidate per step.
 def reference_fitness(env, gains, reward):
     spec = env.spec
-    feats = env.reset()
+    feats = env.start()
     states = np.empty((spec.horizon, spec.feature_dim))
     for t in range(spec.horizon):
         states[t] = feats
         action = float(np.clip(gains @ feats, -PC_ACTION_MAX, PC_ACTION_MAX))
-        feats, _, _ = env.step(action)
+        feats = env.step(feats, action)
     return float(reward(states).sum())
 
 
@@ -324,7 +323,7 @@ def evaluated_policies(grid_spec, pc_spec):
     bc = []
     for spec in (grid_spec, pc_spec):
         demos = [
-            rollout(make_env(spec), DemoPolicy(spec, q), seed=k) for k, q in enumerate((0.0, 0.3))
+            rollout(DemoPolicy(spec, q), seed=k) for k, q in enumerate((0.0, 0.3))
         ]
         bc.append(train_bc(demos, spec, 1))
     linear = PolicyArtifact(
@@ -345,7 +344,7 @@ def test_evaluated_policies_roll_out_the_same_at_every_seed(
     """evaluate_policy repeats one seed-0 episode's return for these
     policies; one that starts reading its rng fails this."""
     policy = evaluated_policies[which]
-    a, b = (rollout(make_env(policy.spec), policy, seed=s) for s in seeds)
+    a, b = (rollout(policy, seed=s) for s in seeds)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.actions, b.actions)
     assert np.array_equal(a.gt_step_rewards, b.gt_step_rewards)
@@ -356,7 +355,7 @@ def test_evaluate_policy_returns_equal_every_episode(evaluated_policies):
         spec = policy.spec
         want = np.array([
             gt_return(
-                rollout(make_env(spec), policy, derive_seed(7, "episode", i), source="eval"),
+                rollout(policy, derive_seed(7, "episode", i), source="eval"),
                 spec.discount,
             )
             for i in range(4)
@@ -366,8 +365,8 @@ def test_evaluate_policy_returns_equal_every_episode(evaluated_policies):
 
 def test_tabular_policy_matches_rollout_of_table(grid_spec):
     art = value_iteration(grid_spec, true_reward_fn(grid_spec))
-    traj = rollout(make_env(grid_spec), art, seed=0)
-    reference = rollout(make_env(grid_spec), DemoPolicy(grid_spec, 0.0), seed=0)
+    traj = rollout(art, seed=0)
+    reference = rollout(DemoPolicy(grid_spec, 0.0), seed=0)
     assert gt_return(traj, grid_spec.discount) == pytest.approx(
         gt_return(reference, grid_spec.discount), abs=1e-12
     )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from genil.baselines import build_trex2_dataset, train_bc
-from genil.envs import DemoPolicy, make_demo_pair, make_env, make_spec, rollout
+from genil.envs import DemoPolicy, make_demo_pair, make_spec, rollout
 from genil.errors import DivergenceError
 from genil.reward_net import BATCH_BLOCK, CompiledPairs, TrainConfig, make_reward_model, train
 from genil.seeding import derive_seed
@@ -64,7 +64,7 @@ def test_bc_training_matches_reference(env_name):
     """GridNav clones a classifier (4 outputs), PointChase a regressor (1)."""
     spec = make_spec(env_name)
     demos = [
-        rollout(make_env(spec), DemoPolicy(spec, q), seed=k) for k, q in enumerate((0.0, 0.3))
+        rollout(DemoPolicy(spec, q), seed=k) for k, q in enumerate((0.0, 0.3))
     ]
     policy = train_bc(demos, spec, 3)
     ref_net = reference_train_bc(demos, spec, 3)
