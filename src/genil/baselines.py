@@ -1,6 +1,12 @@
 """Comparator methods: quality-ranked and noise-ranked datasets, plus
 behavioral cloning at one fixed setting (the BC_* constants).
 
+A unit's BC clones train together, in lockstep as one stacked network
+(train_bc takes one seed per clone).  GridNav's clones forward the demos'
+distinct states, so their parameters differ in the last place from those
+of clones that forward every batch row; PointChase's keep the bits of a
+lone per-row clone.
+
 Each builder returns a plain list of trajectories whose constant step
 ranks are their rank labels, the same labels snippet subsampling reads
 from GenIL's trajectories, so reward training and metrics run unchanged
@@ -87,10 +93,21 @@ class BCPolicy:
         return self._env.bc_action(self.net.predict(features[None, :])[0])
 
 
-def train_bc(demos: list[Trajectory], spec: EnvSpec, seed: int) -> BCPolicy:
-    """Minibatch SGD on the environment's BC loss (cross-entropy over grid
-    actions, squared error of scalar ones) over all demo transitions; seed
-    drives both the initialisation and the batches."""
+def train_bc(demos: list[Trajectory], spec: EnvSpec, seeds: list[int]) -> list[BCPolicy]:
+    """One clone per seed by minibatch SGD on the environment's BC loss
+    (cross-entropy over grid actions, squared error of scalar ones) over
+    all demo transitions; a seed drives its clone's initialisation and
+    batches.
+
+    The clones step in lockstep as one stacked MLP.  When the demo rows
+    hold fewer distinct rows than a batch (GridNav's few cells), each step
+    forwards those rows once, gathers each batch row's output from them,
+    and adds each batch row's gradient back into its distinct row (the
+    gather's backward): the same gradient, its sums added in another
+    order, so its bits differ from a per-row batch in the last place.
+    Otherwise each step forwards every clone's batch rows, and each
+    clone's bits are those of a lone clone.
+    """
     if not demos:
         raise ConfigError("train_bc needs at least one demonstration")
     for traj in demos:
@@ -101,14 +118,27 @@ def train_bc(demos: list[Trajectory], spec: EnvSpec, seed: int) -> BCPolicy:
     X = np.concatenate([t.states for t in demos], axis=0)
     y = np.concatenate([t.actions for t in demos], axis=0)
     env = environment(spec.name)
-    net = MLP.create([spec.feature_dim, *BC_HIDDEN, env.bc_out_dim], derive_seed(seed, "bc-init"))
-    rng = np.random.default_rng(derive_seed(seed, "bc-batches"))
+    widths = [spec.feature_dim, *BC_HIDDEN, env.bc_out_dim]
+    net = MLP.stack([MLP.create(widths, derive_seed(seed, "bc-init")) for seed in seeds])
+    rngs = [np.random.default_rng(derive_seed(seed, "bc-batches")) for seed in seeds]
     n = X.shape[0]
+    size = min(BC_BATCH_SIZE, n)
+    distinct, row_of = np.unique(X, axis=0, return_inverse=True)
+    row_of = row_of.ravel()
+    few = len(distinct) < size
+    clones = np.arange(len(seeds))[:, None]
     for _ in range(BC_STEPS):
-        batch = rng.integers(n, size=min(BC_BATCH_SIZE, n))
-        out, cache = net.forward(X[batch])
-        net.apply_grads(net.backward(cache, env.bc_grad(out, y[batch])), BC_LEARNING_RATE)
-    return BCPolicy(spec=spec, net=net)
+        batches = np.array([rng.integers(n, size=size) for rng in rngs])
+        if few:
+            out, cache = net.forward(distinct)
+            rows = row_of[batches]
+            d_out = np.zeros_like(out)
+            np.add.at(d_out, (clones, rows), env.bc_grad(out[clones, rows], y[batches]))
+        else:
+            out, cache = net.forward(X[batches])
+            d_out = env.bc_grad(out, y[batches])
+        net.apply_grads(net.backward(cache, d_out), BC_LEARNING_RATE)
+    return [BCPolicy(spec=spec, net=member) for member in net.unstack()]
 
 
 @dataclass

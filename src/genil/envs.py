@@ -38,7 +38,10 @@ A third environment is one more class there that defines:
 - true_reward(features), on a state batch;
 - action_dtype, random_action(rng), demo_action(features, quality, rng);
 - parameter_dtype, policy_act(parameters, features), check_parameters(values);
-- bc_out_dim, bc_action(out), bc_grad(out, actions), for behavioral cloning;
+- check_actions(actions), which refuses a loaded trajectory's actions
+  unless step could take them;
+- bc_out_dim, bc_action(out), bc_grad(out, actions), for behavioral
+  cloning (bc_grad takes a batch's outputs, or a stack of clones' batches);
 - tabular: True if policy_opt.value_iteration derives its policies, False
   if cem_search does.  Each is written for its own environment, so a third
   needs a derivation of its own as well.
@@ -235,15 +238,21 @@ class GridNavEnv:
         if not (ok and all(type(v) is int and 0 <= v < GRID_N_ACTIONS for v in values)):
             raise ValueError("GridNav policy parameters must be 64 integers in [0, 4)")
 
+    def check_actions(self, actions: np.ndarray) -> None:
+        ok = np.issubdtype(actions.dtype, np.integer)
+        if not (ok and np.all((0 <= actions) & (actions < GRID_N_ACTIONS))):
+            raise ValueError("GridNav actions must be integers in [0, 4)")
+
     def bc_action(self, out: np.ndarray) -> int:
         return int(np.argmax(out))
 
     def bc_grad(self, out: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """Gradient of the batch-mean softmax cross-entropy of the actions."""
-        probs = np.exp(out - out.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
-        probs[np.arange(len(actions)), actions.astype(int)] -= 1.0
-        probs /= len(actions)
+        """Gradient of the batch-mean softmax cross-entropy of the actions,
+        at each batch row's outputs (the last two axes of out)."""
+        probs = np.exp(out - out.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        probs -= actions[..., None] == np.arange(GRID_N_ACTIONS)
+        probs /= actions.shape[-1]
         return probs
 
 
@@ -335,12 +344,17 @@ class PointChaseEnv:
         if not (ok and all(type(v) in (int, float) and math.isfinite(v) for v in values)):
             raise ValueError("PointChase policy parameters must be 3 finite numbers")
 
+    def check_actions(self, actions: np.ndarray) -> None:
+        if not np.all(np.abs(actions) <= PC_ACTION_MAX):  # False for NaN and inf too
+            raise ValueError("PointChase actions must be finite numbers in [-1, 1]")
+
     def bc_action(self, out: np.ndarray) -> float:
         return float(_clamp(out[0], -PC_ACTION_MAX, PC_ACTION_MAX))
 
     def bc_grad(self, out: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """Gradient of the batch-mean squared error of the actions."""
-        return 2.0 * (out - actions[:, None]) / len(actions)
+        """Gradient of the batch-mean squared error of the actions, at each
+        batch row's output (the last two axes of out)."""
+        return 2.0 * (out - actions[..., None]) / actions.shape[-1]
 
 
 Environment = GridNavEnv | PointChaseEnv

@@ -12,6 +12,14 @@ gradient-descent step is a single vector update.  Forward and backward
 work in place where they can, with the floating-point operations, and
 their order, of the plain per-layer expressions (``h @ w + b``, a
 transposed gemm per layer): training is bit-identical to them.
+
+``MLP.stack`` joins K networks of one shape into one whose ``params`` is
+a (K, n_params) array, one member a row, with every layer view carrying
+the leading K axis.  The same forward, backward and update then step all
+K members at once: a shared (n, d) input, or one (K, n, d) batch per
+member, meets the (K, d, h) weights as one stacked gemm per layer, and
+every per-member slice is the gemm, reduction and update a lone network
+makes on its own batch, to the bit.  ``unstack`` gives the members back.
 """
 
 from __future__ import annotations
@@ -32,12 +40,34 @@ class MLP:
         for i, (w, b) in enumerate(zip(weights, biases)):
             if w.shape != (self.widths[i], self.widths[i + 1]) or b.shape != (self.widths[i + 1],):
                 raise ConfigError(f"layer {i} parameter shapes do not match widths")
-        self.params = np.concatenate(
-            [np.ravel(p) for layer in zip(weights, biases) for p in layer], dtype=np.float64
+        self._bind(
+            np.concatenate(
+                [np.ravel(p) for layer in zip(weights, biases) for p in layer], dtype=np.float64
+            )
         )
-        self.weights, self.biases = _layer_views(self.widths, self.params)
-        self._grads = np.empty_like(self.params)
+
+    def _bind(self, params: np.ndarray) -> None:
+        self.params = params
+        self.weights, self.biases = _layer_views(self.widths, params)
+        # views forward and backward take, made once: a bias as a row over
+        # the batch rows, a weight transposed
+        self._bias_rows = tuple(b[..., None, :] for b in self.biases)
+        self._weights_t = tuple(w.swapaxes(-1, -2) for w in self.weights)
+        self._grads = np.empty_like(params)
         self._grad_weights, self._grad_biases = _layer_views(self.widths, self._grads)
+
+    @classmethod
+    def stack(cls, nets: list["MLP"]) -> "MLP":
+        """nets, all of one widths, as one network whose params rows are
+        copies of theirs; see the module docstring."""
+        stacked = cls.__new__(cls)
+        stacked.widths = nets[0].widths
+        stacked._bind(np.stack([net.params for net in nets]))
+        return stacked
+
+    def unstack(self) -> list["MLP"]:
+        """The members of a stacked network, each a copy of its params row."""
+        return [MLP(self.widths, *_layer_views(self.widths, row)) for row in self.params]
 
     @classmethod
     def create(cls, widths: list[int], seed: int) -> "MLP":
@@ -67,14 +97,15 @@ class MLP:
         return (type(self), (self.widths, self.weights, self.biases))
 
     def forward(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Returns (outputs (n, out_dim), layer input cache for backward)."""
+        """Returns (outputs (n, out_dim), layer input cache for backward);
+        a stacked network's outputs are (K, n, out_dim)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.in_dim:
-            raise ValueError(f"input has {X.shape[1]} features, model expects {self.in_dim}")
+        if X.shape[-1] != self.in_dim:
+            raise ValueError(f"input has {X.shape[-1]} features, model expects {self.in_dim}")
         activations = [X]
         h = X
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(zip(self.weights, self._bias_rows)):
             h = h @ w
             h += b
             if i < last:
@@ -91,13 +122,13 @@ class MLP:
         backward overwrites it, so copy it to keep it."""
         delta = np.asarray(d_out, dtype=np.float64)
         for i in range(len(self.weights) - 1, -1, -1):
-            np.matmul(activations[i].T, delta, out=self._grad_weights[i])
-            np.add.reduce(delta, 0, out=self._grad_biases[i])  # delta.sum(axis=0)
+            np.matmul(activations[i].swapaxes(-1, -2), delta, out=self._grad_weights[i])
+            np.add.reduce(delta, -2, out=self._grad_biases[i])  # delta.sum(axis=-2)
             if i > 0:
-                w = self.weights[i]
+                w_t = self._weights_t[i]
                 # one output column makes delta @ w.T an outer product, which a
                 # gemm of inner dimension 1 computes to the same bits, slowly
-                delta = delta * w[:, 0] if w.shape[1] == 1 else delta @ w.T
+                delta = delta * w_t if w_t.shape[-2] == 1 else delta @ w_t
                 # rectifier mask: post-activation is zero exactly where it was clipped
                 delta *= activations[i] > 0.0
         return self._grads
@@ -140,11 +171,13 @@ def _checked_widths(widths) -> list[int]:
 
 
 def _layer_views(widths: list[int], flat: np.ndarray) -> tuple[tuple, tuple]:
-    """Per-layer (weight, bias) views into a vector laid out like params."""
+    """Per-layer (weight, bias) views into a vector laid out like params,
+    or into each row of a stack of them (the views then lead with its axis)."""
+    lead = flat.shape[:-1]
     weights, biases, offset = [], [], 0
     for fan_in, fan_out in zip(widths, widths[1:]):
         end = offset + fan_in * fan_out
-        weights.append(flat[offset:end].reshape(fan_in, fan_out))
-        biases.append(flat[end : end + fan_out])
+        weights.append(flat[..., offset:end].reshape(*lead, fan_in, fan_out))
+        biases.append(flat[..., end : end + fan_out])
         offset = end + fan_out
     return tuple(weights), tuple(biases)

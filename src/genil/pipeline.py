@@ -66,7 +66,7 @@ from .reward_net import (
     make_reward_model,
     predict_states,
     save_model,
-    train,
+    train_together,
 )
 from .seeding import derive_seed
 from .snippets import make_pairs, save_pairs, subsample
@@ -129,14 +129,31 @@ def _require(out: Path, *names: str) -> None:
 
 def _require_env(spec: EnvSpec, path: Path, trajectories) -> None:
     """Refuse trajectories that are not from spec's environment or whose
-    states are not spec's width."""
+    states are not spec's width (a ConfigError), and, as a malformed
+    artifact, those whose actions the environment could not take or whose
+    step rewards differ, bit for bit, from its true reward of their
+    states.  genil records every reward as that, and GA offspring copy
+    rewards with their states."""
     if any(t.env != spec.name for t in trajectories):
         raise ConfigError(f"{path}: trajectories are not from {spec.name}")
+    env = environment(spec.name)
     for t in trajectories:
         if t.states.shape[1] != spec.feature_dim:
             raise ConfigError(
                 f"{path}: trajectory {t.id!r} has {t.states.shape[1]} features, "
                 f"{spec.name} states have {spec.feature_dim}"
+            )
+        try:
+            if t.actions is not None:
+                env.check_actions(t.actions)
+        except ValueError as exc:
+            raise CorruptArtifactError(
+                f"malformed artifact {path}: trajectory {t.id!r}: {exc}"
+            ) from exc
+        if t.gt_step_rewards.tobytes() != env.true_reward(t.states).tobytes():
+            raise CorruptArtifactError(
+                f"malformed artifact {path}: trajectory {t.id!r}: step rewards are not "
+                f"{spec.name}'s true reward of its states"
             )
 
 
@@ -252,9 +269,11 @@ def _pairs(cfg: ExperimentConfig, trajectories: list[Trajectory], seed: int):
     return make_pairs(snips, cfg.data.n_pairs, cfg.data.min_margin, seed=seed)
 
 
-def _train(cfg: ExperimentConfig, pairs, seed: int) -> TrainResult:
-    """One reward model; the seed drives both its initialisation and batches."""
-    return train(make_reward_model(cfg.spec().feature_dim, seed=seed), pairs, cfg.train, seed)
+def _train(cfg: ExperimentConfig, pairs, seeds: list[int]) -> list[TrainResult]:
+    """One reward model per seed, trained together; a seed drives both its
+    model's initialisation and its batches."""
+    models = [make_reward_model(cfg.spec().feature_dim, seed=seed) for seed in seeds]
+    return train_together(models, pairs, cfg.train, seeds)
 
 
 def _derive_policy(
@@ -270,20 +289,24 @@ def _derive_policy(
 def _train_and_score(
     cfg: ExperimentConfig, spec: EnvSpec, trajectories: list[Trajectory], labels
 ):
-    """Pairs from rank-labeled trajectories, then per model: train, derive,
-    evaluate.
+    """Pairs from rank-labeled trajectories, the unit's reward models
+    trained together on them, then per model: derive, evaluate.
 
-    The unit of work shared by compare and sweep.  Returns (per-model
-    mean ground-truth returns, reward models).
+    The unit of work shared by compare and sweep.  Where lockstep pays
+    (reward_net.train_together), two or more models per trial train in
+    lockstep, and their parameters differ from separate train calls' in
+    the last place.
+    Returns (per-model mean ground-truth returns, reward models).
     """
 
     def seed(*kind) -> int:
         return derive_seed(cfg.base_seed, *labels, *kind)
 
     pairs = CompiledPairs(_pairs(cfg, trajectories, seed("data")))
+    model_seeds = [seed("model", m) for m in range(cfg.eval.n_models_per_trial)]
     returns, models = [], []
-    for m in range(cfg.eval.n_models_per_trial):
-        model = _train(cfg, pairs, seed("model", m)).model
+    for m, result in enumerate(_train(cfg, pairs, model_seeds)):
+        model = result.model
         reward = functools.partial(predict_states, model)
         artifact = _derive_policy(cfg, spec, reward, seed("policy", m), None)
         stats = evaluate_policy(artifact, cfg.eval.n_eval_episodes)
@@ -326,7 +349,7 @@ def stage_train_reward(cfg: ExperimentConfig, out: Path, manifest: RunManifest) 
     pairs = _pairs(cfg, dataset.trajectories, data_seed)
     save_pairs(out / F_PAIRS, pairs)
     model_seed = derive_seed(cfg.base_seed, *_LINEAGE, "model", 0)
-    result = _train(cfg, pairs, model_seed)
+    (result,) = _train(cfg, pairs, [model_seed])
     save_model(result.model, out / F_MODEL, train_config=cfg.train)
     write_loss_csv(out / F_LOSS, result.losses)
     manifest.seeds["trial0/data"] = data_seed
@@ -402,7 +425,7 @@ def _method_ranked_dataset(
             seed=derive_seed(base, "trial", trial, "trex-multi"),
         )
     if method == "D-REX":
-        cloned = train_bc([good, bad], spec, derive_seed(base, "trial", trial, "drex-bc"))
+        (cloned,) = train_bc([good, bad], spec, [derive_seed(base, "trial", trial, "drex-bc")])
         return build_drex_dataset(
             cloned,
             _drex_noise_levels(cfg),
@@ -415,17 +438,18 @@ def _method_ranked_dataset(
 def _run_method_trial(method, cfg, spec, trial, good, bad):
     """One (method, trial): (per-model ground-truth returns, reward models).
 
-    BC learns no reward model: it clones one policy per model seed.
+    BC learns no reward model: it clones one policy per model seed, the
+    clones trained together.
     """
     if method != "BC":
         trajectories = _method_ranked_dataset(method, cfg, spec, trial, good, bad)
         return _train_and_score(cfg, spec, trajectories, ("trial", trial, method))
     labels = ("trial", trial, "bc")
-    returns = []
-    for m in range(cfg.eval.n_models_per_trial):
-        policy = train_bc([good, bad], spec, derive_seed(cfg.base_seed, *labels, "model", m))
-        returns.append(evaluate_policy(policy, cfg.eval.n_eval_episodes).mean)
-    return returns, []
+    n_models = cfg.eval.n_models_per_trial
+    policies = train_bc(
+        [good, bad], spec, [derive_seed(cfg.base_seed, *labels, "model", m) for m in range(n_models)]
+    )
+    return [evaluate_policy(policy, cfg.eval.n_eval_episodes).mean for policy in policies], []
 
 
 def _compare_trial(cfg, spec, demo_pairs, eval_set, method, trial):

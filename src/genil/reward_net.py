@@ -32,6 +32,14 @@ collapses thousands of snippet states to at most 64 rows per step.  The
 draws, the forwarded rows, their order and the order of every sum are
 those of a per-step, per-snippet np.unique build, so training is
 bit-identical to it.
+
+The models of one compare or sweep unit train together on one pair set
+(train_together).  Where a step's snippets cover the unique-state table
+several times over (lockstep_pays: GridNav's few cells), two or more
+step in lockstep as one stacked MLP over the whole table (train_lockstep),
+each drawing its own batches as train would, and their parameters differ
+from separate train calls' in the last place.  Otherwise, and for one
+model, each is trained by train itself.
 """
 
 from __future__ import annotations
@@ -337,6 +345,100 @@ def train(
             d_rewards = np.bincount(pos, weights=cnt * seg_grad[seg_ids], minlength=r1 - r0)
             net.apply_grads(net.backward(cache, d_rewards[:, None]), cfg.learning_rate)
     return TrainResult(model=trained, losses=losses)
+
+
+# Lockstep forwards the whole unique-state table every step, where train
+# forwards only the rows the step's snippets touch.  A step's 2B snippets
+# name about 2B times a snippet's mean number of distinct table rows (its
+# CSR entries), a row counted once per snippet that holds it; lockstep is
+# chosen where that covers the table at least LOCKSTEP_COVER times, so that
+# a step touches nearly every row anyway.  At
+# the desk data, GridNav's tables (15-35 rows) are covered 6-12 times and
+# three models in lockstep took 0.59-0.76x the CPU of three train calls;
+# PointChase's (190-780 rows) are covered 0.9-3.8 times and took 0.94-1.76x.
+LOCKSTEP_COVER = 4
+
+
+def lockstep_pays(pairs: CompiledPairs, batch_size: int) -> bool:
+    """Whether a step's snippets cover pairs' unique-state table at least
+    LOCKSTEP_COVER times (see there)."""
+    n_snippets = len(pairs.indptr) - 1
+    table_rows = len(pairs.unique_states)
+    return LOCKSTEP_COVER * table_rows * n_snippets <= 2 * batch_size * len(pairs.indices)
+
+
+def train_together(
+    models: Sequence[RewardModel],
+    pairs: Sequence[SnippetPair],
+    cfg: TrainConfig,
+    seeds: Sequence[int],
+) -> list[TrainResult]:
+    """Model k trained on pairs with its batches drawn from seeds[k]: by
+    train_lockstep where there are two or more and lockstep_pays, else by
+    train(models[k], pairs, cfg, seeds[k]) one at a time."""
+    compiled = pairs if isinstance(pairs, CompiledPairs) else CompiledPairs(pairs)
+    if len(models) > 1 and lockstep_pays(compiled, cfg.batch_size):
+        return train_lockstep(models, compiled, cfg, seeds)
+    return [train(model, compiled, cfg, seed) for model, seed in zip(models, seeds)]
+
+
+def train_lockstep(
+    models: Sequence[RewardModel],
+    pairs: Sequence[SnippetPair],
+    cfg: TrainConfig,
+    seeds: Sequence[int],
+) -> list[TrainResult]:
+    """The models trained in lockstep as one stacked MLP, model k drawing
+    its batches from seeds[k] as train does.
+
+    Each step forwards the whole unique-state table once, (n, d) @
+    (K, d, h), and takes each model's 2B snippet sums from a (K, 2B, n)
+    block of table-row multiplicities, gathered from a (snippets, table
+    rows) matrix built once from the CSR rows; the backward pass scatters
+    through its transpose.  A model's parameters then differ from a
+    separate train call's in the last place, because its sums and table
+    rows are added in another order.  Forwarding the whole table also
+    means a table row whose output is not finite makes every model diverge
+    at once, whether or not its batch draws that row, so a divergence can
+    come at another step than train's.  A non-finite loss raises
+    DivergenceError naming the step and the model.
+    """
+    compiled = pairs if isinstance(pairs, CompiledPairs) else CompiledPairs(pairs)
+    rngs = [np.random.default_rng(derive_seed(seed, "train-batches")) for seed in seeds]
+    net = MLP.stack([m.net for m in models])
+    table = compiled.unique_states
+    n_snippets = len(compiled.indptr) - 1
+    multiplicity = np.zeros((n_snippets, len(table)))
+    snippet_of = np.repeat(np.arange(n_snippets), np.diff(compiled.indptr))
+    multiplicity[snippet_of, compiled.indices] = compiled.counts
+    half = cfg.batch_size
+    losses = np.empty((len(models), cfg.steps))
+    for first in range(0, cfg.steps, BATCH_BLOCK):
+        n_steps = min(BATCH_BLOCK, cfg.steps - first)
+        # (steps, models, pairs), then each step's (models, 2B) snippet ids
+        batches = np.stack([rng.integers(len(compiled), size=(n_steps, half)) for rng in rngs], 1)
+        snippets = np.concatenate([compiled.lo_idx[batches], compiled.hi_idx[batches]], 2)
+        for j in range(n_steps):
+            step = first + j
+            counts = multiplicity[snippets[j]]
+            out, cache = net.forward(table)
+            sums = (counts @ out)[..., 0]
+            z = sums[:, :half] - sums[:, half:]
+            loss = np.add.reduce(np.logaddexp(0.0, z), 1) / half
+            losses[:, step] = loss
+            if not np.isfinite(loss).all():
+                k = int(np.flatnonzero(~np.isfinite(loss))[0])
+                raise DivergenceError(
+                    f"non-finite training loss {loss[k]} at step {step} of model {k}", step=step
+                )
+            g = _expit(z.ravel()).reshape(z.shape) / cfg.batch_size
+            seg_grad = np.concatenate([g, -g], 1)
+            d_rewards = counts.swapaxes(-1, -2) @ seg_grad[..., None]
+            net.apply_grads(net.backward(cache, d_rewards), cfg.learning_rate)
+    return [
+        TrainResult(model=RewardModel(net=member), losses=member_losses)
+        for member, member_losses in zip(net.unstack(), losses)
+    ]
 
 
 def save_model(model: RewardModel, path, train_config: TrainConfig | None = None) -> None:

@@ -6,7 +6,11 @@ arrays: out-of-place forward, one gemm per layer in backward (also for a
 one-column layer) and a per-layer update.  batch_arrays is the per-step
 batch gather of reward training, before batches were gathered a block of
 steps at a time.  reference_train and reference_train_bc are the training
-loops of reward_net.train and baselines.train_bc over these copies.
+loops of reward_net.train and baselines.train_bc (over batch rows) over
+these copies, one model at a time.  reference_train_whole_table and
+reference_train_bc_distinct are plain one-model loops of the algorithms
+that models trained together use: reward_net.train_together's
+whole-table steps, and baselines.train_bc over distinct demo rows.
 """
 
 import numpy as np
@@ -117,6 +121,18 @@ def reference_train(model, pairs, cfg, seed, transpose=np.transpose):
     return net, losses
 
 
+def bc_grad(classify, out, actions):
+    """train_bc's gradient of the batch-mean loss at each batch row's outputs."""
+    if not classify:
+        return 2.0 * (out - actions[:, None]) / len(actions)
+    shifted = out - out.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[np.arange(len(actions)), actions.astype(int)] -= 1.0
+    probs /= len(actions)
+    return probs
+
+
 def reference_train_bc(demos, spec, seed):
     """baselines.train_bc, validation left out: two hidden layers of 64,
     2000 steps of batch 64 at learning rate 1e-2; returns the net."""
@@ -131,14 +147,65 @@ def reference_train_bc(demos, spec, seed):
     for _ in range(2000):
         batch = rng.integers(n, size=min(64, n))
         out, cache = net.forward(X[batch])
-        if classify:
-            shifted = out - out.max(axis=1, keepdims=True)
-            probs = np.exp(shifted)
-            probs /= probs.sum(axis=1, keepdims=True)
-            d_out = probs
-            d_out[np.arange(len(batch)), y[batch].astype(int)] -= 1.0
-            d_out /= len(batch)
-        else:
-            d_out = 2.0 * (out - y[batch, None]) / len(batch)
+        net.apply_grads(net.backward(cache, bc_grad(classify, out, y[batch])), 1e-2)
+    return net
+
+
+def multiplicity_matrix(compiled: CompiledPairs):
+    """(snippets, table rows) multiplicities, filled one CSR row at a time."""
+    n_snippets = len(compiled.indptr) - 1
+    dense = np.zeros((n_snippets, len(compiled.unique_states)))
+    for s in range(n_snippets):
+        a, b = compiled.indptr[s], compiled.indptr[s + 1]
+        dense[s, compiled.indices[a:b]] = compiled.counts[a:b]
+    return dense
+
+
+def reference_train_whole_table(model, pairs, cfg, seed):
+    """One member of reward_net.train_together: each step forwards the
+    whole unique-state table, and the snippet sums are the batch's rows of
+    the multiplicity matrix times the rewards; returns (net, losses)."""
+    net = ReferenceMLP(model.net)
+    compiled = CompiledPairs(pairs)
+    dense = multiplicity_matrix(compiled)
+    rng = np.random.default_rng(derive_seed(seed, "train-batches"))
+    half = cfg.batch_size
+    losses = np.empty(cfg.steps)
+    for step in range(cfg.steps):
+        batch = rng.integers(len(compiled), size=half)
+        counts = dense[np.concatenate([compiled.lo_idx[batch], compiled.hi_idx[batch]])]
+        out, cache = net.forward(compiled.unique_states)
+        sums = (counts @ out)[:, 0]
+        z = sums[:half] - sums[half:]
+        losses[step] = float(np.logaddexp(0.0, z).mean())
+        if not np.isfinite(losses[step]):
+            raise DivergenceError(f"non-finite training loss at step {step}", step=step)
+        g = expit(z) / half
+        d_rewards = counts.T @ np.concatenate([g, -g])[:, None]
+        net.apply_grads(net.backward(cache, d_rewards), cfg.learning_rate)
+    return net, losses
+
+
+def reference_train_bc_distinct(demos, spec, seed):
+    """One GridNav clone of baselines.train_bc when the demos hold fewer
+    distinct rows than a batch: each step forwards the distinct rows, and
+    each batch row's gradient, taken at its distinct row's outputs, is
+    added to that row, in batch order."""
+    X = np.concatenate([t.states for t in demos], axis=0)
+    y = np.concatenate([t.actions for t in demos], axis=0)
+    distinct, row_of = np.unique(X, axis=0, return_inverse=True)
+    row_of = row_of.ravel()
+    widths = [spec.feature_dim, 64, 64, GRID_N_ACTIONS]
+    net = ReferenceMLP(MLP.create(widths, seed=derive_seed(seed, "bc-init")))
+    rng = np.random.default_rng(derive_seed(seed, "bc-batches"))
+    n = X.shape[0]
+    assert len(distinct) < min(64, n)
+    for _ in range(2000):
+        batch = rng.integers(n, size=min(64, n))
+        out, cache = net.forward(distinct)
+        per_row = bc_grad(True, out[row_of[batch]], y[batch])
+        d_out = np.zeros_like(out)
+        for i, g in zip(batch.tolist(), per_row):
+            d_out[row_of[i]] += g
         net.apply_grads(net.backward(cache, d_out), 1e-2)
     return net

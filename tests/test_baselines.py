@@ -21,7 +21,7 @@ def grid_bc():
     """A clone of the optimal GridNav policy from one clean demo."""
     spec = make_spec("GridNav")
     demo = rollout(DemoPolicy(spec, 0.0), seed=0)
-    return spec, demo, train_bc([demo], spec, 0)
+    return spec, demo, train_bc([demo], spec, [0])[0]
 
 
 def constant_ranks(trajectories) -> dict[str, float]:
@@ -90,7 +90,7 @@ def test_bc_clones_optimal_grid_policy(grid_bc):
 def test_bc_regresses_pointchase_actions():
     spec = make_spec("PointChase")
     demo = rollout(DemoPolicy(spec, 0.0), seed=0)
-    bc = train_bc([demo], spec, 0)
+    bc = train_bc([demo], spec, [0])[0]
     pred = np.clip(bc.net.predict(demo.states)[:, 0], -1.0, 1.0)
     mse = float(np.mean((pred - demo.actions) ** 2))
     assert mse < 0.1 * float(demo.actions.var()) + 1e-3
@@ -102,7 +102,7 @@ def test_bc_act_types(grid_bc, rng):
     assert isinstance(a, int) and 0 <= a < 4
     pspec = make_spec("PointChase")
     pdemo = rollout(DemoPolicy(pspec, 0.3), seed=0)
-    pbc = train_bc([pdemo], pspec, 0)
+    pbc = train_bc([pdemo], pspec, [0])[0]
     action = pbc.act(pdemo.states[0], rng)
     assert isinstance(action, float) and abs(action) <= 1.0
 
@@ -110,20 +110,20 @@ def test_bc_act_types(grid_bc, rng):
 def test_bc_validation(grid_spec):
     demo = rollout(DemoPolicy(grid_spec, 0.0), seed=0)
     with pytest.raises(ConfigError):
-        train_bc([], grid_spec, 0)
+        train_bc([], grid_spec, [0])
     import dataclasses
 
     no_actions = dataclasses.replace(demo, actions=None)
     with pytest.raises(ConfigError):
-        train_bc([no_actions], grid_spec, 0)
+        train_bc([no_actions], grid_spec, [0])
     with pytest.raises(ConfigError):
-        train_bc([demo], make_spec("PointChase"), 0)
+        train_bc([demo], make_spec("PointChase"), [0])
 
 
 def test_bc_deterministic(grid_spec):
     demo = rollout(DemoPolicy(grid_spec, 0.1), seed=4)
-    a = train_bc([demo], grid_spec, 7)
-    b = train_bc([demo], grid_spec, 7)
+    a = train_bc([demo], grid_spec, [7])[0]
+    b = train_bc([demo], grid_spec, [7])[0]
     assert np.array_equal(a.net.params, b.net.params)
 
 

@@ -483,3 +483,57 @@ def test_population_rollout_matches_per_step_rollouts(gains, horizon):
     per_candidate = np.stack([rollout(p, seed=0).states for p in policies])
     assert population.shape == (len(gains), horizon, PC_FEATURE_DIM)
     assert np.array_equal(population, per_candidate)
+
+
+@pytest.mark.parametrize("name", [ENV_GRIDNAV, ENV_POINTCHASE])
+def test_check_actions_takes_every_rollout_action(name):
+    spec = make_spec(name)
+    for quality in (0.0, 0.5, 1.0):
+        envs.environment(name).check_actions(rollout(DemoPolicy(spec, quality), seed=3).actions)
+
+
+@pytest.mark.parametrize(
+    "name, actions",
+    [
+        (ENV_GRIDNAV, np.array([0, 4])),
+        (ENV_GRIDNAV, np.array([-1])),
+        (ENV_GRIDNAV, np.array([1.0])),
+        (ENV_POINTCHASE, np.array([0.5, 1.5])),
+        (ENV_POINTCHASE, np.array([-2])),
+        (ENV_POINTCHASE, np.array([np.nan])),
+        (ENV_POINTCHASE, np.array([-np.inf])),
+    ],
+)
+def test_check_actions_refuses_what_step_cannot_take(name, actions):
+    with pytest.raises(ValueError, match=f"{name} actions must be"):
+        envs.environment(name).check_actions(actions)
+
+
+def per_row_bc_grad(name, out, actions):
+    """The batch-mean gradient at each row of one batch's outputs (B, n_out),
+    as one clone computed it before clones were stacked."""
+    if name == ENV_GRIDNAV:
+        probs = np.exp(out - out.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[np.arange(len(actions)), actions.astype(int)] -= 1.0
+        probs /= len(actions)
+        return probs
+    return 2.0 * (out - actions[:, None]) / len(actions)
+
+
+@pytest.mark.parametrize("name", [ENV_GRIDNAV, ENV_POINTCHASE])
+def test_stacked_bc_grad_is_each_clones_own(name):
+    """A stack of clones' batches gets, clone by clone, the bits of one
+    batch's gradient."""
+    env = envs.environment(name)
+    rng = np.random.default_rng(0)
+    n_clones, size = 3, 12
+    out = rng.normal(size=(n_clones, size, env.bc_out_dim))
+    if name == ENV_GRIDNAV:
+        actions = rng.integers(GRID_N_ACTIONS, size=(n_clones, size))
+    else:
+        actions = rng.uniform(-1.0, 1.0, size=(n_clones, size))
+    stacked = env.bc_grad(out, actions)
+    for k in range(n_clones):
+        assert np.array_equal(stacked[k], per_row_bc_grad(name, out[k], actions[k]))
+        assert np.array_equal(env.bc_grad(out[k], actions[k]), stacked[k])

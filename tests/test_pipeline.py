@@ -36,7 +36,15 @@ from genil.errors import (
 from genil.genetics import reproduce
 from genil.metrics import extrapolation_report, predicted_returns_report
 from genil.policy_opt import cem_search, evaluate_policy, value_iteration
-from genil.reward_net import make_reward_model, predict_states, train
+from genil.mlp import MLP
+from genil.reward_net import (
+    CompiledPairs,
+    RewardModel,
+    lockstep_pays,
+    make_reward_model,
+    predict_states,
+    train,
+)
 from genil.seeding import derive_seed
 from genil.snippets import make_pairs, subsample
 from genil.pipeline import (
@@ -55,6 +63,7 @@ from genil.pipeline import (
     run_command,
 )
 from genil.trajectory import load_trajectories, save_trajectories
+from reference_training import reference_train_whole_table
 
 SMALL = """
 [data]
@@ -345,6 +354,7 @@ def test_sweep_identical_across_thread_counts(tmp_path):
 # workers, and the output must not depend on how many there are.
 
 STALL = "\n[ga]\nmax_attempts = 1\n"
+POINTCHASE = "\n[env]\nname = PointChase\n\n[policy]\ncem_n_iters = 2\n"
 
 
 def output_files(out):
@@ -365,10 +375,11 @@ def output_files(out):
     [
         ("compare", "", 0, ""),
         ("compare", STALL, 0, "genil: warning: GenIL failed: ReproductionStalledError: "),
+        ("compare", POINTCHASE, 0, ""),
         ("sweep", "", 0, ""),
         ("sweep", STALL, 4, "genil: reproduction stalled: "),
     ],
-    ids=["compare", "compare-stalled", "sweep", "sweep-stalled"],
+    ids=["compare", "compare-stalled", "compare-pointchase", "sweep", "sweep-stalled"],
 )
 def test_same_output_at_one_and_two_workers(
     tmp_path, monkeypatch, capsys, command, extra, code, err
@@ -562,6 +573,18 @@ def reference_policy(cfg, spec, model, policy_seed):
     return cem_search(spec, reward, cfg.policy.cem(), seed=policy_seed, source_model=None)
 
 
+def reference_unit_model(cfg, spec, pairs, model_seed):
+    """One reward model of a unit, trained alone: by the whole-table loop
+    of models in lockstep when the unit has more than one and lockstep
+    pays on its pairs, else by train."""
+    model = make_reward_model(spec.feature_dim, seed=model_seed)
+    lockstep = lockstep_pays(CompiledPairs(pairs), cfg.train.batch_size)
+    if cfg.eval.n_models_per_trial == 1 or not lockstep:
+        return train(model, pairs, cfg.train, model_seed).model
+    net, _ = reference_train_whole_table(model, pairs, cfg.train, model_seed)
+    return RewardModel(MLP(model.net.widths, net.weights, net.biases))
+
+
 def reference_sweep_trial(cfg, spec, step, trial):
     """(per-model returns, models) for one (step size, trial)."""
     base = cfg.base_seed
@@ -583,12 +606,10 @@ def reference_sweep_trial(cfg, spec, step, trial):
     returns, models = [], []
     for m in range(cfg.eval.n_models_per_trial):
         model_seed = derive_seed(base, "sweep", step, "trial", trial, "model", m)
-        result = train(
-            make_reward_model(spec.feature_dim, seed=model_seed), pairs, cfg.train, model_seed
-        )
-        models.append(result.model)
+        model = reference_unit_model(cfg, spec, pairs, model_seed)
+        models.append(model)
         artifact = reference_policy(
-            cfg, spec, result.model,
+            cfg, spec, model,
             derive_seed(base, "sweep", step, "trial", trial, "policy", m),
         )
         stats = evaluate_policy(artifact, cfg.eval.n_eval_episodes)
@@ -612,12 +633,10 @@ def reference_genil_trial(cfg, spec, trial, good, bad):
     returns, models = [], []
     for m in range(cfg.eval.n_models_per_trial):
         model_seed = derive_seed(base, "trial", trial, "GenIL", "model", m)
-        result = train(
-            make_reward_model(spec.feature_dim, seed=model_seed), pairs, cfg.train, model_seed
-        )
-        models.append(result.model)
+        model = reference_unit_model(cfg, spec, pairs, model_seed)
+        models.append(model)
         artifact = reference_policy(
-            cfg, spec, result.model, derive_seed(base, "trial", trial, "GenIL", "policy", m)
+            cfg, spec, model, derive_seed(base, "trial", trial, "GenIL", "policy", m)
         )
         stats = evaluate_policy(artifact, cfg.eval.n_eval_episodes)
         returns.append(stats.mean)
@@ -824,7 +843,7 @@ def small_run(tmp_path_factory):
     return root
 
 
-SMALL_PC = SMALL + "\n[env]\nname = PointChase\n\n[policy]\ncem_n_iters = 2\n"
+SMALL_PC = SMALL + POINTCHASE
 
 
 @pytest.fixture(scope="module")
@@ -917,6 +936,65 @@ def test_cli_refuses_trajectories_from_the_other_env(
         else "trajectories are not from GridNav"
     )
     assert err == [f"genil: config error: {out / name}: {reason}"]
+    assert file_bytes(out) == before
+
+
+def test_cli_evaluate_refuses_step_rewards_that_are_not_the_true_reward(
+    small_run, tmp_path, capsys
+):
+    cfg_path, out = copy_run(small_run, tmp_path)
+    trajectories = load_trajectories(out / F_EVAL)
+    first = trajectories[0]
+    trajectories[0] = dataclasses.replace(
+        first, gt_step_rewards=np.full(len(first), 5.0)
+    )
+    save_trajectories(out / F_EVAL, trajectories)
+    before = file_bytes(out)
+    assert main(["--config", cfg_path, "--out", str(out), "--quiet", "evaluate"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"genil: evaluate failed: malformed artifact {out / F_EVAL}: trajectory "
+                   f"{first.id!r}: step rewards are not GridNav's true reward of its states"]
+    assert file_bytes(out) == before
+
+
+def set_actions(trajectory, values):
+    """trajectory with its first actions replaced by values, in the dtype
+    the loader gives such a list."""
+    actions = list(trajectory.actions)
+    actions[: len(values)] = values
+    dtype = np.int64 if all(isinstance(a, (int, np.integer)) for a in actions) else np.float64
+    return dataclasses.replace(trajectory, actions=np.array(actions, dtype=dtype))
+
+
+GRID_ACTIONS = "GridNav actions must be integers in [0, 4)"
+PC_ACTIONS = "PointChase actions must be finite numbers in [-1, 1]"
+
+
+@pytest.mark.parametrize(
+    "env, name, stage, values, reason",
+    [
+        ("GridNav", F_DEMOS, "reproduce", [7] * 50, GRID_ACTIONS),
+        ("GridNav", F_EVAL, "evaluate", [1.5], GRID_ACTIONS),
+        ("PointChase", F_EVAL, "evaluate", [3] * 100, PC_ACTIONS),
+    ],
+    ids=["grid-all-7", "grid-1.5", "pointchase-grid-action"],
+)
+def test_cli_refuses_actions_the_environment_cannot_take(
+    small_run, small_pc_run, tmp_path, capsys, env, name, stage, values, reason
+):
+    """Out-of-range GridNav actions, a float among them, and GridNav's
+    integer action ids in a PointChase file are refused, naming the file
+    and the trajectory."""
+    run, text = (small_run, SMALL) if env == "GridNav" else (small_pc_run, SMALL_PC)
+    cfg_path, out = copy_run(run, tmp_path, text)
+    trajectories = load_trajectories(out / name)
+    trajectories[0] = set_actions(trajectories[0], values)
+    save_trajectories(out / name, trajectories)
+    before = file_bytes(out)
+    assert main(["--config", cfg_path, "--out", str(out), "--quiet", stage]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"genil: {stage} failed: malformed artifact {out / name}: "
+                   f"trajectory {trajectories[0].id!r}: {reason}"]
     assert file_bytes(out) == before
 
 

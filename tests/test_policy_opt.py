@@ -325,7 +325,7 @@ def evaluated_policies(grid_spec, pc_spec):
         demos = [
             rollout(DemoPolicy(spec, q), seed=k) for k, q in enumerate((0.0, 0.3))
         ]
-        bc.append(train_bc(demos, spec, 1))
+        bc.append(train_bc(demos, spec, [1])[0])
     linear = PolicyArtifact(
         env="PointChase", parameters=np.array([0.5, -0.3, 1.2])
     )

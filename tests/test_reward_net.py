@@ -31,6 +31,8 @@ from genil.reward_net import (
     _expit,
     save_model,
     train,
+    train_lockstep,
+    train_together,
 )
 from genil.seeding import derive_seed
 from genil.snippets import Snippet, SnippetPair, make_pairs, subsample
@@ -281,6 +283,26 @@ def test_train_raises_on_nan_weight_at_step_zero():
 def test_train_rejects_empty_pairs():
     with pytest.raises(EmptyPairError):
         train(make_reward_model(3, 8, 1, seed=0), [], TrainConfig(), 0)
+
+
+@pytest.mark.parametrize("trainer", [train_lockstep, train_together])
+def test_models_trained_together_learn_and_leave_their_inputs(trainer):
+    """Models trained in lockstep, or together however train_together
+    chooses, each learn, return copies, and refuse an empty pair set, as
+    train does."""
+    pairs = separable_pairs()
+    models = [make_reward_model(3, 16, 1, seed=s) for s in (0, 1)]
+    before = [m.net.params.copy() for m in models]
+    results = trainer(models, pairs, TrainConfig(learning_rate=5e-3, steps=400), [0, 1])
+    for model, params, result in zip(models, before, results, strict=True):
+        assert len(result.losses) == 400
+        assert ordered_share(result.model, pairs) == 1.0
+        assert np.array_equal(model.net.params, params)
+    for model, result in zip(models, trainer(models, pairs, TrainConfig(steps=0), [0, 1])):
+        assert len(result.losses) == 0 and result.model is not model
+        assert np.array_equal(result.model.net.params, model.net.params)
+    with pytest.raises(EmptyPairError):
+        trainer(models, [], TrainConfig(), [0, 1])
 
 
 def test_train_rejects_conflicting_snippet_keys(rng):

@@ -1,6 +1,9 @@
 """Reward and BC training against the reference copies in reference_training:
-flat parameters, in-place layers and block-gathered batches must leave every
-parameter and every loss bit-identical."""
+flat parameters, in-place layers, block-gathered batches and stacked models
+must leave every parameter and every loss bit-identical to the one-model
+loops of their algorithms.  Models trained together use other algorithms
+than a lone reward model and a clone over batch rows, so their distance to
+those is bounded separately."""
 
 import tracemalloc
 
@@ -10,10 +13,24 @@ import pytest
 from genil.baselines import build_trex2_dataset, train_bc
 from genil.envs import DemoPolicy, make_demo_pair, make_spec, rollout
 from genil.errors import DivergenceError
-from genil.reward_net import BATCH_BLOCK, CompiledPairs, TrainConfig, make_reward_model, train
+from genil.reward_net import (
+    BATCH_BLOCK,
+    CompiledPairs,
+    TrainConfig,
+    lockstep_pays,
+    make_reward_model,
+    train,
+    train_lockstep,
+    train_together,
+)
 from genil.seeding import derive_seed
 from genil.snippets import Snippet, SnippetPair, make_pairs, subsample
-from reference_training import reference_train, reference_train_bc
+from reference_training import (
+    reference_train,
+    reference_train_bc,
+    reference_train_bc_distinct,
+    reference_train_whole_table,
+)
 
 # not a multiple of BATCH_BLOCK, so the last block is a short one
 STEPS = 1100
@@ -59,21 +76,93 @@ def test_reference_sees_a_contiguous_transpose():
     assert not np.array_equal(result.model.net.params, moved.get_flat())
 
 
+# seeds of the models a test trains together
+TOGETHER_SEEDS = (5, 6, 7)
+
+
+@pytest.fixture(scope="module")
+def three_models(env_pairs):
+    """Three models trained in lockstep on the desk pairs, and the same three
+    trained one at a time by train."""
+    env_name, pairs = env_pairs
+    cfg = TrainConfig(learning_rate=3e-4, steps=STEPS, batch_size=16)
+    models = [make_reward_model(make_spec(env_name).feature_dim, seed=s) for s in TOGETHER_SEEDS]
+    compiled = CompiledPairs(pairs)
+    lockstep = train_lockstep(models, compiled, cfg, list(TOGETHER_SEEDS))
+    alone = [train(m, compiled, cfg, s) for m, s in zip(models, TOGETHER_SEEDS)]
+    return cfg, models, compiled, lockstep, alone
+
+
+def test_lockstep_matches_whole_table_reference(env_pairs, three_models):
+    _, pairs = env_pairs
+    cfg, models, _, lockstep, _ = three_models
+    for model, seed, result in zip(models, TOGETHER_SEEDS, lockstep):
+        ref_net, ref_losses = reference_train_whole_table(model, pairs, cfg, seed)
+        assert np.array_equal(result.model.net.params, ref_net.get_flat())
+        assert np.array_equal(result.losses, ref_losses)
+
+
+def test_lockstep_stays_near_separate_training(three_models):
+    """Whole-table steps add each member's sums in another order than
+    train does.  Over these 1100 steps parameters moved by at most 1.1e-16
+    and losses by 2.2e-16 on both environments."""
+    *_, lockstep, alone = three_models
+    for a, b in zip(lockstep, alone):
+        assert np.max(np.abs(a.model.net.params - b.model.net.params)) <= 1e-14
+        assert np.max(np.abs(a.losses - b.losses)) <= 1e-14
+
+
+def test_training_together_steps_in_lockstep_only_where_it_pays(env_pairs, three_models):
+    """A step's snippets cover GridNav's desk table many times over, so its
+    models train in lockstep; they cover PointChase's fewer than
+    LOCKSTEP_COVER times, so its models train one at a time, to train's
+    bits.  One model always trains alone."""
+    env_name, _ = env_pairs
+    cfg, models, compiled, lockstep, alone = three_models
+    pays = lockstep_pays(compiled, cfg.batch_size)
+    assert pays == (env_name == "GridNav")
+    want = lockstep if pays else alone
+    together = train_together(models, compiled, cfg, list(TOGETHER_SEEDS))
+    for got, expected in zip(together, want, strict=True):
+        assert np.array_equal(got.model.net.params, expected.model.net.params)
+        assert np.array_equal(got.losses, expected.losses)
+    (one,) = train_together(models[:1], compiled, cfg, list(TOGETHER_SEEDS[:1]))
+    assert np.array_equal(one.model.net.params, alone[0].model.net.params)
+
+
+def bc_demos(spec):
+    return [rollout(DemoPolicy(spec, q), seed=k) for k, q in enumerate((0.0, 0.3))]
+
+
 @pytest.mark.parametrize("env_name", ["GridNav", "PointChase"])
 def test_bc_training_matches_reference(env_name):
-    """GridNav clones a classifier (4 outputs), PointChase a regressor (1)."""
+    """GridNav's demos hold fewer distinct rows than a batch, so its clones
+    (4-output classifiers) step over those rows; PointChase's hold more,
+    so its clones (1-output regressors) step over their batch rows, to the
+    bits of the per-row loop.  Alone or together, a clone is the same."""
     spec = make_spec(env_name)
-    demos = [
-        rollout(DemoPolicy(spec, q), seed=k) for k, q in enumerate((0.0, 0.3))
-    ]
-    policy = train_bc(demos, spec, 3)
-    ref_net = reference_train_bc(demos, spec, 3)
-    assert np.array_equal(policy.net.params, ref_net.get_flat())
+    demos = bc_demos(spec)
+    reference = reference_train_bc_distinct if env_name == "GridNav" else reference_train_bc
+    want = {seed: reference(demos, spec, seed).get_flat() for seed in (3, 4)}
+    for seeds in ([3], [3, 4]):
+        for policy, seed in zip(train_bc(demos, spec, seeds), seeds, strict=True):
+            assert np.array_equal(policy.net.params, want[seed])
 
 
-def test_divergence_in_a_later_block_reports_its_own_step():
-    """One pair holds an infinite state; training stays finite until a batch
-    first draws it, which happens several blocks in."""
+def test_bc_over_distinct_rows_stays_near_the_per_row_loop():
+    """Adding batch rows' gradients into their distinct rows sums a GridNav
+    clone's gradient in another order; after 2000 steps its parameters are
+    within 4.5e-16 of the per-row loop's here."""
+    spec = make_spec("GridNav")
+    demos = bc_demos(spec)
+    for policy, seed in zip(train_bc(demos, spec, [3, 4]), (3, 4)):
+        distance = np.max(np.abs(policy.net.params - reference_train_bc(demos, spec, seed).get_flat()))
+        assert 0.0 < distance <= 1e-13
+
+
+def pairs_with_one_bad_state(state):
+    """400 pairs of random 2-d snippets, pair 123's hi snippet the single
+    state given."""
     rng = np.random.default_rng(0)
 
     def snip(states, label, k):
@@ -84,8 +173,15 @@ def test_divergence_in_a_later_block_reports_its_own_step():
                     hi=snip(rng.normal(size=(3, 2)), 1.0, 2 * k + 1))
         for k in range(400)
     ]
+    pairs[123] = SnippetPair(lo=pairs[123].lo, hi=snip(np.array([state]), 1.0, "bad"))
+    return pairs
+
+
+def test_divergence_in_a_later_block_reports_its_own_step():
+    """One pair holds an infinite state; training stays finite until a batch
+    first draws it, which happens several blocks in."""
+    pairs = pairs_with_one_bad_state([np.inf, 0.0])
     bad = 123
-    pairs[bad] = SnippetPair(lo=pairs[bad].lo, hi=snip(np.array([[np.inf, 0.0]]), 1.0, "inf"))
     cfg = TrainConfig(learning_rate=1e-3, steps=1000, batch_size=1)
     draws = np.random.default_rng(derive_seed(0, "train-batches"))
     expected = next(s for s in range(cfg.steps) if draws.integers(len(pairs), size=1)[0] == bad)
@@ -94,6 +190,29 @@ def test_divergence_in_a_later_block_reports_its_own_step():
         train(make_reward_model(2, 8, 1, seed=0), pairs, cfg, 0)
     assert info.value.step == expected
     assert f"at step {expected}" in str(info.value)
+
+
+def test_divergence_in_lockstep_names_its_model_and_step():
+    """One pair holds a huge but finite state, so that models whose batches
+    miss it train on.  A model's first update after drawing it overflows,
+    and its next loss is not finite: model 1's at step 164, several blocks
+    in, while model 0's is still finite there."""
+    pairs = pairs_with_one_bad_state([1e150, 0.0])
+    cfg = TrainConfig(learning_rate=1e-3, steps=1000, batch_size=1)
+    seeds = [0, 1]
+    steps = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for seed in seeds:
+            with pytest.raises(DivergenceError) as info:
+                reference_train_whole_table(make_reward_model(2, 8, 1, seed=seed), pairs, cfg, seed)
+            steps.append(info.value.step)
+        assert steps[1] < steps[0]
+        assert steps[1] >= 2 * BATCH_BLOCK and steps[1] % BATCH_BLOCK != 0
+        models = [make_reward_model(2, 8, 1, seed=seed) for seed in seeds]
+        with pytest.raises(DivergenceError) as info:
+            train_lockstep(models, pairs, cfg, seeds)
+    assert info.value.step == steps[1]
+    assert f"at step {steps[1]} of model 1" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
