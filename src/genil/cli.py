@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error (an unreadable config file
 is one, and so is an output directory that a file blocks), 3 stage
-failure, 4 reproduction stalled.  A compare method that
+failure (running out of memory and a worker process that dies without a
+result are ones), 4 reproduction stalled.  A compare method that
 fails is reported on stderr as a warning; the command still exits 0 with
 that method's rows left empty.
 
@@ -73,6 +74,10 @@ def main(argv=None) -> int:
         return EXIT_STALLED
     except (GenilError, OSError) as exc:
         print(f"genil: {args.command} failed: {exc}", file=sys.stderr)
+        return EXIT_STAGE
+    except MemoryError as exc:  # a bare MemoryError() has no message
+        reason = ": ".join(filter(None, (type(exc).__name__, str(exc))))
+        print(f"genil: {args.command} failed: {reason}", file=sys.stderr)
         return EXIT_STAGE
     for method, reason in manifest.meta.get("method_errors", {}).items():
         print(f"genil: warning: {method} failed: {reason}", file=sys.stderr)

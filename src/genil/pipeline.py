@@ -213,8 +213,10 @@ def _map_units(fn, units: list[tuple]) -> list:
     """[fn(*u) for u in units], spread over the usable CPUs.
 
     Results come back in unit order, and the first unit in that order
-    that raises decides the exception.  Units must share no state, as the
-    seeds derived from their own labels make them.  Workers are forked:
+    that raises decides the exception; a worker that dies without a
+    result, killed by a signal or the OOM killer, is a GenilError.  Units
+    must share no state, as the seeds derived from their own labels make
+    them.  Workers are forked:
     they inherit the loaded modules and fn, with every input it closes
     over, so fn need not pickle and is never sent.  Only the unit tuples
     and the results cross the pipes.  Forked workers also need no
@@ -227,15 +229,19 @@ def _map_units(fn, units: list[tuple]) -> list:
     # imported here: they would add a tenth to every command's start-up
     import concurrent.futures
     import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool
 
-    with concurrent.futures.ProcessPoolExecutor(
-        n_workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(os.getpid(), fn),
-    ) as pool:
-        # a failing unit cancels those not yet started
-        return list(pool.map(_run_unit, units))
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+            n_workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker,
+            initargs=(os.getpid(), fn),
+        ) as pool:
+            # a failing unit cancels those not yet started
+            return list(pool.map(_run_unit, units))
+    except BrokenProcessPool as exc:
+        raise GenilError("a worker process ended without a result") from exc
 
 
 # ---------------------------------------------------------------------------

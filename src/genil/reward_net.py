@@ -9,9 +9,11 @@ log(1 + exp(S_lo - S_hi)), the two-alternative ranking likelihood, and is
 evaluated in log-sum-exp form so extreme margins neither overflow nor
 produce NaN.  Gradients are analytic: dL/dS_hi = -sigmoid(S_lo - S_hi),
 dL/dS_lo = +sigmoid(S_lo - S_hi), back-propagated through the state sums.
-The loss and its gradient live in ``train`` only, and acceptance criterion
-03 checks them there: a one-step ``train`` on one pair at learning rate 1
-gives that pair's loss, and its gradient as the parameters' change.
+The loss, its gradient and the divergence check live in _ranking_loss
+only, and the batch stream in _batch_blocks; train and train_lockstep
+differ only in the rows they forward.  Acceptance criterion 03 checks the
+loss through train: a one-step train on one pair at learning rate 1 gives
+that pair's loss, and its gradient as the parameters' change.
 
 Training compiles the pair set once, without Python loops over states,
 into a unique-state table and one CSR row of state multiplicities per
@@ -35,11 +37,10 @@ bit-identical to it.
 
 The models of one compare or sweep unit train together on one pair set
 (train_together).  Where a step's snippets cover the unique-state table
-several times over (lockstep_pays: GridNav's few cells), two or more
-step in lockstep as one stacked MLP over the whole table (train_lockstep),
-each drawing its own batches as train would, and their parameters differ
-from separate train calls' in the last place.  Otherwise, and for one
-model, each is trained by train itself.
+several times over (lockstep_pays: GridNav's few cells), two or more step
+in lockstep as one stacked MLP over the whole table (train_lockstep), and
+their parameters differ from separate train calls' in the last place.
+Otherwise, and for one model, each is trained by train itself.
 """
 
 from __future__ import annotations
@@ -302,46 +303,60 @@ class _BatchBlock:
 BATCH_BLOCK = 16
 
 
+def _batch_blocks(n_pairs: int, cfg: TrainConfig, seeds: Sequence[int]):
+    """(first step, (steps, models, B) pair indices) for each BATCH_BLOCK
+    block of cfg.steps, model k's batches drawn with replacement from a
+    generator seeded by derive_seed(seeds[k], "train-batches")."""
+    rngs = [np.random.default_rng(derive_seed(seed, "train-batches")) for seed in seeds]
+    for first in range(0, cfg.steps, BATCH_BLOCK):
+        size = (min(BATCH_BLOCK, cfg.steps - first), cfg.batch_size)
+        yield first, np.stack([rng.integers(n_pairs, size=size) for rng in rngs], 1)
+
+
+def _ranking_loss(sums: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean ranking loss of each model's B pairs and its gradient with
+    respect to their snippet sums, from the (2B,) sums of one model or the
+    (K, 2B) of K, lo sides first.  A non-finite loss raises DivergenceError
+    naming the step, and among K models the first that diverged."""
+    half = sums.shape[-1] // 2
+    z = sums[..., :half] - sums[..., half:]
+    loss = np.add.reduce(np.logaddexp(0.0, z), -1) / half
+    if not np.isfinite(loss).all():
+        where = ""
+        if sums.ndim == 2:
+            k = int(np.flatnonzero(~np.isfinite(loss))[0])
+            loss, where = loss[k], f" of model {k}"
+        raise DivergenceError(f"non-finite training loss {loss} at step {step}{where}", step=step)
+    g = _expit(z.ravel()).reshape(z.shape) / half
+    return loss, np.concatenate([g, -g], -1)
+
+
 def train(
     model: RewardModel, pairs: Sequence[SnippetPair], cfg: TrainConfig, seed: int
 ) -> TrainResult:
     """Minibatch gradient descent on the ranking loss.
 
     The input model is left untouched; a trained copy is returned together
-    with the per-step mean batch loss (data term only).  Batches are drawn
-    with replacement from a generator seeded by seed, so a fixed seed
-    reproduces parameters bit-exactly.  pairs may be a CompiledPairs, which
-    skips compiling them again.
+    with the per-step mean batch loss (data term only).  Each step forwards
+    the table rows its batch touches; batches come from _batch_blocks, so a
+    fixed seed reproduces parameters bit-exactly, and losses and gradients
+    from _ranking_loss.  pairs may be a CompiledPairs, compiled once.
     """
-    if len(pairs) == 0:
-        raise EmptyPairError("no training pairs given")
     trained = model.copy()
-    if cfg.steps == 0:
-        return TrainResult(model=trained, losses=np.empty(0))
     compiled = pairs if isinstance(pairs, CompiledPairs) else CompiledPairs(pairs)
-    rng = np.random.default_rng(derive_seed(seed, "train-batches"))
     net = trained.net
-    half = cfg.batch_size
-    n_segs = 2 * half
+    n_segs = 2 * cfg.batch_size
     losses = np.empty(cfg.steps)
-    for first in range(0, cfg.steps, BATCH_BLOCK):
-        n_steps = min(BATCH_BLOCK, cfg.steps - first)
-        block = compiled.block_arrays(rng.integers(len(compiled), size=(n_steps, half)))
+    for first, batches in _batch_blocks(len(compiled), cfg, [seed]):
+        block = compiled.block_arrays(batches[:, 0])
         X_block = compiled.unique_states[block.rows]
-        for j in range(n_steps):
-            step = first + j
+        for j in range(len(batches)):
             r0, r1 = block.row_ptr[j], block.row_ptr[j + 1]
             e0, e1 = block.entry_ptr[j], block.entry_ptr[j + 1]
             pos, cnt, seg_ids = block.pos[e0:e1], block.counts[e0:e1], block.seg_ids[e0:e1]
             out, cache = net.forward(X_block[r0:r1])
             sums = np.bincount(seg_ids, weights=cnt * out[:, 0][pos], minlength=n_segs)
-            z = sums[:half] - sums[half:]
-            loss = float(np.add.reduce(np.logaddexp(0.0, z)) / half)
-            losses[step] = loss
-            if not math.isfinite(loss):
-                raise DivergenceError(f"non-finite training loss {loss} at step {step}", step=step)
-            g = _expit(z) / cfg.batch_size
-            seg_grad = np.concatenate([g, -g])
+            losses[first + j], seg_grad = _ranking_loss(sums, first + j)
             d_rewards = np.bincount(pos, weights=cnt * seg_grad[seg_ids], minlength=r1 - r0)
             net.apply_grads(net.backward(cache, d_rewards[:, None]), cfg.learning_rate)
     return TrainResult(model=trained, losses=losses)
@@ -389,7 +404,8 @@ def train_lockstep(
     seeds: Sequence[int],
 ) -> list[TrainResult]:
     """The models trained in lockstep as one stacked MLP, model k drawing
-    its batches from seeds[k] as train does.
+    its batches from seeds[k] as train does, and its loss, gradient and
+    divergence check (which names the model) from _ranking_loss.
 
     Each step forwards the whole unique-state table once, (n, d) @
     (K, d, h), and takes each model's 2B snippet sums from a (K, 2B, n)
@@ -400,39 +416,23 @@ def train_lockstep(
     rows are added in another order.  Forwarding the whole table also
     means a table row whose output is not finite makes every model diverge
     at once, whether or not its batch draws that row, so a divergence can
-    come at another step than train's.  A non-finite loss raises
-    DivergenceError naming the step and the model.
+    come at another step than train's.
     """
     compiled = pairs if isinstance(pairs, CompiledPairs) else CompiledPairs(pairs)
-    rngs = [np.random.default_rng(derive_seed(seed, "train-batches")) for seed in seeds]
     net = MLP.stack([m.net for m in models])
     table = compiled.unique_states
     n_snippets = len(compiled.indptr) - 1
     multiplicity = np.zeros((n_snippets, len(table)))
     snippet_of = np.repeat(np.arange(n_snippets), np.diff(compiled.indptr))
     multiplicity[snippet_of, compiled.indices] = compiled.counts
-    half = cfg.batch_size
     losses = np.empty((len(models), cfg.steps))
-    for first in range(0, cfg.steps, BATCH_BLOCK):
-        n_steps = min(BATCH_BLOCK, cfg.steps - first)
-        # (steps, models, pairs), then each step's (models, 2B) snippet ids
-        batches = np.stack([rng.integers(len(compiled), size=(n_steps, half)) for rng in rngs], 1)
+    for first, batches in _batch_blocks(len(compiled), cfg, seeds):
+        # each step's (models, 2B) snippet ids
         snippets = np.concatenate([compiled.lo_idx[batches], compiled.hi_idx[batches]], 2)
-        for j in range(n_steps):
-            step = first + j
+        for j in range(len(batches)):
             counts = multiplicity[snippets[j]]
             out, cache = net.forward(table)
-            sums = (counts @ out)[..., 0]
-            z = sums[:, :half] - sums[:, half:]
-            loss = np.add.reduce(np.logaddexp(0.0, z), 1) / half
-            losses[:, step] = loss
-            if not np.isfinite(loss).all():
-                k = int(np.flatnonzero(~np.isfinite(loss))[0])
-                raise DivergenceError(
-                    f"non-finite training loss {loss[k]} at step {step} of model {k}", step=step
-                )
-            g = _expit(z.ravel()).reshape(z.shape) / cfg.batch_size
-            seg_grad = np.concatenate([g, -g], 1)
+            losses[:, first + j], seg_grad = _ranking_loss((counts @ out)[..., 0], first + j)
             d_rewards = counts.swapaxes(-1, -2) @ seg_grad[..., None]
             net.apply_grads(net.backward(cache, d_rewards), cfg.learning_rate)
     return [

@@ -63,7 +63,7 @@ from genil.trajectory import (
     trajectories_equal,
 )
 from reference_value_iteration import reference_optimal_actions
-from train_steps import first_step
+from train_steps import first_step, min_preactivation
 
 LN2 = float(np.log(2.0))
 
@@ -260,19 +260,6 @@ def test_criterion_02_selection_soundness(capsys):
     assert ok, line
 
 
-def _min_preactivation(net, pair):
-    """Smallest |hidden pre-activation| over both snippets of a pair."""
-    smallest = np.inf
-    for snip in (pair.lo, pair.hi):
-        x = snip.states
-        for i, (W, b) in enumerate(zip(net.weights, net.biases)):
-            x = x @ W + b
-            if i < len(net.weights) - 1:
-                smallest = min(smallest, float(np.abs(x).min()))
-                x = np.maximum(x, 0.0)
-    return smallest
-
-
 def test_criterion_03_ranking_loss(capsys):
     """Tie loss is ln 2; extreme margins stay finite; analytic gradients
     match central finite differences.  Every loss and gradient comes from
@@ -326,7 +313,7 @@ def test_criterion_03_ranking_loss(capsys):
         # the loss is non-differentiable on relu kinks, and zero-init
         # biases put fully-clamped rows exactly there; only probe where
         # every pre-activation clears the finite-difference step
-        if _min_preactivation(probe.net, pair) < 1e-5:
+        if min_preactivation(probe.net, pair) < 1e-5:
             continue
         draws += 1
         base = probe.net.params.copy()

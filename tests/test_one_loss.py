@@ -1,0 +1,97 @@
+"""Reward training has one ranking loss and one batch stream.
+
+The loss, its gradient and its divergence check live in
+reward_net._ranking_loss, and the per-model batch draws in
+reward_net._batch_blocks.  train and train_lockstep differ only in the
+rows they forward, so both step through these two.  A use of
+np.logaddexp, _expit or the "train-batches" seed label anywhere else in
+genil would be a second copy of the loss or of the batch stream, one that
+criterion 03's one-step checks might not cover.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "genil"
+# each marker of the loss or the batch stream, and the one function it belongs in
+HOMES = {
+    "logaddexp": "_ranking_loss",
+    "_expit": "_ranking_loss",
+    "train-batches": "_batch_blocks",
+}
+
+
+def marker(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Attribute) and node.attr == "logaddexp":  # np.logaddexp
+        return node.attr
+    if isinstance(node, ast.Name) and node.id == "_expit":
+        return node.id
+    if isinstance(node, ast.alias) and node.name.split(".")[-1] in HOMES:
+        return node.name.split(".")[-1]  # from numpy import logaddexp
+    if isinstance(node, ast.Constant) and node.value == "train-batches":
+        return node.value
+    return None
+
+
+def marker_sites(source: str) -> list[tuple[str, str | None, int]]:
+    """(marker, innermost enclosing function or None, line) of each use of
+    a marker in source."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        found = marker(node)
+        if found is not None:
+            sites.append((found, function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def calls_in(source: str, function: str) -> set[str]:
+    """Names of the functions that function calls by name."""
+    tree = ast.parse(source)
+    body = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == function)
+    return {
+        n.func.id for n in ast.walk(body) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+    }
+
+
+def test_the_check_finds_each_form_of_use():
+    source = "\n".join([
+        "def train():",
+        "    loss = np.logaddexp(0.0, z)",
+        "    g = _expit(z)",
+        "    rng = make(derive_seed(seed, 'train-batches'))",
+        "from numpy import logaddexp",
+        "def _ranking_loss():",
+        "    return np.logaddexp(0.0, z)",
+    ])
+    assert marker_sites(source) == [
+        ("logaddexp", "train", 2),
+        ("_expit", "train", 3),
+        ("train-batches", "train", 4),
+        ("logaddexp", None, 5),
+        ("logaddexp", "_ranking_loss", 7),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_the_loss_and_batch_stream_are_used_only_in_their_homes(path):
+    strays = [
+        site for site in marker_sites(path.read_text()) if site[1] != HOMES[site[0]]
+    ]
+    assert strays == []
+
+
+def test_each_marker_is_used_once_and_both_trainers_share_the_helpers():
+    source = (SRC / "reward_net.py").read_text()
+    sites = [site[:2] for site in marker_sites(source)]
+    assert sorted(sites) == sorted(HOMES.items())
+    for trainer in ("train", "train_lockstep"):
+        assert {"_ranking_loss", "_batch_blocks"} <= calls_in(source, trainer), trainer

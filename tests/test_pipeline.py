@@ -784,6 +784,48 @@ def test_cli_missing_artifacts_exit_3(tmp_path, capsys):
     assert "evaluate failed" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers run on Linux only")
+def test_cli_dead_worker_exit_3(tmp_path, monkeypatch, capsys):
+    # a worker killed mid-unit, as by the OOM killer or SIGKILL, leaves no result
+    compare_trial = pipeline._compare_trial
+
+    def dies_in_drex(cfg, spec, demo_pairs, eval_set, method, trial):
+        if method == "D-REX":
+            os._exit(9)
+        return compare_trial(cfg, spec, demo_pairs, eval_set, method, trial)
+
+    monkeypatch.setattr(pipeline, "_compare_trial", dies_in_drex)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    cfg_path = write_cfg(tmp_path, SMALL)
+    assert main(["--config", cfg_path, "--out", str(tmp_path / "out"), "--quiet", "compare"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "genil: compare failed: a worker process ended without a result"
+    ]
+
+
+class OutOfMemory(MemoryError):
+    pass
+
+
+@pytest.mark.parametrize(
+    "error, reason",
+    [
+        (MemoryError(), "MemoryError"),
+        (OutOfMemory("Unable to allocate 224. GiB"), "OutOfMemory: Unable to allocate 224. GiB"),
+    ],
+    ids=["bare", "with-message"],
+)
+def test_cli_out_of_memory_exit_3(tmp_path, monkeypatch, capsys, error, reason):
+    # raised, not provoked: a kernel that always overcommits would page an
+    # oversized allocation in rather than refuse it
+    def run_out_of_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("genil.cli.run_command", run_out_of_memory)
+    assert main(["--out", str(tmp_path / "out"), "--quiet", "run-all"]) == 3
+    assert capsys.readouterr().err.splitlines() == [f"genil: run-all failed: {reason}"]
+
+
 def test_cli_stalled_reproduction_exit_4(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, SMALL + "\n[ga]\nmax_attempts = 1\n")
     out = tmp_path / "out"

@@ -37,7 +37,7 @@ from genil.reward_net import (
 from genil.seeding import derive_seed
 from genil.snippets import Snippet, SnippetPair, make_pairs, subsample
 from reference_training import block_step
-from train_steps import first_step
+from train_steps import ONE_STEP, first_step, min_preactivation
 
 LN2 = float(np.log(2.0))
 
@@ -200,6 +200,41 @@ def test_pair_grad_matches_finite_differences(rng):
         numeric[i] = (up - down) / (2 * eps)
     err = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
     assert err < 1e-4
+
+
+def test_lockstep_one_step_gives_each_members_loss_and_gradient(rng):
+    """Criterion 03's one-step checks, through train_lockstep: two models
+    stacked on one pair at ONE_STEP each take their own network's loss
+    log(1 + exp(S_lo - S_hi)) and its gradient as their parameters' change,
+    the step first_step takes on that model alone."""
+    pair = random_pair(rng, 4, 5, 7)
+    models = [make_reward_model(4, hidden_width=8, n_hidden=2, seed=s) for s in (11, 12)]
+    results = train_lockstep(models, [pair], ONE_STEP, [0, 1])
+
+    def analytic_loss(model, params):
+        probe = model.copy()
+        probe.net.params[...] = params
+        lo, hi = (predict_states(probe, s.states).sum() for s in (pair.lo, pair.hi))
+        return float(np.logaddexp(0.0, lo - hi))
+
+    losses = []
+    for model, result in zip(models, results, strict=True):
+        # a finite difference needs the curved region, clear of relu kinks
+        assert 1e-3 < result.losses[0] < 5.0 and min_preactivation(model.net, pair) > 1e-5
+        base = model.net.params
+        change = base - result.model.net.params
+        assert result.losses[0] == pytest.approx(analytic_loss(model, base), rel=1e-12)
+        eps = 1e-6
+        numeric = np.array(
+            [(analytic_loss(model, base + d) - analytic_loss(model, base - d)) / (2 * eps)
+             for d in eps * np.eye(len(base))]
+        )
+        assert np.linalg.norm(change - numeric) / np.linalg.norm(numeric) <= 1e-4
+        alone_loss, alone_grad = first_step(model, pair)
+        assert abs(result.losses[0] - alone_loss) <= 1e-14
+        assert np.abs(change - alone_grad).max() <= 1e-14
+        losses.append(result.losses[0])
+    assert losses[0] != losses[1]
 
 
 def test_loss_shift_invariant_for_equal_length_pairs(rng):

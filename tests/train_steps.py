@@ -1,8 +1,9 @@
 """One pair's ranking loss and gradient, taken from reward training itself.
 
-reward_net.train is the only implementation of the ranking loss and its
-gradient, so tests that need them for one pair run one training step on
-that pair alone.
+reward_net._ranking_loss is the only implementation of the ranking loss,
+its gradient and its divergence check, and train and train_lockstep both
+step through it.  Tests that need the loss and gradient for one pair run
+one training step on that pair alone.
 """
 
 import numpy as np
@@ -18,3 +19,18 @@ def first_step(model, pair) -> tuple[float, np.ndarray]:
     parameters minus the trained ones; the input model is left untouched."""
     result = train(model, [pair], ONE_STEP, 0)
     return float(result.losses[0]), model.net.params - result.model.net.params
+
+
+def min_preactivation(net, pair):
+    """Smallest |hidden pre-activation| over both snippets of a pair: the
+    loss is non-differentiable on relu kinks, so a finite-difference check
+    probes only where every pre-activation clears its step."""
+    smallest = np.inf
+    for snip in (pair.lo, pair.hi):
+        x = snip.states
+        for i, (W, b) in enumerate(zip(net.weights, net.biases)):
+            x = x @ W + b
+            if i < len(net.weights) - 1:
+                smallest = min(smallest, float(np.abs(x).min()))
+                x = np.maximum(x, 0.0)
+    return smallest
