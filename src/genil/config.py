@@ -17,7 +17,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .envs import _VALUE_ITERATION_MAX_SWEEPS, EnvSpec, environment, make_spec
+from .envs import EnvSpec, environment, make_spec
 from .errors import ConfigError
 from .genetics import GAConfig
 from .policy_opt import CEMConfig
@@ -73,12 +73,12 @@ class DataSection:
 
 @dataclass
 class PolicySection:
-    """Policy-stage settings: value-iteration discount and tolerance, CEM
-    population size and iteration count (its elite fraction and initial
-    std are policy_opt's CEM_ELITE_FRAC and CEM_INIT_STD).
-
-    discount and tol drive value iteration only (ExperimentConfig bounds them
-    there); ground-truth returns are discounted with the environment's own factor.
+    """Policy-stage settings for the environment's derive_policy: GridNav's
+    value-iteration discount and tolerance (bounded by its check_policy),
+    PointChase's CEM population size and iteration count (its elite
+    fraction and initial std are policy_opt's CEM_ELITE_FRAC and
+    CEM_INIT_STD).  Ground-truth returns are discounted with the
+    environment's own factor.
     """
 
     discount: float = 0.99
@@ -160,18 +160,17 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        # value iteration needs about log(tol) / log(discount) sweeps to reach tol
-        discount, tol = self.policy.discount, self.policy.tol
-        if environment(self.env.name).tabular and discount**_VALUE_ITERATION_MAX_SWEEPS > tol:
-            raise ConfigError(
-                f"[policy] discount {discount} with [policy] tol {tol} needs "
-                f"more than {_VALUE_ITERATION_MAX_SWEEPS} value-iteration sweeps"
-            )
+        environment(self.env.name).check_policy(self.policy)
         horizon = self.spec().horizon
         if self.data.max_len > horizon:
             raise ConfigError(
                 f"[data] max_len {self.data.max_len} exceeds the {self.env.name} "
                 f"horizon {horizon}"
+            )
+        if self.train.batch_size > self.data.n_pairs:
+            raise ConfigError(
+                f"[train] batch_size {self.train.batch_size} exceeds "
+                f"[data] n_pairs {self.data.n_pairs}"
             )
 
     def spec(self) -> EnvSpec:

@@ -42,9 +42,10 @@ A third environment is one more class there that defines:
   unless step could take them;
 - bc_out_dim, bc_action(out), bc_grad(out, actions), for behavioral
   cloning (bc_grad takes a batch's outputs, or a stack of clones' batches);
-- tabular: True if policy_opt.value_iteration derives its policies, False
-  if cem_search does.  Each is written for its own environment, so a third
-  needs a derivation of its own as well.
+- derive_policy(reward, section, seed, source_model), the policy its
+  [policy] section derives from a reward (a function from a state batch to
+  its rewards), and check_policy(section), which refuses at config load a
+  section that derive_policy could not run.
 
 States are plain float64 feature vectors; trajectories stack them row-wise.
 """
@@ -203,7 +204,6 @@ class GridNavEnv:
 
     action_dtype = parameter_dtype = np.int64
     bc_out_dim = GRID_N_ACTIONS
-    tabular = True
 
     def __init__(self, spec: EnvSpec):
         self.spec = spec
@@ -255,6 +255,20 @@ class GridNavEnv:
         probs /= actions.shape[-1]
         return probs
 
+    def derive_policy(self, reward, section, seed: int, source_model: str | None = None):
+        """Value iteration at section's discount and tol; seed goes unread."""
+        from .policy_opt import value_iteration  # at call time: policy_opt imports envs
+
+        return value_iteration(self.spec, reward, section.discount, section.tol, source_model)
+
+    def check_policy(self, section) -> None:
+        # value iteration needs about log(tol) / log(discount) sweeps to reach tol
+        if section.discount**_VALUE_ITERATION_MAX_SWEEPS > section.tol:
+            raise ConfigError(
+                f"[policy] discount {section.discount} with [policy] tol {section.tol} "
+                f"needs more than {_VALUE_ITERATION_MAX_SWEEPS} value-iteration sweeps"
+            )
+
 
 def _clamp(x, lo, hi):
     """np.clip(x, lo, hi) for one float without a ufunc call.  Both take the
@@ -290,8 +304,6 @@ def pointchase_linear_rollout(spec: EnvSpec, gains: np.ndarray) -> np.ndarray:
     BLAS ddot like `gains[p] @ feats`), so row p equals the states of
     rollout(PolicyArtifact("PointChase", gains[p]), seed) bit for bit.
     """
-    if not isinstance(environment(spec.name), PointChaseEnv):
-        raise ConfigError(f"pointchase_linear_rollout requires PointChase, got {spec.name}")
     n = len(gains)
     states = np.empty((n, spec.horizon, PC_FEATURE_DIM))
     pos = np.full(n, PC_START_POS)
@@ -312,7 +324,6 @@ class PointChaseEnv:
 
     action_dtype = parameter_dtype = np.float64
     bc_out_dim = 1
-    tabular = False
 
     def __init__(self, spec: EnvSpec):
         self.spec = spec
@@ -355,6 +366,15 @@ class PointChaseEnv:
         """Gradient of the batch-mean squared error of the actions, at each
         batch row's output (the last two axes of out)."""
         return 2.0 * (out - actions[..., None]) / actions.shape[-1]
+
+    def derive_policy(self, reward, section, seed: int, source_model: str | None = None):
+        """CEM on reward at section's population size and iteration count."""
+        from .policy_opt import cem_search  # at call time: policy_opt imports envs
+
+        return cem_search(self.spec, reward, section.cem(), seed, source_model)
+
+    def check_policy(self, section) -> None:
+        """Any section will do: CEM reads neither discount nor tol."""
 
 
 Environment = GridNavEnv | PointChaseEnv

@@ -50,14 +50,7 @@ from .metrics import (
     write_summary_csv,
     write_sweep_csv,
 )
-from .policy_opt import (
-    PolicyArtifact,
-    cem_search,
-    evaluate_policy,
-    load_policy,
-    save_policy,
-    value_iteration,
-)
+from .policy_opt import PolicyArtifact, evaluate_policy, load_policy, save_policy
 from .reward_net import (
     CompiledPairs,
     RewardModel,
@@ -282,16 +275,6 @@ def _train(cfg: ExperimentConfig, pairs, seeds: list[int]) -> list[TrainResult]:
     return train_together(models, pairs, cfg.train, seeds)
 
 
-def _derive_policy(
-    cfg: ExperimentConfig, spec: EnvSpec, reward, policy_seed: int, source: str | None
-) -> PolicyArtifact:
-    if environment(spec.name).tabular:
-        return value_iteration(
-            spec, reward, discount=cfg.policy.discount, tol=cfg.policy.tol, source_model=source
-        )
-    return cem_search(spec, reward, cfg.policy.cem(), seed=policy_seed, source_model=source)
-
-
 def _train_and_score(
     cfg: ExperimentConfig, spec: EnvSpec, trajectories: list[Trajectory], labels
 ):
@@ -314,7 +297,7 @@ def _train_and_score(
     for m, result in enumerate(_train(cfg, pairs, model_seeds)):
         model = result.model
         reward = functools.partial(predict_states, model)
-        artifact = _derive_policy(cfg, spec, reward, seed("policy", m), None)
+        artifact = environment(spec.name).derive_policy(reward, cfg.policy, seed("policy", m))
         stats = evaluate_policy(artifact, cfg.eval.n_eval_episodes)
         returns.append(stats.mean)
         models.append(model)
@@ -366,7 +349,7 @@ def stage_train_policy(cfg: ExperimentConfig, out: Path, manifest: RunManifest) 
     spec = cfg.spec()
     reward = functools.partial(predict_states, _load_model_for(spec, out / F_MODEL))
     policy_seed = derive_seed(cfg.base_seed, *_LINEAGE, "policy", 0)
-    artifact = _derive_policy(cfg, spec, reward, policy_seed, F_MODEL)
+    artifact = environment(spec.name).derive_policy(reward, cfg.policy, policy_seed, F_MODEL)
     save_policy(artifact, out / F_POLICY)
     manifest.seeds["trial0/policy0"] = policy_seed
 

@@ -1,8 +1,9 @@
 """Policy derivation from a reward function, plus ground-truth evaluation.
 
-GridNav admits exact value iteration over its 64 cells, by the loop that
-builds the optimal demonstrator (envs.gridnav_greedy_actions); PointChase
-uses the cross-entropy method over three linear feedback gains.  CEM rolls out
+Each environment's derive_policy calls one derivation here: GridNav's
+exact value iteration over its 64 cells, by the loop that builds the
+optimal demonstrator (envs.gridnav_greedy_actions), and PointChase's
+cross-entropy method over three linear feedback gains.  CEM rolls out
 its whole population in lockstep (envs.pointchase_linear_rollout), with
 one dot product per candidate per step so that every rollout equals the
 per-step rollout of that candidate bit for bit.  Both take the reward as a
@@ -85,7 +86,7 @@ def value_iteration(
     tol: float = 1e-10,
     source_model: str | None = None,
 ) -> PolicyArtifact:
-    """Greedy tabular policy from exact value iteration on the 64-cell grid.
+    """Greedy per-cell policy from exact value iteration on the 64-cell grid.
 
     reward, a function from a state batch to its rewards, is called once on
     the 64 cell feature vectors, and its rewards are handed to
@@ -93,8 +94,6 @@ def value_iteration(
     cell reward, whose residual never falls below tol, is refused with
     DivergenceError before the first sweep.
     """
-    if not environment(spec.name).tabular:
-        raise ConfigError(f"value_iteration does not derive {spec.name} policies")
     if tol <= 0:
         raise ConfigError(f"tol must be > 0, got {tol}")
     gamma = spec.discount if discount is None else float(discount)

@@ -390,11 +390,16 @@ def train_together(
 ) -> list[TrainResult]:
     """Model k trained on pairs with its batches drawn from seeds[k]: by
     train_lockstep where there are two or more and lockstep_pays, else by
-    train(models[k], pairs, cfg, seeds[k]) one at a time."""
+    train(models[k], pairs, cfg, seeds[k]) one at a time.
+
+    numpy's overflow and invalid-value warnings are silenced: a diverging
+    model is refused instead, by _ranking_loss's DivergenceError or, where
+    only its last update is not finite, by value iteration, CEM or load_model."""
     compiled = pairs if isinstance(pairs, CompiledPairs) else CompiledPairs(pairs)
-    if len(models) > 1 and lockstep_pays(compiled, cfg.batch_size):
-        return train_lockstep(models, compiled, cfg, seeds)
-    return [train(model, compiled, cfg, seed) for model, seed in zip(models, seeds)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(models) > 1 and lockstep_pays(compiled, cfg.batch_size):
+            return train_lockstep(models, compiled, cfg, seeds)
+        return [train(model, compiled, cfg, seed) for model, seed in zip(models, seeds)]
 
 
 def train_lockstep(

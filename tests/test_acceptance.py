@@ -53,6 +53,7 @@ from genil.reward_net import (
     predict_states,
     save_model,
     train,
+    train_together,
 )
 from genil.seeding import derive_seed
 from genil.snippets import Snippet, SnippetPair, make_pairs, subsample
@@ -137,9 +138,10 @@ def ensemble_reward(models):
 @pytest.fixture(scope="module")
 def ten_seed_runs():
     """Full pipeline per base seed: 5-model ensembles for both ranking
-    methods on shared demos and a shared eval set, plus the greedy policy
-    from the learned reward.  The seeds run as parallel units; each is
-    timed inside its worker."""
+    methods on shared demos and a shared eval set, each trained by one
+    train_together call as compare trains a unit's models, plus the greedy
+    policy from the learned reward.  The seeds run as parallel units; each
+    is timed inside its worker."""
     spec = make_spec("GridNav")
     ga = GAConfig()
     qualities = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
@@ -157,14 +159,11 @@ def ten_seed_runs():
         for name, dataset in datasets.items():
             snips = subsample(dataset, 2000, 15, 30, seed=s)
             pairs = CompiledPairs(make_pairs(snips, 4000, 0.5, seed=s))
-            models = []
-            for m in range(5):
-                ms = derive_seed(s, "model", m)
-                cfg = TrainConfig(learning_rate=3e-4, steps=6000, batch_size=16)
-                models.append(
-                    train(make_reward_model(spec.feature_dim, seed=ms), pairs, cfg, ms).model
-                )
-            ensembles[name] = ensemble_reward(models)
+            seeds = [derive_seed(s, "model", m) for m in range(5)]
+            cfg = TrainConfig(learning_rate=3e-4, steps=6000, batch_size=16)
+            models = [make_reward_model(spec.feature_dim, seed=ms) for ms in seeds]
+            results = train_together(models, pairs, cfg, seeds)
+            ensembles[name] = ensemble_reward([r.model for r in results])
             reports[name] = extrapolation_report(
                 ensembles[name], eval_set, spec.discount, n_bins=8
             )

@@ -152,6 +152,11 @@ def test_spec_reflects_env_choice():
         ("[sweep]\nstep_sizes = 3, 3\n", "step sizes must not repeat"),
         # value iteration would sweep to its 1,000,000 cap before refusing it
         ("[policy]\ndiscount = 0.99999\n", "[policy] discount 0.99999 with [policy] tol 1e-10"),
+        # a batch draws from the pair pool; a larger one would fail only in training
+        (
+            "[data]\nn_pairs = 120\n[train]\nbatch_size = 121\n",
+            "[train] batch_size 121 exceeds [data] n_pairs 120",
+        ),
     ],
 )
 def test_parse_errors(text, needle):

@@ -1,9 +1,12 @@
-"""No module of genil compares anything with an environment's name.
+"""No module of genil compares anything with an environment's name, or
+picks a policy derivation outside genil.envs.
 
 What differs between environments lives in each environment's object in
 genil.envs, which envs.environment looks up by name; a comparison with
 "GridNav" or "PointChase" anywhere else would be a second place that
-decides by name.
+decides by name.  Each environment's derive_policy is likewise the one
+place that calls value iteration or CEM, so no module calls either
+elsewhere or reads a flag (once `tabular`) to choose between them.
 """
 
 import ast
@@ -56,3 +59,45 @@ def test_the_check_finds_each_form_of_comparison():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_comparison_with_an_environment_name(path):
     assert env_name_comparisons(path.read_text()) == []
+
+
+DERIVATIONS = {"value_iteration", "cem_search"}
+FLAGS = {"tabular"}
+
+
+def derivation_choices(source: str) -> tuple[list[int], list[int]]:
+    """Line numbers of the calls to a policy derivation, and of the reads
+    of an attribute that once chose one (by name, or through getattr)."""
+    calls, reads = [], []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in FLAGS:
+            reads.append(node.lineno)
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if called in DERIVATIONS:
+            calls.append(node.lineno)
+        named = {a.value for a in node.args[1:2] if isinstance(a, ast.Constant)}
+        if called == "getattr" and named & FLAGS:
+            reads.append(node.lineno)
+    return sorted(calls), sorted(reads)
+
+
+def test_the_check_finds_each_derivation_choice():
+    source = "\n".join([
+        "if environment(name).tabular: pass",
+        "art = value_iteration(spec, reward)",
+        "art = policy_opt.cem_search(spec, reward, cfg, 0)",
+        "flag = getattr(env, 'tabular', False)",
+        "art = env.derive_policy(reward, section, 0)",
+        "from .policy_opt import value_iteration",
+    ])
+    assert derivation_choices(source) == ([2, 3], [1, 4])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_envs_derives_a_policy(path):
+    calls, reads = derivation_choices(path.read_text())
+    assert reads == []
+    assert calls == [] or path.name == "envs.py"

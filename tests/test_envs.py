@@ -270,11 +270,6 @@ def test_scalar_policy_clamps_match_np_clip(pc_spec):
     assert np.signbit(got[got == 0.0]).any() and np.isnan(got).any()
 
 
-def test_pointchase_linear_rollout_requires_pointchase(grid_spec):
-    with pytest.raises(ConfigError):
-        pointchase_linear_rollout(grid_spec, np.zeros((2, 3)))
-
-
 def test_gridnav_action_validation():
     env = environment(ENV_GRIDNAV)
     with pytest.raises(ConfigError):

@@ -763,6 +763,19 @@ def test_cli_config_not_utf8_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_batch_larger_than_the_pair_pool_exit_2(tmp_path, capsys):
+    # refused at config load, before gen-demos and reproduce run
+    cfg_path = write_cfg(tmp_path, "[train]\nbatch_size = 10000000000\n")
+    out = tmp_path / "out"
+    assert main(["--config", cfg_path, "--out", str(out), "--quiet", "run-all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "genil: config error: [train] batch_size 10000000000 exceeds [data] n_pairs 4000"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sub", ["", "sub"])
 def test_cli_out_blocked_by_a_file_exit_2(tmp_path, capsys, sub):
     blocker = tmp_path / "afile"

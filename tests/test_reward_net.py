@@ -4,6 +4,7 @@ training behavior, checkpoints, and the desk-config quality gate."""
 import functools
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,27 @@ def test_train_raises_on_nan_weight_at_step_zero():
     with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as info:
         train(model, separable_pairs(), TrainConfig(steps=10), 0)
     assert info.value.step == 0
+
+
+@pytest.mark.parametrize(
+    "n_models, message",
+    [(1, "at step 11"), (2, "at step 9 of model 1")],
+    ids=["alone", "lockstep"],
+)
+def test_a_diverging_model_raises_without_numpy_warnings(n_models, message):
+    """At learning rate 3 on GridNav demo pairs the weights overflow within
+    a dozen steps; training ends in the one DivergenceError, and numpy's
+    overflow and invalid-value warnings stay silent on the way."""
+    spec = make_spec("GridNav")
+    good, bad = make_demo_pair(spec, 0.1, 0.5, seed=1)
+    snips = subsample(build_trex2_dataset(good, bad), 60, 5, 10, seed=1)
+    pairs = CompiledPairs(make_pairs(snips, 120, 0.5, seed=1))
+    models = [make_reward_model(spec.feature_dim, seed=s) for s in range(n_models)]
+    cfg = TrainConfig(learning_rate=3.0, steps=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match=f"{message}$"):
+            train_together(models, pairs, cfg, list(range(n_models)))
 
 
 def test_train_rejects_empty_pairs():
