@@ -165,10 +165,11 @@ def gridnav_greedy_actions(rewards: np.ndarray, discount: float, tol: float) -> 
     takes more than _VALUE_ITERATION_MAX_SWEEPS sweeps.
     """
     nxt = gridnav_transitions()
+    nxt_t = np.ascontiguousarray(nxt.T)  # (4, 64): an action's next cells a row
     values = np.zeros(GRID_N_STATES)
     for _ in range(_VALUE_ITERATION_MAX_SWEEPS):
-        new = rewards + discount * values[nxt].max(axis=1)
-        residual = np.max(np.abs(new - values))
+        new = rewards + discount * values[nxt_t].max(axis=0)
+        residual = np.abs(new - values).max()
         values = new
         if residual < tol:
             return np.argmax(values[nxt], axis=1).astype(np.int64)

@@ -10,10 +10,11 @@ evaluated in log-sum-exp form so extreme margins neither overflow nor
 produce NaN.  Gradients are analytic: dL/dS_hi = -sigmoid(S_lo - S_hi),
 dL/dS_lo = +sigmoid(S_lo - S_hi), back-propagated through the state sums.
 The loss, its gradient and the divergence check live in _ranking_loss
-only, and the batch stream in _batch_blocks; train and train_lockstep
-differ only in the rows they forward.  Acceptance criterion 03 checks the
-loss through train: a one-step train on one pair at learning rate 1 gives
-that pair's loss, and its gradient as the parameters' change.
+only, the batch stream in _batch_blocks, and the training loop in
+train_stacked, which trains one model (train) or a stack of K as one.
+Acceptance criterion 03 checks the loss through train: a one-step train on
+one pair at learning rate 1 gives that pair's loss, and its gradient as
+the parameters' change.
 
 Training compiles the pair set once, without Python loops over states,
 into a unique-state table and one CSR row of state multiplicities per
@@ -38,9 +39,11 @@ bit-identical to it.
 The models of one compare or sweep unit train together on one pair set
 (train_together).  Where a step's snippets cover the unique-state table
 several times over (lockstep_pays: GridNav's few cells), two or more step
-in lockstep as one stacked MLP over the whole table (train_lockstep), and
-their parameters differ from separate train calls' in the last place.
-Otherwise, and for one model, each is trained by train itself.
+as one stacked MLP that forwards the whole table.  Each member's sums are
+the same np.bincounts over its own entries as train's, so a stacked
+member differs from a lone train call only in the rows it forwards, and
+its parameters from train's in the last place.  Otherwise, and for one
+model, each is trained by train itself.
 """
 
 from __future__ import annotations
@@ -251,45 +254,46 @@ class CompiledPairs(Sequence):
         return self.pairs[i]
 
     def block_arrays(self, batches: np.ndarray) -> "_BatchBlock":
-        """Everything a block of training steps needs from their (k, B)
-        pair-index batches, gathered at once: per step, the table rows its
-        snippets touch (ascending) and per side of its pairs, lo sides first,
-        the positions of their states among those rows, the multiplicities
-        and segment ids.  A step's touched rows are marked in a (k, n_unique)
-        mask whose one running count ranks them within and across steps."""
-        k, size = batches.shape
-        n_segs = 2 * size
+        """Everything a block of training steps needs from the (steps, K, B)
+        pair-index batches of K members, gathered at once from the CSR rows:
+        per step the rows it forwards, and per entry (member by member, lo
+        sides first) its multiplicity, flat (member, segment) id and flat
+        position among the outputs.  One member forwards the rows its step
+        touches, ranked by one running count over a (steps, n_unique) mask;
+        a stack forwards the whole table, member k's row r at k * n_unique + r."""
+        steps, n_members, size = batches.shape
+        n_segs = 2 * size * n_members
         n_unique = len(self.unique_states)
-        sids = np.concatenate([self.lo_idx[batches], self.hi_idx[batches]], axis=1).ravel()
+        sids = np.concatenate([self.lo_idx[batches], self.hi_idx[batches]], axis=2).ravel()
         starts = self.indptr[sids]
         sizes = self.indptr[sids + 1] - starts
         ends = np.cumsum(sizes)
         gather = np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
-        seg_ids = np.repeat(np.tile(np.arange(n_segs), k), sizes)
+        seg_ids = np.repeat(np.tile(np.arange(n_segs), steps), sizes)
         entry_ptr = np.concatenate([[0], ends[n_segs - 1 :: n_segs]])
-        step_of = np.repeat(np.arange(k), np.diff(entry_ptr))
-        flat_idx = step_of * n_unique + self.indices[gather]
-        touched = np.zeros(k * n_unique, dtype=bool)
-        touched[flat_idx] = True
-        rank = np.cumsum(touched)
-        row_ptr = np.concatenate([[0], rank[n_unique - 1 :: n_unique]])
-        return _BatchBlock(
-            rows=np.flatnonzero(touched) % n_unique,
-            row_ptr=row_ptr.tolist(),
-            pos=rank[flat_idx] - 1 - row_ptr[step_of],
-            counts=self.counts[gather],
-            seg_ids=seg_ids,
-            entry_ptr=entry_ptr.tolist(),
-        )
+        table_rows = self.indices[gather]
+        if n_members > 1:
+            inputs = [self.unique_states] * steps
+            pos = seg_ids // (2 * size) * n_unique + table_rows
+        else:
+            step_of = np.repeat(np.arange(steps), np.diff(entry_ptr))
+            flat_idx = step_of * n_unique + table_rows
+            touched = np.zeros(steps * n_unique, dtype=bool)
+            touched[flat_idx] = True
+            rank = np.cumsum(touched)
+            row_ptr = np.concatenate([[0], rank[n_unique - 1 :: n_unique]])
+            X = self.unique_states[np.flatnonzero(touched) % n_unique]
+            inputs = [X[a:b] for a, b in zip(row_ptr.tolist(), row_ptr[1:].tolist())]
+            pos = rank[flat_idx] - 1 - row_ptr[step_of]
+        return _BatchBlock(inputs, pos, self.counts[gather], seg_ids, entry_ptr.tolist())
 
 
 @dataclass
 class _BatchBlock:
-    """Batch arrays of consecutive training steps, step j's entries at
-    [entry_ptr[j], entry_ptr[j + 1]) and its rows at [row_ptr[j], row_ptr[j + 1])."""
+    """Batch arrays of consecutive training steps: step j forwards
+    inputs[j], and its entries are at [entry_ptr[j], entry_ptr[j + 1])."""
 
-    rows: np.ndarray
-    row_ptr: list[int]
+    inputs: list[np.ndarray]
     pos: np.ndarray
     counts: np.ndarray
     seg_ids: np.ndarray
@@ -314,19 +318,19 @@ def _batch_blocks(n_pairs: int, cfg: TrainConfig, seeds: Sequence[int]):
 
 
 def _ranking_loss(sums: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean ranking loss of each model's B pairs and its gradient with
-    respect to their snippet sums, from the (2B,) sums of one model or the
-    (K, 2B) of K, lo sides first.  A non-finite loss raises DivergenceError
-    naming the step, and among K models the first that diverged."""
+    """Mean ranking loss of each of K models' B pairs, and its gradient with
+    respect to their snippet sums, from their (K, 2B) sums, lo sides first.
+    A non-finite loss raises DivergenceError naming the step, and among two
+    or more models the first that diverged."""
     half = sums.shape[-1] // 2
-    z = sums[..., :half] - sums[..., half:]
+    z = sums[:, :half] - sums[:, half:]
     loss = np.add.reduce(np.logaddexp(0.0, z), -1) / half
     if not np.isfinite(loss).all():
-        where = ""
-        if sums.ndim == 2:
-            k = int(np.flatnonzero(~np.isfinite(loss))[0])
-            loss, where = loss[k], f" of model {k}"
-        raise DivergenceError(f"non-finite training loss {loss} at step {step}{where}", step=step)
+        k = int(np.flatnonzero(~np.isfinite(loss))[0])
+        where = f" of model {k}" if len(loss) > 1 else ""
+        raise DivergenceError(
+            f"non-finite training loss {loss[k]} at step {step}{where}", step=step
+        )
     g = _expit(z.ravel()).reshape(z.shape) / half
     return loss, np.concatenate([g, -g], -1)
 
@@ -334,43 +338,70 @@ def _ranking_loss(sums: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
 def train(
     model: RewardModel, pairs: Sequence[SnippetPair], cfg: TrainConfig, seed: int
 ) -> TrainResult:
-    """Minibatch gradient descent on the ranking loss.
+    """Minibatch gradient descent on the ranking loss: train_stacked on one
+    model, each step forwarding the table rows its batch touches.
 
     The input model is left untouched; a trained copy is returned together
-    with the per-step mean batch loss (data term only).  Each step forwards
-    the table rows its batch touches; batches come from _batch_blocks, so a
-    fixed seed reproduces parameters bit-exactly, and losses and gradients
-    from _ranking_loss.  pairs may be a CompiledPairs, compiled once.
+    with the per-step mean batch loss (data term only), bit-exact for a
+    fixed seed.  pairs may be a CompiledPairs, compiled once.
     """
-    trained = model.copy()
+    return train_stacked([model], pairs, cfg, [seed])[0]
+
+
+def train_stacked(
+    models: Sequence[RewardModel],
+    pairs: Sequence[SnippetPair],
+    cfg: TrainConfig,
+    seeds: Sequence[int],
+) -> list[TrainResult]:
+    """The training loop, for one model or a stack of K.
+
+    Model k trains on pairs with its batches drawn from seeds[k]
+    (_batch_blocks) and its loss, gradient and divergence check from
+    _ranking_loss; the input models are left untouched.  One model forwards
+    the rows its step touches; two or more step as one stacked MLP over the
+    whole table (CompiledPairs.block_arrays).  A member's snippet sums and
+    row gradients are np.bincounts over its own entries in train's order, so
+    a stacked member differs from train only in the rows it forwards, and
+    its parameters in the last place.  A row with a non-finite layer input
+    makes its member's gradient NaN, drawn or not, so a stack can diverge at
+    another step than train.  numpy's overflow and invalid-value warnings
+    are silenced: a diverging model is refused by _ranking_loss's
+    DivergenceError or, where only its last update is not finite, by value
+    iteration, CEM or load_model."""
     compiled = pairs if isinstance(pairs, CompiledPairs) else CompiledPairs(pairs)
-    net = trained.net
+    stacked = len(models) > 1
+    net = MLP.stack([m.net for m in models]) if stacked else models[0].net.copy()
     n_segs = 2 * cfg.batch_size
-    losses = np.empty(cfg.steps)
-    for first, batches in _batch_blocks(len(compiled), cfg, [seed]):
-        block = compiled.block_arrays(batches[:, 0])
-        X_block = compiled.unique_states[block.rows]
-        for j in range(len(batches)):
-            r0, r1 = block.row_ptr[j], block.row_ptr[j + 1]
-            e0, e1 = block.entry_ptr[j], block.entry_ptr[j + 1]
-            pos, cnt, seg_ids = block.pos[e0:e1], block.counts[e0:e1], block.seg_ids[e0:e1]
-            out, cache = net.forward(X_block[r0:r1])
-            sums = np.bincount(seg_ids, weights=cnt * out[:, 0][pos], minlength=n_segs)
-            losses[first + j], seg_grad = _ranking_loss(sums, first + j)
-            d_rewards = np.bincount(pos, weights=cnt * seg_grad[seg_ids], minlength=r1 - r0)
-            net.apply_grads(net.backward(cache, d_rewards[:, None]), cfg.learning_rate)
-    return TrainResult(model=trained, losses=losses)
+    losses = np.empty((len(models), cfg.steps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first, batches in _batch_blocks(len(compiled), cfg, seeds):
+            block = compiled.block_arrays(batches)
+            for j, X in enumerate(block.inputs):
+                e0, e1 = block.entry_ptr[j], block.entry_ptr[j + 1]
+                pos, cnt, seg_ids = block.pos[e0:e1], block.counts[e0:e1], block.seg_ids[e0:e1]
+                out, cache = net.forward(X)
+                sums = np.bincount(seg_ids, cnt * out.ravel()[pos], len(models) * n_segs)
+                losses[:, first + j], seg_grad = _ranking_loss(sums.reshape(-1, n_segs), first + j)
+                d_rewards = np.bincount(pos, cnt * seg_grad.ravel()[seg_ids], out.size)
+                grads = net.backward(cache, d_rewards.reshape(out.shape))
+                net.apply_grads(grads, cfg.learning_rate)
+    return [
+        TrainResult(model=RewardModel(net=member), losses=member_losses)
+        for member, member_losses in zip(net.unstack() if stacked else [net], losses)
+    ]
 
 
-# Lockstep forwards the whole unique-state table every step, where train
+# A stack forwards the whole unique-state table every step, where train
 # forwards only the rows the step's snippets touch.  A step's 2B snippets
 # name about 2B times a snippet's mean number of distinct table rows (its
-# CSR entries), a row counted once per snippet that holds it; lockstep is
+# CSR entries), a row counted once per snippet that holds it; a stack is
 # chosen where that covers the table at least LOCKSTEP_COVER times, so that
-# a step touches nearly every row anyway.  At
-# the desk data, GridNav's tables (15-35 rows) are covered 6-12 times and
-# three models in lockstep took 0.59-0.76x the CPU of three train calls;
-# PointChase's (190-780 rows) are covered 0.9-3.8 times and took 0.94-1.76x.
+# a step touches nearly every row anyway.  Three models as one stack took,
+# against three train calls' CPU: 0.57-0.68x on GridNav's desk tables
+# (17-26 rows, covered 11-14 times), 0.87-0.95x on its T-REX-multi tables
+# (48-57 rows, 3.8-4.3), 0.92-1.03x on PointChase's desk tables (191-194
+# rows, 3.7-3.8) and about 10x on its T-REX-multi ones (5457 rows, 0.1).
 LOCKSTEP_COVER = 4
 
 
@@ -388,62 +419,14 @@ def train_together(
     cfg: TrainConfig,
     seeds: Sequence[int],
 ) -> list[TrainResult]:
-    """Model k trained on pairs with its batches drawn from seeds[k]: by
-    train_lockstep where there are two or more and lockstep_pays, else by
-    train(models[k], pairs, cfg, seeds[k]) one at a time.
-
-    numpy's overflow and invalid-value warnings are silenced: a diverging
-    model is refused instead, by _ranking_loss's DivergenceError or, where
-    only its last update is not finite, by value iteration, CEM or load_model."""
+    """Model k trained on pairs with its batches drawn from seeds[k]: as
+    one stack (train_stacked) where there are two or more and
+    lockstep_pays, else by train(models[k], pairs, cfg, seeds[k]) one at a
+    time."""
     compiled = pairs if isinstance(pairs, CompiledPairs) else CompiledPairs(pairs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if len(models) > 1 and lockstep_pays(compiled, cfg.batch_size):
-            return train_lockstep(models, compiled, cfg, seeds)
-        return [train(model, compiled, cfg, seed) for model, seed in zip(models, seeds)]
-
-
-def train_lockstep(
-    models: Sequence[RewardModel],
-    pairs: Sequence[SnippetPair],
-    cfg: TrainConfig,
-    seeds: Sequence[int],
-) -> list[TrainResult]:
-    """The models trained in lockstep as one stacked MLP, model k drawing
-    its batches from seeds[k] as train does, and its loss, gradient and
-    divergence check (which names the model) from _ranking_loss.
-
-    Each step forwards the whole unique-state table once, (n, d) @
-    (K, d, h), and takes each model's 2B snippet sums from a (K, 2B, n)
-    block of table-row multiplicities, gathered from a (snippets, table
-    rows) matrix built once from the CSR rows; the backward pass scatters
-    through its transpose.  A model's parameters then differ from a
-    separate train call's in the last place, because its sums and table
-    rows are added in another order.  Forwarding the whole table also
-    means a table row whose output is not finite makes every model diverge
-    at once, whether or not its batch draws that row, so a divergence can
-    come at another step than train's.
-    """
-    compiled = pairs if isinstance(pairs, CompiledPairs) else CompiledPairs(pairs)
-    net = MLP.stack([m.net for m in models])
-    table = compiled.unique_states
-    n_snippets = len(compiled.indptr) - 1
-    multiplicity = np.zeros((n_snippets, len(table)))
-    snippet_of = np.repeat(np.arange(n_snippets), np.diff(compiled.indptr))
-    multiplicity[snippet_of, compiled.indices] = compiled.counts
-    losses = np.empty((len(models), cfg.steps))
-    for first, batches in _batch_blocks(len(compiled), cfg, seeds):
-        # each step's (models, 2B) snippet ids
-        snippets = np.concatenate([compiled.lo_idx[batches], compiled.hi_idx[batches]], 2)
-        for j in range(len(batches)):
-            counts = multiplicity[snippets[j]]
-            out, cache = net.forward(table)
-            losses[:, first + j], seg_grad = _ranking_loss((counts @ out)[..., 0], first + j)
-            d_rewards = counts.swapaxes(-1, -2) @ seg_grad[..., None]
-            net.apply_grads(net.backward(cache, d_rewards), cfg.learning_rate)
-    return [
-        TrainResult(model=RewardModel(net=member), losses=member_losses)
-        for member, member_losses in zip(net.unstack(), losses)
-    ]
+    if len(models) > 1 and lockstep_pays(compiled, cfg.batch_size):
+        return train_stacked(models, compiled, cfg, seeds)
+    return [train(model, compiled, cfg, seed) for model, seed in zip(models, seeds)]
 
 
 def save_model(model: RewardModel, path, train_config: TrainConfig | None = None) -> None:

@@ -9,8 +9,9 @@ steps at a time.  reference_train and reference_train_bc are the training
 loops of reward_net.train and baselines.train_bc (over batch rows) over
 these copies, one model at a time.  reference_train_whole_table and
 reference_train_bc_distinct are plain one-model loops of the algorithms
-that models trained together use: reward_net.train_together's
-whole-table steps, and baselines.train_bc over distinct demo rows.
+that models trained together use: the whole-table steps of a
+reward_net.train_stacked stack, and baselines.train_bc over distinct demo
+rows.
 """
 
 import numpy as np
@@ -83,15 +84,10 @@ def batch_arrays(compiled: CompiledPairs, batch):
 
 
 def block_step(block, j):
-    """Step j of a CompiledPairs.block_arrays block, as the first four
-    arrays batch_arrays returns."""
+    """Step j of a one-member CompiledPairs.block_arrays block, as the first
+    four arrays batch_arrays returns, its forwarded rows as their states."""
     e0, e1 = block.entry_ptr[j], block.entry_ptr[j + 1]
-    return (
-        block.rows[block.row_ptr[j] : block.row_ptr[j + 1]],
-        block.pos[e0:e1],
-        block.counts[e0:e1],
-        block.seg_ids[e0:e1],
-    )
+    return block.inputs[j], block.pos[e0:e1], block.counts[e0:e1], block.seg_ids[e0:e1]
 
 
 def reference_train(model, pairs, cfg, seed, transpose=np.transpose):
@@ -151,38 +147,30 @@ def reference_train_bc(demos, spec, seed):
     return net
 
 
-def multiplicity_matrix(compiled: CompiledPairs):
-    """(snippets, table rows) multiplicities, filled one CSR row at a time."""
-    n_snippets = len(compiled.indptr) - 1
-    dense = np.zeros((n_snippets, len(compiled.unique_states)))
-    for s in range(n_snippets):
-        a, b = compiled.indptr[s], compiled.indptr[s + 1]
-        dense[s, compiled.indices[a:b]] = compiled.counts[a:b]
-    return dense
-
-
 def reference_train_whole_table(model, pairs, cfg, seed):
-    """One member of reward_net.train_together: each step forwards the
-    whole unique-state table, and the snippet sums are the batch's rows of
-    the multiplicity matrix times the rewards; returns (net, losses)."""
+    """One member of a reward_net.train_stacked stack: each step forwards
+    the whole unique-state table, and the snippet sums and the table rows'
+    gradients are train's bincounts over the batch's (segment, table row)
+    entries; returns (net, losses)."""
     net = ReferenceMLP(model.net)
     compiled = CompiledPairs(pairs)
-    dense = multiplicity_matrix(compiled)
     rng = np.random.default_rng(derive_seed(seed, "train-batches"))
     half = cfg.batch_size
     losses = np.empty(cfg.steps)
     for step in range(cfg.steps):
         batch = rng.integers(len(compiled), size=half)
-        counts = dense[np.concatenate([compiled.lo_idx[batch], compiled.hi_idx[batch]])]
+        local_rows, local_pos, cnt, seg_ids, n_segs = batch_arrays(compiled, batch)
+        rows = local_rows[local_pos]
         out, cache = net.forward(compiled.unique_states)
-        sums = (counts @ out)[:, 0]
+        sums = np.bincount(seg_ids, weights=cnt * out[:, 0][rows], minlength=n_segs)
         z = sums[:half] - sums[half:]
         losses[step] = float(np.logaddexp(0.0, z).mean())
         if not np.isfinite(losses[step]):
             raise DivergenceError(f"non-finite training loss at step {step}", step=step)
         g = expit(z) / half
-        d_rewards = counts.T @ np.concatenate([g, -g])[:, None]
-        net.apply_grads(net.backward(cache, d_rewards), cfg.learning_rate)
+        seg_grad = np.concatenate([g, -g])
+        d_rewards = np.bincount(rows, weights=cnt * seg_grad[seg_ids], minlength=len(out))
+        net.apply_grads(net.backward(cache, d_rewards[:, None]), cfg.learning_rate)
     return net, losses
 
 

@@ -1,9 +1,9 @@
-"""Reward training has one ranking loss and one batch stream.
+"""Reward training has one ranking loss, one batch stream and one loop.
 
 The loss, its gradient and its divergence check live in
-reward_net._ranking_loss, and the per-model batch draws in
-reward_net._batch_blocks.  train and train_lockstep differ only in the
-rows they forward, so both step through these two.  A use of
+reward_net._ranking_loss, the per-model batch draws in
+reward_net._batch_blocks, and one loop, reward_net.train_stacked,
+steps through both for one model or a stack of K.  A use of
 np.logaddexp, _expit or the "train-batches" seed label anywhere else in
 genil would be a second copy of the loss or of the batch stream, one that
 criterion 03's one-step checks might not cover.
@@ -53,13 +53,25 @@ def marker_sites(source: str) -> list[tuple[str, str | None, int]]:
     return sites
 
 
-def calls_in(source: str, function: str) -> set[str]:
-    """Names of the functions that function calls by name."""
-    tree = ast.parse(source)
-    body = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == function)
-    return {
-        n.func.id for n in ast.walk(body) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-    }
+def training_loops(source: str) -> list[str]:
+    """Functions in source that iterate over _batch_blocks(...) and call
+    _ranking_loss by name."""
+
+    def called(node) -> bool:
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+
+    loops = []
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(function))
+        iterates = any(
+            isinstance(n, ast.For) and called(n.iter) and n.iter.func.id == "_batch_blocks"
+            for n in nodes
+        )
+        if iterates and any(called(n) and n.func.id == "_ranking_loss" for n in nodes):
+            loops.append(function.name)
+    return loops
 
 
 def test_the_check_finds_each_form_of_use():
@@ -89,9 +101,29 @@ def test_the_loss_and_batch_stream_are_used_only_in_their_homes(path):
     assert strays == []
 
 
-def test_each_marker_is_used_once_and_both_trainers_share_the_helpers():
+def test_the_check_finds_each_training_loop():
+    source = "\n".join([
+        "def train():",
+        "    for first, batches in _batch_blocks(n, cfg, seeds):",
+        "        loss, grad = _ranking_loss(sums, first)",
+        "def draws_only():",
+        "    for first, batches in _batch_blocks(n, cfg, seeds):",
+        "        pass",
+        "def loss_only():",
+        "    return _ranking_loss(sums, 0)",
+        "def train_lockstep():",
+        "    for first, batches in _batch_blocks(n, cfg, seeds):",
+        "        _ranking_loss(sums, first)",
+    ])
+    assert training_loops(source) == ["train", "train_lockstep"]
+
+
+def test_each_marker_is_used_once():
     source = (SRC / "reward_net.py").read_text()
     sites = [site[:2] for site in marker_sites(source)]
     assert sorted(sites) == sorted(HOMES.items())
-    for trainer in ("train", "train_lockstep"):
-        assert {"_ranking_loss", "_batch_blocks"} <= calls_in(source, trainer), trainer
+
+
+def test_one_function_runs_the_training_loop():
+    """One model and a stack of K train through the same loop."""
+    assert training_loops((SRC / "reward_net.py").read_text()) == ["train_stacked"]

@@ -32,7 +32,7 @@ from genil.reward_net import (
     _expit,
     save_model,
     train,
-    train_lockstep,
+    train_stacked,
     train_together,
 )
 from genil.seeding import derive_seed
@@ -204,13 +204,13 @@ def test_pair_grad_matches_finite_differences(rng):
 
 
 def test_lockstep_one_step_gives_each_members_loss_and_gradient(rng):
-    """Criterion 03's one-step checks, through train_lockstep: two models
+    """Criterion 03's one-step checks, through train_stacked: two models
     stacked on one pair at ONE_STEP each take their own network's loss
     log(1 + exp(S_lo - S_hi)) and its gradient as their parameters' change,
     the step first_step takes on that model alone."""
     pair = random_pair(rng, 4, 5, 7)
     models = [make_reward_model(4, hidden_width=8, n_hidden=2, seed=s) for s in (11, 12)]
-    results = train_lockstep(models, [pair], ONE_STEP, [0, 1])
+    results = train_stacked(models, [pair], ONE_STEP, [0, 1])
 
     def analytic_loss(model, params):
         probe = model.copy()
@@ -316,15 +316,25 @@ def test_train_raises_on_nan_weight_at_step_zero():
     assert info.value.step == 0
 
 
+def train_one(models, pairs, cfg, seeds):
+    (model,), (seed,) = models, seeds
+    return train(model, pairs, cfg, seed)
+
+
 @pytest.mark.parametrize(
-    "n_models, message",
-    [(1, "at step 11"), (2, "at step 9 of model 1")],
-    ids=["alone", "lockstep"],
+    "n_models, message, trainer",
+    [
+        (1, "at step 11", train_together),
+        (2, "at step 9 of model 1", train_together),
+        (1, "at step 11", train_one),
+    ],
+    ids=["alone", "lockstep", "train"],
 )
-def test_a_diverging_model_raises_without_numpy_warnings(n_models, message):
+def test_a_diverging_model_raises_without_numpy_warnings(n_models, message, trainer):
     """At learning rate 3 on GridNav demo pairs the weights overflow within
     a dozen steps; training ends in the one DivergenceError, and numpy's
-    overflow and invalid-value warnings stay silent on the way."""
+    overflow and invalid-value warnings stay silent on the way, whether
+    the models train together or one calls train itself."""
     spec = make_spec("GridNav")
     good, bad = make_demo_pair(spec, 0.1, 0.5, seed=1)
     snips = subsample(build_trex2_dataset(good, bad), 60, 5, 10, seed=1)
@@ -334,7 +344,7 @@ def test_a_diverging_model_raises_without_numpy_warnings(n_models, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match=f"{message}$"):
-            train_together(models, pairs, cfg, list(range(n_models)))
+            trainer(models, pairs, cfg, list(range(n_models)))
 
 
 def test_train_rejects_empty_pairs():
@@ -342,9 +352,9 @@ def test_train_rejects_empty_pairs():
         train(make_reward_model(3, 8, 1, seed=0), [], TrainConfig(), 0)
 
 
-@pytest.mark.parametrize("trainer", [train_lockstep, train_together])
+@pytest.mark.parametrize("trainer", [train_stacked, train_together])
 def test_models_trained_together_learn_and_leave_their_inputs(trainer):
-    """Models trained in lockstep, or together however train_together
+    """Models trained as one stack, or together however train_together
     chooses, each learn, return copies, and refuse an empty pair set, as
     train does."""
     pairs = separable_pairs()
@@ -522,10 +532,10 @@ def assert_compiles_like_reference(pairs, n_batches=50, seed=0):
     blocks += [np.zeros((1, 8), dtype=np.int64), np.full((1, 5), len(pairs) - 1)]
     blocks += [np.stack([rng.integers(len(pairs), size=16) for _ in range(n_batches)])]
     for batches in blocks:
-        block = new.block_arrays(batches)
+        block = new.block_arrays(batches[:, None])
         for j, batch in enumerate(batches):
-            want = ref.batch_arrays(batch)
-            for g, w in zip(block_step(block, j), want[:4]):
+            local_rows, *want = ref.batch_arrays(batch)[:4]
+            for g, w in zip(block_step(block, j), [ref.unique_states[local_rows], *want]):
                 assert_same_arrays(g, w)
     return new
 

@@ -1,9 +1,10 @@
 """Reward and BC training against the reference copies in reference_training:
 flat parameters, in-place layers, block-gathered batches and stacked models
 must leave every parameter and every loss bit-identical to the one-model
-loops of their algorithms.  Models trained together use other algorithms
-than a lone reward model and a clone over batch rows, so their distance to
-those is bounded separately."""
+loops of their algorithms.  A stack of reward models forwards other rows
+than a lone reward model, and GridNav's clones step over distinct demo
+rows, so their distance to train and to a clone over batch rows is bounded
+separately."""
 
 import tracemalloc
 
@@ -20,7 +21,7 @@ from genil.reward_net import (
     lockstep_pays,
     make_reward_model,
     train,
-    train_lockstep,
+    train_stacked,
     train_together,
 )
 from genil.seeding import derive_seed
@@ -82,13 +83,13 @@ TOGETHER_SEEDS = (5, 6, 7)
 
 @pytest.fixture(scope="module")
 def three_models(env_pairs):
-    """Three models trained in lockstep on the desk pairs, and the same three
-    trained one at a time by train."""
+    """Three models trained as one stack on the desk pairs, and the same
+    three trained one at a time by train."""
     env_name, pairs = env_pairs
     cfg = TrainConfig(learning_rate=3e-4, steps=STEPS, batch_size=16)
     models = [make_reward_model(make_spec(env_name).feature_dim, seed=s) for s in TOGETHER_SEEDS]
     compiled = CompiledPairs(pairs)
-    lockstep = train_lockstep(models, compiled, cfg, list(TOGETHER_SEEDS))
+    lockstep = train_stacked(models, compiled, cfg, list(TOGETHER_SEEDS))
     alone = [train(m, compiled, cfg, s) for m, s in zip(models, TOGETHER_SEEDS)]
     return cfg, models, compiled, lockstep, alone
 
@@ -103,9 +104,9 @@ def test_lockstep_matches_whole_table_reference(env_pairs, three_models):
 
 
 def test_lockstep_stays_near_separate_training(three_models):
-    """Whole-table steps add each member's sums in another order than
-    train does.  Over these 1100 steps parameters moved by at most 1.1e-16
-    and losses by 2.2e-16 on both environments."""
+    """Whole-table steps forward other rows than train does, so a member's
+    gemms add in another order.  Over these 1100 steps parameters moved by
+    at most 1.1e-16 and losses by 2.2e-16 on both environments."""
     *_, lockstep, alone = three_models
     for a, b in zip(lockstep, alone):
         assert np.max(np.abs(a.model.net.params - b.model.net.params)) <= 1e-14
@@ -196,8 +197,9 @@ def test_divergence_in_lockstep_names_its_model_and_step():
     """One pair holds a huge but finite state, so that models whose batches
     miss it train on.  A model's first update after drawing it overflows,
     and its next loss is not finite: model 1's at step 164, several blocks
-    in, while model 0's is still finite there."""
-    pairs = pairs_with_one_bad_state([1e150, 0.0])
+    in, while model 0's is still finite there.  A stack forwards that
+    state every step, but only drawn rows enter a member's sums."""
+    pairs = pairs_with_one_bad_state([1e200, 0.0])
     cfg = TrainConfig(learning_rate=1e-3, steps=1000, batch_size=1)
     seeds = [0, 1]
     steps = []
@@ -210,7 +212,7 @@ def test_divergence_in_lockstep_names_its_model_and_step():
         assert steps[1] >= 2 * BATCH_BLOCK and steps[1] % BATCH_BLOCK != 0
         models = [make_reward_model(2, 8, 1, seed=seed) for seed in seeds]
         with pytest.raises(DivergenceError) as info:
-            train_lockstep(models, pairs, cfg, seeds)
+            train_stacked(models, pairs, cfg, seeds)
     assert info.value.step == steps[1]
     assert f"at step {steps[1]} of model 1" in str(info.value)
 

@@ -1,8 +1,10 @@
 """One pair's ranking loss and gradient, taken from reward training itself.
 
 reward_net._ranking_loss is the only implementation of the ranking loss,
-its gradient and its divergence check, and train and train_lockstep both
-step through it.  Tests that need the loss and gradient for one pair run
+its gradient and its divergence check, and reward_net.train_stacked, the
+one training loop, steps through it for one model or a stack of K; a
+stacked member differs from a lone train call only in the rows it
+forwards.  Tests that need the loss and gradient for one pair run
 one training step on that pair alone.
 """
 
