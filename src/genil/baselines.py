@@ -1,5 +1,5 @@
 """Comparator methods: quality-ranked and noise-ranked datasets, plus
-behavioral cloning at one fixed setting (the BC_* constants).
+behavioral cloning at one fixed setting (BC_HIDDEN and BC_TRAIN).
 
 A unit's BC clones train together, in lockstep as one stacked network
 (train_bc takes one seed per clone).  GridNav's clones forward the demos'
@@ -25,6 +25,7 @@ import numpy as np
 from .envs import DemoPolicy, EnvSpec, environment, rollout
 from .errors import ConfigError
 from .mlp import MLP
+from .reward_net import TrainConfig, _batch_blocks
 from .seeding import derive_seed
 from .trajectory import Trajectory
 
@@ -71,12 +72,10 @@ def build_trex2_dataset(good: Trajectory, bad: Trajectory) -> list[Trajectory]:
 # Behavioral cloning
 
 
-# The one behavioral-cloning setting: hidden widths, then minibatch SGD's
+# The one behavioral-cloning setting: hidden widths, and minibatch SGD's
 # learning rate, step count and batch size.
 BC_HIDDEN = (64, 64)
-BC_LEARNING_RATE = 1e-2
-BC_STEPS = 2000
-BC_BATCH_SIZE = 64
+BC_TRAIN = TrainConfig(learning_rate=1e-2, steps=2000, batch_size=64)
 
 
 @dataclass
@@ -97,7 +96,8 @@ def train_bc(demos: list[Trajectory], spec: EnvSpec, seeds: list[int]) -> list[B
     """One clone per seed by minibatch SGD on the environment's BC loss
     (cross-entropy over grid actions, squared error of scalar ones) over
     all demo transitions; a seed drives its clone's initialisation and
-    batches.
+    batches, drawn as reward training draws its pairs (reward_net's
+    _batch_blocks) at batch size min(BC_TRAIN.batch_size, demo rows).
 
     The clones step in lockstep as one stacked MLP.  When the demo rows
     hold fewer distinct rows than a batch (GridNav's few cells), each step
@@ -120,24 +120,23 @@ def train_bc(demos: list[Trajectory], spec: EnvSpec, seeds: list[int]) -> list[B
     env = environment(spec.name)
     widths = [spec.feature_dim, *BC_HIDDEN, env.bc_out_dim]
     net = MLP.stack([MLP.create(widths, derive_seed(seed, "bc-init")) for seed in seeds])
-    rngs = [np.random.default_rng(derive_seed(seed, "bc-batches")) for seed in seeds]
     n = X.shape[0]
-    size = min(BC_BATCH_SIZE, n)
+    cfg = dataclasses.replace(BC_TRAIN, batch_size=min(BC_TRAIN.batch_size, n))
     distinct, row_of = np.unique(X, axis=0, return_inverse=True)
     row_of = row_of.ravel()
-    few = len(distinct) < size
+    few = len(distinct) < cfg.batch_size
     clones = np.arange(len(seeds))[:, None]
-    for _ in range(BC_STEPS):
-        batches = np.array([rng.integers(n, size=size) for rng in rngs])
-        if few:
-            out, cache = net.forward(distinct)
-            rows = row_of[batches]
-            d_out = np.zeros_like(out)
-            np.add.at(d_out, (clones, rows), env.bc_grad(out[clones, rows], y[batches]))
-        else:
-            out, cache = net.forward(X[batches])
-            d_out = env.bc_grad(out, y[batches])
-        net.apply_grads(net.backward(cache, d_out), BC_LEARNING_RATE)
+    for _, block in _batch_blocks(n, cfg, seeds, "bc-batches"):
+        for batches in block:
+            if few:
+                out, cache = net.forward(distinct)
+                rows = row_of[batches]
+                d_out = np.zeros_like(out)
+                np.add.at(d_out, (clones, rows), env.bc_grad(out[clones, rows], y[batches]))
+            else:
+                out, cache = net.forward(X[batches])
+                d_out = env.bc_grad(out, y[batches])
+            net.apply_grads(net.backward(cache, d_out), cfg.learning_rate)
     return [BCPolicy(spec=spec, net=member) for member in net.unstack()]
 
 

@@ -82,8 +82,6 @@ F_POLICY_TABLE = "policy_table.csv"
 F_SWEEP = "sweep.csv"
 F_MANIFEST = "manifest.json"
 
-COMPARE_METHODS = ("GenIL", "T-REX-2", "T-REX-multi", "D-REX", "BC")
-
 def file_sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -385,43 +383,34 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> N
 # Method comparison
 
 
-def _drex_noise_levels(cfg: ExperimentConfig) -> list[float]:
-    # spread noise injection across the demo quality band
+def _quality_band(cfg: ExperimentConfig, n: int) -> list[float]:
+    """n values evenly spaced across the demo quality band, good to bad."""
     lo, hi = cfg.env.demo_quality_good, cfg.env.demo_quality_bad
-    return [round(lo + f * (hi - lo), 10) for f in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)]
+    return [round(lo + i / (n - 1) * (hi - lo), 10) for i in range(n)]
 
 
-def _trex_multi_qualities(cfg: ExperimentConfig) -> list[float]:
-    # five rollout qualities evenly spaced across the demo quality band
-    lo, hi = cfg.env.demo_quality_good, cfg.env.demo_quality_bad
-    return [round(lo + f * (hi - lo), 10) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
-
-
-def _method_ranked_dataset(
-    method: str, cfg: ExperimentConfig, spec: EnvSpec, trial: int, good, bad
-) -> list[Trajectory]:
-    """The rank-labeled trajectories a reward-learning method trains on."""
-    base = cfg.base_seed
-    if method == "GenIL":
-        return reproduce(good, bad, cfg.ga, derive_seed(base, "trial", trial, "ga")).trajectories
-    if method == "T-REX-2":
-        return build_trex2_dataset(good, bad)
-    if method == "T-REX-multi":
-        return build_trex_dataset(
-            spec,
-            _trex_multi_qualities(cfg),
-            n_per_quality=1,
-            seed=derive_seed(base, "trial", trial, "trex-multi"),
-        )
-    if method == "D-REX":
-        (cloned,) = train_bc([good, bad], spec, [derive_seed(base, "trial", trial, "drex-bc")])
-        return build_drex_dataset(
-            cloned,
-            _drex_noise_levels(cfg),
-            n_per_level=2,
-            seed=derive_seed(base, "trial", trial, "drex"),
-        )
-    raise ConfigError(f"unknown reward method {method!r}")
+# Each method of compare, in the order of its rows, and the function that
+# builds the rank-labeled trajectories its reward models train on for one
+# trial from (cfg, spec, good, bad, seed), seed(kind) being the trial's seed
+# of that kind; BC's None marks that it clones policies and learns no
+# reward.  An entry looks up what it calls in this module when it runs, so
+# a wrapper put in place of one of those names here (as a tracer's) sees it.
+COMPARE_METHODS = {
+    "GenIL": lambda cfg, spec, good, bad, seed: reproduce(
+        good, bad, cfg.ga, seed("ga")
+    ).trajectories,
+    "T-REX-2": lambda cfg, spec, good, bad, seed: build_trex2_dataset(good, bad),
+    "T-REX-multi": lambda cfg, spec, good, bad, seed: build_trex_dataset(
+        spec, _quality_band(cfg, 5), n_per_quality=1, seed=seed("trex-multi")
+    ),
+    "D-REX": lambda cfg, spec, good, bad, seed: build_drex_dataset(
+        train_bc([good, bad], spec, [seed("drex-bc")])[0],
+        _quality_band(cfg, 4),
+        n_per_level=2,
+        seed=seed("drex"),
+    ),
+    "BC": None,
+}
 
 
 def _run_method_trial(method, cfg, spec, trial, good, bad):
@@ -430,14 +419,16 @@ def _run_method_trial(method, cfg, spec, trial, good, bad):
     BC learns no reward model: it clones one policy per model seed, the
     clones trained together.
     """
-    if method != "BC":
-        trajectories = _method_ranked_dataset(method, cfg, spec, trial, good, bad)
+
+    def seed(*kind) -> int:
+        return derive_seed(cfg.base_seed, "trial", trial, *kind)
+
+    build = COMPARE_METHODS[method]
+    if build is not None:
+        trajectories = build(cfg, spec, good, bad, seed)
         return _train_and_score(cfg, spec, trajectories, ("trial", trial, method))
-    labels = ("trial", trial, "bc")
-    n_models = cfg.eval.n_models_per_trial
-    policies = train_bc(
-        [good, bad], spec, [derive_seed(cfg.base_seed, *labels, "model", m) for m in range(n_models)]
-    )
+    model_seeds = [seed("bc", "model", m) for m in range(cfg.eval.n_models_per_trial)]
+    policies = train_bc([good, bad], spec, model_seeds)
     return [evaluate_policy(policy, cfg.eval.n_eval_episodes).mean for policy in policies], []
 
 
@@ -503,15 +494,14 @@ def stage_compare(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> No
     outcomes = _map_units(
         functools.partial(_compare_trial, cfg, spec, demo_pairs, eval_set), units
     )
-    for i, method in enumerate(COMPARE_METHODS):
+    for i, (method, build) in enumerate(COMPARE_METHODS.items()):
         results = outcomes[i * n_trials : (i + 1) * n_trials]
         try:
             for r in results:
                 if isinstance(r, GenilError):
                     raise r
             row = policy_table_row(method, np.array([r[0] for r in results]))
-            report = None
-            if method != "BC":
+            if build is not None:
                 scores = np.concatenate([r[1] for r in results])
                 report = predicted_returns_report(
                     _ensemble_returns(scores, eval_set),
@@ -523,7 +513,7 @@ def stage_compare(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> No
             method_errors[method] = f"{type(exc).__name__}: {exc}"
             row = report = None
         table_entries.append((method, row))
-        if method != "BC":
+        if build is not None:
             summary_entries.append((method, report))
 
     write_policy_table_csv(out / F_POLICY_TABLE, table_entries)

@@ -307,11 +307,14 @@ class _BatchBlock:
 BATCH_BLOCK = 16
 
 
-def _batch_blocks(n_pairs: int, cfg: TrainConfig, seeds: Sequence[int]):
+def _batch_blocks(n_pairs: int, cfg: TrainConfig, seeds: Sequence[int], label="train-batches"):
     """(first step, (steps, models, B) pair indices) for each BATCH_BLOCK
     block of cfg.steps, model k's batches drawn with replacement from a
-    generator seeded by derive_seed(seeds[k], "train-batches")."""
-    rngs = [np.random.default_rng(derive_seed(seed, "train-batches")) for seed in seeds]
+    generator seeded by derive_seed(seeds[k], label); baselines.train_bc
+    draws its demo rows here under its own label.  The draws are those
+    of drawing each step's batches in turn: numpy's bounded integers do not
+    depend on how a stream's draws are split into calls."""
+    rngs = [np.random.default_rng(derive_seed(seed, label)) for seed in seeds]
     for first in range(0, cfg.steps, BATCH_BLOCK):
         size = (min(BATCH_BLOCK, cfg.steps - first), cfg.batch_size)
         yield first, np.stack([rng.integers(n_pairs, size=size) for rng in rngs], 1)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from genil.baselines import (
+    BC_HIDDEN,
+    BC_TRAIN,
     BCPolicy,
     MixturePolicy,
     build_drex_dataset,
@@ -11,8 +13,10 @@ from genil.baselines import (
     build_trex_dataset,
     train_bc,
 )
-from genil.envs import DemoPolicy, make_demo_pair, make_spec, rollout
+from genil.envs import DemoPolicy, environment, make_demo_pair, make_spec, rollout
 from genil.errors import ConfigError
+from genil.mlp import MLP
+from genil.seeding import derive_seed
 from genil.trajectory import gt_return, trajectories_equal
 
 
@@ -125,6 +129,51 @@ def test_bc_deterministic(grid_spec):
     a = train_bc([demo], grid_spec, [7])[0]
     b = train_bc([demo], grid_spec, [7])[0]
     assert np.array_equal(a.net.params, b.net.params)
+
+
+def step_drawn_clones(demos, spec, seeds) -> list[MLP]:
+    """The clones of train_bc with each step's batches drawn by a call of
+    their own, one clone's after another's, as train_bc drew them before it
+    took its batches from reward training's block stream."""
+    X = np.concatenate([t.states for t in demos], axis=0)
+    y = np.concatenate([t.actions for t in demos], axis=0)
+    env = environment(spec.name)
+    widths = [spec.feature_dim, *BC_HIDDEN, env.bc_out_dim]
+    net = MLP.stack([MLP.create(widths, derive_seed(seed, "bc-init")) for seed in seeds])
+    rngs = [np.random.default_rng(derive_seed(seed, "bc-batches")) for seed in seeds]
+    n = X.shape[0]
+    size = min(BC_TRAIN.batch_size, n)
+    distinct, row_of = np.unique(X, axis=0, return_inverse=True)
+    row_of = row_of.ravel()
+    clones = np.arange(len(seeds))[:, None]
+    for _ in range(BC_TRAIN.steps):
+        batches = np.array([rng.integers(n, size=size) for rng in rngs])
+        if len(distinct) < size:
+            out, cache = net.forward(distinct)
+            rows = row_of[batches]
+            d_out = np.zeros_like(out)
+            np.add.at(d_out, (clones, rows), env.bc_grad(out[clones, rows], y[batches]))
+        else:
+            out, cache = net.forward(X[batches])
+            d_out = env.bc_grad(out, y[batches])
+        net.apply_grads(net.backward(cache, d_out), BC_TRAIN.learning_rate)
+    return net.unstack()
+
+
+@pytest.mark.parametrize("n_clones", [1, 3])
+@pytest.mark.parametrize(
+    "env, n_demos",
+    # GridNav's 100 rows hold fewer distinct cells than a batch; its good demo
+    # alone holds fewer rows than a batch; PointChase's rows are all distinct
+    [("GridNav", 2), ("GridNav", 1), ("PointChase", 2)],
+)
+def test_bc_block_draws_match_step_draws(env, n_demos, n_clones):
+    spec = make_spec(env)
+    demos = list(make_demo_pair(spec, 0.1, 0.5, seed=3))[:n_demos]
+    seeds = [11, 12, 13][:n_clones]
+    got = train_bc(demos, spec, seeds)
+    want = step_drawn_clones(demos, spec, seeds)
+    assert [c.net.params.tobytes() for c in got] == [net.params.tobytes() for net in want]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""No module of genil compares anything with an environment's name, or
-picks a policy derivation outside genil.envs.
+"""No module of genil compares anything with an environment's name or a
+compare method's name, or picks a policy derivation outside genil.envs.
 
 What differs between environments lives in each environment's object in
 genil.envs, which envs.environment looks up by name; a comparison with
@@ -7,6 +7,8 @@ genil.envs, which envs.environment looks up by name; a comparison with
 decides by name.  Each environment's derive_policy is likewise the one
 place that calls value iteration or CEM, so no module calls either
 elsewhere or reads a flag (once `tabular`) to choose between them.
+What differs between compare's methods lives in their entries in
+genil.pipeline.COMPARE_METHODS, looked up by name.
 """
 
 import ast
@@ -29,9 +31,9 @@ def is_env_name(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and node.value in NAME_LITERALS
 
 
-def env_name_comparisons(source: str) -> list[int]:
-    """Line numbers of the comparisons and match cases with an
-    environment's name as an operand."""
+def name_comparisons(source: str, is_name) -> list[int]:
+    """Line numbers of the comparisons and match cases with an operand
+    that is_name accepts."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Compare):
@@ -40,9 +42,15 @@ def env_name_comparisons(source: str) -> list[int]:
             operands = [node.value]
         else:
             continue
-        if any(map(is_env_name, operands)):
+        if any(map(is_name, operands)):
             lines.append(node.lineno)
     return sorted(lines)
+
+
+def env_name_comparisons(source: str) -> list[int]:
+    """Line numbers of the comparisons and match cases with an
+    environment's name as an operand."""
+    return name_comparisons(source, is_env_name)
 
 
 def test_the_check_finds_each_form_of_comparison():
@@ -59,6 +67,38 @@ def test_the_check_finds_each_form_of_comparison():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_comparison_with_an_environment_name(path):
     assert env_name_comparisons(path.read_text()) == []
+
+
+METHOD_NAMES = {"GenIL", "T-REX-2", "T-REX-multi", "D-REX", "BC"}
+
+
+def is_method_name(node: ast.AST) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):  # method in ("BC", ...)
+        return any(map(is_method_name, node.elts))
+    return isinstance(node, ast.Constant) and node.value in METHOD_NAMES
+
+
+def method_name_comparisons(source: str) -> list[int]:
+    """Line numbers of the comparisons and match cases with a compare
+    method's name as an operand."""
+    return name_comparisons(source, is_method_name)
+
+
+def test_the_check_finds_each_form_of_method_comparison():
+    source = "\n".join([
+        "if method == 'GenIL': pass",
+        "x = 'BC' != method",
+        "y = method in ('T-REX-2', 'T-REX-multi') or b",
+        "match method:\n    case 'D-REX': pass",
+        "z = {'GenIL': 1}[method] == other",
+        "row = policy_table_row('GenIL', returns)",
+    ])
+    assert method_name_comparisons(source) == [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_comparison_with_a_method_name(path):
+    assert method_name_comparisons(path.read_text()) == []
 
 
 DERIVATIONS = {"value_iteration", "cem_search"}

@@ -256,6 +256,37 @@ def test_compare_propagates_programming_errors(small_cfg, tmp_path, monkeypatch)
         run_command("compare", small_cfg, tmp_path)
 
 
+def literal_bands(cfg) -> tuple[list[float], list[float]]:
+    """D-REX's four noise levels and T-REX-multi's five qualities as compare
+    spread them over the demo quality band by literal fractions."""
+    lo, hi = cfg.env.demo_quality_good, cfg.env.demo_quality_bad
+    return (
+        [round(lo + f * (hi - lo), 10) for f in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)],
+        [round(lo + f * (hi - lo), 10) for f in (0.0, 0.25, 0.5, 0.75, 1.0)],
+    )
+
+
+def test_quality_band_keeps_the_literal_fractions(small_cfg):
+    from genil.config import ExperimentConfig
+
+    qualities = sorted({i / 40 for i in range(41)} | {1 / 3, 2 / 3, 0.1 + 0.2, 0.7 / 3})
+    configs = [ExperimentConfig(), small_cfg] + [
+        dataclasses.replace(
+            small_cfg,
+            env=dataclasses.replace(small_cfg.env, demo_quality_good=good, demo_quality_bad=bad),
+        )
+        for good in qualities
+        for bad in qualities
+        if good < bad
+    ]
+    for cfg in configs:
+        got = (pipeline._quality_band(cfg, 4), pipeline._quality_band(cfg, 5))
+        want = literal_bands(cfg)
+        assert [[q.hex() for q in band] for band in got] == [
+            [q.hex() for q in band] for band in want
+        ], (cfg.env.demo_quality_good, cfg.env.demo_quality_bad)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -682,7 +713,7 @@ def test_compare_reports_from_scores_match_the_ensemble_reports(small_cfg, env):
         make_demo_pair(spec, 0.1, 0.5, seed=derive_seed(5, "trial", t, "demos"))
         for t in range(cfg.eval.n_trials)
     ]
-    for method in COMPARE_METHODS[:-1]:
+    for method in [m for m, build in COMPARE_METHODS.items() if build is not None]:
         units = [
             pipeline._compare_trial(cfg, spec, demo_pairs, eval_set, method, t)
             for t in range(cfg.eval.n_trials)
