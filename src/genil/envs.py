@@ -42,7 +42,7 @@ A third environment is one more class there that defines:
   unless step could take them;
 - bc_out_dim, bc_action(out), bc_grad(out, actions), for behavioral
   cloning (bc_grad takes a batch's outputs, or a stack of clones' batches);
-- derive_policy(reward, section, seed, source_model), the policy its
+- derive_policy(reward, section, seed), the policy its
   [policy] section derives from a reward (a function from a state batch to
   its rewards), and check_policy(section), which refuses at config load a
   section that derive_policy could not run.
@@ -256,11 +256,11 @@ class GridNavEnv:
         probs /= actions.shape[-1]
         return probs
 
-    def derive_policy(self, reward, section, seed: int, source_model: str | None = None):
+    def derive_policy(self, reward, section, seed: int):
         """Value iteration at section's discount and tol; seed goes unread."""
         from .policy_opt import value_iteration  # at call time: policy_opt imports envs
 
-        return value_iteration(self.spec, reward, section.discount, section.tol, source_model)
+        return value_iteration(self.spec, reward, section.discount, section.tol)
 
     def check_policy(self, section) -> None:
         # value iteration needs about log(tol) / log(discount) sweeps to reach tol
@@ -368,11 +368,11 @@ class PointChaseEnv:
         batch row's output (the last two axes of out)."""
         return 2.0 * (out - actions[..., None]) / actions.shape[-1]
 
-    def derive_policy(self, reward, section, seed: int, source_model: str | None = None):
+    def derive_policy(self, reward, section, seed: int):
         """CEM on reward at section's population size and iteration count."""
         from .policy_opt import cem_search  # at call time: policy_opt imports envs
 
-        return cem_search(self.spec, reward, section.cem(), seed, source_model)
+        return cem_search(self.spec, reward, section.cem(), seed)
 
     def check_policy(self, section) -> None:
         """Any section will do: CEM reads neither discount nor tol."""

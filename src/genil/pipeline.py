@@ -59,7 +59,7 @@ from .reward_net import (
     make_reward_model,
     predict_states,
     save_model,
-    train_together,
+    train,
 )
 from .seeding import derive_seed
 from .snippets import make_pairs, save_pairs, subsample
@@ -270,7 +270,7 @@ def _train(cfg: ExperimentConfig, pairs, seeds: list[int]) -> list[TrainResult]:
     """One reward model per seed, trained together; a seed drives both its
     model's initialisation and its batches."""
     models = [make_reward_model(cfg.spec().feature_dim, seed=seed) for seed in seeds]
-    return train_together(models, pairs, cfg.train, seeds)
+    return train(models, pairs, cfg.train, seeds)
 
 
 def _train_and_score(
@@ -280,9 +280,8 @@ def _train_and_score(
     trained together on them, then per model: derive, evaluate.
 
     The unit of work shared by compare and sweep.  Where lockstep pays
-    (reward_net.train_together), two or more models per trial train in
-    lockstep, and their parameters differ from separate train calls' in
-    the last place.
+    (reward_net.lockstep_pays), two or more models per trial train as one
+    stack, and their parameters differ from lone models' in the last place.
     Returns (per-model mean ground-truth returns, reward models).
     """
 
@@ -347,7 +346,8 @@ def stage_train_policy(cfg: ExperimentConfig, out: Path, manifest: RunManifest) 
     spec = cfg.spec()
     reward = functools.partial(predict_states, _load_model_for(spec, out / F_MODEL))
     policy_seed = derive_seed(cfg.base_seed, *_LINEAGE, "policy", 0)
-    artifact = environment(spec.name).derive_policy(reward, cfg.policy, policy_seed, F_MODEL)
+    artifact = environment(spec.name).derive_policy(reward, cfg.policy, policy_seed)
+    artifact.source_model = F_MODEL
     save_policy(artifact, out / F_POLICY)
     manifest.seeds["trial0/policy0"] = policy_seed
 

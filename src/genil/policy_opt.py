@@ -80,11 +80,7 @@ class PolicyArtifact:
 
 
 def value_iteration(
-    spec: EnvSpec,
-    reward,
-    discount: float | None = None,
-    tol: float = 1e-10,
-    source_model: str | None = None,
+    spec: EnvSpec, reward, discount: float | None = None, tol: float = 1e-10
 ) -> PolicyArtifact:
     """Greedy per-cell policy from exact value iteration on the 64-cell grid.
 
@@ -105,18 +101,11 @@ def value_iteration(
     return PolicyArtifact(
         env=spec.name,
         parameters=gridnav_greedy_actions(rewards, gamma, tol),
-        source_model=source_model,
         meta={"discount": gamma, "tol": tol},
     )
 
 
-def cem_search(
-    spec: EnvSpec,
-    reward,
-    cfg: CEMConfig,
-    seed: int,
-    source_model: str | None = None,
-) -> PolicyArtifact:
+def cem_search(spec: EnvSpec, reward, cfg: CEMConfig, seed: int) -> PolicyArtifact:
     """Cross-entropy method over the three feedback gains.
 
     Each iteration samples a Gaussian population around the current mean,
@@ -151,7 +140,6 @@ def cem_search(
     return PolicyArtifact(
         env=spec.name,
         parameters=mean,
-        source_model=source_model,
         meta={
             "n_iters": cfg.n_iters,
             "population_size": cfg.population_size,

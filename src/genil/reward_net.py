@@ -10,11 +10,11 @@ evaluated in log-sum-exp form so extreme margins neither overflow nor
 produce NaN.  Gradients are analytic: dL/dS_hi = -sigmoid(S_lo - S_hi),
 dL/dS_lo = +sigmoid(S_lo - S_hi), back-propagated through the state sums.
 The loss, its gradient and the divergence check live in _ranking_loss
-only, the batch stream in _batch_blocks, and the training loop in
-train_stacked, which trains one model (train) or a stack of K as one.
-Acceptance criterion 03 checks the loss through train: a one-step train on
-one pair at learning rate 1 gives that pair's loss, and its gradient as
-the parameters' change.
+only, the batch stream in _batch_blocks, and the one training loop in
+_train_loop, which steps one model or a stack of K; train is its one
+entry.  Acceptance criterion 03 checks the loss through train: a one-step
+train on one pair at learning rate 1 gives that pair's loss, and its
+gradient as the parameters' change.
 
 Training compiles the pair set once, without Python loops over states,
 into a unique-state table and one CSR row of state multiplicities per
@@ -36,14 +36,14 @@ draws, the forwarded rows, their order and the order of every sum are
 those of a per-step, per-snippet np.unique build, so training is
 bit-identical to it.
 
-The models of one compare or sweep unit train together on one pair set
-(train_together).  Where a step's snippets cover the unique-state table
-several times over (lockstep_pays: GridNav's few cells), two or more step
-as one stacked MLP that forwards the whole table.  Each member's sums are
-the same np.bincounts over its own entries as train's, so a stacked
-member differs from a lone train call only in the rows it forwards, and
-its parameters from train's in the last place.  Otherwise, and for one
-model, each is trained by train itself.
+train takes a list of models and their seeds: run-all's one model, or
+the models of one compare or sweep unit on one pair set.  Where a step's
+snippets cover the unique-state table several times over (lockstep_pays:
+GridNav's few cells), two or more step as one stacked MLP that forwards
+the whole table.  Each member's sums are the same np.bincounts over its
+own entries as a lone model's, so a stacked member differs from one
+trained alone only in the rows it forwards, and its parameters in the
+last place.  Otherwise each model trains alone.
 """
 
 from __future__ import annotations
@@ -339,40 +339,43 @@ def _ranking_loss(sums: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def train(
-    model: RewardModel, pairs: Sequence[SnippetPair], cfg: TrainConfig, seed: int
-) -> TrainResult:
-    """Minibatch gradient descent on the ranking loss: train_stacked on one
-    model, each step forwarding the table rows its batch touches.
-
-    The input model is left untouched; a trained copy is returned together
-    with the per-step mean batch loss (data term only), bit-exact for a
-    fixed seed.  pairs may be a CompiledPairs, compiled once.
-    """
-    return train_stacked([model], pairs, cfg, [seed])[0]
-
-
-def train_stacked(
     models: Sequence[RewardModel],
     pairs: Sequence[SnippetPair],
     cfg: TrainConfig,
     seeds: Sequence[int],
 ) -> list[TrainResult]:
+    """Minibatch gradient descent on the ranking loss: model k trained on
+    pairs with its batches drawn from seeds[k], as one stack where there
+    are two or more and lockstep_pays, else one at a time.
+
+    The input models are left untouched; each result holds a trained copy
+    and its per-step mean batch loss (data term only), bit-exact for fixed
+    seeds.  pairs may be a CompiledPairs, compiled once.
+    """
+    compiled = pairs if isinstance(pairs, CompiledPairs) else CompiledPairs(pairs)
+    if len(models) > 1 and lockstep_pays(compiled, cfg.batch_size):
+        return _train_loop(models, compiled, cfg, seeds)
+    return [_train_loop([m], compiled, cfg, [s])[0] for m, s in zip(models, seeds)]
+
+
+def _train_loop(
+    models: Sequence[RewardModel], compiled: CompiledPairs, cfg: TrainConfig, seeds: Sequence[int]
+) -> list[TrainResult]:
     """The training loop, for one model or a stack of K.
 
-    Model k trains on pairs with its batches drawn from seeds[k]
-    (_batch_blocks) and its loss, gradient and divergence check from
-    _ranking_loss; the input models are left untouched.  One model forwards
-    the rows its step touches; two or more step as one stacked MLP over the
-    whole table (CompiledPairs.block_arrays).  A member's snippet sums and
-    row gradients are np.bincounts over its own entries in train's order, so
-    a stacked member differs from train only in the rows it forwards, and
-    its parameters in the last place.  A row with a non-finite layer input
-    makes its member's gradient NaN, drawn or not, so a stack can diverge at
-    another step than train.  numpy's overflow and invalid-value warnings
-    are silenced: a diverging model is refused by _ranking_loss's
+    Model k trains with its batches drawn from seeds[k] (_batch_blocks)
+    and its loss, gradient and divergence check from _ranking_loss.  One
+    model forwards the rows its step touches; two or more step as one
+    stacked MLP over the whole table (CompiledPairs.block_arrays).  A
+    member's snippet sums and row gradients are np.bincounts over its own
+    entries in a lone model's order, so a stacked member differs from one
+    trained alone only in the rows it forwards, and its parameters in the
+    last place.  A row with a non-finite layer input makes its member's
+    gradient NaN, drawn or not, so a stack can diverge at another step
+    than a lone model.  numpy's overflow and invalid-value warnings are
+    silenced: a diverging model is refused by _ranking_loss's
     DivergenceError or, where only its last update is not finite, by value
     iteration, CEM or load_model."""
-    compiled = pairs if isinstance(pairs, CompiledPairs) else CompiledPairs(pairs)
     stacked = len(models) > 1
     net = MLP.stack([m.net for m in models]) if stacked else models[0].net.copy()
     n_segs = 2 * cfg.batch_size
@@ -395,16 +398,17 @@ def train_stacked(
     ]
 
 
-# A stack forwards the whole unique-state table every step, where train
-# forwards only the rows the step's snippets touch.  A step's 2B snippets
-# name about 2B times a snippet's mean number of distinct table rows (its
-# CSR entries), a row counted once per snippet that holds it; a stack is
-# chosen where that covers the table at least LOCKSTEP_COVER times, so that
-# a step touches nearly every row anyway.  Three models as one stack took,
-# against three train calls' CPU: 0.57-0.68x on GridNav's desk tables
-# (17-26 rows, covered 11-14 times), 0.87-0.95x on its T-REX-multi tables
-# (48-57 rows, 3.8-4.3), 0.92-1.03x on PointChase's desk tables (191-194
-# rows, 3.7-3.8) and about 10x on its T-REX-multi ones (5457 rows, 0.1).
+# A stack forwards the whole unique-state table every step, where a lone
+# model forwards only the rows the step's snippets touch.  A step's 2B
+# snippets name about 2B times a snippet's mean number of distinct table
+# rows (its CSR entries), a row counted once per snippet that holds it; a
+# stack is chosen where that covers the table at least LOCKSTEP_COVER
+# times, so that a step touches nearly every row anyway.  Three models as
+# one stack took, against three lone models' CPU: 0.57-0.68x on GridNav's
+# desk tables (17-26 rows, covered 11-14 times), 0.87-0.95x on its
+# T-REX-multi tables (48-57 rows, 3.8-4.3), 0.92-1.03x on PointChase's desk
+# tables (191-194 rows, 3.7-3.8) and about 10x on its T-REX-multi ones
+# (5457 rows, 0.1).
 LOCKSTEP_COVER = 4
 
 
@@ -414,22 +418,6 @@ def lockstep_pays(pairs: CompiledPairs, batch_size: int) -> bool:
     n_snippets = len(pairs.indptr) - 1
     table_rows = len(pairs.unique_states)
     return LOCKSTEP_COVER * table_rows * n_snippets <= 2 * batch_size * len(pairs.indices)
-
-
-def train_together(
-    models: Sequence[RewardModel],
-    pairs: Sequence[SnippetPair],
-    cfg: TrainConfig,
-    seeds: Sequence[int],
-) -> list[TrainResult]:
-    """Model k trained on pairs with its batches drawn from seeds[k]: as
-    one stack (train_stacked) where there are two or more and
-    lockstep_pays, else by train(models[k], pairs, cfg, seeds[k]) one at a
-    time."""
-    compiled = pairs if isinstance(pairs, CompiledPairs) else CompiledPairs(pairs)
-    if len(models) > 1 and lockstep_pays(compiled, cfg.batch_size):
-        return train_stacked(models, compiled, cfg, seeds)
-    return [train(model, compiled, cfg, seed) for model, seed in zip(models, seeds)]
 
 
 def save_model(model: RewardModel, path, train_config: TrainConfig | None = None) -> None:

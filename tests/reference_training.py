@@ -6,12 +6,11 @@ arrays: out-of-place forward, one gemm per layer in backward (also for a
 one-column layer) and a per-layer update.  batch_arrays is the per-step
 batch gather of reward training, before batches were gathered a block of
 steps at a time.  reference_train and reference_train_bc are the training
-loops of reward_net.train and baselines.train_bc (over batch rows) over
-these copies, one model at a time.  reference_train_whole_table and
-reference_train_bc_distinct are plain one-model loops of the algorithms
-that models trained together use: the whole-table steps of a
-reward_net.train_stacked stack, and baselines.train_bc over distinct demo
-rows.
+loops of a lone reward_net.train model and baselines.train_bc (over batch
+rows) over these copies, one model at a time.  reference_train_whole_table
+and reference_train_bc_distinct are plain one-model loops of the
+algorithms that models trained together use: the whole-table steps of a
+reward_net.train stack, and baselines.train_bc over distinct demo rows.
 """
 
 import numpy as np
@@ -91,7 +90,8 @@ def block_step(block, j):
 
 
 def reference_train(model, pairs, cfg, seed, transpose=np.transpose):
-    """reward_net.train, one batch gather per step; returns (net, losses)."""
+    """A lone reward_net.train model, one batch gather per step; returns
+    (net, losses)."""
     net = ReferenceMLP(model.net, transpose)
     compiled = CompiledPairs(pairs)
     rng = np.random.default_rng(derive_seed(seed, "train-batches"))
@@ -148,7 +148,7 @@ def reference_train_bc(demos, spec, seed):
 
 
 def reference_train_whole_table(model, pairs, cfg, seed):
-    """One member of a reward_net.train_stacked stack: each step forwards
+    """One member of a reward_net.train stack: each step forwards
     the whole unique-state table, and the snippet sums and the table rows'
     gradients are train's bincounts over the batch's (segment, table row)
     entries; returns (net, losses)."""

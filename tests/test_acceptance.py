@@ -53,7 +53,6 @@ from genil.reward_net import (
     predict_states,
     save_model,
     train,
-    train_together,
 )
 from genil.seeding import derive_seed
 from genil.snippets import Snippet, SnippetPair, make_pairs, subsample
@@ -139,7 +138,7 @@ def ensemble_reward(models):
 def ten_seed_runs():
     """Full pipeline per base seed: 5-model ensembles for both ranking
     methods on shared demos and a shared eval set, each trained by one
-    train_together call as compare trains a unit's models, plus the greedy
+    train call as compare trains a unit's models, plus the greedy
     policy from the learned reward.  The seeds run as parallel units; each
     is timed inside its worker."""
     spec = make_spec("GridNav")
@@ -162,7 +161,7 @@ def ten_seed_runs():
             seeds = [derive_seed(s, "model", m) for m in range(5)]
             cfg = TrainConfig(learning_rate=3e-4, steps=6000, batch_size=16)
             models = [make_reward_model(spec.feature_dim, seed=ms) for ms in seeds]
-            results = train_together(models, pairs, cfg, seeds)
+            results = train(models, pairs, cfg, seeds)
             ensembles[name] = ensemble_reward([r.model for r in results])
             reports[name] = extrapolation_report(
                 ensembles[name], eval_set, spec.discount, n_bins=8
@@ -497,8 +496,8 @@ def test_criterion_10_serialization_round_trip(capsys, tmp_path):
     snips = subsample(dataset.trajectories, 60, 5, 10, seed=4)
     pairs = make_pairs(snips, 120, 0.5, seed=4)
     model = train(
-        make_reward_model(spec.feature_dim, seed=4), pairs, TrainConfig(steps=50), 4
-    ).model
+        [make_reward_model(spec.feature_dim, seed=4)], pairs, TrainConfig(steps=50), [4]
+    )[0].model
     probe_states = gridnav_all_features()
     before = predict_states(model, probe_states)
     model_path = tmp_path / "model.json"

@@ -2,7 +2,7 @@
 
 The loss, its gradient and its divergence check live in
 reward_net._ranking_loss, the per-model batch draws in
-reward_net._batch_blocks, and one loop, reward_net.train_stacked,
+reward_net._batch_blocks, and one loop, reward_net._train_loop,
 steps through both for one model or a stack of K.  A use of
 np.logaddexp, _expit or the "train-batches" seed label anywhere else in
 genil would be a second copy of the loss or of the batch stream, one that
@@ -126,4 +126,4 @@ def test_each_marker_is_used_once():
 
 def test_one_function_runs_the_training_loop():
     """One model and a stack of K train through the same loop."""
-    assert training_loops((SRC / "reward_net.py").read_text()) == ["train_stacked"]
+    assert training_loops((SRC / "reward_net.py").read_text()) == ["_train_loop"]

@@ -598,10 +598,8 @@ def test_cli_holds_blas_to_one_thread_unless_set(env_vars, expected):
 def reference_policy(cfg, spec, model, policy_seed):
     reward = functools.partial(predict_states, model)
     if spec.name == "GridNav":
-        return value_iteration(
-            spec, reward, discount=cfg.policy.discount, tol=cfg.policy.tol, source_model=None
-        )
-    return cem_search(spec, reward, cfg.policy.cem(), seed=policy_seed, source_model=None)
+        return value_iteration(spec, reward, discount=cfg.policy.discount, tol=cfg.policy.tol)
+    return cem_search(spec, reward, cfg.policy.cem(), seed=policy_seed)
 
 
 def reference_unit_model(cfg, spec, pairs, model_seed):
@@ -611,7 +609,7 @@ def reference_unit_model(cfg, spec, pairs, model_seed):
     model = make_reward_model(spec.feature_dim, seed=model_seed)
     lockstep = lockstep_pays(CompiledPairs(pairs), cfg.train.batch_size)
     if cfg.eval.n_models_per_trial == 1 or not lockstep:
-        return train(model, pairs, cfg.train, model_seed).model
+        return train([model], pairs, cfg.train, [model_seed])[0].model
     net, _ = reference_train_whole_table(model, pairs, cfg.train, model_seed)
     return RewardModel(MLP(model.net.widths, net.weights, net.biases))
 

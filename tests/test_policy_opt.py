@@ -404,7 +404,8 @@ def test_artifact_act_is_table_lookup_or_clipped_gains(
 
 
 def test_policy_round_trip_tabular(grid_spec, tmp_path):
-    art = value_iteration(grid_spec, true_reward_fn(grid_spec), source_model="model.json")
+    art = value_iteration(grid_spec, true_reward_fn(grid_spec))
+    art.source_model = "model.json"
     path = tmp_path / "policy.json"
     save_policy(art, path)
     back = load_policy(path)

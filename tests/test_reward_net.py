@@ -30,10 +30,9 @@ from genil.reward_net import (
     predict_states,
     CompiledPairs,
     _expit,
+    _train_loop,
     save_model,
     train,
-    train_stacked,
-    train_together,
 )
 from genil.seeding import derive_seed
 from genil.snippets import Snippet, SnippetPair, make_pairs, subsample
@@ -204,13 +203,13 @@ def test_pair_grad_matches_finite_differences(rng):
 
 
 def test_lockstep_one_step_gives_each_members_loss_and_gradient(rng):
-    """Criterion 03's one-step checks, through train_stacked: two models
+    """Criterion 03's one-step checks, through the training loop: two models
     stacked on one pair at ONE_STEP each take their own network's loss
     log(1 + exp(S_lo - S_hi)) and its gradient as their parameters' change,
     the step first_step takes on that model alone."""
     pair = random_pair(rng, 4, 5, 7)
     models = [make_reward_model(4, hidden_width=8, n_hidden=2, seed=s) for s in (11, 12)]
-    results = train_stacked(models, [pair], ONE_STEP, [0, 1])
+    results = _train_loop(models, CompiledPairs([pair]), ONE_STEP, [0, 1])
 
     def analytic_loss(model, params):
         probe = model.copy()
@@ -280,7 +279,7 @@ def ordered_share(model, pairs):
 def test_train_learns_separable_data():
     pairs = separable_pairs()
     model = make_reward_model(3, hidden_width=16, n_hidden=1, seed=0)
-    result = train(model, pairs, TrainConfig(learning_rate=5e-3, steps=400), 0)
+    (result,) = train([model], pairs, TrainConfig(learning_rate=5e-3, steps=400), [0])
     assert len(result.losses) == 400
     assert result.losses[-50:].mean() < result.losses[:50].mean() / 2
     assert ordered_share(result.model, pairs) == 1.0
@@ -291,18 +290,18 @@ def test_train_learns_separable_data():
 def test_train_bit_reproducible():
     pairs = separable_pairs(seed=3)
     cfg = TrainConfig(learning_rate=1e-3, steps=120, batch_size=8)
-    a = train(make_reward_model(3, 8, 1, seed=4), pairs, cfg, 9)
-    b = train(make_reward_model(3, 8, 1, seed=4), pairs, cfg, 9)
+    (a,) = train([make_reward_model(3, 8, 1, seed=4)], pairs, cfg, [9])
+    (b,) = train([make_reward_model(3, 8, 1, seed=4)], pairs, cfg, [9])
     assert np.array_equal(a.model.net.params, b.model.net.params)
     assert np.array_equal(a.losses, b.losses)
-    c = train(make_reward_model(3, 8, 1, seed=4), pairs, cfg, 10)
+    (c,) = train([make_reward_model(3, 8, 1, seed=4)], pairs, cfg, [10])
     assert not np.array_equal(a.model.net.params, c.model.net.params)
 
 
 def test_train_zero_steps_returns_copy():
     pairs = separable_pairs()
     model = make_reward_model(3, 8, 1, seed=0)
-    result = train(model, pairs, TrainConfig(steps=0), 0)
+    (result,) = train([model], pairs, TrainConfig(steps=0), [0])
     assert len(result.losses) == 0
     assert np.array_equal(result.model.net.params, model.net.params)
     assert result.model is not model
@@ -312,29 +311,20 @@ def test_train_raises_on_nan_weight_at_step_zero():
     model = make_reward_model(3, 8, 1, seed=0)
     model.net.weights[0][0, 0] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as info:
-        train(model, separable_pairs(), TrainConfig(steps=10), 0)
+        train([model], separable_pairs(), TrainConfig(steps=10), [0])
     assert info.value.step == 0
 
 
-def train_one(models, pairs, cfg, seeds):
-    (model,), (seed,) = models, seeds
-    return train(model, pairs, cfg, seed)
-
-
 @pytest.mark.parametrize(
-    "n_models, message, trainer",
-    [
-        (1, "at step 11", train_together),
-        (2, "at step 9 of model 1", train_together),
-        (1, "at step 11", train_one),
-    ],
-    ids=["alone", "lockstep", "train"],
+    "n_models, message",
+    [(1, "at step 11"), (2, "at step 9 of model 1")],
+    ids=["alone", "lockstep"],
 )
-def test_a_diverging_model_raises_without_numpy_warnings(n_models, message, trainer):
+def test_a_diverging_model_raises_without_numpy_warnings(n_models, message):
     """At learning rate 3 on GridNav demo pairs the weights overflow within
     a dozen steps; training ends in the one DivergenceError, and numpy's
     overflow and invalid-value warnings stay silent on the way, whether
-    the models train together or one calls train itself."""
+    one model trains alone or two train as one stack."""
     spec = make_spec("GridNav")
     good, bad = make_demo_pair(spec, 0.1, 0.5, seed=1)
     snips = subsample(build_trex2_dataset(good, bad), 60, 5, 10, seed=1)
@@ -344,19 +334,24 @@ def test_a_diverging_model_raises_without_numpy_warnings(n_models, message, trai
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match=f"{message}$"):
-            trainer(models, pairs, cfg, list(range(n_models)))
+            train(models, pairs, cfg, list(range(n_models)))
 
 
 def test_train_rejects_empty_pairs():
     with pytest.raises(EmptyPairError):
-        train(make_reward_model(3, 8, 1, seed=0), [], TrainConfig(), 0)
+        train([make_reward_model(3, 8, 1, seed=0)], [], TrainConfig(), [0])
 
 
-@pytest.mark.parametrize("trainer", [train_stacked, train_together])
+def train_stacked(models, pairs, cfg, seeds):
+    """models trained as one stack, whether or not lockstep pays."""
+    return _train_loop(models, CompiledPairs(pairs), cfg, seeds)
+
+
+@pytest.mark.parametrize("trainer", [train_stacked, train])
 def test_models_trained_together_learn_and_leave_their_inputs(trainer):
-    """Models trained as one stack, or together however train_together
-    chooses, each learn, return copies, and refuse an empty pair set, as
-    train does."""
+    """Models trained as one stack, or together however train chooses,
+    each learn, return copies, and refuse an empty pair set, as a lone
+    model does."""
     pairs = separable_pairs()
     models = [make_reward_model(3, 16, 1, seed=s) for s in (0, 1)]
     before = [m.net.params.copy() for m in models]
@@ -377,10 +372,10 @@ def test_train_rejects_conflicting_snippet_keys(rng):
     b = Snippet(parent_id="q", start=0, length=3, states=rng.normal(size=(3, 2)), rank_label=2.0)
     with pytest.raises(InvalidTrajectoryError):
         train(
-            make_reward_model(2, 8, 1, seed=0),
+            [make_reward_model(2, 8, 1, seed=0)],
             [SnippetPair(lo=a, hi=b)],
             TrainConfig(steps=1),
-            0,
+            [0],
         )
 
 
@@ -395,8 +390,8 @@ def test_desk_config_reaches_ordering_and_loss_targets():
     pairs = make_pairs(snips, 4000, 0.5, seed=1)
     ms = derive_seed(1, "model", 0)
     model = make_reward_model(spec.feature_dim, seed=ms)
-    result = train(
-        model, pairs, TrainConfig(learning_rate=3e-4, steps=6000, batch_size=16), ms
+    (result,) = train(
+        [model], pairs, TrainConfig(learning_rate=3e-4, steps=6000, batch_size=16), [ms]
     )
     assert ordered_share(result.model, pairs) >= 0.95
     assert result.losses[-1000:].mean() < 0.1
@@ -425,7 +420,7 @@ def test_batch_step_is_the_mean_of_its_one_pair_steps(env_name, batch_size, seed
     pairs = desk_pair_set(env_name)
     model = make_reward_model(make_spec(env_name).feature_dim, seed=seed)
     cfg = TrainConfig(steps=1, batch_size=batch_size)
-    result = train(model, pairs, cfg, seed)
+    (result,) = train([model], pairs, cfg, [seed])
     drawn = np.random.default_rng(derive_seed(seed, "train-batches")).integers(
         len(pairs), size=(1, batch_size)
     )[0]
@@ -485,7 +480,7 @@ class ReferenceCompiledPairs:
 
 
 def reference_train(model, pairs, cfg, seed):
-    """train() with the reference bookkeeping, step for step."""
+    """A lone train() model with the reference bookkeeping, step for step."""
     trained = model.copy()
     compiled = ReferenceCompiledPairs(pairs)
     rng = np.random.default_rng(derive_seed(seed, "train-batches"))
@@ -703,7 +698,7 @@ def test_train_matches_reference_bookkeeping(source, grid_spec, grid_dataset):
         pairs = overlapping_pairs(np.random.default_rng(4))
         model = make_reward_model(3, hidden_width=8, n_hidden=2, seed=4)
     cfg = TrainConfig(learning_rate=3e-3, steps=300, batch_size=16)
-    result = train(model, pairs, cfg, 4)
+    (result,) = train([model], pairs, cfg, [4])
     ref_model, ref_losses = reference_train(model, pairs, cfg, 4)
     assert result.model.net.params.tobytes() == ref_model.net.params.tobytes()
     assert result.losses.tobytes() == ref_losses.tobytes()
@@ -716,7 +711,7 @@ def test_train_matches_reference_bookkeeping(source, grid_spec, grid_dataset):
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     pairs = separable_pairs(seed=5)
     cfg = TrainConfig(1e-3, 100)
-    result = train(make_reward_model(3, 8, 1, seed=5), pairs, cfg, 5)
+    (result,) = train([make_reward_model(3, 8, 1, seed=5)], pairs, cfg, [5])
     path = tmp_path / "model.json"
     save_model(result.model, path, train_config=cfg)
     back = load_model(path)

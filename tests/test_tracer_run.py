@@ -2,9 +2,10 @@
 
 A traced run-all writes the untraced run's artifacts byte for byte, and
 its per-layer numbers time value iteration on GridNav and CEM on
-PointChase.  A change that moved an argument the tracer's counts read
-(cem_search's cfg, for one) fails here, not first in a traced benchmark
-run.
+PointChase.  A traced compare on one CPU counts every unit's reward
+training, stacked or not.  A change that moved an argument the tracer's
+counts read (cem_search's cfg, for one) or trained outside
+reward_net.train fails here, not first in a traced benchmark run.
 """
 
 import importlib.util
@@ -48,13 +49,17 @@ def load_tracer():
     return tracer
 
 
-def run_all(first_args, cfg, cwd):
-    """run-all into cwd/out, launched as python3 FIRST_ARGS... genil-arguments."""
+def launch(first_args, cfg, cwd, command="run-all", preexec_fn=None):
+    """command (run-all by default) into cwd/out, launched as python3
+    FIRST_ARGS... genil-arguments."""
     cwd.mkdir()
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = "1"
-    argv = [sys.executable, *first_args, "--config", str(cfg), "--out", "out", "--quiet", "run-all"]
-    return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+    argv = [sys.executable, *first_args, "--config", str(cfg), "--out", "out", "--quiet", command]
+    return subprocess.run(
+        argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=preexec_fn,
+    )
 
 
 def artifacts(out):
@@ -77,9 +82,9 @@ def test_traced_run_all_writes_the_untraced_artifacts_and_times_its_policy_searc
 ):
     cfg = tmp_path / "config.ini"
     cfg.write_text(SMALL + f"\n[env]\nname = {env}\n")
-    plain = run_all(["-m", "genil.cli"], cfg, tmp_path / "plain")
+    plain = launch(["-m", "genil.cli"], cfg, tmp_path / "plain")
     spans = tmp_path / "spans.json"
-    traced = run_all([str(TRACER), str(spans)], cfg, tmp_path / "traced")
+    traced = launch([str(TRACER), str(spans)], cfg, tmp_path / "traced")
     assert plain.returncode == 0, plain.stderr
     assert traced.returncode == 0, traced.stderr
     assert (traced.stdout, traced.stderr) == (plain.stdout, plain.stderr)
@@ -87,3 +92,28 @@ def test_traced_run_all_writes_the_untraced_artifacts_and_times_its_policy_searc
     metrics = load_tracer().layer_metrics(spans)
     assert metrics[timed] > 0
     assert metrics[idle] == 0
+
+
+def test_one_cpu_trace_of_compare_counts_every_units_training(tmp_path):
+    """On one CPU compare runs every unit in the command's process, where
+    the tracer sees it.  Each of the 2 trials x 4 reward methods trains its 2
+    models in one reward_net.train call of 50 steps, whether they step as
+    one stack (GridNav's tables) or one at a time, and the trace writes
+    the untraced run's artifacts."""
+    cfg = tmp_path / "config.ini"
+    cfg.write_text(SMALL + "\n[env]\nname = GridNav\n")
+    cpu = min(os.sched_getaffinity(0))
+
+    def one_cpu():
+        os.sched_setaffinity(0, {cpu})
+
+    plain = launch(["-m", "genil.cli"], cfg, tmp_path / "plain", "compare", one_cpu)
+    spans = tmp_path / "spans.json"
+    traced = launch([str(TRACER), str(spans)], cfg, tmp_path / "traced", "compare", one_cpu)
+    assert plain.returncode == 0, plain.stderr
+    assert traced.returncode == 0, traced.stderr
+    assert (traced.stdout, traced.stderr) == (plain.stdout, plain.stderr)
+    assert artifacts(tmp_path / "traced" / "out") == artifacts(tmp_path / "plain" / "out")
+    metrics = load_tracer().layer_metrics(spans)
+    assert metrics["reward_net.train_calls"] == 8
+    assert metrics["reward_net.train_steps"] == 400

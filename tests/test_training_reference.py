@@ -18,11 +18,10 @@ from genil.reward_net import (
     BATCH_BLOCK,
     CompiledPairs,
     TrainConfig,
+    _train_loop,
     lockstep_pays,
     make_reward_model,
     train,
-    train_stacked,
-    train_together,
 )
 from genil.seeding import derive_seed
 from genil.snippets import Snippet, SnippetPair, make_pairs, subsample
@@ -58,7 +57,7 @@ def test_reward_training_matches_reference(env_pairs):
     env_name, pairs = env_pairs
     model = make_reward_model(make_spec(env_name).feature_dim, seed=5)
     cfg = TrainConfig(learning_rate=3e-4, steps=STEPS, batch_size=16)
-    result = train(model, pairs, cfg, 5)
+    (result,) = train([model], pairs, cfg, [5])
     ref_net, ref_losses = reference_train(model, pairs, cfg, 5)
     assert np.array_equal(result.model.net.params, ref_net.get_flat())
     assert np.array_equal(result.losses, ref_losses)
@@ -70,7 +69,7 @@ def test_reference_sees_a_contiguous_transpose():
     pairs = desk_pairs("GridNav", seed=2)
     model = make_reward_model(make_spec("GridNav").feature_dim, seed=5)
     cfg = TrainConfig(learning_rate=3e-4, steps=200, batch_size=16)
-    result = train(model, pairs, cfg, 5)
+    (result,) = train([model], pairs, cfg, [5])
     moved, _ = reference_train(
         model, pairs, cfg, 5, transpose=lambda w: np.ascontiguousarray(w.T)
     )
@@ -84,13 +83,13 @@ TOGETHER_SEEDS = (5, 6, 7)
 @pytest.fixture(scope="module")
 def three_models(env_pairs):
     """Three models trained as one stack on the desk pairs, and the same
-    three trained one at a time by train."""
+    three trained one at a time, by the training loop itself."""
     env_name, pairs = env_pairs
     cfg = TrainConfig(learning_rate=3e-4, steps=STEPS, batch_size=16)
     models = [make_reward_model(make_spec(env_name).feature_dim, seed=s) for s in TOGETHER_SEEDS]
     compiled = CompiledPairs(pairs)
-    lockstep = train_stacked(models, compiled, cfg, list(TOGETHER_SEEDS))
-    alone = [train(m, compiled, cfg, s) for m, s in zip(models, TOGETHER_SEEDS)]
+    lockstep = _train_loop(models, compiled, cfg, list(TOGETHER_SEEDS))
+    alone = [_train_loop([m], compiled, cfg, [s])[0] for m, s in zip(models, TOGETHER_SEEDS)]
     return cfg, models, compiled, lockstep, alone
 
 
@@ -123,11 +122,11 @@ def test_training_together_steps_in_lockstep_only_where_it_pays(env_pairs, three
     pays = lockstep_pays(compiled, cfg.batch_size)
     assert pays == (env_name == "GridNav")
     want = lockstep if pays else alone
-    together = train_together(models, compiled, cfg, list(TOGETHER_SEEDS))
+    together = train(models, compiled, cfg, list(TOGETHER_SEEDS))
     for got, expected in zip(together, want, strict=True):
         assert np.array_equal(got.model.net.params, expected.model.net.params)
         assert np.array_equal(got.losses, expected.losses)
-    (one,) = train_together(models[:1], compiled, cfg, list(TOGETHER_SEEDS[:1]))
+    (one,) = train(models[:1], compiled, cfg, list(TOGETHER_SEEDS[:1]))
     assert np.array_equal(one.model.net.params, alone[0].model.net.params)
 
 
@@ -188,7 +187,7 @@ def test_divergence_in_a_later_block_reports_its_own_step():
     expected = next(s for s in range(cfg.steps) if draws.integers(len(pairs), size=1)[0] == bad)
     assert expected >= 2 * BATCH_BLOCK and expected % BATCH_BLOCK != 0
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(DivergenceError) as info:
-        train(make_reward_model(2, 8, 1, seed=0), pairs, cfg, 0)
+        train([make_reward_model(2, 8, 1, seed=0)], pairs, cfg, [0])
     assert info.value.step == expected
     assert f"at step {expected}" in str(info.value)
 
@@ -212,7 +211,7 @@ def test_divergence_in_lockstep_names_its_model_and_step():
         assert steps[1] >= 2 * BATCH_BLOCK and steps[1] % BATCH_BLOCK != 0
         models = [make_reward_model(2, 8, 1, seed=seed) for seed in seeds]
         with pytest.raises(DivergenceError) as info:
-            train_stacked(models, pairs, cfg, seeds)
+            _train_loop(models, CompiledPairs(pairs), cfg, seeds)
     assert info.value.step == steps[1]
     assert f"at step {steps[1]} of model 1" in str(info.value)
 
@@ -260,7 +259,7 @@ def test_training_working_set_does_not_grow_with_steps(pc_desk_pairs):
 
     def peak(steps):
         cfg = TrainConfig(learning_rate=3e-4, steps=steps, batch_size=16)
-        return traced_peak(lambda: train(model, compiled, cfg, 5))
+        return traced_peak(lambda: train([model], compiled, cfg, [5]))
 
     short, long = peak(200), peak(STEPS)
     assert long <= 1.1 * short

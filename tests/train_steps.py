@@ -1,10 +1,9 @@
 """One pair's ranking loss and gradient, taken from reward training itself.
 
 reward_net._ranking_loss is the only implementation of the ranking loss,
-its gradient and its divergence check, and reward_net.train_stacked, the
+its gradient and its divergence check, and reward_net._train_loop, the
 one training loop, steps through it for one model or a stack of K; a
-stacked member differs from a lone train call only in the rows it
-forwards.  Tests that need the loss and gradient for one pair run
+stacked member differs from a lone model only in the rows it forwards.  Tests that need the loss and gradient for one pair run
 one training step on that pair alone.
 """
 
@@ -19,7 +18,7 @@ def first_step(model, pair) -> tuple[float, np.ndarray]:
     """(loss, gradient) of one training step on pair alone.  At learning
     rate 1 the step subtracts the gradient, so the gradient is the input
     parameters minus the trained ones; the input model is left untouched."""
-    result = train(model, [pair], ONE_STEP, 0)
+    (result,) = train([model], [pair], ONE_STEP, [0])
     return float(result.losses[0]), model.net.params - result.model.net.params
 
 
