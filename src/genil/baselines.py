@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import DemoPolicy, EnvSpec, environment, rollout
+from .envs import DemoPolicy, Environment, rollout
 from .errors import ConfigError
 from .mlp import MLP
 from .reward_net import TrainConfig, _batch_blocks
@@ -35,7 +35,7 @@ def _constant_ranks(traj: Trajectory, rank: int) -> Trajectory:
 
 
 def build_trex_dataset(
-    spec: EnvSpec, qualities: list[float], n_per_quality: int, seed: int
+    spec: Environment, qualities: list[float], n_per_quality: int, seed: int
 ) -> list[Trajectory]:
     """Rollouts at several qualities, ranked by quality ordinal.
 
@@ -82,17 +82,14 @@ BC_TRAIN = TrainConfig(learning_rate=1e-2, steps=2000, batch_size=64)
 class BCPolicy:
     """Deterministic cloned policy: its environment's bc_action of the net's output."""
 
-    spec: EnvSpec
+    spec: Environment
     net: MLP
 
-    def __post_init__(self) -> None:
-        self._env = environment(self.spec.name)
-
     def act(self, features: np.ndarray, rng: np.random.Generator):
-        return self._env.bc_action(self.net.predict(features[None, :])[0])
+        return self.spec.bc_action(self.net.predict(features[None, :])[0])
 
 
-def train_bc(demos: list[Trajectory], spec: EnvSpec, seeds: list[int]) -> list[BCPolicy]:
+def train_bc(demos: list[Trajectory], spec: Environment, seeds: list[int]) -> list[BCPolicy]:
     """One clone per seed by minibatch SGD on the environment's BC loss
     (cross-entropy over grid actions, squared error of scalar ones) over
     all demo transitions; a seed drives its clone's initialisation and
@@ -117,8 +114,7 @@ def train_bc(demos: list[Trajectory], spec: EnvSpec, seeds: list[int]) -> list[B
             raise ConfigError(f"demo {traj.id!r} is from {traj.env}, spec is {spec.name}")
     X = np.concatenate([t.states for t in demos], axis=0)
     y = np.concatenate([t.actions for t in demos], axis=0)
-    env = environment(spec.name)
-    widths = [spec.feature_dim, *BC_HIDDEN, env.bc_out_dim]
+    widths = [spec.feature_dim, *BC_HIDDEN, spec.bc_out_dim]
     net = MLP.stack([MLP.create(widths, derive_seed(seed, "bc-init")) for seed in seeds])
     n = X.shape[0]
     cfg = dataclasses.replace(BC_TRAIN, batch_size=min(BC_TRAIN.batch_size, n))
@@ -132,10 +128,10 @@ def train_bc(demos: list[Trajectory], spec: EnvSpec, seeds: list[int]) -> list[B
                 out, cache = net.forward(distinct)
                 rows = row_of[batches]
                 d_out = np.zeros_like(out)
-                np.add.at(d_out, (clones, rows), env.bc_grad(out[clones, rows], y[batches]))
+                np.add.at(d_out, (clones, rows), spec.bc_grad(out[clones, rows], y[batches]))
             else:
                 out, cache = net.forward(X[batches])
-                d_out = env.bc_grad(out, y[batches])
+                d_out = spec.bc_grad(out, y[batches])
             net.apply_grads(net.backward(cache, d_out), cfg.learning_rate)
     return [BCPolicy(spec=spec, net=member) for member in net.unstack()]
 
@@ -150,15 +146,14 @@ class MixturePolicy:
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        self._env = environment(self.spec.name)
 
     @property
-    def spec(self) -> EnvSpec:
+    def spec(self) -> Environment:
         return self.base.spec
 
     def act(self, features: np.ndarray, rng: np.random.Generator):
         if rng.random() < self.epsilon:
-            return self._env.random_action(rng)
+            return self.spec.random_action(rng)
         return self.base.act(features, rng)
 
 

@@ -17,7 +17,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .envs import EnvSpec, environment, make_spec
+from .envs import Environment, environment
 from .errors import ConfigError
 from .genetics import GAConfig
 from .policy_opt import CEMConfig
@@ -37,7 +37,7 @@ class EnvSection:
     demo_quality_bad: float = 0.5
 
     def __post_init__(self) -> None:
-        make_spec(self.name)
+        environment(self.name)
         for label, q in (("good", self.demo_quality_good), ("bad", self.demo_quality_bad)):
             if not 0.0 <= q <= 1.0:
                 raise ConfigError(f"demo_quality_{label} must lie in [0, 1], got {q}")
@@ -160,12 +160,12 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        environment(self.env.name).check_policy(self.policy)
-        horizon = self.spec().horizon
-        if self.data.max_len > horizon:
+        spec = self.spec()
+        spec.check_policy(self.policy)
+        if self.data.max_len > spec.horizon:
             raise ConfigError(
-                f"[data] max_len {self.data.max_len} exceeds the {self.env.name} "
-                f"horizon {horizon}"
+                f"[data] max_len {self.data.max_len} exceeds the {spec.name} "
+                f"horizon {spec.horizon}"
             )
         if self.train.batch_size > self.data.n_pairs:
             raise ConfigError(
@@ -173,8 +173,8 @@ class ExperimentConfig:
                 f"[data] n_pairs {self.data.n_pairs}"
             )
 
-    def spec(self) -> EnvSpec:
-        return make_spec(self.env.name)
+    def spec(self) -> Environment:
+        return environment(self.env.name)
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,22 @@ PointChase
 
 All stochasticity lives in the demonstration policies; the environments
 themselves are deterministic, so a rollout is a pure function of
-(spec, policy, seed).  Demonstration quality is a scalar knob in [0, 1]:
+(policy, seed).  Demonstration quality is a scalar knob in [0, 1]:
 0 is the optimal policy for the environment, 1 is (close to) uniform
 random, and expected return degrades monotonically in between.
 
-Each environment is one class with one instance in ENVIRONMENTS, which
-environment(name) looks up; nothing else in genil branches on a name.
-GridNav's spec runs 50 steps at discount 0.95, PointChase's 100 at 0.99.
-A third environment is one more class there that defines:
+Each environment is one frozen dataclass with one instance in
+ENVIRONMENTS.  An environment is its own spec: every parameter or
+attribute named spec holds the environment itself, and
+dataclasses.replace(spec, horizon=...) gives a shorter episode.
+environment(name) looks it up only where a name comes from outside the
+program (a config's [env] name, a policy.json's env); nothing else in
+genil branches on a name.  GridNav runs 50 steps at discount 0.95,
+PointChase 100 at 0.99.  A third environment is one more class there
+that defines:
 
-- spec, start(), step(state, action): the first state, and the next state
+- name, horizon, discount and feature_dim, its fields;
+- start(), step(state, action): the first state, and the next state
   as a pure function of a state and an action; the episode itself lives
   in rollout, and the object holds none of it;
 - true_reward(features), on a state batch;
@@ -54,7 +60,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -91,14 +96,6 @@ PC_NOISE_SCALE = 3.0
 PC_FEATURE_DIM = 3
 
 
-@dataclass(frozen=True)
-class EnvSpec:
-    name: str
-    horizon: int
-    discount: float
-    feature_dim: int
-
-
 # ---------------------------------------------------------------------------
 # GridNav tables
 
@@ -133,6 +130,19 @@ def gridnav_transitions() -> np.ndarray:
     return table
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
+
+
+# The tables step, true_reward and value iteration share: each cell's next
+# cell per action, the same by action (an action's next cells a row), and
+# each cell's reward.
+GRID_NEXT = _read_only(gridnav_transitions())
+GRID_NEXT_BY_ACTION = _read_only(np.ascontiguousarray(GRID_NEXT.T))
+GRID_REWARD = _read_only(gridnav_reward_field())
+
+
 def gridnav_features(cell: int) -> np.ndarray:
     x = cell % GRID_SIZE
     y = cell // GRID_SIZE
@@ -164,15 +174,13 @@ def gridnav_greedy_actions(rewards: np.ndarray, discount: float, tol: float) -> 
     cell, ties toward the lowest index.  Raises ConfigError when that
     takes more than _VALUE_ITERATION_MAX_SWEEPS sweeps.
     """
-    nxt = gridnav_transitions()
-    nxt_t = np.ascontiguousarray(nxt.T)  # (4, 64): an action's next cells a row
     values = np.zeros(GRID_N_STATES)
     for _ in range(_VALUE_ITERATION_MAX_SWEEPS):
-        new = rewards + discount * values[nxt_t].max(axis=0)
+        new = rewards + discount * values[GRID_NEXT_BY_ACTION].max(axis=0)
         residual = np.abs(new - values).max()
         values = new
         if residual < tol:
-            return np.argmax(values[nxt], axis=1).astype(np.int64)
+            return np.argmax(values[GRID_NEXT], axis=1).astype(np.int64)
     raise ConfigError(
         f"value iteration at discount {discount} did not converge to residual "
         f"{tol} within {_VALUE_ITERATION_MAX_SWEEPS} sweeps"
@@ -185,12 +193,12 @@ def gridnav_optimal_actions(discount: float) -> np.ndarray:
     table = _OPTIMAL_ACTION_CACHE.get(discount)
     if table is None:
         table = _OPTIMAL_ACTION_CACHE[discount] = gridnav_greedy_actions(
-            gridnav_reward_field(), discount, 1e-13
+            GRID_REWARD, discount, 1e-13
         )
     return table
 
 
-def gridnav_optimal_return(spec: EnvSpec) -> float:
+def gridnav_optimal_return(spec: GridNavEnv) -> float:
     """Return of the greedy-optimal policy over one episode."""
     return gt_return(rollout(DemoPolicy(spec, 0.0), seed=0), spec.discount)
 
@@ -199,17 +207,18 @@ def gridnav_optimal_return(spec: EnvSpec) -> float:
 # Environments
 
 
+@dataclass(frozen=True)
 class GridNavEnv:
     """Deterministic grid walk; see the module docstring for the rules.  A
     policy is an action per cell, derived by value iteration."""
 
+    name: str = ENV_GRIDNAV
+    horizon: int = 50
+    discount: float = 0.95
+    feature_dim: int = GRID_FEATURE_DIM
+
     action_dtype = parameter_dtype = np.int64
     bc_out_dim = GRID_N_ACTIONS
-
-    def __init__(self, spec: EnvSpec):
-        self.spec = spec
-        self._next = gridnav_transitions()
-        self._reward = gridnav_reward_field()
 
     def start(self) -> np.ndarray:
         return gridnav_features(_cell_index(*GRID_START))
@@ -217,10 +226,10 @@ class GridNavEnv:
     def step(self, state: np.ndarray, action: int) -> np.ndarray:
         if not 0 <= int(action) < GRID_N_ACTIONS:
             raise ConfigError(f"GridNav action must be in [0, 4), got {action}")
-        return gridnav_features(int(self._next[gridnav_cell_of(state), int(action)]))
+        return gridnav_features(int(GRID_NEXT[gridnav_cell_of(state), int(action)]))
 
     def true_reward(self, features: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(features)[:, 2:] @ self._reward
+        return np.atleast_2d(features)[:, 2:] @ GRID_REWARD
 
     def random_action(self, rng: np.random.Generator) -> int:
         return int(rng.integers(GRID_N_ACTIONS))
@@ -229,7 +238,7 @@ class GridNavEnv:
         """Epsilon-greedy, with epsilon = quality, over the optimal action table."""
         if rng.random() < quality:
             return self.random_action(rng)
-        return int(gridnav_optimal_actions(self.spec.discount)[gridnav_cell_of(features)])
+        return int(gridnav_optimal_actions(self.discount)[gridnav_cell_of(features)])
 
     def policy_act(self, parameters: np.ndarray, features: np.ndarray) -> int:
         return int(parameters[gridnav_cell_of(features)])
@@ -260,7 +269,7 @@ class GridNavEnv:
         """Value iteration at section's discount and tol; seed goes unread."""
         from .policy_opt import value_iteration  # at call time: policy_opt imports envs
 
-        return value_iteration(self.spec, reward, section.discount, section.tol)
+        return value_iteration(self, reward, section.discount, section.tol)
 
     def check_policy(self, section) -> None:
         # value iteration needs about log(tol) / log(discount) sweeps to reach tol
@@ -296,7 +305,7 @@ def _pointchase_state(pos: float, vel: float) -> np.ndarray:
     return np.array([pos, vel, PC_TARGET - pos])
 
 
-def pointchase_linear_rollout(spec: EnvSpec, gains: np.ndarray) -> np.ndarray:
+def pointchase_linear_rollout(spec: PointChaseEnv, gains: np.ndarray) -> np.ndarray:
     """States of one episode per row of (P, 3) linear feedback gains, (P, horizon, 3).
 
     All P episodes advance in lockstep through pointchase_step, which
@@ -319,15 +328,18 @@ def pointchase_linear_rollout(spec: EnvSpec, gains: np.ndarray) -> np.ndarray:
     return states
 
 
+@dataclass(frozen=True)
 class PointChaseEnv:
     """1-d chase toward a fixed target with clipped double-integrator
     dynamics.  A policy is linear feedback gains, derived by CEM."""
 
+    name: str = ENV_POINTCHASE
+    horizon: int = 100
+    discount: float = 0.99
+    feature_dim: int = PC_FEATURE_DIM
+
     action_dtype = parameter_dtype = np.float64
     bc_out_dim = 1
-
-    def __init__(self, spec: EnvSpec):
-        self.spec = spec
 
     def start(self) -> np.ndarray:
         return _pointchase_state(PC_START_POS, PC_START_VEL)
@@ -372,7 +384,7 @@ class PointChaseEnv:
         """CEM on reward at section's population size and iteration count."""
         from .policy_opt import cem_search  # at call time: policy_opt imports envs
 
-        return cem_search(self.spec, reward, section.cem(), seed)
+        return cem_search(self, reward, section.cem(), seed)
 
     def check_policy(self, section) -> None:
         """Any section will do: CEM reads neither discount nor tol."""
@@ -380,10 +392,7 @@ class PointChaseEnv:
 
 Environment = GridNavEnv | PointChaseEnv
 
-ENVIRONMENTS: dict[str, Environment] = {
-    ENV_GRIDNAV: GridNavEnv(EnvSpec(ENV_GRIDNAV, 50, 0.95, GRID_FEATURE_DIM)),
-    ENV_POINTCHASE: PointChaseEnv(EnvSpec(ENV_POINTCHASE, 100, 0.99, PC_FEATURE_DIM)),
-}
+ENVIRONMENTS: dict[str, Environment] = {env.name: env for env in (GridNavEnv(), PointChaseEnv())}
 
 
 def environment(name: str) -> Environment:
@@ -391,16 +400,6 @@ def environment(name: str) -> Environment:
     if name not in ENVIRONMENTS:
         raise ConfigError(f"unknown environment {name!r}; choose from {tuple(ENVIRONMENTS)}")
     return ENVIRONMENTS[name]
-
-
-def make_spec(name: str) -> EnvSpec:
-    """The fixed EnvSpec of the environment called name."""
-    return environment(name).spec
-
-
-def true_reward_fn(spec: EnvSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch scorer for the environment's ground-truth reward on features."""
-    return environment(spec.name).true_reward
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +411,15 @@ class DemoPolicy:
     """Scalar-quality stand-in for agents of diverse performance: its
     environment's demo_action, optimal at quality 0 and random at 1."""
 
-    spec: EnvSpec
+    spec: Environment
     quality: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.quality <= 1.0:
             raise ConfigError(f"quality must lie in [0, 1], got {self.quality}")
-        self._env = environment(self.spec.name)
 
     def act(self, features: np.ndarray, rng: np.random.Generator):
-        return self._env.demo_action(features, self.quality, rng)
+        return self.spec.demo_action(features, self.quality, rng)
 
 
 def rollout(
@@ -431,29 +429,29 @@ def rollout(
     traj_id: str | None = None,
     extra_meta: dict | None = None,
 ) -> Trajectory:
-    """Record one episode of policy in its own environment (policy.spec):
+    """Record one episode of policy in its own environment, policy.spec:
     T states, T actions, T per-state rewards.
 
     The episode starts at the environment's start() and takes one
     step(state, action) per recorded state; the environment holds no state
     of its own.  The reward at index t is the ground-truth reward of the
     state occupied at time t, so the discounted return matches
-    sum_t discount^t * R(s_t).  Any object with a `spec` attribute and an
-    `act(features, rng)` method can serve as the policy.
+    sum_t discount^t * R(s_t), and the episode runs spec.horizon steps.
+    Any object whose `spec` attribute is an environment, and that has an
+    `act(features, rng)` method, can serve as the policy.
     """
     spec = policy.spec
-    env = environment(spec.name)
     # the leading 0 keeps the stream every recorded episode was drawn from
     rng = np.random.default_rng([0, derive_seed(seed, "rollout")])
-    state = env.start()
+    state = spec.start()
     states = np.empty((spec.horizon, spec.feature_dim))
     actions: list = []
     for t in range(spec.horizon):
         states[t] = state
         action = policy.act(state, rng)
         actions.append(action)
-        state = env.step(state, action)
-    action_arr = np.asarray(actions, dtype=env.action_dtype)
+        state = spec.step(state, action)
+    action_arr = np.asarray(actions, dtype=spec.action_dtype)
     quality = getattr(policy, "quality", None)
     if traj_id is None:
         qtag = "" if quality is None else f"-q{quality:g}"
@@ -467,7 +465,7 @@ def rollout(
         env=spec.name,
         states=states,
         actions=action_arr,
-        gt_step_rewards=env.true_reward(states),
+        gt_step_rewards=spec.true_reward(states),
         step_ranks=None,
         source=source,
         meta=meta,
@@ -479,7 +477,7 @@ DEMO_PAIR_ATTEMPTS = 20
 
 
 def make_demo_pair(
-    spec: EnvSpec,
+    spec: Environment,
     good_quality: float,
     bad_quality: float,
     seed: int,
@@ -506,7 +504,7 @@ def make_demo_pair(
 
 
 def make_eval_set(
-    spec: EnvSpec,
+    spec: Environment,
     qualities: list[float],
     n_per_quality: int,
     seed: int,

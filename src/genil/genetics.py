@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -292,15 +292,15 @@ class RankedDataset:
     config: GAConfig
     seed: int
     attempts_used: int
-    _by_id: dict[str, Trajectory] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._by_id = {}
+        ids: set[str] = set()
         for traj in self.trajectories:
             if traj.step_ranks is None:
                 raise InvalidTrajectoryError(f"trajectory {traj.id!r} has no step ranks")
-            if self._by_id.setdefault(traj.id, traj) is not traj:
+            if traj.id in ids:
                 raise InvalidTrajectoryError(f"duplicate trajectory id {traj.id!r}")
+            ids.add(traj.id)
 
     def by_rank(self) -> dict[int, list[str]]:
         out: dict[int, list[str]] = {}
@@ -311,9 +311,6 @@ class RankedDataset:
 
     def _listed_ranks(self) -> dict[str, list[str]]:
         return {str(r): ids for r, ids in sorted(self.by_rank().items())}
-
-    def get(self, traj_id: str) -> Trajectory:
-        return self._by_id[traj_id]
 
     def save(self, traj_path, manifest_path) -> None:
         save_trajectories(traj_path, self.trajectories)

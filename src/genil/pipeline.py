@@ -36,7 +36,7 @@ import numpy as np
 
 from .baselines import build_drex_dataset, build_trex2_dataset, build_trex_dataset, train_bc
 from .config import ExperimentConfig, config_to_dict
-from .envs import EnvSpec, environment, make_demo_pair, make_eval_set
+from .envs import Environment, make_demo_pair, make_eval_set
 from .errors import ConfigError, CorruptArtifactError, GenilError, MissingArtifactError
 from .fileio import atomic_write
 from .genetics import RankedDataset, reproduce
@@ -118,7 +118,7 @@ def _require(out: Path, *names: str) -> None:
             )
 
 
-def _require_env(spec: EnvSpec, path: Path, trajectories) -> None:
+def _require_env(spec: Environment, path: Path, trajectories) -> None:
     """Refuse trajectories that are not from spec's environment or whose
     states are not spec's width (a ConfigError), and, as a malformed
     artifact, those whose actions the environment could not take or whose
@@ -127,7 +127,6 @@ def _require_env(spec: EnvSpec, path: Path, trajectories) -> None:
     rewards with their states."""
     if any(t.env != spec.name for t in trajectories):
         raise ConfigError(f"{path}: trajectories are not from {spec.name}")
-    env = environment(spec.name)
     for t in trajectories:
         if t.states.shape[1] != spec.feature_dim:
             raise ConfigError(
@@ -136,19 +135,19 @@ def _require_env(spec: EnvSpec, path: Path, trajectories) -> None:
             )
         try:
             if t.actions is not None:
-                env.check_actions(t.actions)
+                spec.check_actions(t.actions)
         except ValueError as exc:
             raise CorruptArtifactError(
                 f"malformed artifact {path}: trajectory {t.id!r}: {exc}"
             ) from exc
-        if t.gt_step_rewards.tobytes() != env.true_reward(t.states).tobytes():
+        if t.gt_step_rewards.tobytes() != spec.true_reward(t.states).tobytes():
             raise CorruptArtifactError(
                 f"malformed artifact {path}: trajectory {t.id!r}: step rewards are not "
                 f"{spec.name}'s true reward of its states"
             )
 
 
-def _load_model_for(spec: EnvSpec, path: Path) -> RewardModel:
+def _load_model_for(spec: Environment, path: Path) -> RewardModel:
     """The reward model at path, refused unless it scores spec's states."""
     model = load_model(path)
     if model.feature_dim != spec.feature_dim:
@@ -159,7 +158,7 @@ def _load_model_for(spec: EnvSpec, path: Path) -> RewardModel:
     return model
 
 
-def _load_policy_for(spec: EnvSpec, path: Path) -> PolicyArtifact:
+def _load_policy_for(spec: Environment, path: Path) -> PolicyArtifact:
     """The policy at path, refused unless it acts in spec's environment."""
     artifact = load_policy(path)
     if artifact.env != spec.name:
@@ -244,13 +243,13 @@ def _map_units(fn, units: list[tuple]) -> list:
 _LINEAGE = ("trial", 0, "genil")
 
 
-def _demo_pair(cfg: ExperimentConfig, spec: EnvSpec, seed: int):
+def _demo_pair(cfg: ExperimentConfig, spec: Environment, seed: int):
     return make_demo_pair(
         spec, cfg.env.demo_quality_good, cfg.env.demo_quality_bad, seed=seed
     )
 
 
-def _write_eval_set(cfg: ExperimentConfig, spec: EnvSpec, out: Path, manifest: RunManifest):
+def _write_eval_set(cfg: ExperimentConfig, spec: Environment, out: Path, manifest: RunManifest):
     """Generate and save the evaluation set, recording its seed."""
     seed = derive_seed(cfg.base_seed, "eval-set")
     eval_set = make_eval_set(spec, list(cfg.eval.qualities), cfg.eval.n_per_quality, seed)
@@ -274,7 +273,7 @@ def _train(cfg: ExperimentConfig, pairs, seeds: list[int]) -> list[TrainResult]:
 
 
 def _train_and_score(
-    cfg: ExperimentConfig, spec: EnvSpec, trajectories: list[Trajectory], labels
+    cfg: ExperimentConfig, spec: Environment, trajectories: list[Trajectory], labels
 ):
     """Pairs from rank-labeled trajectories, the unit's reward models
     trained together on them, then per model: derive, evaluate.
@@ -294,7 +293,7 @@ def _train_and_score(
     for m, result in enumerate(_train(cfg, pairs, model_seeds)):
         model = result.model
         reward = functools.partial(predict_states, model)
-        artifact = environment(spec.name).derive_policy(reward, cfg.policy, seed("policy", m))
+        artifact = spec.derive_policy(reward, cfg.policy, seed("policy", m))
         stats = evaluate_policy(artifact, cfg.eval.n_eval_episodes)
         returns.append(stats.mean)
         models.append(model)
@@ -346,7 +345,7 @@ def stage_train_policy(cfg: ExperimentConfig, out: Path, manifest: RunManifest) 
     spec = cfg.spec()
     reward = functools.partial(predict_states, _load_model_for(spec, out / F_MODEL))
     policy_seed = derive_seed(cfg.base_seed, *_LINEAGE, "policy", 0)
-    artifact = environment(spec.name).derive_policy(reward, cfg.policy, policy_seed)
+    artifact = spec.derive_policy(reward, cfg.policy, policy_seed)
     artifact.source_model = F_MODEL
     save_policy(artifact, out / F_POLICY)
     manifest.seeds["trial0/policy0"] = policy_seed
@@ -525,7 +524,7 @@ def stage_compare(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> No
 # Crossover step-size sweep
 
 
-def _sweep_trial(cfg: ExperimentConfig, spec: EnvSpec, step: int, trial: int) -> list[float]:
+def _sweep_trial(cfg: ExperimentConfig, spec: Environment, step: int, trial: int) -> list[float]:
     """Per-model ground-truth returns for one (step size, trial)."""
     labels = ("sweep", step, "trial", trial)
     ga = dataclasses.replace(cfg.ga, max_crossover_step=step + 1)

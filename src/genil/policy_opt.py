@@ -23,7 +23,9 @@ import numpy as np
 from .envs import (
     ENVIRONMENTS,
     GRID_N_STATES,
-    EnvSpec,
+    Environment,
+    GridNavEnv,
+    PointChaseEnv,
     environment,
     gridnav_all_features,
     gridnav_greedy_actions,
@@ -59,8 +61,9 @@ class CEMConfig:
 @dataclass
 class PolicyArtifact:
     """Serializable policy that acts by itself in the environment called
-    env, which sets its parameters' form: a GridNav action per cell (int64)
-    or PointChase linear feedback gains (float64) over (pos, vel, target-pos)."""
+    env, as a policy.json names it.  spec, that environment, sets its
+    parameters' form: a GridNav action per cell (int64) or PointChase
+    linear feedback gains (float64) over (pos, vel, target-pos)."""
 
     env: str
     parameters: np.ndarray
@@ -68,19 +71,15 @@ class PolicyArtifact:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._env = environment(self.env)
-        self.parameters = np.asarray(self.parameters, dtype=self._env.parameter_dtype)
-
-    @property
-    def spec(self) -> EnvSpec:
-        return self._env.spec
+        self.spec: Environment = environment(self.env)
+        self.parameters = np.asarray(self.parameters, dtype=self.spec.parameter_dtype)
 
     def act(self, features: np.ndarray, rng: np.random.Generator) -> int | float:
-        return self._env.policy_act(self.parameters, features)
+        return self.spec.policy_act(self.parameters, features)
 
 
 def value_iteration(
-    spec: EnvSpec, reward, discount: float | None = None, tol: float = 1e-10
+    spec: GridNavEnv, reward, discount: float | None = None, tol: float = 1e-10
 ) -> PolicyArtifact:
     """Greedy per-cell policy from exact value iteration on the 64-cell grid.
 
@@ -105,7 +104,7 @@ def value_iteration(
     )
 
 
-def cem_search(spec: EnvSpec, reward, cfg: CEMConfig, seed: int) -> PolicyArtifact:
+def cem_search(spec: PointChaseEnv, reward, cfg: CEMConfig, seed: int) -> PolicyArtifact:
     """Cross-entropy method over the three feedback gains.
 
     Each iteration samples a Gaussian population around the current mean,

@@ -16,18 +16,18 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
-from genil.envs import make_demo_pair, make_spec
+from genil.envs import environment, make_demo_pair
 from genil.genetics import GAConfig, reproduce
 
 
 @pytest.fixture(scope="session")
 def grid_spec():
-    return make_spec("GridNav")
+    return environment("GridNav")
 
 
 @pytest.fixture(scope="session")
 def pc_spec():
-    return make_spec("PointChase")
+    return environment("PointChase")
 
 
 @pytest.fixture(scope="session")

@@ -16,12 +16,11 @@ import pytest
 from genil.baselines import build_trex2_dataset
 from genil.config import parse_config_text
 from genil.envs import (
+    environment,
     gridnav_all_features,
     gridnav_optimal_return,
     make_demo_pair,
     make_eval_set,
-    make_spec,
-    true_reward_fn,
 )
 from genil.genetics import (
     GAConfig,
@@ -141,7 +140,7 @@ def ten_seed_runs():
     train call as compare trains a unit's models, plus the greedy
     policy from the learned reward.  The seeds run as parallel units; each
     is timed inside its worker."""
-    spec = make_spec("GridNav")
+    spec = environment("GridNav")
     ga = GAConfig()
     qualities = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
 
@@ -190,7 +189,7 @@ def test_criterion_01_rank_decomposition(capsys):
     rng = np.random.default_rng(123)
     total = exact = 0
     for env_name in ("GridNav", "PointChase"):
-        spec = make_spec(env_name)
+        spec = environment(env_name)
         good, bad = make_demo_pair(spec, 0.1, 0.5, seed=7)
         for _ in range(10):
             cfg = GAConfig(
@@ -226,15 +225,16 @@ def test_criterion_02_selection_soundness(capsys):
     runs = checked = 0
     problems = []
     for env_name in ("GridNav", "PointChase"):
-        spec = make_spec(env_name)
+        spec = environment(env_name)
         for s in range(50):
             good, bad = make_demo_pair(spec, 0.1, 0.5, seed=s)
             dataset = reproduce(good, bad, cfg, seed=s)
             runs += 1
             by_rank = dataset.by_rank()
+            by_id = {t.id: t for t in dataset.trajectories}
             for end in (0, cfg.n_ranks - 1):
                 ids = by_rank.get(end, [])
-                if len(ids) != 1 or dataset.get(ids[0]).source != "demo":
+                if len(ids) != 1 or by_id[ids[0]].source != "demo":
                     problems.append(f"{env_name} seed {s}: end bucket {end} not demo-only")
             for bucket in cfg.intermediate_buckets:
                 ids = by_rank.get(bucket, [])
@@ -242,7 +242,7 @@ def test_criterion_02_selection_soundness(capsys):
                     problems.append(f"{env_name} seed {s}: bucket {bucket} over quota")
                 lo, hi = bucket_interval(bucket, cfg)
                 for tid in ids:
-                    mean = float(dataset.get(tid).step_ranks.mean())
+                    mean = float(by_id[tid].step_ranks.mean())
                     checked += 1
                     if not lo <= mean < hi:
                         problems.append(
@@ -390,16 +390,16 @@ def test_criterion_07_policy_oracles(capsys):
     policy; CEM lands within 10% of a hand-tuned feedback controller.
     The optimal table comes from a reference copy of the oracle's loop,
     as the demonstrator shares value iteration's loop."""
-    spec = make_spec("GridNav")
-    artifact = value_iteration(spec, true_reward_fn(spec))
+    spec = environment("GridNav")
+    artifact = value_iteration(spec, spec.true_reward)
     table_ok = np.array_equal(artifact.parameters, reference_optimal_actions(spec.discount))
     vi_return = evaluate_policy(artifact, 1).mean
     return_gap = abs(vi_return - gridnav_optimal_return(spec))
 
-    pc = make_spec("PointChase")
+    pc = environment("PointChase")
     controller = PolicyArtifact(env="PointChase", parameters=np.array([0.0, -2.0, 4.0]))
     pd_mean = evaluate_policy(controller, 20).mean
-    cem_artifact = cem_search(pc, true_reward_fn(pc), CEMConfig(), seed=0)
+    cem_artifact = cem_search(pc, pc.true_reward, CEMConfig(), seed=0)
     cem_mean = evaluate_policy(cem_artifact, 20).mean
     cem_ok = cem_mean >= pd_mean - 0.1 * abs(pd_mean)
 
@@ -478,7 +478,7 @@ def test_criterion_10_serialization_round_trip(capsys, tmp_path):
     failures = []
 
     for env_name in ("GridNav", "PointChase"):
-        spec = make_spec(env_name)
+        spec = environment(env_name)
         pair = list(make_demo_pair(spec, 0.1, 0.5, seed=4))
         first = tmp_path / f"{env_name}.jsonl"
         save_trajectories(first, pair)
@@ -490,7 +490,7 @@ def test_criterion_10_serialization_round_trip(capsys, tmp_path):
         if first.read_bytes() != second.read_bytes():
             failures.append(f"{env_name} trajectory file not byte-stable")
 
-    spec = make_spec("GridNav")
+    spec = environment("GridNav")
     ga = GAConfig()
     dataset = reproduce(*make_demo_pair(spec, 0.1, 0.5, seed=4), ga, seed=4)
     snips = subsample(dataset.trajectories, 60, 5, 10, seed=4)
@@ -512,10 +512,10 @@ def test_criterion_10_serialization_round_trip(capsys, tmp_path):
     if model_path.read_bytes() != model_again.read_bytes():
         failures.append("model checkpoint not byte-stable")
 
-    pc = make_spec("PointChase")
+    pc = environment("PointChase")
     artifacts = [
-        value_iteration(spec, true_reward_fn(spec)),
-        cem_search(pc, true_reward_fn(pc), CEMConfig(population_size=16, n_iters=2), seed=1),
+        value_iteration(spec, spec.true_reward),
+        cem_search(pc, pc.true_reward, CEMConfig(population_size=16, n_iters=2), seed=1),
     ]
     for i, artifact in enumerate(artifacts):
         first = tmp_path / f"policy{i}.json"

@@ -13,7 +13,7 @@ from genil.baselines import (
     build_trex_dataset,
     train_bc,
 )
-from genil.envs import DemoPolicy, environment, make_demo_pair, make_spec, rollout
+from genil.envs import DemoPolicy, environment, make_demo_pair, rollout
 from genil.errors import ConfigError
 from genil.mlp import MLP
 from genil.seeding import derive_seed
@@ -23,7 +23,7 @@ from genil.trajectory import gt_return, trajectories_equal
 @pytest.fixture(scope="module")
 def grid_bc():
     """A clone of the optimal GridNav policy from one clean demo."""
-    spec = make_spec("GridNav")
+    spec = environment("GridNav")
     demo = rollout(DemoPolicy(spec, 0.0), seed=0)
     return spec, demo, train_bc([demo], spec, [0])[0]
 
@@ -92,7 +92,7 @@ def test_bc_clones_optimal_grid_policy(grid_bc):
 
 
 def test_bc_regresses_pointchase_actions():
-    spec = make_spec("PointChase")
+    spec = environment("PointChase")
     demo = rollout(DemoPolicy(spec, 0.0), seed=0)
     bc = train_bc([demo], spec, [0])[0]
     pred = np.clip(bc.net.predict(demo.states)[:, 0], -1.0, 1.0)
@@ -104,7 +104,7 @@ def test_bc_act_types(grid_bc, rng):
     spec, demo, bc = grid_bc
     a = bc.act(demo.states[0], rng)
     assert isinstance(a, int) and 0 <= a < 4
-    pspec = make_spec("PointChase")
+    pspec = environment("PointChase")
     pdemo = rollout(DemoPolicy(pspec, 0.3), seed=0)
     pbc = train_bc([pdemo], pspec, [0])[0]
     action = pbc.act(pdemo.states[0], rng)
@@ -121,7 +121,7 @@ def test_bc_validation(grid_spec):
     with pytest.raises(ConfigError):
         train_bc([no_actions], grid_spec, [0])
     with pytest.raises(ConfigError):
-        train_bc([demo], make_spec("PointChase"), [0])
+        train_bc([demo], environment("PointChase"), [0])
 
 
 def test_bc_deterministic(grid_spec):
@@ -168,7 +168,7 @@ def step_drawn_clones(demos, spec, seeds) -> list[MLP]:
     [("GridNav", 2), ("GridNav", 1), ("PointChase", 2)],
 )
 def test_bc_block_draws_match_step_draws(env, n_demos, n_clones):
-    spec = make_spec(env)
+    spec = environment(env)
     demos = list(make_demo_pair(spec, 0.1, 0.5, seed=3))[:n_demos]
     seeds = [11, 12, 13][:n_clones]
     got = train_bc(demos, spec, seeds)

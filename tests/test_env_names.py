@@ -1,12 +1,17 @@
 """No module of genil compares anything with an environment's name or a
-compare method's name, or picks a policy derivation outside genil.envs.
+compare method's name, picks a policy derivation outside genil.envs, or
+turns an environment back into itself by its name.
 
 What differs between environments lives in each environment's object in
 genil.envs, which envs.environment looks up by name; a comparison with
 "GridNav" or "PointChase" anywhere else would be a second place that
-decides by name.  Each environment's derive_policy is likewise the one
-place that calls value iteration or CEM, so no module calls either
-elsewhere or reads a flag (once `tabular`) to choose between them.
+decides by name.  That object is also the environment's spec, so a
+module holding a spec holds the environment: only a name that comes
+from outside the program (a config's [env] name in genil.config, a
+policy.json's env in genil.policy_opt) is looked up.  Each environment's
+derive_policy is likewise the one place that calls value iteration or
+CEM, so no module calls either elsewhere or reads a flag (once
+`tabular`) to choose between them.
 What differs between compare's methods lives in their entries in
 genil.pipeline.COMPARE_METHODS, looked up by name.
 """
@@ -141,3 +146,53 @@ def test_only_envs_derives_a_policy(path):
     calls, reads = derivation_choices(path.read_text())
     assert reads == []
     assert calls == [] or path.name == "envs.py"
+
+
+# The spec that once stood apart from its environment, and its lookups.
+SPEC_NAMES = {"EnvSpec", "make_spec", "true_reward_fn"}
+# The modules where a name arrives from outside the program.
+NAME_SOURCES = {"config.py", "policy_opt.py"}
+
+
+def spec_lookups(source: str) -> tuple[list[int], list[int]]:
+    """Line numbers of the definitions, imports, names and attributes
+    spelled as one of SPEC_NAMES, and of the calls to environment."""
+    names, calls = [], []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            spelled = node.id
+        elif isinstance(node, ast.Attribute):
+            spelled = node.attr
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.alias)):
+            spelled = node.name
+        else:
+            spelled = None
+        if spelled in SPEC_NAMES:
+            names.append(node.lineno)
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == "environment":
+                calls.append(node.lineno)
+    return sorted(names), sorted(calls)
+
+
+def test_the_check_finds_each_spec_lookup():
+    source = "\n".join([
+        "from .envs import EnvSpec",
+        "def f(spec: EnvSpec): pass",
+        "s = envs.make_spec(name)",
+        "env = environment(spec.name)",
+        "r = envs.environment(name).true_reward",
+        "def true_reward_fn(spec): pass",
+        "r = spec.true_reward(states)",
+        "x = environments[name]",
+    ])
+    assert spec_lookups(source) == ([1, 2, 3, 6], [4, 5])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_an_environment_is_its_own_spec(path):
+    names, calls = spec_lookups(path.read_text())
+    assert names == []
+    assert calls == [] or path.name in NAME_SOURCES

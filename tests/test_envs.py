@@ -47,10 +47,8 @@ from genil.envs import (
     gridnav_transitions,
     make_demo_pair,
     make_eval_set,
-    make_spec,
     pointchase_linear_rollout,
     rollout,
-    true_reward_fn,
 )
 from genil.baselines import BCPolicy
 from genil.errors import ConfigError
@@ -75,22 +73,22 @@ def _cell(x, y):
 
 def test_make_spec_defaults():
     """One fixed spec per environment, with README's horizon and discount."""
-    g = make_spec(ENV_GRIDNAV)
+    g = environment(ENV_GRIDNAV)
     assert (g.name, g.horizon, g.discount, g.feature_dim) == (
         ENV_GRIDNAV, 50, 0.95, GRID_FEATURE_DIM
     )
-    p = make_spec(ENV_POINTCHASE)
+    p = environment(ENV_POINTCHASE)
     assert (p.name, p.horizon, p.discount, p.feature_dim) == (
         ENV_POINTCHASE, 100, 0.99, PC_FEATURE_DIM
     )
-    assert make_spec(ENV_GRIDNAV) is g and make_spec(ENV_POINTCHASE) is p
+    assert environment(ENV_GRIDNAV) is g and environment(ENV_POINTCHASE) is p
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.horizon = 30
 
 
 def test_spec_validation():
     with pytest.raises(ConfigError, match="unknown environment 'Atari'"):
-        make_spec("Atari")
+        environment("Atari")
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +135,12 @@ def test_features_one_hot_and_inverse():
 
 def test_true_reward_fn_matches_field():
     field = gridnav_reward_field()
-    scores = true_reward_fn(make_spec(ENV_GRIDNAV))(gridnav_all_features())
+    scores = environment(ENV_GRIDNAV).true_reward(gridnav_all_features())
     assert np.array_equal(scores, field)
 
 
 def test_true_reward_fn_pointchase():
-    fn = true_reward_fn(make_spec(ENV_POINTCHASE))
+    fn = environment(ENV_POINTCHASE).true_reward
     states = np.array([[0.0, 0.0, 1.0], [1.5, -0.2, -0.5], [1.0, 0.0, 0.0]])
     assert np.array_equal(fn(states), [-1.0, -0.5, 0.0])
 
@@ -287,7 +285,7 @@ def test_rollout_shapes_and_reward_convention(grid_spec, pc_spec):
         assert traj.states.shape == (spec.horizon, spec.feature_dim)
         assert len(traj.actions) == spec.horizon
         # rewards[t] is the true reward of the state occupied at time t
-        expected = true_reward_fn(spec)(traj.states)
+        expected = spec.true_reward(traj.states)
         assert np.array_equal(traj.gt_step_rewards, expected)
     grid = rollout(DemoPolicy(grid_spec, 0.5), seed=0)
     assert grid.actions.dtype == np.int64
@@ -328,7 +326,7 @@ def test_quality_zero_matches_optimal_rollout(grid_spec):
 def test_quality_monotone_in_expectation(env_name):
     """Mean return at the better quality must not fall below the worse
     quality's mean by more than one-sided t slack at alpha=0.01."""
-    spec = make_spec(env_name)
+    spec = environment(env_name)
     n = 120
 
     def returns(quality):
@@ -468,7 +466,7 @@ def test_wall_gains_reach_both_clips(pc_spec):
 )
 @example(gains=WALL_GAINS, horizon=100)
 def test_population_rollout_matches_per_step_rollouts(gains, horizon):
-    spec = dataclasses.replace(make_spec(ENV_POINTCHASE), horizon=horizon)
+    spec = dataclasses.replace(environment(ENV_POINTCHASE), horizon=horizon)
     gains = np.array(gains)
     population = pointchase_linear_rollout(spec, gains)
     # each candidate's PolicyArtifact.act, under the spec of this horizon
@@ -482,9 +480,9 @@ def test_population_rollout_matches_per_step_rollouts(gains, horizon):
 
 @pytest.mark.parametrize("name", [ENV_GRIDNAV, ENV_POINTCHASE])
 def test_check_actions_takes_every_rollout_action(name):
-    spec = make_spec(name)
+    spec = environment(name)
     for quality in (0.0, 0.5, 1.0):
-        envs.environment(name).check_actions(rollout(DemoPolicy(spec, quality), seed=3).actions)
+        spec.check_actions(rollout(DemoPolicy(spec, quality), seed=3).actions)
 
 
 @pytest.mark.parametrize(

@@ -383,10 +383,11 @@ def test_by_rank_puts_the_demos_in_the_end_buckets_for_any_rank_low(grid_demos):
     cfg = GAConfig(rank_low=2)
     ds = reproduce(*grid_demos, cfg, seed=1)
     by_rank = ds.by_rank()
+    by_id = {t.id: t for t in ds.trajectories}
     assert by_rank[0] == ["demo-bad"]
     assert by_rank[4] == ["demo-good"]
     for bucket in cfg.intermediate_buckets:
-        assert all(ds.get(tid).meta["bucket"] == bucket for tid in by_rank.get(bucket, []))
+        assert all(by_id[tid].meta["bucket"] == bucket for tid in by_rank.get(bucket, []))
     assert sum(len(by_rank.get(b, [])) for b in cfg.intermediate_buckets) == cfg.n_offspring
 
 
@@ -413,14 +414,6 @@ def test_ranked_dataset_requires_labels():
     traj = dataclasses.replace(ranked_traj("t", 5, 1.0), step_ranks=None)
     with pytest.raises(InvalidTrajectoryError, match="trajectory 't' has no step ranks"):
         record(traj)
-
-
-def test_ranked_dataset_get():
-    traj = ranked_traj("t", 5, 1.0)
-    ds = record(traj)
-    assert ds.get("t") is traj
-    with pytest.raises(KeyError):
-        ds.get("missing")
 
 
 def test_ranked_dataset_rejects_duplicate_ids():

@@ -25,7 +25,7 @@ import genil
 from genil import pipeline, reward_net
 from genil.cli import main
 from genil.config import config_to_dict, parse_config_text
-from genil.envs import make_demo_pair, make_eval_set, make_spec
+from genil.envs import environment, make_demo_pair, make_eval_set
 from genil.errors import (
     ConfigError,
     CorruptArtifactError,
@@ -151,7 +151,7 @@ def test_stages_require_predecessors(small_cfg, tmp_path):
 
 
 def test_reproduce_validates_demo_file(small_cfg, tmp_path):
-    spec = make_spec("GridNav")
+    spec = environment("GridNav")
     good, bad = make_demo_pair(spec, 0.1, 0.5, seed=0)
     three = tmp_path / "three"
     three.mkdir()
@@ -162,7 +162,7 @@ def test_reproduce_validates_demo_file(small_cfg, tmp_path):
 
     wrong_env = tmp_path / "env"
     wrong_env.mkdir()
-    pc = make_spec("PointChase")
+    pc = environment("PointChase")
     save_trajectories(wrong_env / F_DEMOS, list(make_demo_pair(pc, 0.1, 0.5, seed=0)))
     with pytest.raises(ConfigError, match="not from GridNav"):
         run_command("reproduce", small_cfg, wrong_env)
@@ -987,13 +987,13 @@ def test_cli_train_policy_refuses_a_model_from_the_other_env(
 ):
     _, out = copy_run(small_run, tmp_path)
     cfg_path = write_cfg(tmp_path, SMALL + f"\n[env]\nname = {run_env}\n")
-    n_in = make_spec(model_env).feature_dim
+    n_in = environment(model_env).feature_dim
     reward_net.save_model(make_reward_model(n_in, seed=0), out / F_MODEL)
     policy = (out / F_POLICY).read_bytes()
     assert main(["--config", cfg_path, "--out", str(out), "--quiet", "train-policy"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"genil: config error: {out / F_MODEL}: reward model takes {n_in} "
-                   f"features, {run_env} states have {make_spec(run_env).feature_dim}"]
+                   f"features, {run_env} states have {environment(run_env).feature_dim}"]
     assert (out / F_POLICY).read_bytes() == policy
 
 

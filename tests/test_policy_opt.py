@@ -18,14 +18,12 @@ from genil.envs import (
     DemoPolicy,
     GRID_N_STATES,
     PC_ACTION_MAX,
-    PointChaseEnv,
+    environment,
     gridnav_all_features,
     gridnav_optimal_actions,
     gridnav_optimal_return,
     gridnav_transitions,
-    make_spec,
     rollout,
-    true_reward_fn,
 )
 from genil.errors import ConfigError, CorruptArtifactError, DivergenceError
 from genil.mlp import MLP
@@ -82,7 +80,7 @@ def test_cem_config_validation(kwargs):
 
 
 def test_value_iteration_on_true_reward_is_optimal(grid_spec):
-    art = value_iteration(grid_spec, true_reward_fn(grid_spec))
+    art = value_iteration(grid_spec, grid_spec.true_reward)
     assert art.env == "GridNav"
     assert np.array_equal(art.parameters, gridnav_optimal_actions(grid_spec.discount))
     stats = evaluate_policy(art, n_episodes=1)
@@ -90,10 +88,10 @@ def test_value_iteration_on_true_reward_is_optimal(grid_spec):
 
 
 def test_value_iteration_accepts_a_model_reward(grid_spec):
-    field = np.asarray(true_reward_fn(grid_spec)(gridnav_all_features()))
+    field = np.asarray(grid_spec.true_reward(gridnav_all_features()))
     model = linear_reward_model(field)
     by_model = value_iteration(grid_spec, functools.partial(predict_states, model))
-    by_fn = value_iteration(grid_spec, true_reward_fn(grid_spec))
+    by_fn = value_iteration(grid_spec, grid_spec.true_reward)
     assert np.array_equal(by_model.parameters, by_fn.parameters)
 
 
@@ -105,13 +103,13 @@ def test_value_iteration_tie_break_lowest_action(grid_spec):
 
 
 def test_value_iteration_tolerance_insensitive(grid_spec):
-    loose = value_iteration(grid_spec, true_reward_fn(grid_spec), tol=1e-6)
-    tight = value_iteration(grid_spec, true_reward_fn(grid_spec), tol=1e-12)
+    loose = value_iteration(grid_spec, grid_spec.true_reward, tol=1e-6)
+    tight = value_iteration(grid_spec, grid_spec.true_reward, tol=1e-12)
     assert np.array_equal(loose.parameters, tight.parameters)
 
 
 def test_value_iteration_discount_override(grid_spec):
-    art = value_iteration(grid_spec, true_reward_fn(grid_spec), discount=0.99)
+    art = value_iteration(grid_spec, grid_spec.true_reward, discount=0.99)
     assert art.meta["discount"] == 0.99
     assert np.array_equal(art.parameters, gridnav_optimal_actions(0.99))
 
@@ -155,7 +153,7 @@ def test_value_iteration_refuses_a_non_finite_reward(grid_spec):
 
 def test_value_iteration_validation(grid_spec):
     with pytest.raises(ConfigError):
-        value_iteration(grid_spec, true_reward_fn(grid_spec), tol=0.0)
+        value_iteration(grid_spec, grid_spec.true_reward, tol=0.0)
     with pytest.raises(ConfigError):
         value_iteration(grid_spec, lambda feats: np.zeros(3))  # wrong size
 
@@ -166,23 +164,23 @@ def test_value_iteration_validation(grid_spec):
 
 def test_cem_deterministic(pc_spec):
     cfg = CEMConfig(population_size=16, n_iters=4)
-    a = cem_search(pc_spec, true_reward_fn(pc_spec), cfg, seed=3)
-    b = cem_search(pc_spec, true_reward_fn(pc_spec), cfg, seed=3)
+    a = cem_search(pc_spec, pc_spec.true_reward, cfg, seed=3)
+    b = cem_search(pc_spec, pc_spec.true_reward, cfg, seed=3)
     assert np.array_equal(a.parameters, b.parameters)
-    c = cem_search(pc_spec, true_reward_fn(pc_spec), cfg, seed=4)
+    c = cem_search(pc_spec, pc_spec.true_reward, cfg, seed=4)
     assert not np.array_equal(a.parameters, c.parameters)
     assert a.env == "PointChase"
     assert len(a.meta["mean_history"]) == cfg.n_iters + 1
 
 
 def test_cem_zero_iters_returns_zero_gains(pc_spec):
-    art = cem_search(pc_spec, true_reward_fn(pc_spec), CEMConfig(n_iters=0), seed=0)
+    art = cem_search(pc_spec, pc_spec.true_reward, CEMConfig(n_iters=0), seed=0)
     assert np.array_equal(art.parameters, np.zeros(3))
 
 
 def test_cem_improves_over_zero_gains(pc_spec):
     cfg = CEMConfig(population_size=24, n_iters=8)
-    art = cem_search(pc_spec, true_reward_fn(pc_spec), cfg, seed=0)
+    art = cem_search(pc_spec, pc_spec.true_reward, cfg, seed=0)
     searched = evaluate_policy(art, n_episodes=1).mean
     idle = evaluate_policy(
         PolicyArtifact(env="PointChase", parameters=np.zeros(3)), n_episodes=1
@@ -201,28 +199,26 @@ def test_cem_raises_on_non_finite_fitness(pc_spec):
 
 
 # Reference: the per-candidate CEM this module ran before rolling the whole
-# population out in lockstep; one scalar env.step per candidate per step.
-def reference_fitness(env, gains, reward):
-    spec = env.spec
-    feats = env.start()
+# population out in lockstep; one scalar spec.step per candidate per step.
+def reference_fitness(spec, gains, reward):
+    feats = spec.start()
     states = np.empty((spec.horizon, spec.feature_dim))
     for t in range(spec.horizon):
         states[t] = feats
         action = float(np.clip(gains @ feats, -PC_ACTION_MAX, PC_ACTION_MAX))
-        feats = env.step(feats, action)
+        feats = spec.step(feats, action)
     return float(reward(states).sum())
 
 
 def reference_cem(spec, reward, cfg, seed):
     rng = np.random.default_rng(derive_seed(seed, "cem"))
-    env = PointChaseEnv(spec)
     dim = spec.feature_dim
     mean = np.zeros(dim)
     std = np.full(dim, 2.0)
     history = [mean.copy()]
     for _ in range(cfg.n_iters):
         population = mean + std * rng.normal(size=(cfg.population_size, dim))
-        fitness = np.array([reference_fitness(env, c, reward) for c in population])
+        fitness = np.array([reference_fitness(spec, c, reward) for c in population])
         elites = population[np.argsort(-fitness, kind="stable")[: cfg.n_elites]]
         mean = elites.mean(axis=0)
         std = np.maximum(elites.std(axis=0), 1e-6)
@@ -232,7 +228,7 @@ def reference_cem(spec, reward, cfg, seed):
 
 def small_reward(kind, spec):
     if kind == "true":
-        return true_reward_fn(spec)
+        return spec.true_reward
     if kind == "model":
         return functools.partial(
             predict_states, make_reward_model(3, hidden_width=8, n_hidden=2, seed=11)
@@ -269,7 +265,7 @@ def test_cem_matches_per_candidate_reference(pc_spec, reward_kind, population_si
 
 @pytest.mark.parametrize("reward_kind", ["true", "model"])
 def test_cem_matches_reference_at_other_horizon(reward_kind):
-    spec = dataclasses.replace(make_spec("PointChase"), horizon=37)
+    spec = dataclasses.replace(environment("PointChase"), horizon=37)
     cfg = CEMConfig(population_size=16, n_iters=4)
     assert_cem_matches_reference(spec, small_reward(reward_kind, spec), cfg, seed=2)
 
@@ -277,8 +273,8 @@ def test_cem_matches_reference_at_other_horizon(reward_kind):
 def test_cem_scores_the_reference_rollouts(pc_spec):
     # elites rarely flip on last-bit differences, so compare the states
     cfg = CEMConfig(population_size=16, n_iters=3)
-    got_fn, got = recording(true_reward_fn(pc_spec))
-    want_fn, want = recording(true_reward_fn(pc_spec))
+    got_fn, got = recording(pc_spec.true_reward)
+    want_fn, want = recording(pc_spec.true_reward)
     cem_search(pc_spec, got_fn, cfg, seed=9)
     reference_cem(pc_spec, want_fn, cfg, seed=9)
     assert len(got) == len(want) == cfg.n_iters * cfg.population_size
@@ -296,7 +292,7 @@ def test_cem_matches_reference_at_zero_iters(pc_spec):
 
 
 def test_evaluate_policy_deterministic(grid_spec):
-    art = value_iteration(grid_spec, true_reward_fn(grid_spec))
+    art = value_iteration(grid_spec, grid_spec.true_reward)
     a = evaluate_policy(art, n_episodes=3)
     b = evaluate_policy(art, n_episodes=3)
     assert np.array_equal(a.returns, b.returns)
@@ -305,7 +301,7 @@ def test_evaluate_policy_deterministic(grid_spec):
 
 
 def test_evaluate_policy_validation(grid_spec):
-    art = value_iteration(grid_spec, true_reward_fn(grid_spec))
+    art = value_iteration(grid_spec, grid_spec.true_reward)
     with pytest.raises(ConfigError):
         evaluate_policy(art, n_episodes=0)
 
@@ -323,7 +319,7 @@ def evaluated_policies(grid_spec, pc_spec):
         env="PointChase", parameters=np.array([0.5, -0.3, 1.2])
     )
     return [
-        value_iteration(grid_spec, true_reward_fn(grid_spec)),
+        value_iteration(grid_spec, grid_spec.true_reward),
         linear,
         *bc,
     ]
@@ -357,7 +353,7 @@ def test_evaluate_policy_returns_equal_every_episode(evaluated_policies):
 
 
 def test_tabular_policy_matches_rollout_of_table(grid_spec):
-    art = value_iteration(grid_spec, true_reward_fn(grid_spec))
+    art = value_iteration(grid_spec, grid_spec.true_reward)
     traj = rollout(art, seed=0)
     reference = rollout(DemoPolicy(grid_spec, 0.0), seed=0)
     assert gt_return(traj, grid_spec.discount) == pytest.approx(
@@ -404,7 +400,7 @@ def test_artifact_act_is_table_lookup_or_clipped_gains(
 
 
 def test_policy_round_trip_tabular(grid_spec, tmp_path):
-    art = value_iteration(grid_spec, true_reward_fn(grid_spec))
+    art = value_iteration(grid_spec, grid_spec.true_reward)
     art.source_model = "model.json"
     path = tmp_path / "policy.json"
     save_policy(art, path)
@@ -421,7 +417,7 @@ def test_policy_round_trip_tabular(grid_spec, tmp_path):
 
 def test_policy_round_trip_linear(pc_spec, tmp_path):
     art = cem_search(
-        pc_spec, true_reward_fn(pc_spec), CEMConfig(population_size=16, n_iters=2), seed=1
+        pc_spec, pc_spec.true_reward, CEMConfig(population_size=16, n_iters=2), seed=1
     )
     path = tmp_path / "policy.json"
     save_policy(art, path)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from genil.baselines import build_trex2_dataset
-from genil.envs import make_demo_pair, make_spec
+from genil.envs import environment, make_demo_pair
 from genil.errors import (
     ConfigError,
     CorruptArtifactError,
@@ -325,7 +325,7 @@ def test_a_diverging_model_raises_without_numpy_warnings(n_models, message):
     a dozen steps; training ends in the one DivergenceError, and numpy's
     overflow and invalid-value warnings stay silent on the way, whether
     one model trains alone or two train as one stack."""
-    spec = make_spec("GridNav")
+    spec = environment("GridNav")
     good, bad = make_demo_pair(spec, 0.1, 0.5, seed=1)
     snips = subsample(build_trex2_dataset(good, bad), 60, 5, 10, seed=1)
     pairs = CompiledPairs(make_pairs(snips, 120, 0.5, seed=1))
@@ -383,7 +383,7 @@ def test_desk_config_reaches_ordering_and_loss_targets():
     """On a clean two-rank GridNav dataset at the desk data settings, the
     trained model must order >= 95% of training pairs and reach mean batch
     loss < 0.1."""
-    spec = make_spec("GridNav")
+    spec = environment("GridNav")
     good, bad = make_demo_pair(spec, 0.1, 0.5, seed=1)
     ds = build_trex2_dataset(good, bad)
     snips = subsample(ds, 2000, 15, 30, seed=1)
@@ -401,7 +401,7 @@ def test_desk_config_reaches_ordering_and_loss_targets():
 def desk_pair_set(env_name):
     """Pairs at the desk data settings from a clean two-rank dataset,
     compiled once per environment."""
-    good, bad = make_demo_pair(make_spec(env_name), 0.1, 0.5, seed=2)
+    good, bad = make_demo_pair(environment(env_name), 0.1, 0.5, seed=2)
     snips = subsample(build_trex2_dataset(good, bad), 2000, 15, 30, seed=2)
     return CompiledPairs(make_pairs(snips, 4000, 0.5, seed=2))
 
@@ -418,7 +418,7 @@ def test_batch_step_is_the_mean_of_its_one_pair_steps(env_name, batch_size, seed
     one-pair gradients.  Each one-pair loss is log(1 + exp(S_lo - S_hi))
     over the model's snippet scores."""
     pairs = desk_pair_set(env_name)
-    model = make_reward_model(make_spec(env_name).feature_dim, seed=seed)
+    model = make_reward_model(environment(env_name).feature_dim, seed=seed)
     cfg = TrainConfig(steps=1, batch_size=batch_size)
     (result,) = train([model], pairs, cfg, [seed])
     drawn = np.random.default_rng(derive_seed(seed, "train-batches")).integers(

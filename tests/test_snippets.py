@@ -65,11 +65,12 @@ def test_snippet_pair_requires_positive_margin():
 def test_subsample_counts_lengths_labels():
     ds = two_rank_dataset(T=40)
     snips = subsample(ds.trajectories, 200, 5, 12, seed=3)
+    by_id = {t.id: t for t in ds.trajectories}
     assert len(snips) == 200
     for s in snips:
         assert 5 <= s.length <= 12
         assert s.states.shape == (s.length, 3)
-        parent = ds.get(s.parent_id)
+        parent = by_id[s.parent_id]
         assert 0 <= s.start <= len(parent) - s.length
         # label recomputable from the serialized parent
         window = parent.step_ranks[s.start : s.start + s.length]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from genil.baselines import build_trex2_dataset, train_bc
-from genil.envs import DemoPolicy, make_demo_pair, make_spec, rollout
+from genil.envs import DemoPolicy, environment, make_demo_pair, rollout
 from genil.errors import DivergenceError
 from genil.reward_net import (
     BATCH_BLOCK,
@@ -39,7 +39,7 @@ STEPS = 1100
 def desk_pairs(env_name, seed):
     """Pairs at the desk data settings from a clean two-rank dataset: about
     22 distinct table rows a step on GridNav, about 180 on PointChase."""
-    good, bad = make_demo_pair(make_spec(env_name), 0.1, 0.5, seed=seed)
+    good, bad = make_demo_pair(environment(env_name), 0.1, 0.5, seed=seed)
     snips = subsample(build_trex2_dataset(good, bad), 2000, 15, 30, seed=seed)
     return make_pairs(snips, 4000, 0.5, seed=seed)
 
@@ -55,7 +55,7 @@ def test_steps_span_several_blocks():
 
 def test_reward_training_matches_reference(env_pairs):
     env_name, pairs = env_pairs
-    model = make_reward_model(make_spec(env_name).feature_dim, seed=5)
+    model = make_reward_model(environment(env_name).feature_dim, seed=5)
     cfg = TrainConfig(learning_rate=3e-4, steps=STEPS, batch_size=16)
     (result,) = train([model], pairs, cfg, [5])
     ref_net, ref_losses = reference_train(model, pairs, cfg, 5)
@@ -67,7 +67,7 @@ def test_reference_sees_a_contiguous_transpose():
     """A contiguous copy of W.T in backward moves bits at GridNav's row
     counts, so the comparison above would catch it."""
     pairs = desk_pairs("GridNav", seed=2)
-    model = make_reward_model(make_spec("GridNav").feature_dim, seed=5)
+    model = make_reward_model(environment("GridNav").feature_dim, seed=5)
     cfg = TrainConfig(learning_rate=3e-4, steps=200, batch_size=16)
     (result,) = train([model], pairs, cfg, [5])
     moved, _ = reference_train(
@@ -86,7 +86,7 @@ def three_models(env_pairs):
     three trained one at a time, by the training loop itself."""
     env_name, pairs = env_pairs
     cfg = TrainConfig(learning_rate=3e-4, steps=STEPS, batch_size=16)
-    models = [make_reward_model(make_spec(env_name).feature_dim, seed=s) for s in TOGETHER_SEEDS]
+    models = [make_reward_model(environment(env_name).feature_dim, seed=s) for s in TOGETHER_SEEDS]
     compiled = CompiledPairs(pairs)
     lockstep = _train_loop(models, compiled, cfg, list(TOGETHER_SEEDS))
     alone = [_train_loop([m], compiled, cfg, [s])[0] for m, s in zip(models, TOGETHER_SEEDS)]
@@ -140,7 +140,7 @@ def test_bc_training_matches_reference(env_name):
     (4-output classifiers) step over those rows; PointChase's hold more,
     so its clones (1-output regressors) step over their batch rows, to the
     bits of the per-row loop.  Alone or together, a clone is the same."""
-    spec = make_spec(env_name)
+    spec = environment(env_name)
     demos = bc_demos(spec)
     reference = reference_train_bc_distinct if env_name == "GridNav" else reference_train_bc
     want = {seed: reference(demos, spec, seed).get_flat() for seed in (3, 4)}
@@ -153,7 +153,7 @@ def test_bc_over_distinct_rows_stays_near_the_per_row_loop():
     """Adding batch rows' gradients into their distinct rows sums a GridNav
     clone's gradient in another order; after 2000 steps its parameters are
     within 4.5e-16 of the per-row loop's here."""
-    spec = make_spec("GridNav")
+    spec = environment("GridNav")
     demos = bc_demos(spec)
     for policy, seed in zip(train_bc(demos, spec, [3, 4]), (3, 4)):
         distance = np.max(np.abs(policy.net.params - reference_train_bc(demos, spec, seed).get_flat()))
@@ -255,7 +255,7 @@ def test_training_working_set_does_not_grow_with_steps(pc_desk_pairs):
     holds is bounded by one block: 6.5 times 8 bytes a snippet row here,
     against 18 with 64-step blocks."""
     compiled = CompiledPairs(pc_desk_pairs)
-    model = make_reward_model(make_spec("PointChase").feature_dim, seed=5)
+    model = make_reward_model(environment("PointChase").feature_dim, seed=5)
 
     def peak(steps):
         cfg = TrainConfig(learning_rate=3e-4, steps=steps, batch_size=16)
