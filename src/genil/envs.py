@@ -312,7 +312,7 @@ def pointchase_linear_rollout(spec: PointChaseEnv, gains: np.ndarray) -> np.ndar
     clips the action as PointChaseEnv.policy_act does.  Each action is
     one dot product per candidate (a stacked (1, 3) @ (3, 1) matmul, one
     BLAS ddot like `gains[p] @ feats`), so row p equals the states of
-    rollout(PolicyArtifact("PointChase", gains[p]), seed) bit for bit.
+    rollout(PolicyArtifact(spec, gains[p]), seed) bit for bit.
     """
     n = len(gains)
     states = np.empty((n, spec.horizon, PC_FEATURE_DIM))

@@ -5,9 +5,10 @@ stage can be rerun in isolation.  A run manifest records the config
 echo, a content hash for every emitted artifact, per-stage wall-clock,
 and the derived seeds, which makes bit-level reproducibility checkable
 from the manifest alone.  STAGES maps each stage name to its function
-and the artifacts it reads and writes, COMMANDS maps each command to the
-stages it runs in order, and run_command runs one command under one
-manifest: it alone checks, times and hashes every stage's artifacts.
+and the artifacts it reads and writes, LOADERS each artifact read to its
+loader, COMMANDS each command to the stages it runs in order, and
+run_command runs one command under one manifest: it alone loads and
+checks every stage's inputs, and times and hashes every stage's outputs.
 
 Seed discipline: each unit of work owns a seed derived from
 (base_seed, labels..., kind[, model]), so no stage's RNG consumption can
@@ -53,7 +54,6 @@ from .metrics import (
 from .policy_opt import PolicyArtifact, evaluate_policy, load_policy, save_policy
 from .reward_net import (
     CompiledPairs,
-    RewardModel,
     TrainResult,
     load_model,
     make_reward_model,
@@ -110,21 +110,17 @@ class RunManifest:
             fh.write("\n")
 
 
-def _require(out: Path, *names: str) -> None:
-    for name in names:
-        if not (out / name).is_file():
-            raise MissingArtifactError(
-                f"missing {name} in {out}; run the producing stage first"
-            )
-
-
-def _require_env(spec: Environment, path: Path, trajectories) -> None:
-    """Refuse trajectories that are not from spec's environment or whose
-    states are not spec's width (a ConfigError), and, as a malformed
-    artifact, those whose actions the environment could not take or whose
-    step rewards differ, bit for bit, from its true reward of their
-    states.  genil records every reward as that, and GA offspring copy
-    rewards with their states."""
+def _checked(cfg: ExperimentConfig, path: Path, trajectories, n=None, refusal=""):
+    """trajectories, checked as loaded from path.  If n is given and there
+    are not n, they are malformed (refusal.format(n=n, got=the count)).
+    They must be of the config's environment and width (else a
+    ConfigError), their actions ones it can take, and their step rewards,
+    bit for bit, its true reward of their states, as genil records every
+    reward and GA offspring copy rewards with states (else malformed)."""
+    if n is not None and len(trajectories) != n:
+        got = len(trajectories)
+        raise CorruptArtifactError(f"malformed artifact {path}: " + refusal.format(n=n, got=got))
+    spec = cfg.spec()
     if any(t.env != spec.name for t in trajectories):
         raise ConfigError(f"{path}: trajectories are not from {spec.name}")
     for t in trajectories:
@@ -145,25 +141,45 @@ def _require_env(spec: Environment, path: Path, trajectories) -> None:
                 f"malformed artifact {path}: trajectory {t.id!r}: step rewards are not "
                 f"{spec.name}'s true reward of its states"
             )
+    return trajectories
 
 
-def _load_model_for(spec: Environment, path: Path) -> RewardModel:
-    """The reward model at path, refused unless it scores spec's states."""
-    model = load_model(path)
+def _load_model_for(cfg: ExperimentConfig, path: Path):
+    """The reward function of the model at path, refused unless it scores cfg's states."""
+    model, spec = load_model(path), cfg.spec()
     if model.feature_dim != spec.feature_dim:
         raise ConfigError(
             f"{path}: reward model takes {model.feature_dim} features, "
             f"{spec.name} states have {spec.feature_dim}"
         )
-    return model
+    return functools.partial(predict_states, model)
 
 
-def _load_policy_for(spec: Environment, path: Path) -> PolicyArtifact:
-    """The policy at path, refused unless it acts in spec's environment."""
-    artifact = load_policy(path)
-    if artifact.env != spec.name:
-        raise ConfigError(f"{path}: policy is for {artifact.env}, not {spec.name}")
+def _load_policy_for(cfg: ExperimentConfig, path: Path) -> PolicyArtifact:
+    """The policy at path, refused unless it acts in the config's environment."""
+    artifact, name = load_policy(path), cfg.spec().name
+    if artifact.spec.name != name:
+        raise ConfigError(f"{path}: policy is for {artifact.spec.name}, not {name}")
     return artifact
+
+
+# artifact -> the function of (cfg, path) that loads it, checked against
+# cfg; the ranked dataset's also reads the ranked manifest beside it.  Like
+# COMPARE_METHODS, an entry looks up what it calls when it runs.
+LOADERS = {
+    F_DEMOS: lambda cfg, path: _checked(
+        cfg, path, load_trajectories(path), 2, "must hold exactly {n} trajectories, got {got}"
+    ),
+    F_RANKED: lambda cfg, path: _checked(
+        cfg, path, RankedDataset.load(path, path.with_name(F_RANKED_MANIFEST)).trajectories
+    ),
+    F_MODEL: _load_model_for,
+    F_POLICY: _load_policy_for,
+    F_EVAL: lambda cfg, path: _checked(
+        cfg, path, load_trajectories(path), len(cfg.eval.qualities) * cfg.eval.n_per_quality,
+        "{got} trajectories, the eval config makes {n}",
+    ),
+}
 
 
 def _usable_cpus() -> int:
@@ -312,26 +328,16 @@ def stage_gen_demos(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> 
     manifest.seeds["trial0/demos"] = demo_seed
 
 
-def stage_reproduce(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
-    spec = cfg.spec()
-    demos = load_trajectories(out / F_DEMOS)
-    if len(demos) != 2:
-        raise CorruptArtifactError(
-            f"malformed artifact {out / F_DEMOS}: must hold exactly 2 trajectories, "
-            f"got {len(demos)}"
-        )
-    _require_env(spec, out / F_DEMOS, demos)
+def stage_reproduce(cfg: ExperimentConfig, out: Path, manifest: RunManifest, demos) -> None:
     ga_seed = derive_seed(cfg.base_seed, "trial", 0, "ga")
     dataset = reproduce(demos[0], demos[1], cfg.ga, ga_seed)
     dataset.save(out / F_RANKED, out / F_RANKED_MANIFEST)
     manifest.seeds["trial0/ga"] = ga_seed
 
 
-def stage_train_reward(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
-    dataset = RankedDataset.load(out / F_RANKED, out / F_RANKED_MANIFEST)
-    _require_env(cfg.spec(), out / F_RANKED, dataset.trajectories)
+def stage_train_reward(cfg: ExperimentConfig, out: Path, manifest: RunManifest, ranked) -> None:
     data_seed = derive_seed(cfg.base_seed, *_LINEAGE, "data")
-    pairs = _pairs(cfg, dataset.trajectories, data_seed)
+    pairs = _pairs(cfg, ranked, data_seed)
     save_pairs(out / F_PAIRS, pairs)
     model_seed = derive_seed(cfg.base_seed, *_LINEAGE, "model", 0)
     (result,) = _train(cfg, pairs, [model_seed])
@@ -341,34 +347,23 @@ def stage_train_reward(cfg: ExperimentConfig, out: Path, manifest: RunManifest) 
     manifest.seeds["trial0/model0"] = model_seed
 
 
-def stage_train_policy(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
-    spec = cfg.spec()
-    reward = functools.partial(predict_states, _load_model_for(spec, out / F_MODEL))
+def stage_train_policy(cfg: ExperimentConfig, out: Path, manifest: RunManifest, reward) -> None:
     policy_seed = derive_seed(cfg.base_seed, *_LINEAGE, "policy", 0)
-    artifact = spec.derive_policy(reward, cfg.policy, policy_seed)
+    artifact = cfg.spec().derive_policy(reward, cfg.policy, policy_seed)
     artifact.source_model = F_MODEL
     save_policy(artifact, out / F_POLICY)
     manifest.seeds["trial0/policy0"] = policy_seed
 
 
-def stage_evaluate(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> None:
+def stage_evaluate(
+    cfg: ExperimentConfig, out: Path, manifest: RunManifest, reward, artifact, eval_set
+) -> None:
     """Extrapolation and policy metrics for the single-lineage artifacts.
 
     The policy table's model axis holds evaluation episodes here, since
     exactly one policy is being scored.
     """
-    spec = cfg.spec()
-    reward = functools.partial(predict_states, _load_model_for(spec, out / F_MODEL))
-    artifact = _load_policy_for(spec, out / F_POLICY)
-    eval_set = load_trajectories(out / F_EVAL)
-    _require_env(spec, out / F_EVAL, eval_set)
-    expected = len(cfg.eval.qualities) * cfg.eval.n_per_quality
-    if len(eval_set) != expected:
-        raise CorruptArtifactError(
-            f"malformed artifact {out / F_EVAL}: {len(eval_set)} trajectories, "
-            f"the eval config makes {expected}"
-        )
-    report = extrapolation_report(reward, eval_set, spec.discount, n_bins=cfg.eval.n_bins)
+    report = extrapolation_report(reward, eval_set, cfg.spec().discount, n_bins=cfg.eval.n_bins)
     write_extrapolation_csv(out / F_EXTRAPOLATION, report)
     write_summary_csv(out / F_SUMMARY, [("GenIL", report)])
     stats = evaluate_policy(artifact, cfg.eval.n_eval_episodes)
@@ -617,11 +612,14 @@ COMMANDS = {
 def run_command(command: str, cfg: ExperimentConfig, out_dir=None) -> RunManifest:
     """Run a command's stages in order under one run manifest.
 
-    Each stage must find the artifacts it reads.  Once it returns, its
-    wall-clock and the hashes of the artifacts it writes go into the
-    manifest, which is saved then, so a command that fails part way leaves
-    a manifest of the stages it finished.  out_dir defaults to the
-    config's output directory; one that a file blocks is a ConfigError.
+    Every artifact a stage reads must be there (else a MissingArtifactError)
+    before LOADERS loads and checks each, in STAGES' order, for the stage:
+    no stage opens a file, and each reads from disk what the last wrote.
+    Once it returns, its wall-clock, loads included, and the hashes of the
+    artifacts it writes go into the manifest, which is saved then, so a
+    command that fails part way leaves a manifest of the stages it
+    finished.  out_dir defaults to the config's output directory; one that
+    a file blocks is a ConfigError.
     """
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     try:
@@ -631,9 +629,11 @@ def run_command(command: str, cfg: ExperimentConfig, out_dir=None) -> RunManifes
     manifest = RunManifest(command=command, config=config_to_dict(cfg), base_seed=cfg.base_seed)
     for name in COMMANDS[command][0]:
         run, reads, writes = STAGES[name]
-        _require(out, *reads)
+        for r in reads:
+            if not (out / r).is_file():
+                raise MissingArtifactError(f"missing {r} in {out}; run the producing stage first")
         t0 = time.perf_counter()
-        run(cfg, out, manifest)
+        run(cfg, out, manifest, *[LOADERS[r](cfg, out / r) for r in reads if r in LOADERS])
         manifest.stage_seconds[name] = time.perf_counter() - t0
         manifest.artifacts.update({a: file_sha256(out / a) for a in writes})
         manifest.save(out)

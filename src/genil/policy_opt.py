@@ -60,18 +60,17 @@ class CEMConfig:
 
 @dataclass
 class PolicyArtifact:
-    """Serializable policy that acts by itself in the environment called
-    env, as a policy.json names it.  spec, that environment, sets its
-    parameters' form: a GridNav action per cell (int64) or PointChase
-    linear feedback gains (float64) over (pos, vel, target-pos)."""
+    """Serializable policy that acts by itself in spec, the environment it
+    was derived in, horizon and all; a policy.json names spec by its name.
+    spec sets its parameters' form: a GridNav action per cell (int64) or
+    PointChase linear feedback gains (float64) over (pos, vel, target-pos)."""
 
-    env: str
+    spec: Environment
     parameters: np.ndarray
     source_model: str | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.spec: Environment = environment(self.env)
         self.parameters = np.asarray(self.parameters, dtype=self.spec.parameter_dtype)
 
     def act(self, features: np.ndarray, rng: np.random.Generator) -> int | float:
@@ -98,7 +97,7 @@ def value_iteration(
     if not np.all(np.isfinite(rewards)):
         raise DivergenceError("non-finite cell reward: value iteration cannot converge", step=0)
     return PolicyArtifact(
-        env=spec.name,
+        spec=spec,
         parameters=gridnav_greedy_actions(rewards, gamma, tol),
         meta={"discount": gamma, "tol": tol},
     )
@@ -137,7 +136,7 @@ def cem_search(spec: PointChaseEnv, reward, cfg: CEMConfig, seed: int) -> Policy
         std = np.maximum(elites.std(axis=0), 1e-6)
         history.append(mean.copy())
     return PolicyArtifact(
-        env=spec.name,
+        spec=spec,
         parameters=mean,
         meta={
             "n_iters": cfg.n_iters,
@@ -174,7 +173,7 @@ def evaluate_policy(policy, n_episodes: int) -> EvalStats:
 def save_policy(artifact: PolicyArtifact, path) -> None:
     payload = {
         "format_version": ARTIFACT_VERSION,
-        "env": artifact.env,
+        "env": artifact.spec.name,
         "parameters": artifact.parameters.tolist(),
         "source_model": artifact.source_model,
         "meta": artifact.meta,
@@ -185,9 +184,9 @@ def save_policy(artifact: PolicyArtifact, path) -> None:
 
 
 def load_policy(path) -> PolicyArtifact:
-    """The policy artifact at path, refused with a CorruptArtifactError
-    naming path unless its environment is known and its parameters fit it.
-    A "kind" key, which older files carry, is ignored."""
+    """The policy at path, in the environment its env names (genil's one
+    lookup of a policy's), refused with a CorruptArtifactError naming path
+    unless that is known and its parameters fit; an old "kind" is ignored."""
     with open(path) as fh, parsing(path):
         payload = json.load(fh)
         if payload.get("format_version") != ARTIFACT_VERSION:
@@ -197,9 +196,10 @@ def load_policy(path) -> PolicyArtifact:
         env, values = payload["env"], payload["parameters"]
         if env not in ENVIRONMENTS:
             raise ValueError(f"unknown policy environment {env!r}")
-        ENVIRONMENTS[env].check_parameters(values)
+        spec = environment(env)
+        spec.check_parameters(values)
         return PolicyArtifact(
-            env=env,
+            spec=spec,
             parameters=values,
             source_model=payload["source_model"],
             meta=payload["meta"],

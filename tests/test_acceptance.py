@@ -397,7 +397,7 @@ def test_criterion_07_policy_oracles(capsys):
     return_gap = abs(vi_return - gridnav_optimal_return(spec))
 
     pc = environment("PointChase")
-    controller = PolicyArtifact(env="PointChase", parameters=np.array([0.0, -2.0, 4.0]))
+    controller = PolicyArtifact(spec=pc, parameters=np.array([0.0, -2.0, 4.0]))
     pd_mean = evaluate_policy(controller, 20).mean
     cem_artifact = cem_search(pc, pc.true_reward, CEMConfig(), seed=0)
     cem_mean = evaluate_policy(cem_artifact, 20).mean
@@ -522,11 +522,11 @@ def test_criterion_10_serialization_round_trip(capsys, tmp_path):
         save_policy(artifact, first)
         back = load_policy(first)
         if not np.array_equal(artifact.parameters, back.parameters):
-            failures.append(f"{artifact.env} policy parameters differ after reload")
+            failures.append(f"{artifact.spec.name} policy parameters differ after reload")
         second = tmp_path / f"policy{i}-again.json"
         save_policy(back, second)
         if first.read_bytes() != second.read_bytes():
-            failures.append(f"{artifact.env} policy file not byte-stable")
+            failures.append(f"{artifact.spec.name} policy file not byte-stable")
 
     ok = not failures
     line = emit(

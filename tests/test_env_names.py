@@ -6,9 +6,10 @@ What differs between environments lives in each environment's object in
 genil.envs, which envs.environment looks up by name; a comparison with
 "GridNav" or "PointChase" anywhere else would be a second place that
 decides by name.  That object is also the environment's spec, so a
-module holding a spec holds the environment: only a name that comes
-from outside the program (a config's [env] name in genil.config, a
-policy.json's env in genil.policy_opt) is looked up.  Each environment's
+module holding a spec holds the environment, and a policy keeps the one
+it was derived in: only a name that comes from outside the program (a
+config's [env] name in genil.config, a policy.json's env in
+genil.policy_opt.load_policy) is looked up.  Each environment's
 derive_policy is likewise the one place that calls value iteration or
 CEM, so no module calls either elsewhere or reads a flag (once
 `tabular`) to choose between them.
@@ -150,8 +151,9 @@ def test_only_envs_derives_a_policy(path):
 
 # The spec that once stood apart from its environment, and its lookups.
 SPEC_NAMES = {"EnvSpec", "make_spec", "true_reward_fn"}
-# The modules where a name arrives from outside the program.
-NAME_SOURCES = {"config.py", "policy_opt.py"}
+# Where a name arrives from outside the program: a module, and the one
+# top-level function in it that looks the name up (None: anywhere in it).
+NAME_SOURCES = {"config.py": None, "policy_opt.py": "load_policy"}
 
 
 def spec_lookups(source: str) -> tuple[list[int], list[int]]:
@@ -191,8 +193,34 @@ def test_the_check_finds_each_spec_lookup():
     assert spec_lookups(source) == ([1, 2, 3, 6], [4, 5])
 
 
+def lines_outside(source: str, lines: list[int], function: str | None) -> list[int]:
+    """Those of lines outside source's top-level function called function;
+    none if function is None."""
+    if function is None:
+        return []
+    (node,) = [
+        n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name == function
+    ]
+    return [line for line in lines if not node.lineno <= line <= node.end_lineno]
+
+
+def test_the_check_places_each_lookup_in_its_function():
+    source = "\n".join([
+        "spec = environment(name)",
+        "def load_policy(path):",
+        "    return environment(name)",
+        "def other():",
+        "    return environment(name)",
+    ])
+    _, calls = spec_lookups(source)
+    assert lines_outside(source, calls, "load_policy") == [1, 5]
+    assert lines_outside(source, calls, None) == []
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_an_environment_is_its_own_spec(path):
-    names, calls = spec_lookups(path.read_text())
+    source = path.read_text()
+    names, calls = spec_lookups(source)
     assert names == []
-    assert calls == [] or path.name in NAME_SOURCES
+    assert path.name in NAME_SOURCES or calls == []
+    assert lines_outside(source, calls, NAME_SOURCES.get(path.name)) == []

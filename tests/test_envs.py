@@ -7,7 +7,6 @@ value iteration code path.
 
 import dataclasses
 import pickle
-import types
 
 import numpy as np
 import pytest
@@ -248,7 +247,7 @@ def test_scalar_policy_clamps_match_np_clip(pc_spec):
     # normal draw (negative at seeds 4 and 5), so -0.0 reaches its clamp
     values = [-5.0, -PC_ACTION_MAX, -0.0, 0.0, 0.3, PC_ACTION_MAX, 5.0, nan]
     identity = MLP([3, 1], [np.array([[1.0], [0.0], [0.0]])], [np.array([-0.0])])
-    linear = PolicyArtifact(ENV_POINTCHASE, np.array([1.0, 0.0, 0.0]))
+    linear = PolicyArtifact(pc_spec, np.array([1.0, 0.0, 0.0]))
     bc = BCPolicy(pc_spec, identity)
     demo = DemoPolicy(pc_spec, 0.0)
     got, want = [], []
@@ -469,11 +468,7 @@ def test_population_rollout_matches_per_step_rollouts(gains, horizon):
     spec = dataclasses.replace(environment(ENV_POINTCHASE), horizon=horizon)
     gains = np.array(gains)
     population = pointchase_linear_rollout(spec, gains)
-    # each candidate's PolicyArtifact.act, under the spec of this horizon
-    policies = [
-        types.SimpleNamespace(spec=spec, act=PolicyArtifact(ENV_POINTCHASE, g).act) for g in gains
-    ]
-    per_candidate = np.stack([rollout(p, seed=0).states for p in policies])
+    per_candidate = np.stack([rollout(PolicyArtifact(spec, g), seed=0).states for g in gains])
     assert population.shape == (len(gains), horizon, PC_FEATURE_DIM)
     assert np.array_equal(population, per_candidate)
 

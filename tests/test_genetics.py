@@ -11,9 +11,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from genil.envs import environment, make_demo_pair
 from genil.errors import (
     ConfigError,
     CorruptArtifactError,
@@ -486,3 +487,34 @@ def test_offspring_properties_random(seed, lx, ly, lmax, cx, mut):
     sx, sy, sm = decomposition_sums(off)
     assert off.rank_sum == sx + sy + sm
     assert cfg.rank_low <= off.mean_rank <= cfg.rank_high
+
+
+# Every GAConfig built above that reproduce can grow a dataset under.
+GROWN_CONFIGS = [
+    GAConfig(),
+    GAConfig(rank_low=2),
+    GAConfig(rank_low=2, n_ranks=4),
+    GAConfig(crossover_rate=1.0, max_crossover_step=4),
+    GAConfig(mutation_rate=0.5),
+    GAConfig(mutation_rate=0.0),
+    GAConfig(bucket_tolerance=0.3),
+]
+
+
+@pytest.mark.parametrize("name", ["GridNav", "PointChase"])
+@pytest.mark.parametrize("cfg", GROWN_CONFIGS, ids=range(len(GROWN_CONFIGS)))
+@settings(max_examples=15, deadline=None)
+@given(demo_seed=st.integers(0, 2**20), ga_seed=st.integers(0, 2**20))
+def test_reproduction_adds_labels_not_states(name, cfg, demo_seed, ga_seed):
+    """Crossover copies the parents' time-aligned segments, mutation swaps
+    in a state the population visited, and the population is the demos
+    and accepted offspring: every state row of the dataset is, byte for
+    byte, a row of one of the two demos."""
+    good, bad = make_demo_pair(environment(name), 0.1, 0.5, seed=demo_seed)
+    try:
+        dataset = reproduce(good, bad, cfg, ga_seed)
+    except ReproductionStalledError:
+        reject()  # a stalled run grows no dataset
+    demo_rows = {row.tobytes() for demo in (good, bad) for row in demo.states}
+    for traj in dataset.trajectories:
+        assert {row.tobytes() for row in traj.states} <= demo_rows, traj.id

@@ -1,11 +1,13 @@
 """File-artifact orchestration: stage chaining, manifests, reproducibility,
 method comparison, the step-size sweep, and the command-line wrapper."""
 
+import ast
 import csv
 import dataclasses
 import functools
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import pickle
@@ -1379,3 +1381,57 @@ def test_command_writes_exactly_its_stages_declared_outputs(small_run, tmp_path,
     assert set(manifest.artifacts) == written
     assert {p.name for p in out.iterdir()} == needed | written | {F_MANIFEST}
     assert set(manifest.stage_seconds) == set(pipeline.COMMANDS[command][0])
+
+
+# ---------------------------------------------------------------------------
+# One read path: run_command loads every stage input through LOADERS
+
+READERS = {"open", "read_text", "read_bytes", "load_trajectories", "load_model", "load_policy",
+           "RankedDataset.load"}
+
+
+def stage_reads(source: str) -> dict[str, list[str]]:
+    """Each stage_* function's calls to a reader of READERS, by name or as
+    a module's or object's attribute, sorted."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("stage_"):
+            called = [ast.unparse(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)]
+            found[node.name] = sorted(
+                c for c in called if c in READERS or any(c.endswith("." + r) for r in READERS)
+            )
+    return found
+
+
+def test_the_check_finds_each_read_in_a_stage():
+    source = "\n".join([
+        "def stage_a(cfg, out, manifest):",
+        "    demos = load_trajectories(out / F_DEMOS)",
+        "    with open(out / F_MODEL) as fh: pass",
+        "    data = genetics.RankedDataset.load(out / F_RANKED, out / F_RANKED_MANIFEST)",
+        "    text = (out / F_EVAL).read_text()",
+        "def stage_b(cfg, out, manifest, model, policy):",
+        "    save_policy(policy, out / F_POLICY)",
+        "def _helper(path):",
+        "    return load_policy(path)",
+    ])
+    assert stage_reads(source) == {
+        "stage_a": ["(out / F_EVAL).read_text", "genetics.RankedDataset.load",
+                    "load_trajectories", "open"],
+        "stage_b": [],
+    }
+
+
+def test_no_stage_opens_a_file_it_reads():
+    reads = stage_reads(Path(pipeline.__file__).read_text())
+    assert set(reads) == {run.__name__ for run, _, _ in pipeline.STAGES.values()}
+    assert {stage: calls for stage, calls in reads.items() if calls} == {}
+
+
+def test_every_declared_read_has_one_loader_and_one_stage_parameter():
+    """The ranked manifest is read with the ranked dataset, by its loader."""
+    declared = {name for _, reads, _ in pipeline.STAGES.values() for name in reads}
+    assert set(pipeline.LOADERS) == declared - {F_RANKED_MANIFEST}
+    for run, reads, _ in pipeline.STAGES.values():
+        inputs = list(inspect.signature(run).parameters)[3:]
+        assert len(inputs) == len([name for name in reads if name in pipeline.LOADERS])

@@ -81,7 +81,7 @@ def test_cem_config_validation(kwargs):
 
 def test_value_iteration_on_true_reward_is_optimal(grid_spec):
     art = value_iteration(grid_spec, grid_spec.true_reward)
-    assert art.env == "GridNav"
+    assert art.spec.name == "GridNav"
     assert np.array_equal(art.parameters, gridnav_optimal_actions(grid_spec.discount))
     stats = evaluate_policy(art, n_episodes=1)
     assert stats.mean == pytest.approx(gridnav_optimal_return(grid_spec), abs=1e-12)
@@ -169,7 +169,7 @@ def test_cem_deterministic(pc_spec):
     assert np.array_equal(a.parameters, b.parameters)
     c = cem_search(pc_spec, pc_spec.true_reward, cfg, seed=4)
     assert not np.array_equal(a.parameters, c.parameters)
-    assert a.env == "PointChase"
+    assert a.spec.name == "PointChase"
     assert len(a.meta["mean_history"]) == cfg.n_iters + 1
 
 
@@ -183,7 +183,7 @@ def test_cem_improves_over_zero_gains(pc_spec):
     art = cem_search(pc_spec, pc_spec.true_reward, cfg, seed=0)
     searched = evaluate_policy(art, n_episodes=1).mean
     idle = evaluate_policy(
-        PolicyArtifact(env="PointChase", parameters=np.zeros(3)), n_episodes=1
+        PolicyArtifact(spec=pc_spec, parameters=np.zeros(3)), n_episodes=1
     ).mean
     assert searched > idle
 
@@ -316,7 +316,7 @@ def evaluated_policies(grid_spec, pc_spec):
         ]
         bc.append(train_bc(demos, spec, [1])[0])
     linear = PolicyArtifact(
-        env="PointChase", parameters=np.array([0.5, -0.3, 1.2])
+        spec=pc_spec, parameters=np.array([0.5, -0.3, 1.2])
     )
     return [
         value_iteration(grid_spec, grid_spec.true_reward),
@@ -378,9 +378,13 @@ def test_artifact_act_is_table_lookup_or_clipped_gains(
     grid_feats, pc_feats = np.array(grid_feats), np.array(pc_feats)
     path = tmp_path_factory.getbasetemp() / "act.json"
     cases = [
-        (PolicyArtifact("GridNav", table), grid_feats, table[int(np.argmax(grid_feats[2:]))]),
         (
-            PolicyArtifact("PointChase", gains),
+            PolicyArtifact(environment("GridNav"), table),
+            grid_feats,
+            table[int(np.argmax(grid_feats[2:]))],
+        ),
+        (
+            PolicyArtifact(environment("PointChase"), gains),
             pc_feats,
             float(np.clip(np.array(gains) @ pc_feats, -PC_ACTION_MAX, PC_ACTION_MAX)),
         ),
@@ -405,7 +409,7 @@ def test_policy_round_trip_tabular(grid_spec, tmp_path):
     path = tmp_path / "policy.json"
     save_policy(art, path)
     back = load_policy(path)
-    assert back.env == art.env
+    assert back.spec.name == art.spec.name
     assert back.source_model == "model.json"
     assert back.parameters.dtype == np.int64
     assert np.array_equal(back.parameters, art.parameters)
@@ -429,10 +433,28 @@ def test_policy_round_trip_linear(pc_spec, tmp_path):
     assert same == orig
 
 
+@pytest.mark.parametrize(
+    "name, horizon, derive",
+    [
+        ("PointChase", 37, lambda s: cem_search(s, s.true_reward, CEMConfig(8, 2), seed=0)),
+        ("GridNav", 20, lambda s: value_iteration(s, s.true_reward)),
+    ],
+)
+def test_a_derived_policy_keeps_the_environment_it_was_derived_in(name, horizon, derive):
+    """A derivation hands its policy its own spec, a replaced horizon and
+    all: the policy rolls out, and evaluate_policy scores, that many steps."""
+    spec = dataclasses.replace(environment(name), horizon=horizon)
+    artifact = derive(spec)
+    episode = rollout(artifact, seed=0)
+    assert len(episode) == horizon
+    assert artifact.spec is spec
+    assert evaluate_policy(artifact, 1).mean == gt_return(episode, spec.discount)
+
+
 def test_policy_version_check(tmp_path):
     import json
 
-    art = PolicyArtifact(env="PointChase", parameters=np.zeros(3))
+    art = PolicyArtifact(spec=environment("PointChase"), parameters=np.zeros(3))
     path = tmp_path / "p.json"
     save_policy(art, path)
     payload = json.loads(path.read_text())

@@ -2,10 +2,13 @@
 
 A traced run-all writes the untraced run's artifacts byte for byte, and
 its per-layer numbers time value iteration on GridNav and CEM on
-PointChase.  A traced compare on one CPU counts every unit's reward
-training, stacked or not.  A change that moved an argument the tracer's
-counts read (cem_search's cfg, for one) or trained outside
-reward_net.train fails here, not first in a traced benchmark run.
+PointChase.  Its spans include every load of a stage input, which
+pipeline.LOADERS makes by module-global name when it runs, where the
+tracer's wrappers stand.  A traced compare on one CPU counts every
+unit's reward training, stacked or not.  A change that moved an argument
+the tracer's counts read (cem_search's cfg, for one), trained outside
+reward_net.train or loaded through a reference taken before the tracer
+wrapped it fails here, not first in a traced benchmark run.
 """
 
 import importlib.util
@@ -92,6 +95,11 @@ def test_traced_run_all_writes_the_untraced_artifacts_and_times_its_policy_searc
     metrics = load_tracer().layer_metrics(spans)
     assert metrics[timed] > 0
     assert metrics[idle] == 0
+    loads = {"trajectory.load_trajectories", "genetics.load", "reward_net.load_model",
+             "policy_opt.load_policy"}
+    assert loads <= set(json.loads(spans.read_text())["names"])
+    assert metrics["trajectory.load_s"] > 0
+    assert metrics["trajectory.bytes"] > 0
 
 
 def test_one_cpu_trace_of_compare_counts_every_units_training(tmp_path):
