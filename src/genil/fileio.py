@@ -1,5 +1,6 @@
 """Artifact files written whole or not at all, and refused by name when
-they do not parse."""
+they do not parse.  write_lines is genil's one way to write a file: every
+artifact writer formats its lines and hands them over."""
 
 from __future__ import annotations
 
@@ -9,17 +10,19 @@ import os
 from .errors import ConfigError, CorruptArtifactError, InvalidTrajectoryError
 
 
-@contextlib.contextmanager
-def atomic_write(path):
-    """Open path for text writing, with "\\n" line ends, through a temporary
-    file in the same directory that replaces path only when the block
-    finishes.  If the block raises, the temporary file is removed and path
-    is left as it was, so a failed write leaves no truncated artifact."""
+def write_lines(path, lines) -> None:
+    """Write each of lines (any iterable of str, consumed as it is written)
+    and a "\\n" after it to a temporary file in path's directory, which
+    replaces path after the last line.  If producing or writing a line
+    raises, the temporary file is removed and path is left as it was, so a
+    failed write leaves no truncated artifact."""
     head, name = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="\n") as fh:
-            yield fh
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

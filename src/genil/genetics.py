@@ -31,7 +31,7 @@ from .errors import (
     MutationPoolError,
     ReproductionStalledError,
 )
-from .fileio import atomic_write, parsing
+from .fileio import parsing, write_lines
 from .seeding import derive_seed
 from .trajectory import Trajectory, load_trajectories, save_trajectories
 
@@ -320,9 +320,7 @@ class RankedDataset:
             "attempts_used": self.attempts_used,
             "config": dataclasses.asdict(self.config),
         }
-        with atomic_write(manifest_path) as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_lines(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True)])
 
     @classmethod
     def load(cls, traj_path, manifest_path) -> "RankedDataset":

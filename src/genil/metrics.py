@@ -8,18 +8,22 @@ trajectories away from the normalization minimum; rank correlation uses
 the raw values; compactness is the per-bin spread of normalized
 predictions among trajectories of similar ground-truth return.  All
 standard deviations here are population (divide by n), so outputs are
-reproducible constants for fixed inputs.
+reproducible constants for fixed inputs.  Every table goes out through
+write_table, which formats each CSV cell by one rule (see _cell) and hands
+the lines to fileio.write_lines.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from operator import attrgetter, itemgetter
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateEvalError
-from .fileio import atomic_write
+from .errors import ConfigError, DegenerateEvalError, DivergenceError
+from .fileio import write_lines
 from .trajectory import Trajectory, gt_return
 
 ACCURACY_GT_NORM_FLOOR = 0.1
@@ -29,7 +33,7 @@ DEFAULT_N_BINS = 8
 @dataclass
 class ReportRow:
     traj_id: str
-    quality: float | None
+    quality: float | None  # the trajectory's meta quality, as a float
     gt_return: float
     pred_return: float
     gt_norm: float
@@ -119,6 +123,8 @@ def predicted_returns_report(
 
     Degenerate predictions (zero spread) are flagged: normalized
     predictions fall back to 0.5 and both correlations are reported as 0.
+    A non-finite predicted return, from a reward model that diverged, is
+    refused with DivergenceError.
     """
     if n_bins < 2:
         raise ConfigError(f"n_bins must be >= 2, got {n_bins}")
@@ -128,6 +134,11 @@ def predicted_returns_report(
     pred = np.array(pred, dtype=np.float64)
     if float(gt.min()) == float(gt.max()):
         raise DegenerateEvalError("all ground-truth returns are identical")
+    if not np.isfinite(pred).all():
+        i = int(np.flatnonzero(~np.isfinite(pred))[0])
+        raise DivergenceError(
+            f"non-finite predicted return {pred[i]} of eval trajectory {eval_set[i].id!r}", step=0
+        )
     gt_norm, _ = _min_max(gt)
     pred_norm, pred_degenerate = _min_max(pred)
     if pred_degenerate:
@@ -143,10 +154,11 @@ def predicted_returns_report(
         for b in range(n_bins)
     ]
     finite = [v for v in per_bin if not np.isnan(v)]
+    qualities = [t.meta.get("quality") for t in eval_set]
     rows = [
         ReportRow(
             traj_id=t.id,
-            quality=t.meta.get("quality"),
+            quality=None if qualities[i] is None else float(qualities[i]),
             gt_return=float(gt[i]),
             pred_return=float(pred[i]),
             gt_norm=float(gt_norm[i]),
@@ -200,7 +212,10 @@ def policy_table_row(method: str, returns: np.ndarray) -> PolicyTableRow:
 
 
 # ---------------------------------------------------------------------------
-# CSV emission: 9 significant digits, fixed column order, LF endings
+# CSV emission: a header, then one line per row in a fixed column order,
+# written whole by fileio.write_lines.  _cell is the one cell rule: None is
+# an empty cell (a failed method's row keeps the schema), a float has 9
+# significant digits (fmt9) and anything else is its str.
 
 
 def fmt9(value) -> str:
@@ -209,63 +224,48 @@ def fmt9(value) -> str:
     return format(float(value), ".9g")
 
 
+def _cell(value) -> str:
+    return fmt9(value) if value is None or isinstance(value, float) else str(value)
+
+
+def write_table(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A CSV table of columns, one line per row of cells (see _cell)."""
+    lines = (",".join(map(_cell, row)) for row in rows)
+    write_lines(path, itertools.chain([",".join(columns)], lines))
+
+
+def _by_method(entries, fields: Sequence[str]):
+    """A (method, *result's fields) row per (method, result) entry; a
+    failed method's None result gives a row of empty cells."""
+    get = attrgetter(*fields)
+    return ((m, *((None,) * len(fields) if r is None else get(r))) for m, r in entries)
+
+
 def write_extrapolation_csv(path, report: ExtrapolationReport) -> None:
-    with atomic_write(path) as fh:
-        fh.write("traj_id,quality,gt_return,pred_return,gt_norm,pred_norm,bin\n")
-        for r in report.rows:
-            fh.write(
-                f"{r.traj_id},{fmt9(r.quality)},{fmt9(r.gt_return)},{fmt9(r.pred_return)},"
-                f"{fmt9(r.gt_norm)},{fmt9(r.pred_norm)},{r.bin}\n"
-            )
+    columns = ("traj_id", "quality", "gt_return", "pred_return", "gt_norm", "pred_norm", "bin")
+    write_table(path, columns, map(attrgetter(*columns), report.rows))
 
 
-def write_summary_csv(
-    path, entries: Sequence[tuple[str, ExtrapolationReport | None]]
-) -> None:
-    """entries: (method, report); a None report is a failed method's row,
-    written with empty cells so the schema never changes."""
-    with atomic_write(path) as fh:
-        fh.write("method,accuracy_ratio,spearman,pearson,mean_bin_std\n")
-        for method, rep in entries:
-            if rep is None:
-                fh.write(f"{method},,,,\n")
-            else:
-                fh.write(
-                    f"{method},{fmt9(rep.accuracy_ratio)},{fmt9(rep.spearman_rho)},"
-                    f"{fmt9(rep.pearson_r)},{fmt9(rep.mean_bin_std)}\n"
-                )
+def write_summary_csv(path, entries: Sequence[tuple[str, ExtrapolationReport | None]]) -> None:
+    """entries: (method, report), a failed method's report None."""
+    write_table(
+        path,
+        ("method", "accuracy_ratio", "spearman", "pearson", "mean_bin_std"),
+        _by_method(entries, ("accuracy_ratio", "spearman_rho", "pearson_r", "mean_bin_std")),
+    )
 
 
-def write_policy_table_csv(
-    path, entries: Sequence[tuple[str, PolicyTableRow | None]]
-) -> None:
-    """entries: (method, row); a None row is a failed method's row,
-    written with empty cells so the schema never changes."""
-    with atomic_write(path) as fh:
-        fh.write("method,avg,std,n_trials,n_models,per_trial_std_mean\n")
-        for method, r in entries:
-            if r is None:
-                fh.write(f"{method},,,,,\n")
-            else:
-                fh.write(
-                    f"{method},{fmt9(r.avg)},{fmt9(r.std)},{r.n_trials},{r.n_models},"
-                    f"{fmt9(r.per_trial_std_mean)}\n"
-                )
+def write_policy_table_csv(path, entries: Sequence[tuple[str, PolicyTableRow | None]]) -> None:
+    """entries: (method, row), a failed method's row None."""
+    fields = ("avg", "std", "n_trials", "n_models", "per_trial_std_mean")
+    write_table(path, ("method", *fields), _by_method(entries, fields))
 
 
 def write_sweep_csv(path, records: Sequence[dict]) -> None:
-    """records: step_size, trial, model, gt_return, trial_std, step_mean."""
-    with atomic_write(path) as fh:
-        fh.write("step_size,trial,model,gt_return,trial_std,step_mean\n")
-        for r in records:
-            fh.write(
-                f"{r['step_size']},{r['trial']},{r['model']},{fmt9(r['gt_return'])},"
-                f"{fmt9(r['trial_std'])},{fmt9(r['step_mean'])}\n"
-            )
+    """records: dicts of the columns, the last three floats."""
+    columns = ("step_size", "trial", "model", "gt_return", "trial_std", "step_mean")
+    write_table(path, columns, map(itemgetter(*columns), records))
 
 
 def write_loss_csv(path, losses: np.ndarray) -> None:
-    with atomic_write(path) as fh:
-        fh.write("step,loss\n")
-        for step, loss in enumerate(losses):
-            fh.write(f"{step},{fmt9(loss)}\n")
+    write_table(path, ("step", "loss"), enumerate(np.asarray(losses, dtype=np.float64).tolist()))

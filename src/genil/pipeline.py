@@ -39,7 +39,7 @@ from .baselines import build_drex_dataset, build_trex2_dataset, build_trex_datas
 from .config import ExperimentConfig, config_to_dict
 from .envs import Environment, make_demo_pair, make_eval_set
 from .errors import ConfigError, CorruptArtifactError, GenilError, MissingArtifactError
-from .fileio import atomic_write
+from .fileio import write_lines
 from .genetics import RankedDataset, reproduce
 from .metrics import (
     extrapolation_report,
@@ -105,9 +105,7 @@ class RunManifest:
 
     def save(self, out_dir: Path) -> None:
         payload = {"format_version": MANIFEST_VERSION, **dataclasses.asdict(self)}
-        with atomic_write(out_dir / F_MANIFEST) as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_lines(out_dir / F_MANIFEST, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def _checked(cfg: ExperimentConfig, path: Path, trajectories, n=None, refusal=""):

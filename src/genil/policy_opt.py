@@ -33,7 +33,7 @@ from .envs import (
     rollout,
 )
 from .errors import ConfigError, DivergenceError
-from .fileio import atomic_write, parsing
+from .fileio import parsing, write_lines
 from .seeding import derive_seed
 from .trajectory import gt_return
 
@@ -178,9 +178,7 @@ def save_policy(artifact: PolicyArtifact, path) -> None:
         "source_model": artifact.source_model,
         "meta": artifact.meta,
     }
-    with atomic_write(path) as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_lines(path, [json.dumps(payload)])
 
 
 def load_policy(path) -> PolicyArtifact:

@@ -63,7 +63,7 @@ from .errors import (
     EmptyPairError,
     InvalidTrajectoryError,
 )
-from .fileio import atomic_write, parsing
+from .fileio import parsing, write_lines
 from .mlp import MLP
 from .seeding import derive_seed
 from .snippets import SnippetPair
@@ -120,8 +120,12 @@ def predict_states(model: RewardModel, states: np.ndarray) -> np.ndarray:
     """Per-state rewards for a (n, feature_dim) batch.
 
     functools.partial(predict_states, model) is the model's reward
-    function, the form every consumer of a reward takes."""
-    return model.net.predict(states)[:, 0]
+    function, the form every consumer of a reward takes.  As in training,
+    numpy's overflow and invalid-value warnings are silenced: a diverged
+    model's non-finite rewards are refused by value iteration, CEM or the
+    extrapolation report."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return model.net.predict(states)[:, 0]
 
 
 def _expit(z: np.ndarray) -> np.ndarray:
@@ -428,9 +432,7 @@ def save_model(model: RewardModel, path, train_config: TrainConfig | None = None
         **model.net.to_dict(),
         "train_config": None if train_config is None else dataclasses.asdict(train_config),
     }
-    with atomic_write(path) as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_lines(path, [json.dumps(payload)])
 
 
 def load_model(path) -> RewardModel:

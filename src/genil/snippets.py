@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, EmptyPairError, InvalidTrajectoryError
-from .fileio import atomic_write
+from .fileio import write_lines
 from .seeding import derive_seed
 from .trajectory import Trajectory
 
@@ -152,13 +152,9 @@ def make_pairs(
 
 def save_pairs(path, pairs: Sequence[SnippetPair]) -> None:
     """Line-delimited JSON; snippets stored by reference, not by states."""
-    with atomic_write(path) as fh:
-        for pair in pairs:
-            record = {
-                "lo": _snippet_ref(pair.lo),
-                "hi": _snippet_ref(pair.hi),
-            }
-            fh.write(json.dumps(record) + "\n")
+    write_lines(
+        path, (json.dumps({"lo": _snippet_ref(p.lo), "hi": _snippet_ref(p.hi)}) for p in pairs)
+    )
 
 
 def _snippet_ref(snip: Snippet) -> dict:

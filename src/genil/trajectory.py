@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InvalidTrajectoryError
-from .fileio import atomic_write, parsing
+from .fileio import parsing, write_lines
 
 SOURCES = ("demo", "offspring", "eval")
 
@@ -174,10 +174,7 @@ def loads_trajectory(line: str) -> Trajectory:
 
 
 def save_trajectories(path, trajectories: Iterable[Trajectory]) -> None:
-    with atomic_write(path) as fh:
-        for traj in trajectories:
-            fh.write(dumps_trajectory(traj))
-            fh.write("\n")
+    write_lines(path, map(dumps_trajectory, trajectories))
 
 
 def load_trajectories(path) -> list[Trajectory]:

@@ -6,21 +6,17 @@ over ten base seeds and are shared by every criterion that consumes
 them; everything else runs in seconds.
 """
 
-import csv
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from genil.baselines import build_trex2_dataset
 from genil.config import parse_config_text
 from genil.envs import (
     environment,
     gridnav_all_features,
     gridnav_optimal_return,
     make_demo_pair,
-    make_eval_set,
 )
 from genil.genetics import (
     GAConfig,
@@ -31,7 +27,6 @@ from genil.genetics import (
     relabel_demos,
     reproduce,
 )
-from genil.metrics import extrapolation_report
 from genil.mlp import MLP
 from genil.pipeline import _map_units, run_command
 from genil.policy_opt import (
@@ -44,7 +39,6 @@ from genil.policy_opt import (
     value_iteration,
 )
 from genil.reward_net import (
-    CompiledPairs,
     RewardModel,
     TrainConfig,
     load_model,
@@ -53,14 +47,13 @@ from genil.reward_net import (
     save_model,
     train,
 )
-from genil.seeding import derive_seed
 from genil.snippets import Snippet, SnippetPair, make_pairs, subsample
 from genil.trajectory import (
-    gt_return,
     load_trajectories,
     save_trajectories,
     trajectories_equal,
 )
+from acceptance_runs import one_seed, sweep_seed
 from reference_value_iteration import reference_optimal_actions
 from train_steps import first_step, min_preactivation
 
@@ -87,25 +80,6 @@ n_eval_episodes = 1
 base = 5
 """
 
-# sweep protocol: snippet windows [20, 40] so the largest step size
-# spans whole windows, short training, 2 trials x 2 models per size
-SWEEP_CONFIG = """
-[data]
-n_snippets = 800
-min_len = 20
-max_len = 40
-n_pairs = 1500
-
-[train]
-steps = 1500
-
-[eval]
-n_trials = 2
-n_models_per_trial = 2
-n_eval_episodes = 1
-"""
-
-
 def emit(capsys, number, ok, detail):
     line = f"criterion {number:02d} {'PASS' if ok else 'FAIL'} {detail}"
     with capsys.disabled():
@@ -117,66 +91,10 @@ def emit(capsys, number, ok, detail):
 # Shared ten-seed pipeline runs (criteria 4, 5, 6)
 
 
-@dataclass
-class SeedOutcome:
-    rho_genil: float
-    bin_std_genil: float
-    bin_std_trex2: float
-    policy_return: float
-    good_return: float
-    bad_return: float
-    seconds: float
-
-
-def ensemble_reward(models):
-    """The uniform ensemble's reward: the member mean of per-state rewards."""
-    return lambda states: np.mean([predict_states(m, states) for m in models], axis=0)
-
-
 @pytest.fixture(scope="module")
 def ten_seed_runs():
-    """Full pipeline per base seed: 5-model ensembles for both ranking
-    methods on shared demos and a shared eval set, each trained by one
-    train call as compare trains a unit's models, plus the greedy
-    policy from the learned reward.  The seeds run as parallel units; each
-    is timed inside its worker."""
-    spec = environment("GridNav")
-    ga = GAConfig()
-    qualities = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
-
-    def one_seed(s):
-        t0 = time.perf_counter()
-        good, bad = make_demo_pair(spec, 0.1, 0.5, seed=s)
-        datasets = {
-            "genil": reproduce(good, bad, ga, seed=s).trajectories,
-            "trex2": build_trex2_dataset(good, bad),
-        }
-        eval_set = make_eval_set(spec, qualities, 15, seed=s + 1000)
-        reports = {}
-        ensembles = {}
-        for name, dataset in datasets.items():
-            snips = subsample(dataset, 2000, 15, 30, seed=s)
-            pairs = CompiledPairs(make_pairs(snips, 4000, 0.5, seed=s))
-            seeds = [derive_seed(s, "model", m) for m in range(5)]
-            cfg = TrainConfig(learning_rate=3e-4, steps=6000, batch_size=16)
-            models = [make_reward_model(spec.feature_dim, seed=ms) for ms in seeds]
-            results = train(models, pairs, cfg, seeds)
-            ensembles[name] = ensemble_reward([r.model for r in results])
-            reports[name] = extrapolation_report(
-                ensembles[name], eval_set, spec.discount, n_bins=8
-            )
-        artifact = value_iteration(spec, ensembles["genil"], discount=0.99)
-        policy_return = evaluate_policy(artifact, 1).mean
-        return SeedOutcome(
-            rho_genil=reports["genil"].spearman_rho,
-            bin_std_genil=reports["genil"].mean_bin_std,
-            bin_std_trex2=reports["trex2"].mean_bin_std,
-            policy_return=policy_return,
-            good_return=gt_return(good, spec.discount),
-            bad_return=gt_return(bad, spec.discount),
-            seconds=time.perf_counter() - t0,
-        )
-
+    """acceptance_runs.one_seed for base seeds 0-9, run as parallel units;
+    each is timed inside its worker."""
     return _map_units(one_seed, [(s,) for s in range(10)])
 
 
@@ -420,27 +338,10 @@ def test_criterion_08_step_size_sweep(capsys, tmp_path):
     schema_ok = True
     warnings_ok = True
     for s in range(10):
-        cfg = parse_config_text(SWEEP_CONFIG + f"\n[seeds]\nbase = {s}\n")
-        out = tmp_path / str(s)
-        manifest = run_command("sweep", cfg, out)
-        warnings_ok &= any(
-            "crossover segments span whole snippets" in w for w in manifest.warnings
-        )
-        lines = (out / "sweep.csv").read_text().splitlines()
-        schema_ok &= lines[0] == "step_size,trial,model,gt_return,trial_std,step_mean"
-        with open(out / "sweep.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        schema_ok &= {int(r["step_size"]) for r in rows} == {1, 2, 5, 10, 20}
-
-        def mean_trial_std(step):
-            per_trial = {
-                int(r["trial"]): float(r["trial_std"])
-                for r in rows
-                if int(r["step_size"]) == step
-            }
-            return float(np.mean(list(per_trial.values())))
-
-        wins += mean_trial_std(20) > mean_trial_std(5)
+        outcome = sweep_seed(s, tmp_path / str(s))
+        wins += outcome.spread_20 > outcome.spread_5
+        schema_ok &= outcome.schema_ok
+        warnings_ok &= outcome.warnings_ok
     elapsed = time.perf_counter() - t0
     ok = wins >= 6 and schema_ok and warnings_ok
     line = emit(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from genil.errors import ConfigError, DegenerateEvalError
+from genil.errors import ConfigError, DegenerateEvalError, DivergenceError
 from genil.metrics import (
     ACCURACY_GT_NORM_FLOOR,
     ExtrapolationReport,
@@ -16,6 +16,7 @@ from genil.metrics import (
     fmt9,
     pearson_r,
     policy_table_row,
+    predicted_returns_report,
     spearman,
     write_extrapolation_csv,
     write_loss_csv,
@@ -198,6 +199,16 @@ def test_report_validation():
         extrapolation_report(identity_reward(), flat, 0.9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_report_refuses_a_non_finite_predicted_return(bad):
+    """A diverged reward model's predictions make no table of NaNs."""
+    evs = [traj_point(i, float(i), float(i)) for i in range(4)]
+    pred = [0.0, 1.0, bad, 3.0]
+    with pytest.raises(DivergenceError, match=f"non-finite predicted return {bad} of eval "
+                       "trajectory 't2'"):
+        predicted_returns_report(pred, evs, 0.9)
+
+
 # ---------------------------------------------------------------------------
 # policy table
 
@@ -254,6 +265,20 @@ def test_extrapolation_csv_golden(tmp_path):
         "t0,,1,0.5,0,0.25,0\n"
         "t1,0.3,2,1.5,1,1,7\n"
     )
+
+
+def test_extrapolation_csv_writes_a_quality_as_a_float(tmp_path):
+    """A hand-placed eval file may give a trajectory's quality as an int;
+    the quality column formats it as the float it stands for."""
+    evs = [traj_point(i, float(i), float(i), quality=q) for i, q in enumerate([0, 10**10, 0.3])]
+    rep = extrapolation_report(identity_reward(), evs, 0.9)
+    assert [r.quality for r in rep.rows] == [0.0, 1e10, 0.3]
+    assert all(type(r.quality) is float for r in rep.rows)
+    path = tmp_path / "e.csv"
+    write_extrapolation_csv(path, rep)
+    assert [line.split(",")[1] for line in path.read_text().splitlines()] == [
+        "quality", "0", "1e+10", "0.3"
+    ]
 
 
 def test_summary_csv_golden(tmp_path):

@@ -53,6 +53,7 @@ from genil.pipeline import (
     COMPARE_METHODS,
     F_DEMOS,
     F_EVAL,
+    F_EXTRAPOLATION,
     F_MANIFEST,
     F_MODEL,
     F_POLICY,
@@ -979,6 +980,55 @@ def test_cli_evaluate_refuses_a_nan_model(small_run, tmp_path, capsys):
     assert err == [f"genil: evaluate failed: malformed artifact {out / F_MODEL}: "
                    "non-finite parameters"]
     assert (out / F_SUMMARY).read_bytes() == summary
+
+
+# one step at this rate makes a reward model whose predictions overflow
+DIVERGED = SMALL.replace("steps = 50", "steps = 1\nlearning_rate = 1e300")
+
+
+def run_cli(*argv):
+    """Run genil's command line in a fresh interpreter (see python_env), so
+    that numpy's warnings reach its stderr; its exit code and stderr lines."""
+    done = subprocess.run(
+        [sys.executable, "-c", "from genil.cli import entry; entry()", *argv],
+        env=python_env(), capture_output=True, text=True, timeout=600,
+    )
+    return done.returncode, done.stderr.splitlines()
+
+
+@pytest.mark.parametrize("env, reason", [
+    ("GridNav", "non-finite cell reward: value iteration cannot converge"),
+    ("PointChase", "non-finite candidate fitness at CEM iteration 0"),
+], ids=["GridNav", "PointChase"])
+def test_cli_run_all_refuses_a_diverged_reward_in_one_line(tmp_path, env, reason):
+    cfg_path = write_cfg(tmp_path, DIVERGED + f"\n[env]\nname = {env}\n")
+    code, err = run_cli("--config", cfg_path, "--out", str(tmp_path / "out"), "--quiet", "run-all")
+    assert (code, err) == (3, [f"genil: run-all failed: {reason}"])
+
+
+def test_cli_compare_warns_only_that_diverged_methods_failed(tmp_path):
+    cfg_path = write_cfg(tmp_path, DIVERGED)
+    code, err = run_cli("--config", cfg_path, "--out", str(tmp_path / "out"), "--quiet", "compare")
+    reason = "DivergenceError: non-finite cell reward: value iteration cannot converge"
+    assert (code, err) == (0, [
+        f"genil: warning: {method} failed: {reason}"
+        for method, build in COMPARE_METHODS.items() if build is not None
+    ])
+
+
+def test_cli_evaluate_refuses_a_diverged_reward_model(small_run, tmp_path):
+    """evaluate writes no table of NaNs from a model whose predictions
+    overflow, and says why in one line."""
+    cfg_path, out = copy_run(small_run, tmp_path)
+    diverged = write_cfg(tmp_path, DIVERGED, name="diverged.cfg")
+    assert main(["--config", diverged, "--out", str(out), "--quiet", "train-reward"]) == 0
+    tables = [F_EXTRAPOLATION, F_SUMMARY, F_POLICY_TABLE]
+    before = [(out / name).read_bytes() for name in tables]
+    code, err = run_cli("--config", cfg_path, "--out", str(out), "--quiet", "evaluate")
+    assert (code, err) == (3, [
+        "genil: evaluate failed: non-finite predicted return nan of eval trajectory 'eval-q0-0'"
+    ])
+    assert [(out / name).read_bytes() for name in tables] == before
 
 
 @pytest.mark.parametrize(
